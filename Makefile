@@ -16,9 +16,9 @@ KLOCALVET_FLAGS ?=
 # notice when none is installed.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: tier1 check race build test vet lint klocalvet staticcheck bench bench-scale bench-gate serve-smoke fuzz-smoke go-fuzz-smoke cluster-smoke scale-smoke churn-smoke
+.PHONY: tier1 check race build test vet lint klocalvet staticcheck bench bench-scale bench-gate bench-check serve-smoke fuzz-smoke go-fuzz-smoke cluster-smoke scale-smoke churn-smoke
 
-tier1: vet build test serve-smoke fuzz-smoke cluster-smoke scale-smoke churn-smoke
+tier1: vet build test bench-check serve-smoke fuzz-smoke cluster-smoke scale-smoke churn-smoke
 
 # The full local gate: everything CI runs except the benchmarks.
 check: lint tier1 race
@@ -47,6 +47,15 @@ staticcheck:
 	else \
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION))"; \
 	fi
+
+# klbench, the BENCHMARK.json benchmark, is a nested module compiled
+# against internal/prep, nbhd, engine, serve and cluster. Vet it and run
+# its toy-size suite (every workload, traced and untraced, plus the
+# reply checker's negative cases) so an internal API change that breaks
+# the benchmark fails here rather than in a later benchmark run.
+bench-check:
+	$(GO) -C klbench vet ./...
+	$(GO) -C klbench test ./...
 
 # Boot klocald on a loopback port and exercise the whole endpoint
 # surface (route, batch, hot-swap, metrics, pprof) in-process — no curl

@@ -42,8 +42,10 @@ func isGraphPtr(t types.Type) bool {
 
 // isViewType reports whether t (possibly behind a pointer) is one of
 // the sanctioned local-view carriers: prep.View, prep.Preprocessor,
-// nbhd.Neighborhood or nbhd.Component. Graphs reached through their
-// fields are, by construction, the k-local views the paper permits.
+// their map-shaped reference twins prep.RefView and
+// prep.RefPreprocessor, nbhd.Neighborhood or nbhd.Component. Graphs
+// reached through their fields are, by construction, the k-local views
+// the paper permits.
 func isViewType(t types.Type) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
@@ -55,7 +57,7 @@ func isViewType(t types.Type) bool {
 	name := n.Obj().Name()
 	switch {
 	case fromPkg(n.Obj(), prepPkgSuffix):
-		return name == "View" || name == "Preprocessor"
+		return name == "View" || name == "Preprocessor" || name == "RefView" || name == "RefPreprocessor"
 	case fromPkg(n.Obj(), nbhdPkgSuffix):
 		return name == "Neighborhood" || name == "Component"
 	}

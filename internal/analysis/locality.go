@@ -9,7 +9,8 @@ import (
 // decision at u may consult only s, t, the incoming port and G_k(u).
 // Concretely, inside a decision path every *graph.Graph value must be
 // reached through the sanctioned view carriers — prep.View,
-// prep.Preprocessor, nbhd.Neighborhood, nbhd.Component — or be handed
+// prep.Preprocessor (and their map-shaped reference twins prep.RefView,
+// prep.RefPreprocessor), nbhd.Neighborhood, nbhd.Component — or be handed
 // to the nbhd/prep preprocessing boundary that constructs such a view.
 // Calling a raw graph method (g.Adj, g.BFS, g.NextHopToward, ...) on
 // the network itself, or passing the network to any other helper, is

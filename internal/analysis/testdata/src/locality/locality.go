@@ -45,7 +45,7 @@ func BadHelper(g *graph.Graph) func(s, t, u, v graph.Vertex) (graph.Vertex, erro
 
 // Good goes through the sanctioned boundaries only: nbhd extraction,
 // preprocessed views, and graphs reached through them.
-func Good(g *graph.Graph, p *prep.Preprocessor, k int) func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+func Good(g *graph.Graph, p *prep.RefPreprocessor, k int) func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
 	return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
 		view := nbhd.Extract(g, u, k)
 		vg := view.G

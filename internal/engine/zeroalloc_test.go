@@ -5,8 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"klocal/internal/bigraph"
 	"klocal/internal/gen"
 	"klocal/internal/graph"
+	"klocal/internal/prep"
 	"klocal/internal/route"
 	"klocal/internal/sim"
 )
@@ -66,6 +68,59 @@ func TestWarmRouteAllocsGate(t *testing.T) {
 				t.Fatalf("warm RouteScratch allocates %.2f times per request, gate %d", avg, warmRouteAllocGate)
 			}
 			t.Logf("warm RouteScratch: %.2f allocs/request (gate %d)", avg, warmRouteAllocGate)
+		})
+	}
+}
+
+// preprocessAllocGate bounds the allocations of one cold view build.
+// The compact-native pipeline runs in pooled scratch and copies each
+// view into one block, two arenas, the component list and the dormant
+// edges, so a regression that reintroduces map-shaped construction
+// (hundreds of allocations per view) trips the gate immediately.
+const preprocessAllocGate = 10
+
+// TestPreprocessAllocsGate pins prep.PreprocessStore at or under
+// preprocessAllocGate allocations per view at k = 3, on the
+// million-vertex CSR grid the scale workloads serve and on a
+// graph-backed grid.
+func TestPreprocessAllocsGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const k = 3
+	csr, err := gen.GridCSR(1000, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := []struct {
+		name       string
+		st         bigraph.Store
+		rows, cols int
+	}{
+		{"csr-1000x1000", csr, 1000, 1000},
+		{"graph-100x100", gen.Grid(100, 100), 100, 100},
+	}
+	for _, tc := range stores {
+		t.Run(tc.name, func(t *testing.T) {
+			// Interior and border vertices alike, spread over the grid.
+			var vs []graph.Vertex
+			for r := 0; r < tc.rows; r += tc.rows / 10 {
+				for c := 0; c < tc.cols; c += tc.cols / 10 {
+					vs = append(vs, graph.Vertex(r*tc.cols+c))
+				}
+			}
+			for _, u := range vs { // warm: pooled scratch at its high-water mark
+				prep.PreprocessStore(tc.st, u, k, prep.PolicyMinRank)
+			}
+			i := 0
+			avg := testing.AllocsPerRun(200, func() {
+				prep.PreprocessStore(tc.st, vs[i%len(vs)], k, prep.PolicyMinRank)
+				i++
+			})
+			if avg > preprocessAllocGate {
+				t.Fatalf("PreprocessStore allocates %.2f times per view, gate %d", avg, preprocessAllocGate)
+			}
+			t.Logf("PreprocessStore: %.2f allocs/view (gate %d)", avg, preprocessAllocGate)
 		})
 	}
 }

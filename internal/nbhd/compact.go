@@ -79,7 +79,7 @@ func (cv *CompactView) Row(i int32) []int32 {
 }
 
 // Clone returns a heap-owned deep copy that stays valid after the
-// scratch it was built in is reused — this is what prep caches.
+// scratch it was built in is reused.
 func (cv *CompactView) Clone() *CompactView {
 	out := &CompactView{Center: cv.Center, CenterIdx: cv.CenterIdx, K: cv.K}
 	out.Verts = append([]graph.Vertex(nil), cv.Verts...)

@@ -105,8 +105,9 @@ func (nb *Neighborhood) Components() []*Component {
 
 // ClassifyView classifies the local components of an arbitrary view graph
 // around a centre with knowledge radius k. The view must contain the
-// centre; distances are measured inside the view. The preprocessing step
-// reuses this on the routing subgraph G'_k(u).
+// centre; distances are measured inside the view. The reference
+// preprocessing (prep.PreprocessRef) runs it on the routing subgraph
+// G'_k(u).
 func ClassifyView(view *graph.Graph, center graph.Vertex, k int) []*Component {
 	return classify(view, center, k)
 }

@@ -48,9 +48,9 @@ func ExtractStore(st bigraph.Store, u graph.Vertex, k int) *Neighborhood {
 	return &Neighborhood{Center: u, K: k, G: b.Build(), Dist: dist}
 }
 
-// ExtractCSR materializes G_k(u) from a CSR store through sc — the
-// map-free BFS fast path the preprocessor takes for CSR-backed networks.
-// It fails only where CSR.Extract does (absent centre, negative k).
+// ExtractCSR materializes G_k(u) from a CSR store through sc's map-free
+// BFS (CSR.Extract) as a label-space Neighborhood. It fails only where
+// CSR.Extract does (absent centre, negative k).
 func ExtractCSR(c *bigraph.CSR, u graph.Vertex, k int, sc *bigraph.Scratch) (*Neighborhood, error) {
 	if err := c.Extract(u, k, sc); err != nil {
 		return nil, err

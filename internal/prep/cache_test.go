@@ -46,6 +46,35 @@ func TestCacheCapacityEviction(t *testing.T) {
 	}
 }
 
+// TestCacheCapacityDefaultShards pins Capacity as a bound on the whole
+// cache under the default shard count — below the shard count, and at
+// capacities that are not a multiple of it — not a per-shard bound that
+// an empty shard could overshoot.
+func TestCacheCapacityDefaultShards(t *testing.T) {
+	g := gen.Grid(10, 10)
+	vs := g.Vertices()
+	for _, capacity := range []int{1, 3, 4, 7, DefaultShards + 5} {
+		p := NewPreprocessorOpts(g, 2, PolicyMinRank, CacheOptions{Capacity: capacity})
+		for i, v := range vs {
+			p.At(v)
+			if st := p.Stats(); st.Size > int64(capacity) {
+				t.Fatalf("capacity %d: %d views resident after %d inserts", capacity, st.Size, i+1)
+			}
+		}
+		st := p.Stats()
+		if st.Size != int64(capacity) || st.Evictions != int64(len(vs)-capacity) {
+			t.Fatalf("capacity %d: size %d, evictions %d; want %d and %d",
+				capacity, st.Size, st.Evictions, capacity, len(vs)-capacity)
+		}
+		// The view just built is never its own eviction victim.
+		last := vs[len(vs)-1]
+		p.At(last)
+		if hits := p.Stats().Hits; hits != st.Hits+1 {
+			t.Fatalf("capacity %d: the most recent view was evicted", capacity)
+		}
+	}
+}
+
 func TestCacheConcurrentSameResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := gen.RandomConnected(rng, 24, 0.1)
@@ -72,9 +101,8 @@ func TestCacheConcurrentSameResults(t *testing.T) {
 		want := PreprocessPolicy(g, u, k, PolicyMinRank)
 		for w := 0; w < 8; w++ {
 			got := views[w][i]
-			if got.Center != want.Center || len(got.Dormant) != len(want.Dormant) ||
-				len(got.ActiveRoots) != len(want.ActiveRoots) {
-				t.Fatalf("worker %d vertex %d: view differs from sequential preprocessing", w, u)
+			if err := DiffViews(got, want); err != nil {
+				t.Fatalf("worker %d vertex %d: view differs from sequential preprocessing: %v", w, u, err)
 			}
 			if p.At(u) != p.At(u) {
 				t.Fatalf("vertex %d: cache returns distinct instances after settling", u)

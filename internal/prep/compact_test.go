@@ -18,9 +18,10 @@ func randomPrepGraph(r *rand.Rand, n int) *graph.Graph {
 	return b.Build()
 }
 
-// TestViewCompactMatchesMaps pins the view's int-indexed encodings to
-// the map-based fields they mirror: next hops, routing distances,
-// component membership and constraint sets.
+// TestViewCompactMatchesMaps pins the compact-native view to the
+// label-space fields of the map-shaped reference preprocessing: next
+// hops, routing distances, component membership, constraint sets and
+// the dormant set.
 func TestViewCompactMatchesMaps(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 25; trial++ {
@@ -29,12 +30,13 @@ func TestViewCompactMatchesMaps(t *testing.T) {
 		u := vs[r.Intn(len(vs))]
 		k := 1 + r.Intn(4)
 		v := Preprocess(g, u, k)
+		ref := PreprocessRef(g, u, k, PolicyMinRank)
 
 		if v.C.Raw == nil || v.C.Routing == nil {
 			t.Fatal("compact encodings missing")
 		}
 		for _, tgt := range v.C.Raw.Verts {
-			want := v.Raw.G.NextHopToward(u, tgt)
+			want := ref.Raw.G.NextHopToward(u, tgt)
 			if got := v.C.NextHopFromCenter(tgt); got != want {
 				t.Fatalf("NextHopFromCenter(%d) = %d want %d (u=%d k=%d)", tgt, got, want, u, k)
 			}
@@ -44,19 +46,19 @@ func TestViewCompactMatchesMaps(t *testing.T) {
 		}
 
 		rcv := v.C.Routing
-		if rcv.NV() != len(v.RoutingDist) {
-			t.Fatalf("compact routing has %d vertices want %d", rcv.NV(), len(v.RoutingDist))
+		if rcv.NV() != len(ref.RoutingDist) {
+			t.Fatalf("compact routing has %d vertices want %d", rcv.NV(), len(ref.RoutingDist))
 		}
 		for li, w := range rcv.Verts {
-			if int(rcv.Dist[li]) != v.RoutingDist[w] {
-				t.Fatalf("routing dist[%d] = %d want %d", w, rcv.Dist[li], v.RoutingDist[w])
+			if int(rcv.Dist[li]) != ref.RoutingDist[w] {
+				t.Fatalf("routing dist[%d] = %d want %d", w, rcv.Dist[li], ref.RoutingDist[w])
 			}
 		}
 
-		if len(v.C.Comps) != len(v.Comps) {
-			t.Fatalf("%d compact comps want %d", len(v.C.Comps), len(v.Comps))
+		if len(v.C.Comps) != len(ref.Comps) {
+			t.Fatalf("%d compact comps want %d", len(v.C.Comps), len(ref.Comps))
 		}
-		for i, mc := range v.Comps {
+		for i, mc := range ref.Comps {
 			cc := &v.C.Comps[i]
 			if len(cc.Verts) != len(mc.Vertices) || len(cc.Roots) != len(mc.Roots) || len(cc.Constraints) != len(mc.ConstraintVertices) {
 				t.Fatalf("comp %d shape mismatch", i)
@@ -87,9 +89,9 @@ func TestViewCompactMatchesMaps(t *testing.T) {
 			t.Fatal("centre must have no component")
 		}
 
-		for _, e := range v.Raw.G.Edges() {
+		for _, e := range ref.Raw.G.Edges() {
 			want := false
-			for _, d := range v.Dormant {
+			for _, d := range ref.Dormant {
 				if d == e {
 					want = true
 					break

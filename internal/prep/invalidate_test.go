@@ -2,7 +2,6 @@ package prep
 
 import (
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -12,14 +11,7 @@ import (
 )
 
 // sameViewData compares the routing-relevant content of two views.
-func sameViewData(a, b *View) bool {
-	return a.Center == b.Center && a.K == b.K &&
-		a.Raw.G.Equal(b.Raw.G) &&
-		reflect.DeepEqual(a.Dormant, b.Dormant) &&
-		a.Routing.Equal(b.Routing) &&
-		reflect.DeepEqual(a.RoutingDist, b.RoutingDist) &&
-		reflect.DeepEqual(a.ActiveRoots, b.ActiveRoots)
-}
+func sameViewData(a, b *View) bool { return DiffViews(a, b) == nil }
 
 func TestInvalidateExact(t *testing.T) {
 	g := gen.Grid(8, 8)

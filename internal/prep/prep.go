@@ -19,7 +19,6 @@ package prep
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -58,63 +57,55 @@ func (p Policy) String() string {
 
 // View is the preprocessed local view at a node: the raw k-neighbourhood
 // G_k(u), the locally identified dormant edges, and the routing subgraph
-// G'_k(u) with its classified components.
+// G'_k(u) with its classified components — all in the int-indexed form
+// the routing decision paths read (DESIGN.md §14). A view is built once
+// and immutable afterwards, so concurrent routing workers share it
+// freely. reference.go holds the map-shaped reference construction
+// (PreprocessRef) the tests pin it to.
 type View struct {
 	Center graph.Vertex
 	K      int
-
-	// Raw is the unprocessed k-neighbourhood G_k(u).
-	Raw *nbhd.Neighborhood
-	// Dormant lists the edges of G_k(u) classified dormant at this node,
-	// in rank order.
-	Dormant []graph.Edge
-	// Routing is G'_k(u): the dormant-free neighbourhood re-restricted to
-	// paths of length at most k rooted at the centre.
-	Routing *graph.Graph
-	// RoutingDist maps each vertex of Routing to its distance from the
-	// centre along routing edges.
-	RoutingDist map[graph.Vertex]int
-	// Comps are the local components of G'_k(u), classified with routing
-	// distances, ordered by lowest root label.
-	Comps []*nbhd.Component
-	// ActiveRoots lists the active neighbours of the centre (roots of
-	// active components) in rank order. Its length is the centre's active
-	// degree.
-	ActiveRoots []graph.Vertex
-	// C holds the int-indexed compact encodings of the same data, read by
-	// the routing decision paths without rebuilding maps.
+	// C holds the view's compact encodings.
 	C Compact
 }
 
 // Compact is the int-indexed face of a preprocessed view: flat arrays
 // over local indices that the per-hop decision closures read with binary
-// searches and array loads only (DESIGN.md §14). It is built once at
-// preprocessing time and immutable afterwards, so concurrent routing
-// workers share it freely.
+// searches and array loads only. Local index order is label order in
+// both encodings, so every canonical rank tie-break is an int32 compare.
+// The slices of one view share a few backing arrays; none may be
+// mutated.
 type Compact struct {
 	// Raw is the compact encoding of G_k(u).
 	Raw *nbhd.CompactView
 	// NextHop maps each Raw local index t to the canonical next hop from
 	// the centre toward t inside G_k(u) (the lowest-labelled neighbour of
 	// the centre on a shortest path), or graph.NoVertex when t is the
-	// centre itself. Precomputing it turns the per-hop
-	// Raw.G.NextHopToward BFS into one binary search and a load.
+	// centre itself. Precomputing it turns the per-hop next-hop search
+	// into one binary search and a load.
 	NextHop []graph.Vertex
-	// Routing is the compact encoding of G'_k(u); its Dist column is the
-	// compact twin of RoutingDist.
+	// Dormant lists the edges of G_k(u) classified dormant at this node,
+	// in rank order.
+	Dormant []graph.Edge
+	// Routing is the compact encoding of G'_k(u): the dormant-free
+	// neighbourhood re-restricted to paths of length at most k rooted at
+	// the centre, with routing distances in its Dist column.
 	Routing *nbhd.CompactView
-	// Comps are the classified components of G'_k(u) in local index
-	// space, heap-owned, ordered by lowest root label (parallel to
-	// View.Comps).
+	// Comps are the classified local components of G'_k(u) in Routing's
+	// local index space, ordered by lowest root label.
 	Comps []nbhd.CompactComponent
 	// CompID maps each Routing local index to its component's position in
 	// Comps, or -1 for the centre.
 	CompID []int32
+	// ActiveRoots lists the active neighbours of the centre (roots of
+	// active components) in rank order. Its length is the centre's active
+	// degree.
+	ActiveRoots []graph.Vertex
 }
 
 // NextHopFromCenter returns the canonical next hop from the centre
 // toward t inside G_k(u), or graph.NoVertex when t is outside the raw
-// view or is the centre — exactly Raw.G.NextHopToward(centre, t).
+// view or is the centre.
 //
 //klocal:hotpath
 func (c *Compact) NextHopFromCenter(t graph.Vertex) graph.Vertex {
@@ -139,126 +130,33 @@ func Preprocess(g *graph.Graph, u graph.Vertex, k int) *View {
 
 // PreprocessPolicy computes the view under an explicit dormancy policy.
 func PreprocessPolicy(g *graph.Graph, u graph.Vertex, k int, pol Policy) *View {
-	return preprocessRaw(nbhd.Extract(g, u, k), u, k, pol)
+	return PreprocessStore(g, u, k, pol)
 }
-
-// csrScratch pools the BFS scratch buffers of the CSR extraction fast
-// path across preprocessing calls.
-var csrScratch = sync.Pool{New: func() any { return bigraph.NewScratch() }}
 
 // PreprocessStore computes the view reading topology through a
-// bigraph.Store. For a *graph.Graph store it is PreprocessPolicy exactly;
-// for a *bigraph.CSR it extracts G_k(u) through the zero-alloc CSR walk
-// before handing the (small) view to the dormancy machinery.
+// bigraph.Store. Graph- and CSR-backed stores are extracted straight
+// into local index space; any other store goes through the generic
+// label-space extraction first. From there the whole pipeline —
+// dormancy, pruning, classification, next hops — runs on pooled
+// scratch, and the result is copied into a few flat slices.
 func PreprocessStore(st bigraph.Store, u graph.Vertex, k int, pol Policy) *View {
+	b := builders.Get().(*builder)
+	defer builders.Put(b)
+	sc := b.sc
+	var ok bool
 	switch s := st.(type) {
 	case *graph.Graph:
-		return PreprocessPolicy(s, u, k, pol)
+		ok = sc.ExtractGraph(s, u, k)
 	case *bigraph.CSR:
-		sc := csrScratch.Get().(*bigraph.Scratch)
-		raw, err := nbhd.ExtractCSR(s, u, k, sc)
-		csrScratch.Put(sc)
-		if err == nil {
-			return preprocessRaw(raw, u, k, pol)
-		}
-		// Absent centre or degenerate k: the generic path yields the
-		// same empty view Extract would.
-		return preprocessRaw(nbhd.ExtractStore(st, u, k), u, k, pol)
+		ok = sc.ExtractCSR(s, u, k)
 	default:
-		return preprocessRaw(nbhd.ExtractStore(st, u, k), u, k, pol)
+		ok = k >= 0 && sc.FromView(nbhd.ExtractStore(st, u, k).G, u, k)
 	}
-}
-
-// preprocessRaw runs dormancy classification and component analysis over
-// an already-extracted raw neighbourhood — the shared body of the graph-
-// and store-backed entry points. Everything past the G_k(u) extraction
-// operates on the small view graph, never the full network.
-func preprocessRaw(raw *nbhd.Neighborhood, u graph.Vertex, k int, pol Policy) *View {
-	v := &View{
-		Center: u,
-		K:      k,
-		Raw:    raw,
+	if !ok {
+		// Absent centre or negative k: the empty view.
+		return emptyView(u, k)
 	}
-	for _, e := range raw.G.Edges() {
-		if dormantInView(raw.G, e, k, pol) {
-			// Edges() is rank-ordered, so Dormant stays sorted and
-			// IsDormant can binary-search it.
-			v.Dormant = append(v.Dormant, e)
-		}
-	}
-	pruned := raw.G.WithoutEdges(v.Dormant)
-	inner := nbhd.Extract(pruned, u, k)
-	v.Routing = inner.G
-	v.RoutingDist = inner.Dist
-	v.Comps = nbhd.ClassifyView(v.Routing, u, k)
-	for _, c := range v.Comps {
-		if c.Active {
-			v.ActiveRoots = append(v.ActiveRoots, c.Roots...)
-		}
-	}
-	sort.Slice(v.ActiveRoots, func(i, j int) bool { return v.ActiveRoots[i] < v.ActiveRoots[j] })
-	v.buildCompact()
-	return v
-}
-
-// compactScratch pools the compact-encoding working memory across
-// preprocessing calls.
-var compactScratch = sync.Pool{New: func() any { return nbhd.NewScratch() }}
-
-// buildCompact derives the view's int-indexed encodings. Runs once at
-// preprocessing time; the per-target next-hop BFS sweep is the same cost
-// class as the dormancy classification that precedes it, and it deletes
-// a full BFS from every subsequent hop through this node.
-func (v *View) buildCompact() {
-	sc := compactScratch.Get().(*nbhd.Scratch)
-	defer compactScratch.Put(sc)
-
-	sc.FromView(v.Raw.G, v.Center, v.K)
-	v.C.Raw = sc.View.Clone()
-	v.C.NextHop = make([]graph.Vertex, sc.View.NV())
-	for t := range v.C.NextHop {
-		hop := sc.NextHopToward(sc.View.CenterIdx, int32(t))
-		if hop < 0 {
-			v.C.NextHop[t] = graph.NoVertex
-		} else {
-			v.C.NextHop[t] = sc.View.Verts[hop]
-		}
-	}
-
-	sc.FromView(v.Routing, v.Center, v.K)
-	sc.Classify()
-	v.C.Routing = sc.View.Clone()
-	v.C.Comps = make([]nbhd.CompactComponent, len(sc.Comps))
-	v.C.CompID = make([]int32, sc.View.NV())
-	for i := range v.C.CompID {
-		v.C.CompID[i] = -1
-	}
-	for i := range sc.Comps {
-		cc := &sc.Comps[i]
-		v.C.Comps[i] = nbhd.CompactComponent{
-			Verts:       append([]int32(nil), cc.Verts...),
-			Roots:       append([]int32(nil), cc.Roots...),
-			Constraints: append([]int32(nil), cc.Constraints...),
-			Active:      cc.Active,
-			Independent: cc.Independent,
-			Constrained: cc.Constrained,
-		}
-		for _, li := range cc.Verts {
-			v.C.CompID[li] = int32(i)
-		}
-	}
-}
-
-// dormantInView reports whether e is the policy-extreme edge of some
-// cycle of length at most 2k inside view: equivalently, whether the view
-// has a path between e's endpoints of length at most 2k−1 using only
-// edges beyond e in the policy's order.
-func dormantInView(view *graph.Graph, e graph.Edge, k int, pol Policy) bool {
-	allow := func(f graph.Edge) bool { return e.Less(f) }
-	if pol == PolicyMaxRank {
-		allow = func(f graph.Edge) bool { return f.Less(e) }
-	}
-	return view.HasPathAvoiding(e.U, e.V, 2*k-1, allow)
+	return b.build(pol == PolicyMaxRank)
 }
 
 // IsDormant reports whether the view classified e as dormant, by binary
@@ -267,45 +165,23 @@ func dormantInView(view *graph.Graph, e graph.Edge, k int, pol Policy) bool {
 //klocal:hotpath
 func (v *View) IsDormant(e graph.Edge) bool {
 	e = graph.NewEdge(e.U, e.V)
-	lo, hi := 0, len(v.Dormant)
+	es := v.C.Dormant
+	lo, hi := 0, len(es)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if v.Dormant[mid].Less(e) {
+		if es[mid].Less(e) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo < len(v.Dormant) && v.Dormant[lo] == e
+	return lo < len(es) && es[lo] == e
 }
 
 // ActiveDegree returns the number of active neighbours of the centre
 // (Propositions 1–3 bound it by 3, 2 and 1 at k ≥ n/4, n/3, n/2 given the
 // matching algorithm's preprocessing).
-func (v *View) ActiveDegree() int { return len(v.ActiveRoots) }
-
-// CompOf returns the local component of G'_k(u) containing w, or nil if w
-// is the centre or outside the routing view.
-func (v *View) CompOf(w graph.Vertex) *nbhd.Component {
-	for _, c := range v.Comps {
-		if c.Has(w) {
-			return c
-		}
-	}
-	return nil
-}
-
-// CompRootedAt returns the component having w as a root, or nil.
-func (v *View) CompRootedAt(w graph.Vertex) *nbhd.Component {
-	for _, c := range v.Comps {
-		for _, r := range c.Roots {
-			if r == w {
-				return c
-			}
-		}
-	}
-	return nil
-}
+func (v *View) ActiveDegree() int { return len(v.C.ActiveRoots) }
 
 // CacheOptions tune the preprocessor's view cache. The zero value means
 // defaults: DefaultShards lock shards, unbounded capacity.
@@ -315,9 +191,10 @@ type CacheOptions struct {
 	// contend. Rounded up to a power of two. 0 means DefaultShards.
 	Shards int
 	// Capacity bounds the total number of cached views across all
-	// shards; when a shard fills, an arbitrary resident view is evicted
-	// (random replacement — adequate because routing workloads revisit
-	// sources far more often than they scan). 0 means unbounded.
+	// shards; an insert past it evicts an arbitrary resident view, from
+	// the inserting shard first and the others after it (random
+	// replacement — adequate because routing workloads revisit sources
+	// far more often than they scan). 0 means unbounded.
 	Capacity int
 }
 
@@ -509,11 +386,15 @@ func (p *Preprocessor) totalSize() int64 {
 	return n
 }
 
-// shardOf picks the lock shard for u (Fibonacci hashing spreads the
+// shardIdx picks the lock shard for u (Fibonacci hashing spreads the
 // typically consecutive vertex labels).
+func (p *Preprocessor) shardIdx(u graph.Vertex) uint64 {
+	return ((uint64(u) * 0x9e3779b97f4a7c15) >> 32) & p.mask
+}
+
+// shardOf returns the lock shard for u.
 func (p *Preprocessor) shardOf(u graph.Vertex) *prepShard {
-	h := uint64(u) * 0x9e3779b97f4a7c15
-	return &p.shards[(h>>32)&p.mask]
+	return &p.shards[p.shardIdx(u)]
 }
 
 // At returns the (cached) view at u. Warm hits on an unbounded cache
@@ -522,7 +403,8 @@ func (p *Preprocessor) shardOf(u graph.Vertex) *prepShard {
 //
 //klocal:hotpath
 func (p *Preprocessor) At(u graph.Vertex) *View {
-	sh := p.shardOf(u)
+	home := p.shardIdx(u)
+	sh := &p.shards[home]
 	if m := sh.frozen.Load(); m != nil {
 		if v, ok := (*m)[u]; ok {
 			sh.hits.Add(1)
@@ -538,11 +420,21 @@ func (p *Preprocessor) At(u graph.Vertex) *View {
 	sh.mu.Unlock()
 	sh.misses.Add(1)
 	v := PreprocessStore(p.st, u, p.k, p.pol)
+	if cur := sh.publish(u, v, p.capacity == 0); cur != v {
+		return cur
+	}
+	if p.capacity > 0 {
+		p.trim(home, u)
+	}
+	return v
+}
+
+// publish inserts v as u's view unless a concurrent miss published one
+// first, and returns the view every caller shares.
+func (sh *prepShard) publish(u graph.Vertex, v *View, freeze bool) *View {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if cur, ok := sh.live[u]; ok {
-		// A concurrent miss published first; keep its view so every
-		// caller shares one instance.
 		return cur
 	}
 	if m := sh.frozen.Load(); m != nil {
@@ -552,21 +444,38 @@ func (p *Preprocessor) At(u graph.Vertex) *View {
 			return cur
 		}
 	}
-	if p.capacity > 0 && p.totalSize() >= int64(p.capacity) {
-		// Random replacement inside this shard (map iteration order).
-		for w := range sh.live {
-			delete(sh.live, w)
-			sh.size.Add(-1)
-			sh.evictions.Add(1)
-			break
-		}
-	}
 	sh.live[u] = v
 	sh.size.Add(1)
-	if p.capacity == 0 {
+	if freeze {
 		sh.maybeFreezeLocked(false)
 	}
 	return v
+}
+
+// trim evicts resident views until the whole cache is back within
+// capacity: random replacement (map iteration order), starting in the
+// inserting shard and moving on to the next ones, so a bound below the
+// shard count holds too. The view just inserted for spare survives.
+// One shard lock at a time; concurrent trims may each evict, which only
+// undershoots the bound.
+func (p *Preprocessor) trim(home uint64, spare graph.Vertex) {
+	limit := int64(p.capacity)
+	for i := uint64(0); i <= p.mask && p.totalSize() > limit; i++ {
+		sh := &p.shards[(home+i)&p.mask]
+		sh.mu.Lock()
+		for w := range sh.live {
+			if p.totalSize() <= limit {
+				break
+			}
+			if w == spare {
+				continue
+			}
+			delete(sh.live, w)
+			sh.size.Add(-1)
+			sh.evictions.Add(1)
+		}
+		sh.mu.Unlock()
+	}
 }
 
 // maybeFreezeLocked merges live into a fresh frozen map when live has

@@ -6,28 +6,51 @@ import (
 
 	"klocal/internal/gen"
 	"klocal/internal/graph"
+	"klocal/internal/nbhd"
 )
+
+// decode rebuilds the label-space graph a compact encoding describes.
+func decode(cv *nbhd.CompactView) *graph.Graph {
+	b := graph.NewBuilder()
+	for i, v := range cv.Verts {
+		b.AddVertex(v)
+		for _, j := range cv.Row(int32(i)) {
+			b.AddEdge(v, cv.Verts[j])
+		}
+	}
+	return b.Build()
+}
+
+// distOf returns the encoded distance to w, or -1 when w is outside cv.
+func distOf(cv *nbhd.CompactView, w graph.Vertex) int {
+	li, ok := cv.Index(w)
+	if !ok {
+		return -1
+	}
+	return int(cv.Dist[li])
+}
 
 func TestDormantOnSmallCycle(t *testing.T) {
 	// A 4-cycle with k=2: the whole cycle is local everywhere; exactly the
 	// minimum-rank edge {0,1} becomes dormant.
 	g := gen.Cycle(4)
 	v := Preprocess(g, 0, 2)
-	if len(v.Dormant) != 1 || v.Dormant[0] != graph.NewEdge(0, 1) {
-		t.Fatalf("dormant = %v, want [{0,1}]", v.Dormant)
+	if len(v.C.Dormant) != 1 || v.C.Dormant[0] != graph.NewEdge(0, 1) {
+		t.Fatalf("dormant = %v, want [{0,1}]", v.C.Dormant)
 	}
 	if !v.IsDormant(graph.NewEdge(1, 0)) {
 		t.Error("IsDormant must normalize edge orientation")
 	}
-	if v.Routing.HasEdge(0, 1) {
+	routing := decode(v.C.Routing)
+	if routing.HasEdge(0, 1) {
 		t.Error("dormant edge must leave the routing subgraph")
 	}
-	if !v.Routing.HasEdge(0, 3) || !v.Routing.HasEdge(2, 3) {
-		t.Errorf("surviving edges missing: %v", v.Routing)
+	if !routing.HasEdge(0, 3) || !routing.HasEdge(2, 3) {
+		t.Errorf("surviving edges missing: %v", routing)
 	}
 	// Vertex 1 sits at routing distance 3 > k and drops out of G'_k(u).
-	if v.Routing.HasVertex(1) {
-		t.Errorf("vertex 1 should be beyond routing depth: %v", v.Routing)
+	if routing.HasVertex(1) {
+		t.Errorf("vertex 1 should be beyond routing depth: %v", routing)
 	}
 }
 
@@ -35,8 +58,8 @@ func TestNoDormantOnLongCycle(t *testing.T) {
 	// A cycle longer than 2k has no local cycles: nothing is dormant.
 	g := gen.Cycle(9)
 	v := Preprocess(g, 0, 4)
-	if len(v.Dormant) != 0 {
-		t.Fatalf("dormant = %v, want none", v.Dormant)
+	if len(v.C.Dormant) != 0 {
+		t.Fatalf("dormant = %v, want none", v.C.Dormant)
 	}
 	if v.ActiveDegree() != 2 {
 		t.Errorf("active degree = %d, want 2", v.ActiveDegree())
@@ -53,22 +76,22 @@ func TestRoutingViewDepthRestriction(t *testing.T) {
 	k := 3
 	v := Preprocess(g, 0, k)
 	if !v.IsDormant(graph.NewEdge(0, 1)) {
-		t.Fatalf("triangle's minimum-rank edge should be dormant; got %v", v.Dormant)
+		t.Fatalf("triangle's minimum-rank edge should be dormant; got %v", v.C.Dormant)
 	}
 	// Raw view reaches vertex 4 (0-1-3-4, depth 3); in the routing view 1
 	// is only reachable as 0-2-1, so the tail shifts: 3 stays (depth 3
 	// via 0-2-1-3) but 4 moves to depth 4 and drops out.
-	if !v.Raw.Contains(4) {
+	if !v.C.Raw.Contains(4) {
 		t.Error("raw view should contain vertex 4")
 	}
-	if v.Routing.HasVertex(4) {
+	if v.C.Routing.Contains(4) {
 		t.Error("routing view must drop vertices beyond routing depth k")
 	}
-	if !v.Routing.HasVertex(3) {
+	if !v.C.Routing.Contains(3) {
 		t.Error("routing view should still reach vertex 3 via 2-1")
 	}
-	if v.RoutingDist[1] != 2 {
-		t.Errorf("routing distance to 1 = %d, want 2", v.RoutingDist[1])
+	if d := distOf(v.C.Routing, 1); d != 2 {
+		t.Errorf("routing distance to 1 = %d, want 2", d)
 	}
 }
 
@@ -85,7 +108,7 @@ func TestLemma2AdjacentRoutingEdgesConsistent(t *testing.T) {
 		}
 		for _, u := range g.Vertices() {
 			v := Preprocess(g, u, k)
-			v.Routing.EachAdj(u, func(w graph.Vertex) bool {
+			decode(v.C.Routing).EachAdj(u, func(w graph.Vertex) bool {
 				if !consistent[graph.NewEdge(u, w)] {
 					t.Fatalf("inconsistent routing edge {%d,%d} at u=%d k=%d in %v", u, w, u, k, g)
 				}
@@ -107,7 +130,7 @@ func TestLemma2Converse_AdjacentConsistentEdgesKept(t *testing.T) {
 		for _, e := range consistent {
 			for _, u := range []graph.Vertex{e.U, e.V} {
 				v := Preprocess(g, u, k)
-				if !v.Routing.HasEdge(e.U, e.V) {
+				if !decode(v.C.Routing).HasEdge(e.U, e.V) {
 					t.Fatalf("consistent edge %v missing from G'_k(%d), k=%d, g=%v", e, u, k, g)
 				}
 			}
@@ -192,18 +215,38 @@ func TestActiveRootsSortedAndMatchComponents(t *testing.T) {
 		k := 1 + rng.Intn(5)
 		u := graph.Vertex(rng.Intn(n))
 		v := Preprocess(g, u, k)
-		for i := 1; i < len(v.ActiveRoots); i++ {
-			if v.ActiveRoots[i-1] >= v.ActiveRoots[i] {
-				t.Fatalf("active roots not sorted: %v", v.ActiveRoots)
+		roots := v.C.ActiveRoots
+		for i := 1; i < len(roots); i++ {
+			if roots[i-1] >= roots[i] {
+				t.Fatalf("active roots not sorted: %v", roots)
 			}
 		}
-		for _, r := range v.ActiveRoots {
-			c := v.CompRootedAt(r)
-			if c == nil || !c.Active {
+		rcv := v.C.Routing
+		for _, r := range roots {
+			li, ok := rcv.Index(r)
+			if !ok {
+				t.Fatalf("active root %d outside the routing view", r)
+			}
+			ci := v.C.CompIdxOf(li)
+			if ci < 0 || !v.C.Comps[ci].Active {
 				t.Fatalf("active root %d has no active component", r)
 			}
-			if v.CompOf(r) != c {
-				t.Fatalf("CompOf and CompRootedAt disagree for %d", r)
+			isRoot := false
+			for _, x := range v.C.Comps[ci].Roots {
+				isRoot = isRoot || x == li
+			}
+			if !isRoot {
+				t.Fatalf("active root %d is not a root of its component", r)
+			}
+		}
+		ref := PreprocessRef(g, u, k, PolicyMinRank)
+		for _, r := range ref.ActiveRoots {
+			c := ref.CompRootedAt(r)
+			if c == nil || !c.Active {
+				t.Fatalf("reference active root %d has no active component", r)
+			}
+			if ref.CompOf(r) != c {
+				t.Fatalf("reference CompOf and CompRootedAt disagree for %d", r)
 			}
 		}
 	}
@@ -212,11 +255,18 @@ func TestActiveRootsSortedAndMatchComponents(t *testing.T) {
 func TestCompOfCenterIsNil(t *testing.T) {
 	g := gen.Path(5)
 	v := Preprocess(g, 2, 2)
-	if v.CompOf(2) != nil {
+	if v.C.CompIdxOf(v.C.Routing.CenterIdx) != -1 {
 		t.Error("the centre belongs to no local component")
 	}
-	if v.CompRootedAt(99) != nil {
-		t.Error("unknown vertex must have no component")
+	if v.C.Routing.Contains(99) {
+		t.Error("unknown vertex must be outside the routing view")
+	}
+	ref := PreprocessRef(g, 2, 2, PolicyMinRank)
+	if ref.CompOf(2) != nil {
+		t.Error("the reference centre belongs to no local component")
+	}
+	if ref.CompRootedAt(99) != nil {
+		t.Error("unknown vertex must have no reference component")
 	}
 }
 
@@ -229,10 +279,10 @@ func TestFig17DormantEdgeDetected(t *testing.T) {
 	// particular s itself.
 	v := Preprocess(f.G, f.S, f.K)
 	if !v.IsDormant(graph.NewEdge(f.S, f.D)) {
-		t.Errorf("{s,d} not dormant at s: dormant=%v", v.Dormant)
+		t.Errorf("{s,d} not dormant at s: dormant=%v", v.C.Dormant)
 	}
 	if v.ActiveDegree() != 1 {
-		t.Errorf("s should have a single active neighbour, got %v", v.ActiveRoots)
+		t.Errorf("s should have a single active neighbour, got %v", v.C.ActiveRoots)
 	}
 	// The big cycle stays fully consistent.
 	cons := ConsistentSubgraph(f.G, f.K)
@@ -289,7 +339,7 @@ func TestConsistencyMatchesLocalDormancy(t *testing.T) {
 		}
 		dormantSomewhere := make(map[graph.Edge]bool)
 		for _, u := range g.Vertices() {
-			for _, e := range Preprocess(g, u, k).Dormant {
+			for _, e := range Preprocess(g, u, k).C.Dormant {
 				dormantSomewhere[e] = true
 			}
 		}

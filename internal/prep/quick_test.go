@@ -21,16 +21,17 @@ func TestQuickRoutingSubgraphWithinRaw(t *testing.T) {
 		u := graph.Vertex(rng.Intn(n))
 		k := 1 + rng.Intn(5)
 		v := Preprocess(g, u, k)
-		for _, e := range v.Routing.Edges() {
-			if !v.Raw.G.HasEdge(e.U, e.V) {
+		raw, routing := decode(v.C.Raw), decode(v.C.Routing)
+		for _, e := range routing.Edges() {
+			if !raw.HasEdge(e.U, e.V) {
 				return false
 			}
 			if v.IsDormant(e) {
 				return false
 			}
 		}
-		for _, w := range v.Routing.Vertices() {
-			if !v.Raw.Contains(w) {
+		for _, w := range routing.Vertices() {
+			if !raw.HasVertex(w) {
 				return false
 			}
 		}
@@ -50,11 +51,12 @@ func TestQuickRoutingDistancesBounded(t *testing.T) {
 		u := graph.Vertex(rng.Intn(n))
 		k := 1 + rng.Intn(5)
 		v := Preprocess(g, u, k)
-		for w, d := range v.RoutingDist {
+		for li, w := range v.C.Routing.Verts {
+			d := int(v.C.Routing.Dist[li])
 			if d > k {
 				return false
 			}
-			if raw, ok := v.Raw.Dist[w]; !ok || d < raw {
+			if raw := distOf(v.C.Raw, w); raw < 0 || d < raw {
 				return false
 			}
 		}
@@ -77,11 +79,12 @@ func TestQuickPolicyChoicesAreExtremes(t *testing.T) {
 		k := 2 + rng.Intn(4)
 		vMin := PreprocessPolicy(g, u, k, PolicyMinRank)
 		vMax := PreprocessPolicy(g, u, k, PolicyMaxRank)
-		if len(vMin.Dormant) == 0 || len(vMax.Dormant) == 0 {
-			return len(vMin.Dormant) == len(vMax.Dormant)
+		dMin, dMax := vMin.C.Dormant, vMax.C.Dormant
+		if len(dMin) == 0 || len(dMax) == 0 {
+			return len(dMin) == len(dMax)
 		}
-		minFirst := vMin.Dormant[0]
-		maxLast := vMax.Dormant[len(vMax.Dormant)-1]
+		minFirst := dMin[0]
+		maxLast := dMax[len(dMax)-1]
 		return !maxLast.Less(minFirst)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
@@ -100,11 +103,11 @@ func TestQuickDormantCountsMatchAcrossPolicies(t *testing.T) {
 		u := graph.Vertex(rng.Intn(n))
 		k := 2 + rng.Intn(4)
 		for _, pol := range []Policy{PolicyMinRank, PolicyMaxRank} {
-			v := PreprocessPolicy(g, u, k, pol)
-			if !v.Routing.Connected() {
+			routing := decode(PreprocessPolicy(g, u, k, pol).C.Routing)
+			if !routing.Connected() {
 				return false
 			}
-			if !v.Routing.HasVertex(u) {
+			if !routing.HasVertex(u) {
 				return false
 			}
 		}

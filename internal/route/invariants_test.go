@@ -117,11 +117,11 @@ func TestCorollary4PassiveEntryOnlyForT(t *testing.T) {
 			for i := 1; i < len(res.Route); i++ {
 				u, hop := res.Route[i-1], res.Route[i]
 				view := p.At(u)
-				if view.Raw.Contains(dst) {
+				if view.C.Raw.Contains(dst) {
 					continue // Case 1: shortest-path endgame
 				}
 				isActiveRoot := false
-				for _, r := range view.ActiveRoots {
+				for _, r := range view.C.ActiveRoots {
 					if r == hop {
 						isActiveRoot = true
 					}

@@ -72,10 +72,11 @@ func TestPoliciesDifferOnFig13(t *testing.T) {
 	}
 	vMin := prep.PreprocessPolicy(f.G, f.S, f.K, prep.PolicyMinRank)
 	vMax := prep.PreprocessPolicy(f.G, f.S, f.K, prep.PolicyMaxRank)
-	if len(vMin.Dormant) == 0 || len(vMax.Dormant) == 0 {
+	dMin, dMax := vMin.C.Dormant, vMax.C.Dormant
+	if len(dMin) == 0 || len(dMax) == 0 {
 		t.Fatal("both policies should classify a dormant edge on the small cycle")
 	}
-	if vMin.Dormant[0] == vMax.Dormant[0] {
-		t.Errorf("policies chose the same dormant edge %v; expected extremes to differ", vMin.Dormant[0])
+	if dMin[0] == dMax[0] {
+		t.Errorf("policies chose the same dormant edge %v; expected extremes to differ", dMin[0])
 	}
 }

@@ -128,19 +128,19 @@ func TestConcurrentViewReads(t *testing.T) {
 				v := p.At(u)
 				_ = v.ActiveDegree()
 				for _, x := range g.Vertices() {
-					if x != u {
-						_ = v.CompOf(x)
+					_ = v.C.NextHopFromCenter(x)
+					if li, ok := v.C.Routing.Index(x); ok && x != u {
+						_ = v.C.Comps[v.C.CompIdxOf(li)].Has(li)
 					}
 				}
-				for _, r := range v.ActiveRoots {
-					_ = v.CompRootedAt(r)
-				}
-				for _, e := range v.Raw.G.Edges() {
+				for _, e := range v.C.Dormant {
 					_ = v.IsDormant(e)
 				}
-				_ = v.Routing.String()
-				var no graph.Vertex = graph.NoVertex
-				_ = v.CompOf(no)
+				raw := v.C.Raw
+				for li := range raw.Verts {
+					_ = raw.Row(int32(li))
+				}
+				_ = v.C.NextHopFromCenter(graph.NoVertex)
 			}
 		}()
 	}

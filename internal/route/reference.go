@@ -10,16 +10,17 @@ import (
 
 // This file preserves the map-based decision logic the compact routing
 // core replaced: a direct transcription of the rule tables over
-// *graph.Graph views, map distances and component scans. It exists to
-// pin the compact path — the *Ref algorithms must produce hop-for-hop
-// identical walks (TestCompactStepMatchesRef and the klocalcheck
-// "compact" property), and any divergence is a bug in the compact
-// encoding, not in these functions. Nothing here runs on production
-// decision paths.
+// *graph.Graph views, map distances and component scans, deciding over
+// the map-shaped reference preprocessing (prep.RefView). It exists to
+// pin the production pipeline end to end — the *Ref algorithms must
+// produce hop-for-hop identical walks (TestCompactStepMatchesRef and
+// the klocalcheck "compact" property), and any divergence is a bug in
+// the compact-native preprocessing or the compact decision paths, not
+// in these functions. Nothing here runs on production decision paths.
 
 // caseOneHopRef is the reference Case 1 decision: a fresh BFS through
 // the raw view per hop.
-func caseOneHopRef(view *prep.View, t, u graph.Vertex) graph.Vertex {
+func caseOneHopRef(view *prep.RefView, t, u graph.Vertex) graph.Vertex {
 	if !view.Raw.Contains(t) {
 		return graph.NoVertex
 	}
@@ -27,7 +28,7 @@ func caseOneHopRef(view *prep.View, t, u graph.Vertex) graph.Vertex {
 }
 
 // classifyArrivalRef resolves the predecessor v by scanning components.
-func classifyArrivalRef(view *prep.View, s, v graph.Vertex, originAware bool) (arrival, int) {
+func classifyArrivalRef(view *prep.RefView, s, v graph.Vertex, originAware bool) (arrival, int) {
 	if v == graph.NoVertex {
 		return arrivalFirst, -1
 	}
@@ -45,7 +46,7 @@ func classifyArrivalRef(view *prep.View, s, v graph.Vertex, originAware bool) (a
 }
 
 // kindAtRef resolves the rule family by scanning components.
-func kindAtRef(view *prep.View, s, u graph.Vertex) ruleKind {
+func kindAtRef(view *prep.RefView, s, u graph.Vertex) ruleKind {
 	if u == s {
 		return rulesS
 	}
@@ -55,8 +56,11 @@ func kindAtRef(view *prep.View, s, u graph.Vertex) ruleKind {
 	return rulesU
 }
 
+// refineU2Ref is refineU2 over a reference view.
+type refineU2Ref func(view *prep.RefView, s, t, u, v graph.Vertex, roots []graph.Vertex, activeIdx int) graph.Vertex
+
 // stepAwareRef is the reference body of Algorithms 1 and 1B.
-func stepAwareRef(p *prep.Preprocessor, s, t, u, v graph.Vertex, refine refineU2) (graph.Vertex, error) {
+func stepAwareRef(p *prep.RefPreprocessor, s, t, u, v graph.Vertex, refine refineU2Ref) (graph.Vertex, error) {
 	view := p.At(u)
 	if hop := caseOneHopRef(view, t, u); hop != graph.NoVertex {
 		return hop, nil
@@ -72,7 +76,7 @@ func stepAwareRef(p *prep.Preprocessor, s, t, u, v graph.Vertex, refine refineU2
 }
 
 // anticipateU2Ref is the reference Rules U2b–U2f hook over map state.
-func anticipateU2Ref(view *prep.View, s, _, u, v graph.Vertex, roots []graph.Vertex, activeIdx int) graph.Vertex {
+func anticipateU2Ref(view *prep.RefView, s, _, u, v graph.Vertex, roots []graph.Vertex, activeIdx int) graph.Vertex {
 	ds, ok := view.RoutingDist[s]
 	if !ok || ds >= view.K || s == u {
 		return graph.NoVertex
@@ -97,7 +101,7 @@ type simBranchRef struct {
 
 // simulatesBounceRef is the reference bounce simulation: a graph copy
 // and fresh BFS maps per simulated step.
-func simulatesBounceRef(view *prep.View, s, first graph.Vertex) bool {
+func simulatesBounceRef(view *prep.RefView, s, first graph.Vertex) bool {
 	prev, cur := view.Center, first
 	for step := 0; step < 4*view.K+4; step++ {
 		if view.RoutingDist[cur] >= view.K {
@@ -140,7 +144,7 @@ func simulatesBounceRef(view *prep.View, s, first graph.Vertex) bool {
 
 // simBranchesRef classifies the branches around cur within u's routing
 // view, the map way.
-func simBranchesRef(view *prep.View, cur, s graph.Vertex) []simBranchRef {
+func simBranchesRef(view *prep.RefView, cur, s graph.Vertex) []simBranchRef {
 	without := view.Routing.WithoutVertex(cur)
 	distCur := view.Routing.BFS(cur)
 	var out []simBranchRef
@@ -220,46 +224,44 @@ func alg3StepRef(view *nbhd.Neighborhood, t, u graph.Vertex) (graph.Vertex, erro
 	return hop, nil
 }
 
-// Algorithm1Ref is the reference build of Algorithm 1 over the retained
-// map-based step. Differential tests only.
+// refTwin turns a production algorithm into its reference build: same
+// metadata, the map-based step bound through Bind only.
+func refTwin(a Algorithm, name string, bind func(g *graph.Graph, k int) Func) Algorithm {
+	a.Name = name
+	a.Bind = bind
+	a.BindCached = nil
+	a.BindStore = nil
+	return a
+}
+
+// Algorithm1Ref is the reference build of Algorithm 1 over the map-shaped
+// preprocessing and the retained map-based step. Differential tests only.
 func Algorithm1Ref() Algorithm {
 	a := Algorithm1()
-	a.Name = "Algorithm1Ref"
-	bind := func(p *prep.Preprocessor) Func {
+	return refTwin(a, "Algorithm1Ref", func(g *graph.Graph, k int) Func {
+		p := prep.NewRefPreprocessor(g, k, a.Policy)
 		return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
 			return stepAwareRef(p, s, t, u, v, nil)
 		}
-	}
-	a.BindCached = bind
-	a.Bind = func(g *graph.Graph, k int) Func {
-		return bind(prep.NewPreprocessorPolicy(g, k, a.Policy))
-	}
-	a.BindStore = nil
-	return a
+	})
 }
 
 // Algorithm1BRef is the reference build of Algorithm 1B.
 func Algorithm1BRef() Algorithm {
 	a := Algorithm1B()
-	a.Name = "Algorithm1BRef"
-	bind := func(p *prep.Preprocessor) Func {
+	return refTwin(a, "Algorithm1BRef", func(g *graph.Graph, k int) Func {
+		p := prep.NewRefPreprocessor(g, k, a.Policy)
 		return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
 			return stepAwareRef(p, s, t, u, v, anticipateU2Ref)
 		}
-	}
-	a.BindCached = bind
-	a.Bind = func(g *graph.Graph, k int) Func {
-		return bind(prep.NewPreprocessorPolicy(g, k, a.Policy))
-	}
-	a.BindStore = nil
-	return a
+	})
 }
 
 // Algorithm2Ref is the reference build of Algorithm 2.
 func Algorithm2Ref() Algorithm {
 	a := Algorithm2()
-	a.Name = "Algorithm2Ref"
-	bind := func(p *prep.Preprocessor) Func {
+	return refTwin(a, "Algorithm2Ref", func(g *graph.Graph, k int) Func {
+		p := prep.NewRefPreprocessor(g, k, a.Policy)
 		return func(_, t, u, v graph.Vertex) (graph.Vertex, error) {
 			view := p.At(u)
 			if hop := caseOneHopRef(view, t, u); hop != graph.NoVertex {
@@ -273,24 +275,14 @@ func Algorithm2Ref() Algorithm {
 			from, idx := classifyArrivalRef(view, graph.NoVertex, v, false)
 			return decideActive(rulesU, roots, from, idx)
 		}
-	}
-	a.BindCached = bind
-	a.Bind = func(g *graph.Graph, k int) Func {
-		return bind(prep.NewPreprocessorPolicy(g, k, a.Policy))
-	}
-	a.BindStore = nil
-	return a
+	})
 }
 
 // Algorithm3Ref is the reference build of Algorithm 3.
 func Algorithm3Ref() Algorithm {
-	a := Algorithm3()
-	a.Name = "Algorithm3Ref"
-	a.Bind = func(g *graph.Graph, k int) Func {
+	return refTwin(Algorithm3(), "Algorithm3Ref", func(g *graph.Graph, k int) Func {
 		return func(_, t, u, _ graph.Vertex) (graph.Vertex, error) {
 			return alg3StepRef(nbhd.Extract(g, u, k), t, u)
 		}
-	}
-	a.BindStore = nil
-	return a
+	})
 }

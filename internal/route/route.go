@@ -161,7 +161,7 @@ func classifyArrival(view *prep.View, s, v graph.Vertex, originAware bool) (arri
 	if v == graph.NoVertex {
 		return arrivalFirst, -1
 	}
-	for i, r := range view.ActiveRoots {
+	for i, r := range view.C.ActiveRoots {
 		if r == v {
 			return arrivalActive, i
 		}
@@ -220,12 +220,12 @@ func stepAware(p *prep.Preprocessor, s, t, u, v graph.Vertex, refine refineU2) (
 	}
 	kind := kindAt(view, s, u)
 	from, idx := classifyArrival(view, s, v, true)
-	if kind == rulesU && from == arrivalActive && len(view.ActiveRoots) == 2 && refine != nil {
-		if hop := refine(view, s, t, u, v, view.ActiveRoots, idx); hop != graph.NoVertex {
+	if kind == rulesU && from == arrivalActive && len(view.C.ActiveRoots) == 2 && refine != nil {
+		if hop := refine(view, s, t, u, v, view.C.ActiveRoots, idx); hop != graph.NoVertex {
 			return hop, nil
 		}
 	}
-	return decideActive(kind, view.ActiveRoots, from, idx)
+	return decideActive(kind, view.C.ActiveRoots, from, idx)
 }
 
 // Algorithm1 returns the paper's Algorithm 1: the (n/4)-local,
@@ -282,7 +282,7 @@ func Algorithm2Policy(pol prep.Policy) Algorithm {
 			if hop := caseOneHop(view, t); hop != graph.NoVertex {
 				return hop, nil
 			}
-			roots := view.ActiveRoots
+			roots := view.C.ActiveRoots
 			if len(roots) > 2 {
 				//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
 				return graph.NoVertex, fmt.Errorf("%w: active degree %d > 2", ErrLocalityTooSmall, len(roots))

@@ -99,8 +99,10 @@ type (
 	Neighborhood = nbhd.Neighborhood
 	// LocalComponent is a classified local component of a view.
 	LocalComponent = nbhd.Component
-	// View is the preprocessed local view G'_k(u) with dormant edges
-	// removed.
+	// View is the preprocessed local view at a node, in int-indexed
+	// form: View.C holds G_k(u) (C.Raw), the precomputed next hops, the
+	// dormant edges (C.Dormant), the routing subgraph G'_k(u) with the
+	// dormant edges removed (C.Routing) and its classified components.
 	View = prep.View
 	// Network is the concurrent message-passing simulator with k-hop
 	// neighbourhood discovery.
@@ -194,8 +196,9 @@ func ExtractNeighborhood(g *Graph, u Vertex, k int) *Neighborhood {
 	return nbhd.Extract(g, u, k)
 }
 
-// Preprocess computes the routing view G'_k(u) (dormant edges removed,
-// components classified).
+// Preprocess computes the preprocessed view at u: G_k(u), its dormant
+// edges, and the routing view G'_k(u) with components classified.
+// ExtractNeighborhood gives the label-space form of G_k(u).
 func Preprocess(g *Graph, u Vertex, k int) *View { return prep.Preprocess(g, u, k) }
 
 // ConsistentSubgraph returns g restricted to its globally consistent
