@@ -92,9 +92,12 @@ churn-smoke:
 	$(GO) run ./cmd/klocald -churn-smoke
 
 # The Go-native fuzzing engine over the same scenario space, long enough
-# to exercise the decoder and mutator plumbing.
+# to exercise the decoder and mutator plumbing, then over PATCH /graph
+# delta batches (typed errors only, results equal to a rebuild). `go
+# test -fuzz` takes one target per invocation.
 go-fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRouting -fuzztime 20s ./internal/fuzz
+	$(GO) test -run '^$$' -fuzz FuzzApplyAll -fuzztime 20s ./internal/churn
 
 # The concurrency-heavy code paths: the fault-tolerant discovery
 # protocol and injector, the traffic engine and its metric shards, the

@@ -4,16 +4,16 @@
 // read-into-memory fallback), a bounded-memory streaming edge-list
 // loader, and per-source G_k(u) extraction that walks CSR offsets
 // directly into caller-provided scratch buffers — never materializing
-// the whole graph as a map-based graph.Graph.
+// the whole graph as an in-memory graph.Graph.
 //
-// The package exists because the map-of-slices graph.Graph caps
-// experiments at thousands of vertices: every vertex label is a map key,
-// every adjacency list a separate allocation, and extracting G_k(u)
-// allocates a fresh map per source. A CSR over dense indices stores the
-// same topology in two flat arrays (offsets, targets), costs ~12 bytes
-// per vertex plus 4 bytes per directed edge, mmaps straight from disk,
-// and extracts neighbourhoods with zero steady-state allocations
-// (Scratch + Extract).
+// graph.Graph is a CSR too, but a heap-only one: beside its int32 rows
+// it keeps a label array and a label → index hash map (tens of bytes
+// per vertex), and it is built from a map-of-maps Builder or a sorted
+// edge list held whole in memory. This package's CSR stores a topology
+// in its two flat arrays alone (offsets, targets), costs ~12 bytes per
+// vertex plus 4 bytes per directed edge, builds in two streaming
+// passes, mmaps straight from disk, and extracts neighbourhoods with
+// zero steady-state allocations (Scratch + Extract).
 //
 // Store is the minimal consumer contract. *graph.Graph satisfies it
 // as-is, so everything written against Store keeps working on the

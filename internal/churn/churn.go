@@ -9,8 +9,8 @@
 // distance k of x or y. Apply computes that ball by bounded BFS over
 // both the pre- and the post-graph (removal is visible only in the pre
 // ball, addition only in the post ball) and everything outside it
-// provably keeps its view — prep.Preprocessor.Invalidate evicts the
-// dirty rows and nothing else.
+// provably keeps its view — prep.Preprocessor.Derive drops the dirty
+// rows and adopts the rest.
 package churn
 
 import (
@@ -75,6 +75,10 @@ var (
 	ErrEdgeMissing   = errors.New("churn: edge not present")
 	ErrVertexExists  = errors.New("churn: vertex already present")
 	ErrVertexMissing = errors.New("churn: vertex not present")
+	// ErrReservedLabel rejects graph.NoVertex as a vertex label: the
+	// routing code reads it as "no predecessor" and "no next hop", so a
+	// vertex carrying it would be unroutable.
+	ErrReservedLabel = errors.New("churn: vertex label is the reserved NoVertex sentinel")
 	errUnknownOp     = errors.New("churn: unknown op")
 )
 
@@ -91,6 +95,9 @@ func (d Delta) touched() []graph.Vertex {
 
 // check validates d against g without applying it.
 func (d Delta) check(g *graph.Graph) error {
+	if d.U == graph.NoVertex || (d.Op == AddEdge || d.Op == RemoveEdge) && d.V == graph.NoVertex {
+		return fmt.Errorf("%w: %v", ErrReservedLabel, d)
+	}
 	switch d.Op {
 	case AddEdge:
 		if d.U == d.V {

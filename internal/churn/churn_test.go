@@ -242,3 +242,28 @@ func TestScheduleDeltasDeterministic(t *testing.T) {
 		t.Fatalf("schedule does not replay: %v", err)
 	}
 }
+
+// TestReservedLabelRejected pins that graph.NoVertex never becomes a
+// vertex: routing reads it as "no predecessor" and "no next hop", so a
+// 12-cycle with NoVertex attached to 0 makes Algorithms 1 and 2 loop.
+// Every op naming it fails with ErrReservedLabel and leaves g alone.
+func TestReservedLabelRejected(t *testing.T) {
+	g := gen.Cycle(12)
+	for _, d := range []Delta{
+		{Op: AddEdge, U: 0, V: graph.NoVertex},
+		{Op: AddEdge, U: graph.NoVertex, V: 0},
+		{Op: RemoveEdge, U: 0, V: graph.NoVertex},
+		{Op: AddVertex, U: graph.NoVertex},
+		{Op: RemoveVertex, U: graph.NoVertex},
+	} {
+		if _, _, err := Apply(g, d, 2); !errors.Is(err, ErrReservedLabel) {
+			t.Errorf("Apply(%v) = %v, want ErrReservedLabel", d, err)
+		}
+		if _, _, err := ApplyAll(g, []Delta{{Op: AddEdge, U: 0, V: 6}, d}, 2); !errors.Is(err, ErrReservedLabel) {
+			t.Errorf("ApplyAll(..., %v) = %v, want ErrReservedLabel", d, err)
+		}
+	}
+	if g.HasVertex(graph.NoVertex) || g.M() != 12 {
+		t.Fatal("a rejected delta changed the graph")
+	}
+}

@@ -1,74 +1,33 @@
 package graph
 
-// mirror is the int-indexed CSR twin of the map-based adjacency: vertex
-// index i is g.vertices[i] (so index order and label order coincide and
-// every canonical rank tie-break survives the translation), and row i is
-// to[start[i]:start[i+1]], sorted ascending by index. It is built once,
-// lazily, and shared by all readers; the map adjacency stays the source
-// of truth for the label-space API.
-type mirror struct {
-	start []int32
-	to    []int32
-}
-
-// ensureMirror builds the CSR mirror on first use. Graphs are immutable
-// after construction, so the sync.Once publication is safe for
-// concurrent readers.
-func (g *Graph) ensureMirror() *mirror {
-	g.csrOnce.Do(func() {
-		m := &mirror{start: make([]int32, len(g.vertices)+1)}
-		arcs := 0
-		for _, v := range g.vertices {
-			arcs += len(g.adj[v])
-		}
-		m.to = make([]int32, 0, arcs)
-		for i, v := range g.vertices {
-			m.start[i] = int32(len(m.to))
-			for _, w := range g.adj[v] {
-				j, _ := g.Index(w)
-				m.to = append(m.to, j)
-			}
-		}
-		m.start[len(g.vertices)] = int32(len(m.to))
-		g.csr = m
-	})
-	return g.csr
-}
+// This file is the int-indexed face of Graph: the CSR arrays read
+// directly, by dense vertex index (a vertex's position in label order).
+// The arrays are built eagerly by every constructor and derivation, so
+// there is no lazily built state: a graph derived copy-on-write
+// (mutate.go) is ready for Row and DistScratch the moment it exists.
 
 // Index resolves a vertex label to its dense index (its position in the
-// sorted vertex order), reporting presence. The binary search is
-// hand-rolled: sort.Search's closure would allocate, and Index sits
-// under every per-hop accessor of the compact routing structures.
+// sorted vertex order), reporting presence. It is one hash lookup: Index
+// sits under every label-space accessor and every per-hop accessor of
+// the compact routing structures.
 //
 //klocal:hotpath
 func (g *Graph) Index(v Vertex) (int32, bool) {
-	lo, hi := 0, len(g.vertices)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if g.vertices[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(g.vertices) && g.vertices[lo] == v {
-		return int32(lo), true
-	}
-	return 0, false
+	i, ok := g.index[v]
+	return i, ok
 }
 
 // VertexAt returns the label of dense index i (inverse of Index).
 //
 //klocal:hotpath
-func (g *Graph) VertexAt(i int32) Vertex { return g.vertices[i] }
+func (g *Graph) VertexAt(i int32) Vertex { return g.verts[i] }
 
 // Row returns the neighbours of dense index i as dense indices, sorted
-// ascending. The slice aliases the mirror; callers must not mutate it.
+// ascending. The slice aliases the graph; callers must not mutate it.
 //
 //klocal:hotpath
 func (g *Graph) Row(i int32) []int32 {
-	m := g.ensureMirror()
-	return m.to[m.start[i]:m.start[i+1]]
+	return g.to[g.start[i]:g.start[i+1]:g.start[i+1]]
 }
 
 // SearchScratch is caller-owned working memory for the int-indexed
@@ -131,7 +90,7 @@ func (g *Graph) DistScratch(u, v Vertex, sc *SearchScratch) int {
 	if ui == vi {
 		return 0
 	}
-	sc.begin(len(g.vertices))
+	sc.begin(len(g.verts))
 	sc.visit(ui, 0)
 	for head := 0; head < len(sc.queue); head++ {
 		x := sc.queue[head]

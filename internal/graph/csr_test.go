@@ -17,9 +17,9 @@ func randomConnected(r *rand.Rand, n int) *Graph {
 	return b.Build()
 }
 
-// TestMirrorRoundTrip checks the CSR mirror agrees with the map
-// adjacency: index/label inverses, and every row matches Adj.
-func TestMirrorRoundTrip(t *testing.T) {
+// TestCSRRoundTrip checks the int-indexed face agrees with the
+// label-space one: index/label inverses, and every row matches Adj.
+func TestCSRRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		g := randomConnected(r, 2+r.Intn(40))
@@ -48,8 +48,8 @@ func TestMirrorRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDistScratchMatchesDist checks the int-indexed distance equals the
-// map-based one on random pairs, including disconnected ones.
+// TestDistScratchMatchesDist checks the scratch BFS distance equals the
+// map-keyed Dist on random pairs, including disconnected ones.
 func TestDistScratchMatchesDist(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	sc := NewSearchScratch()
@@ -74,11 +74,31 @@ func TestSearchScratchAllocs(t *testing.T) {
 	g := randomConnected(rand.New(rand.NewSource(9)), 64)
 	vs := g.Vertices()
 	sc := NewSearchScratch()
-	g.DistScratch(vs[0], vs[len(vs)-1], sc) // size the scratch + build the mirror
+	g.DistScratch(vs[0], vs[len(vs)-1], sc) // size the scratch
 	avg := testing.AllocsPerRun(200, func() {
 		g.DistScratch(vs[0], vs[len(vs)-1], sc)
 	})
 	if avg != 0 {
 		t.Fatalf("DistScratch allocates %v/op in steady state, want 0", avg)
+	}
+}
+
+// TestIndexSparseLabels pins Index on labels that are not 0..n−1
+// (negative, gapped) and on the zero Graph.
+func TestIndexSparseLabels(t *testing.T) {
+	g := FromEdges([]Edge{{-1, 0}, {0, 1}, {1, 3}, {3, 4}}) // verts -1 0 1 3 4
+	for v, want := range map[Vertex]int32{-1: 0, 0: 1, 1: 2, 3: 3, 4: 4} {
+		if got, ok := g.Index(v); !ok || got != want {
+			t.Errorf("Index(%d) = %d,%v, want %d", v, got, ok, want)
+		}
+	}
+	for _, v := range []Vertex{-2, 2, 5, NoVertex} {
+		if _, ok := g.Index(v); ok || g.HasVertex(v) {
+			t.Errorf("Index(%d) found an absent vertex", v)
+		}
+	}
+	var zero Graph
+	if _, ok := zero.Index(0); ok || zero.N() != 0 || zero.M() != 0 || zero.HasEdge(0, 1) {
+		t.Error("the zero Graph is not the empty graph")
 	}
 }

@@ -16,9 +16,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
-	"sync"
 )
 
 // Vertex is a network node, identified by its unique integer label.
@@ -70,18 +68,34 @@ func (e Edge) String() string {
 	return fmt.Sprintf("{%d,%d}", e.U, e.V)
 }
 
-// Graph is an immutable undirected simple graph. The zero value is the
-// empty graph. Adjacency lists are kept sorted by label so that iteration
-// order is deterministic everywhere.
+// Graph is an immutable undirected simple graph in compressed sparse
+// row form. Vertex index i is the i-th smallest label (verts[i]), index
+// is the label → index hash, and row i, to[start[i]:start[i+1]], lists
+// the neighbours of verts[i] as indices in ascending order. Index order
+// is label order, so a row read back as labels is the adjacency in label
+// order and every canonical rank tie-break survives the translation.
+// The label-space API below resolves a label through index and then
+// reads the arrays; the int-indexed API (csr.go) reads them directly.
+// The zero value is the empty graph.
 type Graph struct {
-	adj      map[Vertex][]Vertex
-	vertices []Vertex // sorted
-	edges    []Edge   // sorted by rank
+	verts []Vertex         // sorted ascending
+	index map[Vertex]int32 // verts[index[v]] == v
+	start []int32          // len n+1 (nil for the zero value)
+	to    []int32          // 2m arcs, each row ascending
+}
 
-	// csr is the lazily-built int-indexed adjacency mirror (see csr.go);
-	// csrOnce publishes it safely to concurrent readers.
-	csrOnce sync.Once
-	csr     *mirror
+// withLabels returns a graph over the sorted, distinct labels verts with
+// its index built and start sized; the caller fills start and to.
+func withLabels(verts []Vertex) *Graph {
+	g := &Graph{
+		verts: verts,
+		index: make(map[Vertex]int32, len(verts)),
+		start: make([]int32, len(verts)+1),
+	}
+	for i, v := range verts {
+		g.index[v] = int32(i)
+	}
+	return g
 }
 
 // Builder accumulates vertices and edges and produces an immutable Graph.
@@ -136,36 +150,31 @@ func (b *Builder) AddCycle(vs ...Vertex) *Builder {
 
 // Build produces the immutable Graph. The Builder remains usable.
 func (b *Builder) Build() *Graph {
-	g := &Graph{
-		adj:      make(map[Vertex][]Vertex, len(b.adj)),
-		vertices: make([]Vertex, 0, len(b.adj)),
-	}
+	verts := make([]Vertex, 0, len(b.adj))
+	arcs := 0
 	for v, nbrs := range b.adj {
-		g.vertices = append(g.vertices, v)
-		list := make([]Vertex, 0, len(nbrs))
-		for w := range nbrs {
-			list = append(list, w)
-		}
-		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-		g.adj[v] = list
+		verts = append(verts, v)
+		arcs += len(nbrs)
 	}
-	sort.Slice(g.vertices, func(i, j int) bool { return g.vertices[i] < g.vertices[j] })
-	for _, u := range g.vertices {
-		for _, w := range g.adj[u] {
-			if u < w {
-				g.edges = append(g.edges, Edge{U: u, V: w})
-			}
+	slices.Sort(verts)
+	g := withLabels(verts)
+	g.to = make([]int32, 0, arcs)
+	for i, v := range verts {
+		g.start[i] = int32(len(g.to))
+		for w := range b.adj[v] {
+			g.to = append(g.to, g.index[w])
 		}
+		slices.Sort(g.to[g.start[i]:])
 	}
-	sort.Slice(g.edges, func(i, j int) bool { return g.edges[i].Less(g.edges[j]) })
+	g.start[len(verts)] = int32(len(g.to))
 	return g
 }
 
 // FromEdges builds a graph from an edge list (plus optional isolated
-// vertices). Unlike the Builder it constructs the sorted adjacency
-// directly — one arc slice sorted once and sliced into per-vertex rows —
-// instead of a map of maps, so bulk construction does O(m log m) work
-// with O(m) allocations rather than one small map per vertex.
+// vertices). Unlike the Builder it constructs the rows directly — one
+// arc slice sorted once, whose runs are the rows — instead of a map of
+// maps, so bulk construction does O(m log m) work into a few flat
+// arrays rather than one small map per vertex.
 func FromEdges(edges []Edge, isolated ...Vertex) *Graph {
 	arcs := make([]Edge, 0, 2*len(edges))
 	for _, e := range edges {
@@ -180,66 +189,51 @@ func FromEdges(edges []Edge, isolated ...Vertex) *Graph {
 		}
 		return cmp.Compare(a.V, b.V)
 	})
-	w := 0
-	for i, a := range arcs {
-		if i > 0 && a == arcs[i-1] {
-			continue
-		}
-		arcs[w] = a
-		w++
-	}
-	arcs = arcs[:w]
+	arcs = slices.Compact(arcs)
 
-	g := &Graph{adj: make(map[Vertex][]Vertex, len(arcs)/2+len(isolated))}
-	targets := make([]Vertex, len(arcs))
+	var verts []Vertex
 	for i, a := range arcs {
-		targets[i] = a.V
-	}
-	for start := 0; start < len(arcs); {
-		u := arcs[start].U
-		end := start
-		for end < len(arcs) && arcs[end].U == u {
-			end++
-		}
-		g.adj[u] = targets[start:end:end]
-		g.vertices = append(g.vertices, u)
-		start = end
-	}
-	for _, v := range isolated {
-		if _, ok := g.adj[v]; !ok {
-			g.adj[v] = nil
-			g.vertices = append(g.vertices, v)
+		if i == 0 || a.U != arcs[i-1].U {
+			verts = append(verts, a.U)
 		}
 	}
-	sort.Slice(g.vertices, func(i, j int) bool { return g.vertices[i] < g.vertices[j] })
-	// Arcs are sorted lexicographically, so keeping the U < V half yields
-	// the canonical rank order without a second sort.
-	g.edges = make([]Edge, 0, len(arcs)/2)
-	for _, a := range arcs {
-		if a.U < a.V {
-			g.edges = append(g.edges, a)
+	if len(isolated) > 0 {
+		verts = append(verts, isolated...)
+		slices.Sort(verts)
+		verts = slices.Compact(verts)
+	}
+	g := withLabels(verts)
+	// Arcs are sorted by source, so the run of arcs out of verts[i] is
+	// row i, and sorted by target within a run, so each row ascends.
+	g.to = make([]int32, len(arcs))
+	p := 0
+	for i, v := range verts {
+		g.start[i] = int32(p)
+		for ; p < len(arcs) && arcs[p].U == v; p++ {
+			g.to[p] = g.index[arcs[p].V]
 		}
 	}
+	g.start[len(verts)] = int32(p)
 	return g
 }
 
 // N returns the number of vertices.
-func (g *Graph) N() int { return len(g.vertices) }
+func (g *Graph) N() int { return len(g.verts) }
 
 // M returns the number of edges.
-func (g *Graph) M() int { return len(g.edges) }
+func (g *Graph) M() int { return len(g.to) / 2 }
 
 // Vertices returns the vertices in label order. The slice is a copy.
 func (g *Graph) Vertices() []Vertex {
-	out := make([]Vertex, len(g.vertices))
-	copy(out, g.vertices)
+	out := make([]Vertex, len(g.verts))
+	copy(out, g.verts)
 	return out
 }
 
 // EachVertex calls fn for every vertex in label order, without
 // allocating. It stops early if fn returns false.
 func (g *Graph) EachVertex(fn func(v Vertex) bool) {
-	for _, v := range g.vertices {
+	for _, v := range g.verts {
 		if !fn(v) {
 			return
 		}
@@ -247,45 +241,74 @@ func (g *Graph) EachVertex(fn func(v Vertex) bool) {
 }
 
 // Edges returns the edges in canonical rank order. The slice is a copy.
+// Row i ascends and rows come in label order, so the arcs i → j with
+// i < j, read in row order, are already in rank order.
 func (g *Graph) Edges() []Edge {
-	out := make([]Edge, len(g.edges))
-	copy(out, g.edges)
+	out := make([]Edge, 0, g.M())
+	for i, u := range g.verts {
+		for _, j := range g.Row(int32(i)) {
+			if int(j) > i {
+				out = append(out, Edge{U: u, V: g.verts[j]})
+			}
+		}
+	}
 	return out
+}
+
+// nbrs returns v's row (neighbour indices, ascending), or nil if v is
+// absent.
+func (g *Graph) nbrs(v Vertex) []int32 {
+	i, ok := g.Index(v)
+	if !ok {
+		return nil
+	}
+	return g.Row(i)
 }
 
 // HasVertex reports whether v is a vertex of g.
 func (g *Graph) HasVertex(v Vertex) bool {
-	_, ok := g.adj[v]
+	_, ok := g.Index(v)
 	return ok
 }
 
-// HasEdge reports whether {u, v} is an edge of g.
+// HasEdge reports whether {u, v} is an edge of g: one index lookup for
+// u, then a binary search of u's row by label.
 func (g *Graph) HasEdge(u, v Vertex) bool {
-	nbrs := g.adj[u]
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= v })
-	return i < len(nbrs) && nbrs[i] == v
+	row := g.nbrs(u)
+	lo, hi := 0, len(row)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if g.verts[row[mid]] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo < len(row) && g.verts[row[lo]] == v
 }
 
 // Adj returns the neighbours of v in label order. The slice is a copy;
 // it is nil if v has no neighbours or is absent.
 func (g *Graph) Adj(v Vertex) []Vertex {
-	nbrs := g.adj[v]
-	if len(nbrs) == 0 {
+	row := g.nbrs(v)
+	if len(row) == 0 {
 		return nil
 	}
-	out := make([]Vertex, len(nbrs))
-	copy(out, nbrs)
+	out := make([]Vertex, len(row))
+	for p, j := range row {
+		out[p] = g.verts[j]
+	}
 	return out
 }
 
 // Deg returns the degree of v (0 if absent).
-func (g *Graph) Deg(v Vertex) int { return len(g.adj[v]) }
+func (g *Graph) Deg(v Vertex) int { return len(g.nbrs(v)) }
 
 // EachAdj calls fn for every neighbour of v in label order, without
 // allocating. It stops early if fn returns false.
 func (g *Graph) EachAdj(v Vertex, fn func(w Vertex) bool) {
-	for _, w := range g.adj[v] {
-		if !fn(w) {
+	for _, j := range g.nbrs(v) {
+		if !fn(g.verts[j]) {
 			return
 		}
 	}
@@ -294,22 +317,18 @@ func (g *Graph) EachAdj(v Vertex, fn func(w Vertex) bool) {
 // MinVertex returns the lowest-labelled vertex; it panics on the empty
 // graph (programming error).
 func (g *Graph) MinVertex() Vertex {
-	if len(g.vertices) == 0 {
+	if len(g.verts) == 0 {
 		panic("graph: MinVertex on empty graph")
 	}
-	return g.vertices[0]
+	return g.verts[0]
 }
 
 // String renders a compact description, useful in test failures.
 func (g *Graph) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "graph{n=%d m=%d;", g.N(), g.M())
-	for i, e := range g.edges {
-		if i > 0 {
-			sb.WriteByte(' ')
-		} else {
-			sb.WriteByte(' ')
-		}
+	for _, e := range g.Edges() {
+		sb.WriteByte(' ')
 		sb.WriteString(e.String())
 	}
 	sb.WriteByte('}')

@@ -1,61 +1,96 @@
 package graph
 
-import "sort"
+import "slices"
 
 // This file is the copy-on-write face of the immutable Graph: derive a
-// one-delta neighbour of g without rebuilding it. The derived graph
-// shares every untouched adjacency row with its parent (rows are
-// immutable, so aliasing is safe); only the vertex list, the edge rank
-// list, and the rows of the touched endpoints are fresh. That makes a
-// single-edge derivation O(n + m) in copied pointers — no hashing, no
-// re-sorting — which is what internal/churn's incremental topology
-// updates lean on.
+// one-delta neighbour of g without rebuilding it from an edge list.
+//
+// An edge added or removed between existing vertices keeps the vertex
+// set, so the derived graph shares the parent's label array and index
+// map (both immutable) and splices only the two CSR arrays: one flat
+// copy of start with a constant added past each endpoint, and one flat
+// copy of to with one arc inserted into (or cut out of) each endpoint's
+// row. That is O(n + m) int32 copying with no hashing and no sorting,
+// which is what internal/churn's incremental topology updates lean on.
+//
+// A vertex arrival or removal shifts every index above the vertex's
+// rank, so it rebuilds the index and remaps the arcs in one O(n + m)
+// pass.
 
-// cowAdj returns a fresh adjacency map sharing every row of g.
-func (g *Graph) cowAdj(extra int) map[Vertex][]Vertex {
-	adj := make(map[Vertex][]Vertex, len(g.adj)+extra)
-	for v, row := range g.adj {
-		adj[v] = row
+// rowSearch returns the position of x in row (ascending), or where it
+// would be inserted.
+func rowSearch(row []int32, x int32) int32 {
+	p, _ := slices.BinarySearch(row, x)
+	return int32(p)
+}
+
+// spliceAdd returns g plus the edge between the existing, non-adjacent
+// indices a and b.
+func (g *Graph) spliceAdd(a, b int32) *Graph {
+	if a > b {
+		a, b = b, a
 	}
-	return adj
+	pa := g.start[a] + rowSearch(g.Row(a), b)
+	pb := g.start[b] + rowSearch(g.Row(b), a)
+	to := make([]int32, len(g.to)+2)
+	n := copy(to, g.to[:pa])
+	to[n] = b
+	n += 1 + copy(to[n+1:], g.to[pa:pb])
+	to[n] = a
+	copy(to[n+1:], g.to[pb:])
+	return &Graph{verts: g.verts, index: g.index, start: shiftStarts(g.start, a, b, 1), to: to}
 }
 
-// insertSorted returns a fresh copy of row with v inserted in label
-// order (row must not already contain v).
-func insertSorted(row []Vertex, v Vertex) []Vertex {
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= v })
-	out := make([]Vertex, 0, len(row)+1)
-	out = append(out, row[:i]...)
-	out = append(out, v)
-	return append(out, row[i:]...)
+// spliceRemove returns g without the edge between the adjacent indices
+// a and b.
+func (g *Graph) spliceRemove(a, b int32) *Graph {
+	if a > b {
+		a, b = b, a
+	}
+	pa := g.start[a] + rowSearch(g.Row(a), b)
+	pb := g.start[b] + rowSearch(g.Row(b), a)
+	to := make([]int32, 0, len(g.to)-2)
+	to = append(to, g.to[:pa]...)
+	to = append(to, g.to[pa+1:pb]...)
+	to = append(to, g.to[pb+1:]...)
+	return &Graph{verts: g.verts, index: g.index, start: shiftStarts(g.start, a, b, -1), to: to}
 }
 
-// removeSorted returns a fresh copy of row with v removed (no-op copy
-// semantics are the caller's concern: v must be present).
-func removeSorted(row []Vertex, v Vertex) []Vertex {
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= v })
-	out := make([]Vertex, 0, len(row)-1)
-	out = append(out, row[:i]...)
-	return append(out, row[i+1:]...)
+// shiftStarts returns a copy of start for one arc added (d = 1) or
+// removed (d = −1) in each of rows a < b: rows after a move by d, rows
+// after b by 2d.
+func shiftStarts(start []int32, a, b, d int32) []int32 {
+	out := make([]int32, len(start))
+	copy(out, start[:a+1])
+	for i := a + 1; i <= b; i++ {
+		out[i] = start[i] + d
+	}
+	for i := b + 1; i < int32(len(start)); i++ {
+		out[i] = start[i] + 2*d
+	}
+	return out
 }
 
-// insertEdgeRank returns a fresh copy of edges with e inserted at its
-// rank position (e must not be present).
-func insertEdgeRank(edges []Edge, e Edge) []Edge {
-	i := sort.Search(len(edges), func(i int) bool { return !edges[i].Less(e) })
-	out := make([]Edge, 0, len(edges)+1)
-	out = append(out, edges[:i]...)
-	out = append(out, e)
-	return append(out, edges[i:]...)
-}
-
-// removeEdgeRank returns a fresh copy of edges with e removed (e must be
-// present).
-func removeEdgeRank(edges []Edge, e Edge) []Edge {
-	i := sort.Search(len(edges), func(i int) bool { return !edges[i].Less(e) })
-	out := make([]Edge, 0, len(edges)-1)
-	out = append(out, edges[:i]...)
-	return append(out, edges[i+1:]...)
+// insertVertex returns g plus the absent, isolated vertex v. Indices at
+// or above v's rank p shift up by one.
+func (g *Graph) insertVertex(v Vertex) *Graph {
+	p, _ := slices.BinarySearch(g.verts, v)
+	ng := withLabels(slices.Insert(slices.Clone(g.verts), p, v))
+	ng.to = make([]int32, len(g.to))
+	for a, j := range g.to {
+		if int(j) >= p {
+			j++
+		}
+		ng.to[a] = j
+	}
+	for i, s := range g.start {
+		if i >= p {
+			i++
+		}
+		ng.start[i] = s
+	}
+	ng.start[p] = ng.start[p+1] // the new row is empty
+	return ng
 }
 
 // WithEdge returns g with the undirected edge {u, v} added, creating
@@ -65,22 +100,13 @@ func (g *Graph) WithEdge(u, v Vertex) *Graph {
 	if u == v || g.HasEdge(u, v) {
 		return g
 	}
-	ng := &Graph{adj: g.cowAdj(2)}
-	ng.vertices = g.vertices
-	for _, w := range []Vertex{u, v} {
-		if _, ok := ng.adj[w]; !ok {
-			ng.adj[w] = nil
-			ng.vertices = insertSorted(ng.vertices, w)
+	cur := g
+	for _, w := range [2]Vertex{u, v} {
+		if !cur.HasVertex(w) {
+			cur = cur.insertVertex(w)
 		}
 	}
-	if len(ng.vertices) == len(g.vertices) {
-		// No new endpoints: the parent's vertex list is shared as-is.
-		ng.vertices = g.vertices
-	}
-	ng.adj[u] = insertSorted(ng.adj[u], v)
-	ng.adj[v] = insertSorted(ng.adj[v], u)
-	ng.edges = insertEdgeRank(g.edges, NewEdge(u, v))
-	return ng
+	return cur.spliceAdd(cur.index[u], cur.index[v])
 }
 
 // WithoutEdge returns g with the undirected edge {u, v} removed (both
@@ -89,37 +115,38 @@ func (g *Graph) WithoutEdge(u, v Vertex) *Graph {
 	if !g.HasEdge(u, v) {
 		return g
 	}
-	ng := &Graph{adj: g.cowAdj(0), vertices: g.vertices}
-	ng.adj[u] = removeSorted(ng.adj[u], v)
-	ng.adj[v] = removeSorted(ng.adj[v], u)
-	ng.edges = removeEdgeRank(g.edges, NewEdge(u, v))
-	return ng
+	return g.spliceRemove(g.index[u], g.index[v])
 }
 
-// DropVertex returns g with v and every incident edge removed, sharing
-// the adjacency rows of non-neighbours; if v is absent, g itself.
+// DropVertex returns g with v and every incident edge removed; if v is
+// absent, g itself. Indices above v's rank p shift down by one.
 func (g *Graph) DropVertex(v Vertex) *Graph {
-	if !g.HasVertex(v) {
+	p, ok := g.index[v]
+	if !ok {
 		return g
 	}
-	row := g.adj[v]
-	ng := &Graph{adj: g.cowAdj(0)}
-	delete(ng.adj, v)
-	for _, w := range row {
-		ng.adj[w] = removeSorted(ng.adj[w], v)
-	}
-	ng.vertices = removeSorted(g.vertices, v)
-	if len(row) == 0 {
-		ng.edges = g.edges
-	} else {
-		out := make([]Edge, 0, len(g.edges)-len(row))
-		for _, e := range g.edges {
-			if e.U != v && e.V != v {
-				out = append(out, e)
-			}
+	ng := withLabels(slices.Delete(slices.Clone(g.verts), int(p), int(p)+1))
+	ng.to = make([]int32, 0, len(g.to)-2*len(g.Row(p)))
+	for i := range g.verts {
+		if int32(i) == p {
+			continue
 		}
-		ng.edges = out
+		ni := i
+		if int32(i) > p {
+			ni--
+		}
+		ng.start[ni] = int32(len(ng.to))
+		for _, j := range g.Row(int32(i)) {
+			switch {
+			case j == p:
+				continue
+			case j > p:
+				j--
+			}
+			ng.to = append(ng.to, j)
+		}
 	}
+	ng.start[len(ng.verts)] = int32(len(ng.to))
 	return ng
 }
 
@@ -129,8 +156,5 @@ func (g *Graph) WithVertex(v Vertex) *Graph {
 	if g.HasVertex(v) {
 		return g
 	}
-	ng := &Graph{adj: g.cowAdj(1), edges: g.edges}
-	ng.adj[v] = nil
-	ng.vertices = insertSorted(g.vertices, v)
-	return ng
+	return g.insertVertex(v)
 }

@@ -21,15 +21,16 @@ func (g *Graph) BFSBounded(src Vertex, maxDepth int) map[Vertex]int {
 	}
 	dist[src] = 0
 	queue := []Vertex{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		if dist[u] == maxDepth {
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		d := dist[u]
+		if d == maxDepth {
 			continue
 		}
-		for _, w := range g.adj[u] {
+		for _, j := range g.nbrs(u) {
+			w := g.verts[j]
 			if _, seen := dist[w]; !seen {
-				dist[w] = dist[u] + 1
+				dist[w] = d + 1
 				queue = append(queue, w)
 			}
 		}
@@ -75,7 +76,8 @@ func (g *Graph) ShortestPath(u, v Vertex) []Vertex {
 		// The lowest-labelled neighbour strictly closer to v; adjacency is
 		// sorted, so the first hit is the canonical choice.
 		next := NoVertex
-		for _, w := range g.adj[cur] {
+		for _, j := range g.nbrs(cur) {
+			w := g.verts[j]
 			if d, ok := distToV[w]; ok && d == distToV[cur]-1 {
 				next = w
 				break
@@ -104,7 +106,7 @@ func (g *Graph) Connected() bool {
 	if g.N() == 0 {
 		return true
 	}
-	return len(g.BFS(g.vertices[0])) == g.N()
+	return len(g.BFS(g.verts[0])) == g.N()
 }
 
 // Components returns the vertex sets of the connected components, each
@@ -112,7 +114,7 @@ func (g *Graph) Connected() bool {
 func (g *Graph) Components() [][]Vertex {
 	seen := make(map[Vertex]bool, g.N())
 	var comps [][]Vertex
-	for _, v := range g.vertices {
+	for _, v := range g.verts {
 		if seen[v] {
 			continue
 		}
@@ -149,14 +151,15 @@ func (g *Graph) Girth() int {
 	best := Infinity
 	// Standard BFS-from-every-vertex girth computation: the first non-tree
 	// edge closing a cycle through the root bounds the girth.
-	for _, root := range g.vertices {
+	for _, root := range g.verts {
 		dist := map[Vertex]int{root: 0}
 		parent := map[Vertex]Vertex{root: NoVertex}
 		queue := []Vertex{root}
 		for len(queue) > 0 {
 			u := queue[0]
 			queue = queue[1:]
-			for _, w := range g.adj[u] {
+			for _, j := range g.nbrs(u) {
+				w := g.verts[j]
 				if w == parent[u] {
 					continue
 				}
@@ -200,7 +203,8 @@ func (g *Graph) HasPathAvoiding(u, v Vertex, maxLen int, allow func(Edge) bool) 
 		if dist[x] == maxLen {
 			continue
 		}
-		for _, w := range g.adj[x] {
+		for _, j := range g.nbrs(x) {
+			w := g.verts[j]
 			if _, seen := dist[w]; seen {
 				continue
 			}

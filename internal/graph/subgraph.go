@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // InducedSubgraph returns the subgraph of g induced by the given vertex
 // set: those vertices plus every edge of g with both endpoints in the set.
 // Vertices absent from g are ignored.
@@ -14,7 +16,7 @@ func (g *Graph) InducedSubgraph(vs []Vertex) *Graph {
 	for v := range keep {
 		b.AddVertex(v)
 	}
-	for _, e := range g.edges {
+	for _, e := range g.Edges() {
 		if keep[e.U] && keep[e.V] {
 			b.AddEdge(e.U, e.V)
 		}
@@ -42,10 +44,10 @@ func (g *Graph) WithoutEdges(remove []Edge) *Graph {
 		drop[NewEdge(e.U, e.V)] = true
 	}
 	b := NewBuilder()
-	for _, v := range g.vertices {
+	for _, v := range g.verts {
 		b.AddVertex(v)
 	}
-	for _, e := range g.edges {
+	for _, e := range g.Edges() {
 		if !drop[e] {
 			b.AddEdge(e.U, e.V)
 		}
@@ -56,12 +58,12 @@ func (g *Graph) WithoutEdges(remove []Edge) *Graph {
 // WithoutVertex returns a copy of g with v and its incident edges removed.
 func (g *Graph) WithoutVertex(v Vertex) *Graph {
 	b := NewBuilder()
-	for _, w := range g.vertices {
+	for _, w := range g.verts {
 		if w != v {
 			b.AddVertex(w)
 		}
 	}
-	for _, e := range g.edges {
+	for _, e := range g.Edges() {
 		if e.U != v && e.V != v {
 			b.AddEdge(e.U, e.V)
 		}
@@ -73,10 +75,10 @@ func (g *Graph) WithoutVertex(v Vertex) *Graph {
 // edges for which keep returns true.
 func (g *Graph) FilterEdges(keep func(Edge) bool) *Graph {
 	b := NewBuilder()
-	for _, v := range g.vertices {
+	for _, v := range g.verts {
 		b.AddVertex(v)
 	}
-	for _, e := range g.edges {
+	for _, e := range g.Edges() {
 		if keep(e) {
 			b.AddEdge(e.U, e.V)
 		}
@@ -90,7 +92,7 @@ func (g *Graph) FilterEdges(keep func(Edge) bool) *Graph {
 // is always a caller bug. This is the paper's adversarial relabelling.
 func (g *Graph) PermuteLabels(perm map[Vertex]Vertex) *Graph {
 	used := make(map[Vertex]bool, g.N())
-	for _, v := range g.vertices {
+	for _, v := range g.verts {
 		nv, ok := perm[v]
 		if !ok {
 			panic("graph: PermuteLabels: permutation missing vertex")
@@ -101,10 +103,10 @@ func (g *Graph) PermuteLabels(perm map[Vertex]Vertex) *Graph {
 		used[nv] = true
 	}
 	b := NewBuilder()
-	for _, v := range g.vertices {
+	for _, v := range g.verts {
 		b.AddVertex(perm[v])
 	}
-	for _, e := range g.edges {
+	for _, e := range g.Edges() {
 		b.AddEdge(perm[e.U], perm[e.V])
 	}
 	return b.Build()
@@ -116,30 +118,24 @@ func (g *Graph) Equal(h *Graph) bool {
 	if g.N() != h.N() || g.M() != h.M() {
 		return false
 	}
-	for i, v := range g.vertices {
-		if h.vertices[i] != v {
-			return false
-		}
+	if g.N() == 0 {
+		return true
 	}
-	for i, e := range g.edges {
-		if h.edges[i] != e {
-			return false
-		}
-	}
-	return true
+	// The CSR of a vertex and edge set is canonical.
+	return slices.Equal(g.verts, h.verts) && slices.Equal(g.start, h.start) && slices.Equal(g.to, h.to)
 }
 
 // Union returns the graph whose vertex and edge sets are the unions of
 // g's and h's.
 func (g *Graph) Union(h *Graph) *Graph {
 	b := NewBuilder()
-	for _, v := range g.vertices {
+	for _, v := range g.verts {
 		b.AddVertex(v)
 	}
 	for _, v := range h.Vertices() {
 		b.AddVertex(v)
 	}
-	for _, e := range g.edges {
+	for _, e := range g.Edges() {
 		b.AddEdge(e.U, e.V)
 	}
 	for _, e := range h.Edges() {

@@ -213,7 +213,7 @@ func (sc *Scratch) begin2(nv int) {
 }
 
 // ExtractGraph computes G_k(u) into sc from a full graph via its CSR
-// mirror: the vertices within distance k of u, and the edges whose
+// rows: the vertices within distance k of u, and the edges whose
 // nearer endpoint is within distance k−1 — exactly Extract's rule (the
 // compact differential tests pin the equivalence). It reports false when
 // u is absent or k is negative (the empty view).
@@ -242,7 +242,7 @@ func (sc *Scratch) ExtractGraph(g *graph.Graph, u graph.Vertex, k int) bool {
 			}
 		}
 	}
-	// Graph mirror indices are positions in the sorted vertex order, so
+	// Graph indices are positions in the sorted vertex order, so
 	// sorting the discovery set ascending yields ascending labels.
 	slices.Sort(sc.gorder)
 	sc.verts = sc.verts[:0]

@@ -65,27 +65,30 @@ type DeltaReply struct {
 	// their cached views invalidated. Everything else survived the swap.
 	Dirty int `json:"dirty"`
 	// ApplyNS is the wall time to apply the batch and publish the new
-	// generation (excluding the background drain of the old one).
+	// generation. It excludes retiring the old one (its drain, engine
+	// close and metrics fold), which the reply still waits for.
 	ApplyNS int64 `json:"apply_ns"`
 }
 
 // ApplyDeltas applies a validated churn batch to the current topology
-// and publishes the derived generation. It returns the new deployment
-// and the dirty-set size. The batch is all-or-nothing: any invalid
-// delta rejects the whole request and the current generation is
-// untouched.
-func (s *Server) ApplyDeltas(deltas []churn.Delta) (*deployment, int, error) {
+// and publishes the derived generation. It returns the new deployment,
+// the dirty-set size, and the wall time from its call to the publish;
+// it returns only after the old generation is retired. The batch is
+// all-or-nothing: any invalid delta rejects the whole request and the
+// current generation is untouched.
+func (s *Server) ApplyDeltas(deltas []churn.Delta) (*deployment, int, time.Duration, error) {
+	start := time.Now()
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	if s.stopped.Load() {
-		return nil, 0, fmt.Errorf("server stopping")
+		return nil, 0, 0, fmt.Errorf("server stopping")
 	}
 	cur := s.cur.Load()
 	if cur == nil {
-		return nil, 0, fmt.Errorf("no deployment")
+		return nil, 0, 0, fmt.Errorf("no deployment")
 	}
 	if cur.g == nil {
-		return nil, 0, fmt.Errorf("incremental deltas need a materialized graph; generation rev %d is store-backed", cur.rev)
+		return nil, 0, 0, fmt.Errorf("incremental deltas need a materialized graph; generation rev %d is store-backed", cur.rev)
 	}
 	// One dirty set at the largest deployed locality: algorithms bound at
 	// smaller k re-derive a few views they could have kept, which is
@@ -98,10 +101,10 @@ func (s *Server) ApplyDeltas(deltas []churn.Delta) (*deployment, int, error) {
 	}
 	post, dirty, err := churn.ApplyAll(cur.g, deltas, kmax)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	if post.N() == 0 {
-		return nil, 0, fmt.Errorf("delta batch would empty the graph")
+		return nil, 0, 0, fmt.Errorf("delta batch would empty the graph")
 	}
 	nd := &deployment{
 		rev:     s.nextRev.Add(1),
@@ -117,7 +120,7 @@ func (s *Server) ApplyDeltas(deltas []churn.Delta) (*deployment, int, error) {
 		ae := cur.byAlg[name]
 		snap, err := ae.snap.Incremental(post, dirty)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 		eng := engine.New(snap, engine.Config{
 			Workers:    s.cfg.Workers,
@@ -131,10 +134,11 @@ func (s *Server) ApplyDeltas(deltas []churn.Delta) (*deployment, int, error) {
 	s.live[nd.rev] = nd
 	s.mu.Unlock()
 	old := s.cur.Swap(nd)
+	applied := time.Since(start)
 	if old != nil {
 		s.retire(old)
 	}
-	return nd, len(dirty), nil
+	return nd, len(dirty), applied, nil
 }
 
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
@@ -156,8 +160,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		}
 		deltas[i] = d
 	}
-	start := time.Now()
-	nd, dirty, err := s.ApplyDeltas(deltas)
+	nd, dirty, applied, err := s.ApplyDeltas(deltas)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -166,6 +169,6 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		GraphReply: s.describe(nd),
 		Applied:    len(deltas),
 		Dirty:      dirty,
-		ApplyNS:    time.Since(start).Nanoseconds(),
+		ApplyNS:    applied.Nanoseconds(),
 	})
 }

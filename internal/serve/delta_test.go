@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"klocal/internal/churn"
 	"klocal/internal/graph"
@@ -174,5 +176,85 @@ func TestDeltaSpecMapping(t *testing.T) {
 	// The churn sentinel errors surface through ApplyDeltas.
 	if _, ok := interface{}(churn.ErrEdgeMissing).(error); !ok {
 		t.Fatal("churn error type")
+	}
+}
+
+// TestReservedLabelRejected pins that graph.NoVertex, the routing
+// code's "no predecessor / no next hop" sentinel, cannot enter a
+// topology through PATCH /graph or through PUT /graph's explicit edge
+// list: both reply 400 with churn's typed error and leave the epoch.
+func TestReservedLabelRejected(t *testing.T) {
+	s, err := New(Config{Graph: GraphSpec{Kind: "cycle", Size: 12}, Algorithms: []string{"alg2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var g0 GraphReply
+	postJSON(t, http.MethodGet, ts.URL+"/graph", nil, &g0)
+
+	if code := postJSON(t, http.MethodPatch, ts.URL+"/graph", DeltaRequest{Deltas: []DeltaSpec{
+		{Op: "add-edge", U: 0, V: graph.NoVertex},
+	}}, nil); code != http.StatusBadRequest {
+		t.Fatalf("PATCH attaching NoVertex: code=%d, want 400", code)
+	}
+	_, _, _, err = s.ApplyDeltas([]churn.Delta{{Op: churn.AddVertex, U: graph.NoVertex}})
+	if !errors.Is(err, churn.ErrReservedLabel) {
+		t.Fatalf("ApplyDeltas(add-vertex NoVertex) = %v, want ErrReservedLabel", err)
+	}
+
+	spec := GraphSpec{Kind: "edges", Edges: [][2]int64{{0, 1}, {1, 2}, {2, int64(graph.NoVertex)}}}
+	if code := postJSON(t, http.MethodPut, ts.URL+"/graph", spec, nil); code != http.StatusBadRequest {
+		t.Fatalf("PUT with a NoVertex edge: code=%d, want 400", code)
+	}
+	if _, err := spec.Build(); !errors.Is(err, churn.ErrReservedLabel) {
+		t.Fatalf("GraphSpec.Build with a NoVertex edge = %v, want ErrReservedLabel", err)
+	}
+
+	var g1 GraphReply
+	postJSON(t, http.MethodGet, ts.URL+"/graph", nil, &g1)
+	if g1.Epoch != g0.Epoch {
+		t.Fatalf("rejected requests moved the epoch: %d -> %d", g0.Epoch, g1.Epoch)
+	}
+}
+
+// TestApplyNSExcludesDrain holds a reference on the old generation for
+// longer than a PATCH takes to apply. The reply must wait for that
+// drain, but its apply_ns must stop at the publish and not include it.
+func TestApplyNSExcludesDrain(t *testing.T) {
+	s, err := New(Config{Graph: GraphSpec{Kind: "cycle", Size: 40}, K: 3, Algorithms: []string{"alg2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const hold = 400 * time.Millisecond
+	old, err := s.current()
+	if err != nil {
+		t.Fatal(err)
+	}
+	released := make(chan struct{})
+	go func() {
+		defer close(released)
+		time.Sleep(hold)
+		old.release()
+	}()
+	start := time.Now()
+	var dr DeltaReply
+	if code := postJSON(t, http.MethodPatch, ts.URL+"/graph", DeltaRequest{Deltas: []DeltaSpec{
+		{Op: "add-edge", U: 0, V: 20},
+	}}, &dr); code != http.StatusOK {
+		t.Fatalf("PATCH: %d", code)
+	}
+	wall := time.Since(start)
+	<-released
+	if wall < hold {
+		t.Fatalf("PATCH replied after %v, before the old generation's %v drain", wall, hold)
+	}
+	if got := time.Duration(dr.ApplyNS); got >= hold/2 {
+		t.Fatalf("apply_ns = %v with a %v drain pending: it includes the drain", got, hold)
 	}
 }

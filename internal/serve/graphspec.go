@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"klocal/internal/bigraph"
+	"klocal/internal/churn"
 	"klocal/internal/gen"
 	"klocal/internal/graph"
 	"klocal/internal/route"
@@ -116,6 +117,9 @@ func (sp GraphSpec) Build() (*graph.Graph, error) {
 		for _, e := range sp.Edges {
 			if e[0] == e[1] {
 				return nil, fmt.Errorf("serve: self-loop {%d, %d} rejected", e[0], e[1])
+			}
+			if graph.Vertex(e[0]) == graph.NoVertex || graph.Vertex(e[1]) == graph.NoVertex {
+				return nil, fmt.Errorf("serve: edge {%d, %d}: %w", e[0], e[1], churn.ErrReservedLabel)
 			}
 			b.AddEdge(graph.Vertex(e[0]), graph.Vertex(e[1]))
 		}

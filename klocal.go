@@ -504,7 +504,7 @@ var (
 )
 
 // The mmap-able CSR graph store (internal/bigraph, DESIGN.md §12):
-// million-node topologies served without materializing a map-based
+// million-node topologies served without materializing an in-memory
 // graph. A *Graph is itself a GraphStore, so every store-suffixed
 // constructor below also accepts classic in-memory graphs.
 type (
