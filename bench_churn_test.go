@@ -61,7 +61,7 @@ func BenchmarkEngineDeltaApply(b *testing.B) {
 func BenchmarkEngineDeltaIncremental(b *testing.B) {
 	g, flap := churnFlap(b)
 	pol := klocal.Algorithm2().Policy
-	p := klocal.NewPreprocessorOpts(g, churnK, pol, klocal.CacheOptions{})
+	p := klocal.NewPreprocessor(g, churnK, pol, klocal.CacheOptions{})
 	p.Prewarm(0)
 	cur, dirtyTotal := g, 0
 	b.ResetTimer()
@@ -99,7 +99,7 @@ func BenchmarkEngineDeltaFullRebuild(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		np := klocal.NewPreprocessorOpts(post, churnK, pol, klocal.CacheOptions{})
+		np := klocal.NewPreprocessor(post, churnK, pol, klocal.CacheOptions{})
 		np.Prewarm(0)
 		cur = post
 	}

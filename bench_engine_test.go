@@ -19,7 +19,7 @@ import (
 func benchSnapshot(b *testing.B, n int) *klocal.Snapshot {
 	b.Helper()
 	g := klocal.Lollipop(n-n/3, n/3)
-	snap, err := klocal.NewSnapshotOpts(g, 0, klocal.Algorithm2(), klocal.SnapshotOptions{Prewarm: -1})
+	snap, err := klocal.NewSnapshotStore(g, 0, klocal.Algorithm2(), klocal.SnapshotOptions{Prewarm: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func BenchmarkEngineCacheColdVsWarm(b *testing.B) {
 
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			snap, err := klocal.NewSnapshot(g, 0, klocal.Algorithm2())
+			snap, err := klocal.NewSnapshotStore(g, 0, klocal.Algorithm2(), klocal.SnapshotOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func BenchmarkEngineCacheColdVsWarm(b *testing.B) {
 		b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "msgs/sec")
 	})
 	b.Run("warm", func(b *testing.B) {
-		snap, err := klocal.NewSnapshotOpts(g, 0, klocal.Algorithm2(), klocal.SnapshotOptions{Prewarm: -1})
+		snap, err := klocal.NewSnapshotStore(g, 0, klocal.Algorithm2(), klocal.SnapshotOptions{Prewarm: -1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func BenchmarkEngineWorkloads(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		asnap, err := klocal.NewSnapshotOpts(ag, k, klocal.Algorithm1(), klocal.SnapshotOptions{Prewarm: -1})
+		asnap, err := klocal.NewSnapshotStore(ag, k, klocal.Algorithm1(), klocal.SnapshotOptions{Prewarm: -1})
 		if err != nil {
 			b.Fatal(err)
 		}

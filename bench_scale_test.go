@@ -65,7 +65,7 @@ func BenchmarkScaleGridZipf(b *testing.B) {
 			// A steeper-than-default skew keeps endpoint mass near the grid
 			// corner at n=10^6, so the batch exercises both the delivery
 			// path (adjacent pairs) and the fail-fast path (far pairs).
-			reqs := klocal.TakeRequests(klocal.ZipfStoreWorkload(klocal.NewRand(1), c, 1.5), batch)
+			reqs := klocal.TakeRequests(klocal.ZipfWorkload(klocal.NewRand(1), c, 1.5), batch)
 			delivered := int64(0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -93,7 +93,7 @@ func BenchmarkScaleExtract(b *testing.B) {
 		n := c.N()
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			sc := klocal.NewCSRScratch()
-			z := klocal.ZipfStoreWorkload(klocal.NewRand(2), c, 0)
+			z := klocal.ZipfWorkload(klocal.NewRand(2), c, 0)
 			srcs := klocal.TakeRequests(z, 1024)
 			// One warm call sizes the scratch's epoch arrays to n; every
 			// timed extraction after that is allocation-free.

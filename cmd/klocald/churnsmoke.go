@@ -169,7 +169,7 @@ func runChurnSmoke(drain time.Duration) error {
 	// The daemon's final topology must route exactly like a fresh
 	// snapshot of the mirror: same delivery, same hop count. In-view
 	// pairs (distance ≤ k) carry the guarantee on both sides.
-	snap, err := engine.NewSnapshot(mirror, k, route.Algorithm2())
+	snap, err := engine.NewSnapshotStore(mirror, k, route.Algorithm2(), engine.SnapshotOptions{})
 	if err != nil {
 		return err
 	}

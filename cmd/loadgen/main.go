@@ -153,11 +153,6 @@ func run() error {
 		}
 		defer c.Close()
 		st = c
-		if *workload == "zipf" {
-			w = klocal.ZipfStoreWorkload(rng, st, *zipfSkew)
-		} else if w, err = klocal.NewTrafficWorkloadStore(*workload, rng, st); err != nil {
-			return err
-		}
 	} else if *workload == "adversarial" {
 		kk := *k
 		if kk == 0 {
@@ -174,12 +169,6 @@ func run() error {
 		*k = kk
 	} else if fileGraph != nil {
 		g = fileGraph
-		var err error
-		if *workload == "zipf" {
-			w = klocal.ZipfWorkload(rng, g, *zipfSkew)
-		} else if w, err = klocal.NewTrafficWorkload(*workload, rng, g); err != nil {
-			return err
-		}
 	} else {
 		switch *graphKind {
 		case "lollipop":
@@ -210,16 +199,18 @@ func run() error {
 		default:
 			return fmt.Errorf("unknown -graph %q", *graphKind)
 		}
-		var err error
-		if *workload == "zipf" {
-			w = klocal.ZipfWorkload(rng, g, *zipfSkew)
-		} else if w, err = klocal.NewTrafficWorkload(*workload, rng, g); err != nil {
-			return err
-		}
 	}
 
 	if st == nil {
 		st = g // every generator branch materialized a graph
+	}
+	if *workload != "adversarial" { // the adversarial instance brought its own pairs
+		var err error
+		if *workload == "zipf" {
+			w = klocal.ZipfWorkload(rng, st, *zipfSkew)
+		} else if w, err = klocal.NewTrafficWorkload(*workload, rng, st); err != nil {
+			return err
+		}
 	}
 
 	opts := klocal.SnapshotOptions{Cache: klocal.CacheOptions{Capacity: *cacheCap}}

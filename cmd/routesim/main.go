@@ -331,7 +331,7 @@ func runBatch(g *klocal.Graph, alg klocal.Algorithm, k int, graphKind string, pa
 		return nil
 	}
 
-	snap, err := klocal.NewSnapshot(g, k, alg)
+	snap, err := klocal.NewSnapshotStore(g, k, alg, klocal.SnapshotOptions{})
 	if err != nil {
 		return err
 	}

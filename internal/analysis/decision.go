@@ -8,13 +8,14 @@ import (
 	"strings"
 )
 
-// graphPkgSuffix identifies the graph substrate package; the analyzers
-// match types by path suffix so fixtures and the real module resolve
-// identically.
+// graphPkgSuffix and bigraphPkgSuffix identify the network substrate
+// packages; the analyzers match types by path suffix so fixtures and the
+// real module resolve identically.
 const (
-	graphPkgSuffix = "internal/graph"
-	nbhdPkgSuffix  = "internal/nbhd"
-	prepPkgSuffix  = "internal/prep"
+	graphPkgSuffix   = "internal/graph"
+	bigraphPkgSuffix = "internal/bigraph"
+	nbhdPkgSuffix    = "internal/nbhd"
+	prepPkgSuffix    = "internal/prep"
 )
 
 // fromPkg reports whether obj belongs to a package whose import path
@@ -29,15 +30,17 @@ func isGraphVertex(t types.Type) bool {
 	return ok && n.Obj().Name() == "Vertex" && fromPkg(n.Obj(), graphPkgSuffix)
 }
 
-// isGraphPtr reports whether t is *graph.Graph (the raw substrate whose
-// use decision paths must route through the view APIs).
-func isGraphPtr(t types.Type) bool {
-	p, ok := t.(*types.Pointer)
-	if !ok {
-		return false
+// isRawNetwork reports whether t is a handle on the whole network that
+// decision paths must reach only through the view APIs: *graph.Graph,
+// *bigraph.CSR or the bigraph.Store interface.
+func isRawNetwork(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		n, ok := p.Elem().(*types.Named)
+		return ok && (n.Obj().Name() == "Graph" && fromPkg(n.Obj(), graphPkgSuffix) ||
+			n.Obj().Name() == "CSR" && fromPkg(n.Obj(), bigraphPkgSuffix))
 	}
-	n, ok := p.Elem().(*types.Named)
-	return ok && n.Obj().Name() == "Graph" && fromPkg(n.Obj(), graphPkgSuffix)
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Name() == "Store" && fromPkg(n.Obj(), bigraphPkgSuffix)
 }
 
 // isViewType reports whether t (possibly behind a pointer) is one of

@@ -5,8 +5,6 @@ import (
 	"go/types"
 )
 
-const bigraphPkgSuffix = "internal/bigraph"
-
 // AnalyzerLifetime guards the borrow window of the mmap-backed CSR
 // store: bigraph row views (CSR.Row, the offsets/targets arrays, any
 // unsafe.Slice view) alias pages that Close unmaps, so a slice that

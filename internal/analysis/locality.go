@@ -7,15 +7,16 @@ import (
 
 // AnalyzerLocality enforces k-locality (PAPER.md §2): a routing
 // decision at u may consult only s, t, the incoming port and G_k(u).
-// Concretely, inside a decision path every *graph.Graph value must be
-// reached through the sanctioned view carriers — prep.View,
-// prep.Preprocessor (and their map-shaped reference twins prep.RefView,
-// prep.RefPreprocessor), nbhd.Neighborhood, nbhd.Component — or be handed
-// to the nbhd/prep preprocessing boundary that constructs such a view.
-// Calling a raw graph method (g.Adj, g.BFS, g.NextHopToward, ...) on
-// the network itself, or passing the network to any other helper, is
-// exactly the "reach past the k-neighbourhood" bug that would silently
-// invalidate the theorems, and is flagged.
+// Concretely, inside a decision path every network handle —
+// *graph.Graph, *bigraph.CSR or bigraph.Store — must be reached through
+// the sanctioned view carriers (prep.View, prep.Preprocessor, their
+// map-shaped reference twins prep.RefView and prep.RefPreprocessor,
+// nbhd.Neighborhood, nbhd.Component) or be handed to the nbhd/prep
+// preprocessing boundary that constructs such a view. Calling a method
+// (g.Adj, st.HasEdge, c.Deg, ...) on the network itself, reaching it
+// through a carrier accessor (p.Store()), or passing it to any other
+// function or method is exactly the "reach past the k-neighbourhood"
+// bug that would silently invalidate the theorems, and is flagged.
 var AnalyzerLocality = &Analyzer{
 	Name: "klocality",
 	Doc:  "decision paths may traverse the graph only through the nbhd/prep view APIs",
@@ -38,17 +39,16 @@ func checkLocalityScope(pass *Pass, s scope) {
 		if !ok {
 			return true
 		}
-		// Method call with a graph receiver: the receiver must be
+		// Method call on a network receiver: the receiver must be
 		// view-derived.
 		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 			if selection := pass.Info.Selections[sel]; selection != nil && selection.Kind() == types.MethodVal {
-				if isGraphPtr(pass.TypeOf(sel.X)) && !viewDerived(pass, derived, sel.X) {
-					pass.Reportf(sel.Pos(), "decision path calls %s on a raw *graph.Graph; k-local code must go through the nbhd/prep view APIs (G_k(u) only)", sel.Sel.Name)
+				if t := pass.TypeOf(sel.X); isRawNetwork(t) && !viewDerived(pass, derived, sel.X) {
+					pass.Reportf(sel.Pos(), "decision path calls %s on a raw %s; k-local code must go through the nbhd/prep view APIs (G_k(u) only)", sel.Sel.Name, typeName(t))
 				}
-				return true
 			}
 		}
-		// Raw graph passed as an argument: only the preprocessing
+		// Network passed as an argument: only the preprocessing
 		// boundary (nbhd/prep) may receive it; everything else could
 		// smuggle global topology into the decision. A helper that is
 		// itself in the decision closure may hold the graph — its body
@@ -58,8 +58,8 @@ func checkLocalityScope(pass *Pass, s scope) {
 			return true
 		}
 		for _, arg := range call.Args {
-			if isGraphPtr(pass.TypeOf(arg)) && !viewDerived(pass, derived, arg) {
-				pass.Reportf(arg.Pos(), "decision path passes a raw *graph.Graph to %s; only the nbhd/prep preprocessing APIs may receive the network", calleeName(call))
+			if t := pass.TypeOf(arg); isRawNetwork(t) && !viewDerived(pass, derived, arg) {
+				pass.Reportf(arg.Pos(), "decision path passes a raw %s to %s; only the nbhd/prep preprocessing APIs may receive the network", typeName(t), calleeName(call))
 			}
 		}
 		return true
@@ -67,9 +67,10 @@ func checkLocalityScope(pass *Pass, s scope) {
 }
 
 // sanctionedBoundary reports whether call targets the preprocessing
-// boundary: a package-level function of internal/nbhd or internal/prep
-// (nbhd.Extract, prep.Preprocess, ...). These construct G_k(u) and are
-// the only admissible consumers of the raw network inside a decision.
+// boundary: a function or method of internal/nbhd or internal/prep
+// (nbhd.Extract, prep.PreprocessStore, Scratch.Extract, ...). These
+// construct G_k(u) and are the only admissible consumers of the raw
+// network inside a decision.
 func sanctionedBoundary(pass *Pass, call *ast.CallExpr) bool {
 	var id *ast.Ident
 	switch fun := call.Fun.(type) {
@@ -81,13 +82,7 @@ func sanctionedBoundary(pass *Pass, call *ast.CallExpr) bool {
 		return false
 	}
 	fn, ok := pass.Info.Uses[id].(*types.Func)
-	if !ok {
-		return false
-	}
-	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-		return false
-	}
-	return fromPkg(fn, nbhdPkgSuffix) || fromPkg(fn, prepPkgSuffix)
+	return ok && (fromPkg(fn, nbhdPkgSuffix) || fromPkg(fn, prepPkgSuffix))
 }
 
 // closureCallee reports whether call targets a member of the decision
@@ -104,6 +99,12 @@ func closureCallee(pass *Pass, call *ast.CallExpr) bool {
 	}
 	fn, ok := pass.Info.Uses[id].(*types.Func)
 	return ok && pass.decisionFunc(fn)
+}
+
+// typeName renders a network type for diagnostics (*graph.Graph,
+// bigraph.Store, ...).
+func typeName(t types.Type) string {
+	return types.TypeString(t, func(p *types.Package) string { return p.Name() })
 }
 
 // calleeName renders the called function for diagnostics.
@@ -139,7 +140,7 @@ func viewDerivedVars(pass *Pass, s scope) map[*types.Var]bool {
 					return
 				}
 			}
-			if !derived[v] && isGraphPtr(v.Type()) && viewDerived(pass, derived, rhs) {
+			if !derived[v] && isRawNetwork(v.Type()) && viewDerived(pass, derived, rhs) {
 				derived[v] = true
 				changed = true
 			}
@@ -167,8 +168,9 @@ func viewDerivedVars(pass *Pass, s scope) map[*types.Var]bool {
 
 // viewDerived reports whether e yields a value reached through a
 // sanctioned view: a view-typed value itself, a selector chain rooted
-// in one (view.Raw.G), a call on one (p.At(u)), or a local variable
-// previously assigned such a value.
+// in one (view.Raw.G), a call on one (p.At(u)) unless the call hands
+// back the whole network (p.Store()), or a local variable previously
+// assigned such a value.
 func viewDerived(pass *Pass, derived map[*types.Var]bool, e ast.Expr) bool {
 	switch x := e.(type) {
 	case *ast.ParenExpr:
@@ -193,9 +195,13 @@ func viewDerived(pass *Pass, derived map[*types.Var]bool, e ast.Expr) bool {
 			return true
 		}
 		// A method call on a view (p.At, view.CompOf, nb.Components)
-		// yields view-derived data whatever its result type.
+		// yields view-derived data whatever its result type — except a
+		// carrier's accessor for its whole network (p.Store()).
 		if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
 			if selection := pass.Info.Selections[sel]; selection != nil && selection.Kind() == types.MethodVal {
+				if isViewType(pass.TypeOf(sel.X)) && isRawNetwork(pass.TypeOf(x)) {
+					return false
+				}
 				return viewDerived(pass, derived, sel.X)
 			}
 		}

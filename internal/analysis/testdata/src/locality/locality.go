@@ -5,6 +5,7 @@ package locality
 import (
 	"fmt"
 
+	"klocal/internal/bigraph"
 	"klocal/internal/graph"
 	"klocal/internal/nbhd"
 	"klocal/internal/prep"
@@ -40,6 +41,65 @@ func helperBad(g *graph.Graph, u graph.Vertex) graph.Vertex {
 func BadHelper(g *graph.Graph) func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
 	return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
 		return helperBad(g, u), nil
+	}
+}
+
+// BadStore asks a bigraph.Store about an edge: a store is the whole
+// network, whatever its layout.
+func BadStore(st bigraph.Store) func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+	return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+		if st.HasEdge(u, t) { // want "klocality: decision path calls HasEdge on a raw bigraph.Store"
+			return t, nil
+		}
+		return graph.NoVertex, nil
+	}
+}
+
+// BadCSR reads a degree straight off the CSR arrays.
+func BadCSR(c *bigraph.CSR) func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+	return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+		if c.Deg(u) == 0 { // want "klocality: decision path calls Deg on a raw \*bigraph.CSR"
+			return graph.NoVertex, nil
+		}
+		return t, nil
+	}
+}
+
+// BadAccessor reaches the whole network through a carrier: the
+// preprocessor's views are k-local, its Store is not.
+func BadAccessor(p *prep.Preprocessor) func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+	return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+		if p.Store().HasEdge(u, t) { // want "klocality: decision path calls HasEdge on a raw bigraph.Store"
+			return t, nil
+		}
+		return p.At(u).C.NextHopFromCenter(t), nil
+	}
+}
+
+// BadMethodArg hands the network to a method outside nbhd/prep.
+func BadMethodArg(g *graph.Graph, k int) func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+	return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+		nb := nbhd.Extract(g, u, k)
+		if nb.G.Equal(g) { // want "klocality: decision path passes a raw \*graph.Graph to Equal"
+			return graph.NoVertex, nil
+		}
+		return nb.G.NextHopToward(u, t), nil
+	}
+}
+
+// GoodScratch extracts G_k(u) from a store through an nbhd method, the
+// sanctioned boundary, and decides on the compact view only.
+func GoodScratch(st bigraph.Store, k int) func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+	sc := nbhd.NewScratch()
+	return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+		if !sc.Extract(st, u, k) {
+			return graph.NoVertex, nil
+		}
+		ti, ok := sc.View.Index(t)
+		if !ok {
+			return graph.NoVertex, nil
+		}
+		return sc.View.Verts[sc.NextHopToward(sc.View.CenterIdx, ti)], nil
 	}
 }
 

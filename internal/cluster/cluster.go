@@ -243,7 +243,7 @@ func NewMember(cfg Config, asn Assignment, adj map[graph.Vertex][]graph.Vertex, 
 		return nil, fmt.Errorf("cluster: config says %d shards, assignment has %d", cfg.Shards, asn.shards)
 	}
 	cfg.Shards = asn.shards
-	if cfg.Alg.Bind == nil {
+	if cfg.Alg.Over == nil {
 		return nil, fmt.Errorf("cluster: config needs a routing algorithm")
 	}
 	if tr == nil {

@@ -109,7 +109,7 @@ func TestClusterRoutesMatchEngine(t *testing.T) {
 	if err := Converge(members, 0); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := engine.NewSnapshot(g, k, alg)
+	snap, err := engine.NewSnapshotStore(g, k, alg, engine.SnapshotOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

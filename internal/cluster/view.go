@@ -5,6 +5,7 @@ import (
 
 	"klocal/internal/churn"
 	"klocal/internal/graph"
+	"klocal/internal/nbhd"
 	"klocal/internal/route"
 )
 
@@ -71,24 +72,7 @@ func (m *Member) viewFor(u graph.Vertex) (*boundView, error) {
 // distance-k horizon, so u's whole component is inside the view and
 // absence of a destination proves a partition.
 func assembleView(recs map[graph.Vertex]*record, u graph.Vertex, k int) (*graph.Graph, bool) {
-	full := unionGraph(recs).WithVertex(u)
-	trimmed := graph.NewBuilder()
-	trimmed.AddVertex(u)
-	dist := full.BFSBounded(u, k)
-	complete := true
-	for v, dv := range dist {
-		if dv >= k {
-			complete = false
-			continue
-		}
-		full.EachAdj(v, func(w graph.Vertex) bool {
-			if _, ok := dist[w]; ok {
-				trimmed.AddEdge(v, w)
-			}
-			return true
-		})
-	}
-	return trimmed.Build(), complete
+	return nbhd.ExtractView(unionGraph(recs).WithVertex(u), u, k)
 }
 
 // unionGraph materializes the tombstone-excluded union of all announced

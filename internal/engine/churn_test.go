@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"klocal/internal/bigraph"
 	"klocal/internal/churn"
 	"klocal/internal/gen"
 	"klocal/internal/graph"
@@ -18,7 +19,7 @@ import (
 func TestSnapshotIncrementalMatchesFresh(t *testing.T) {
 	g := gen.Grid(5, 5)
 	k := 3
-	snap, err := NewSnapshotOpts(g, k, route.Algorithm2(), SnapshotOptions{Prewarm: 2})
+	snap, err := NewSnapshotStore(g, k, route.Algorithm2(), SnapshotOptions{Prewarm: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestSnapshotIncrementalMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatalf("delta %d: incremental swap: %v", i, err)
 		}
-		fresh, err := NewSnapshot(post, k, route.Algorithm2())
+		fresh, err := NewSnapshotStore(post, k, route.Algorithm2(), SnapshotOptions{})
 		if err != nil {
 			t.Fatalf("delta %d: fresh snapshot: %v", i, err)
 		}
@@ -61,7 +62,7 @@ func TestSnapshotIncrementalMatchesFresh(t *testing.T) {
 func TestSwapSnapshotMidTraffic(t *testing.T) {
 	g := gen.Grid(6, 6)
 	k := 2
-	snap, err := NewSnapshot(g, k, route.Algorithm2())
+	snap, err := NewSnapshotStore(g, k, route.Algorithm2(), SnapshotOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestHotspotWorkloadSkew(t *testing.T) {
 	// destinations must concentrate there.
 	g := gen.Barbell(6, 3)
 	rng := rand.New(rand.NewSource(4))
-	w := HotspotStore(rng, g, 0)
+	w := Hotspot(rng, g, 0)
 	if w.Name != "hotspot" {
 		t.Fatalf("workload name %q", w.Name)
 	}
@@ -145,8 +146,8 @@ func TestHotspotWorkloadSkew(t *testing.T) {
 
 func TestHotspotDeterministic(t *testing.T) {
 	g := gen.Grid(4, 4)
-	a := Take(HotspotStore(rand.New(rand.NewSource(9)), g, 8), 50)
-	b := Take(HotspotStore(rand.New(rand.NewSource(9)), g, 8), 50)
+	a := Take(Hotspot(rand.New(rand.NewSource(9)), g, 8), 50)
+	b := Take(Hotspot(rand.New(rand.NewSource(9)), g, 8), 50)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("request %d differs across identically seeded workloads", i)
@@ -156,7 +157,7 @@ func TestHotspotDeterministic(t *testing.T) {
 
 func TestNewWorkloadStoreHotspot(t *testing.T) {
 	g := gen.Grid(4, 4)
-	w, err := NewWorkloadStore("hotspot", rand.New(rand.NewSource(2)), g)
+	w, err := NewWorkload("hotspot", rand.New(rand.NewSource(2)), bigraph.FromGraph(g))
 	if err != nil {
 		t.Fatal(err)
 	}

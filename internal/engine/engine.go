@@ -548,7 +548,7 @@ func (e *Engine) report(merged *metrics.Shard) *metrics.Report {
 	rep := merged.Snapshot()
 	snap := e.snap.Load()
 	rep.Name = fmt.Sprintf("%s k=%d n=%d workers=%d",
-		snap.alg.Name, snap.k, snap.st.N(), e.cfg.Workers)
+		snap.alg.Name, snap.K(), snap.Store().N(), e.cfg.Workers)
 
 	total, active := e.TotalElapsed(), e.ActiveElapsed()
 	rep.Put("elapsed_total_s", total.Seconds())

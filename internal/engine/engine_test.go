@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"klocal/internal/bigraph"
 	"klocal/internal/gen"
 	"klocal/internal/graph"
 	"klocal/internal/route"
@@ -18,7 +19,7 @@ func testGraph(n int) *graph.Graph {
 
 func TestSnapshotDefaults(t *testing.T) {
 	g := testGraph(18)
-	snap, err := NewSnapshot(g, 0, route.Algorithm2())
+	snap, err := NewSnapshotStore(g, 0, route.Algorithm2(), SnapshotOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,14 +29,16 @@ func TestSnapshotDefaults(t *testing.T) {
 	if snap.Graph() != g || snap.Algorithm().Name != "Algorithm2" || snap.Func() == nil {
 		t.Fatal("snapshot accessors broken")
 	}
-	if _, err := NewSnapshot(nil, 1, route.Algorithm2()); err == nil {
-		t.Fatal("nil graph must be rejected")
+	for _, st := range []bigraph.Store{nil, (*graph.Graph)(nil)} {
+		if _, err := NewSnapshotStore(st, 1, route.Algorithm2(), SnapshotOptions{}); err == nil {
+			t.Fatalf("nil network %#v must be rejected", st)
+		}
 	}
 }
 
 func TestSnapshotPrewarmAndCacheStats(t *testing.T) {
 	g := testGraph(18)
-	snap, err := NewSnapshotOpts(g, 0, route.Algorithm2(), SnapshotOptions{Prewarm: 2})
+	snap, err := NewSnapshotStore(g, 0, route.Algorithm2(), SnapshotOptions{Prewarm: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +46,7 @@ func TestSnapshotPrewarmAndCacheStats(t *testing.T) {
 		t.Fatalf("prewarmed cache size = %d, want %d", cs.Size, g.N())
 	}
 	// An algorithm without preprocessing reports zero stats.
-	snap3, err := NewSnapshotOpts(g, 0, route.Algorithm3(), SnapshotOptions{Prewarm: 2})
+	snap3, err := NewSnapshotStore(g, 0, route.Algorithm3(), SnapshotOptions{Prewarm: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +58,7 @@ func TestSnapshotPrewarmAndCacheStats(t *testing.T) {
 func TestRouteBatchDeliversEverything(t *testing.T) {
 	g := testGraph(20)
 	for _, alg := range []route.Algorithm{route.Algorithm1(), route.Algorithm1B(), route.Algorithm2(), route.Algorithm3()} {
-		snap, err := NewSnapshot(g, 0, alg)
+		snap, err := NewSnapshotStore(g, 0, alg, SnapshotOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +94,7 @@ func TestBatchMatchesSequentialRoute(t *testing.T) {
 	g := gen.RandomConnected(rng, 16, 0.12)
 	alg := route.Algorithm1()
 	k := alg.MinK(g.N())
-	snap, err := NewSnapshot(g, k, alg)
+	snap, err := NewSnapshotStore(g, k, alg, SnapshotOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +125,7 @@ func TestCacheAmortization(t *testing.T) {
 	// handful of times (concurrent same-vertex misses may double
 	// compute), never once per message.
 	g := testGraph(18)
-	snap, err := NewSnapshot(g, 0, route.Algorithm2())
+	snap, err := NewSnapshotStore(g, 0, route.Algorithm2(), SnapshotOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +144,7 @@ func TestCacheAmortization(t *testing.T) {
 
 func TestSubmitAfterCloseFails(t *testing.T) {
 	g := testGraph(12)
-	snap, _ := NewSnapshot(g, 0, route.Algorithm3())
+	snap, _ := NewSnapshotStore(g, 0, route.Algorithm3(), SnapshotOptions{})
 	e := New(snap, Config{Workers: 2})
 	go func() {
 		for range e.Results() {
@@ -162,7 +165,7 @@ func TestBackpressureBoundsQueue(t *testing.T) {
 	// than buffer unboundedly — verified by watching the submitter make
 	// no progress until the consumer drains.
 	g := testGraph(12)
-	snap, _ := NewSnapshot(g, 0, route.Algorithm3())
+	snap, _ := NewSnapshotStore(g, 0, route.Algorithm3(), SnapshotOptions{})
 	e := New(snap, Config{Workers: 1, QueueDepth: 1})
 
 	submitted := make(chan int, 64)
@@ -198,7 +201,7 @@ func TestBackpressureBoundsQueue(t *testing.T) {
 
 func TestRunWorkloadCountAndDuration(t *testing.T) {
 	g := testGraph(16)
-	snap, _ := NewSnapshot(g, 0, route.Algorithm2())
+	snap, _ := NewSnapshotStore(g, 0, route.Algorithm2(), SnapshotOptions{})
 	e := New(snap, Config{Workers: 4})
 	w := Uniform(rand.New(rand.NewSource(4)), g)
 	if err := e.RunWorkload(w, 300, 0); err != nil {
@@ -235,7 +238,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 	// Many goroutines submitting through one engine session (race-audit
 	// coverage for the intake path; run under -race via make race).
 	g := testGraph(16)
-	snap, _ := NewSnapshot(g, 0, route.Algorithm1B())
+	snap, _ := NewSnapshotStore(g, 0, route.Algorithm1B(), SnapshotOptions{})
 	e := New(snap, Config{Workers: 4, QueueDepth: 2})
 	var drained sync.WaitGroup
 	drained.Add(1)
@@ -287,7 +290,7 @@ func TestAdversarialStretchMatchesTheorem4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := NewSnapshot(g, k, route.Algorithm1())
+	snap, err := NewSnapshotStore(g, k, route.Algorithm1(), SnapshotOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

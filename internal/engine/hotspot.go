@@ -92,12 +92,7 @@ func ApproxBetweenness(st bigraph.Store, rng *rand.Rand, samples int) ([]graph.V
 // vertices most shortest paths cross (the "core routers"), which is
 // where dormant-edge pruning and view caching are stressed hardest.
 // samples ≤ 0 uses HotspotSamples.
-func Hotspot(rng *rand.Rand, g *graph.Graph, samples int) Workload {
-	return HotspotStore(rng, g, samples)
-}
-
-// HotspotStore is Hotspot over any bigraph.Store.
-func HotspotStore(rng *rand.Rand, st bigraph.Store, samples int) Workload {
+func Hotspot(rng *rand.Rand, st bigraph.Store, samples int) Workload {
 	vs, bc := ApproxBetweenness(st, rng, samples)
 	// Cumulative weights for inverse-transform sampling. An all-zero
 	// estimate (tiny or star-free degenerate graphs) degrades to the
@@ -109,7 +104,7 @@ func HotspotStore(rng *rand.Rand, st bigraph.Store, samples int) Workload {
 		cum[i] = total
 	}
 	if total == 0 {
-		w := uniformOver(rng, vs)
+		w := Uniform(rng, st)
 		w.Name = "hotspot"
 		return w
 	}

@@ -9,6 +9,7 @@ import (
 
 	"klocal/internal/gen"
 	"klocal/internal/graph"
+	"klocal/internal/prep"
 	"klocal/internal/route"
 	"klocal/internal/sim"
 )
@@ -19,9 +20,7 @@ import (
 func slowSnapshot(perHop time.Duration) *Snapshot {
 	g := gen.Path(2)
 	return &Snapshot{
-		st: g,
-		g:  g,
-		k:  1,
+		pre: prep.NewPreprocessor(g, 1, 0, prep.CacheOptions{}),
 		alg: route.Algorithm{
 			Name: "slow",
 			MinK: func(int) int { return 1 },
@@ -39,7 +38,7 @@ func slowSnapshot(perHop time.Duration) *Snapshot {
 // surface as a typed *BatchIndexError instead.
 func TestRouteBatchStrayIndexRange(t *testing.T) {
 	g := testGraph(16)
-	snap, err := NewSnapshot(g, 0, route.Algorithm2())
+	snap, err := NewSnapshotStore(g, 0, route.Algorithm2(), SnapshotOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +77,7 @@ func TestRouteBatchStrayIndexRange(t *testing.T) {
 // response forever). The collision must be reported.
 func TestRouteBatchStrayIndexDup(t *testing.T) {
 	g := testGraph(16)
-	snap, err := NewSnapshot(g, 0, route.Algorithm2())
+	snap, err := NewSnapshotStore(g, 0, route.Algorithm2(), SnapshotOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +106,7 @@ func TestRouteBatchStrayIndexDup(t *testing.T) {
 // first task must not count the idle time in throughput_rps.
 func TestThroughputUsesActiveWindow(t *testing.T) {
 	g := testGraph(20)
-	snap, err := NewSnapshot(g, 0, route.Algorithm2())
+	snap, err := NewSnapshotStore(g, 0, route.Algorithm2(), SnapshotOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +174,7 @@ func TestRunWorkloadDeadlineUnderBackpressure(t *testing.T) {
 // (not a block) when the queue stays full past the admission budget.
 func TestDoConcurrentAndSaturation(t *testing.T) {
 	g := testGraph(20)
-	snap, err := NewSnapshot(g, 0, route.Algorithm2())
+	snap, err := NewSnapshotStore(g, 0, route.Algorithm2(), SnapshotOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,17 +29,15 @@ import (
 )
 
 // Snapshot is an immutable view of a network bound to one algorithm at
-// one locality. It is safe for concurrent use: the graph never mutates,
-// the routing function is shared (see route's goroutine-safety
-// contracts), and preprocessing is cached behind the sharded view cache.
-// Build a new Snapshot when the topology changes.
+// one locality. It is safe for concurrent use: the network never
+// mutates, the routing function is shared (see route's goroutine-safety
+// contracts), and preprocessing is cached behind the sharded view cache
+// of pre, which also carries the network and the locality. Build a new
+// Snapshot when the topology changes.
 type Snapshot struct {
-	st  bigraph.Store
-	g   *graph.Graph // nil for store-backed snapshots
-	k   int
 	alg route.Algorithm
 	f   route.Func
-	pre *prep.Preprocessor // nil for algorithms without preprocessing
+	pre *prep.Preprocessor
 }
 
 // SnapshotOptions tune snapshot construction.
@@ -51,50 +49,16 @@ type SnapshotOptions struct {
 	Prewarm int
 }
 
-// NewSnapshot binds alg to (g, k) with default cache options and no
-// prewarm. k = 0 means the algorithm's own threshold T(n) (minimum 1).
-func NewSnapshot(g *graph.Graph, k int, alg route.Algorithm) (*Snapshot, error) {
-	return NewSnapshotOpts(g, k, alg, SnapshotOptions{})
-}
-
-// NewSnapshotOpts binds alg to (g, k) under explicit options.
-func NewSnapshotOpts(g *graph.Graph, k int, alg route.Algorithm, opts SnapshotOptions) (*Snapshot, error) {
-	if g == nil || g.N() == 0 {
-		return nil, fmt.Errorf("engine: empty network")
-	}
-	if k == 0 {
-		k = alg.MinK(g.N())
-		if k == 0 {
-			k = 1
-		}
-	}
-	if k < 0 {
-		return nil, fmt.Errorf("engine: negative locality %d", k)
-	}
-	s := &Snapshot{st: g, g: g, k: k, alg: alg}
-	if alg.BindCached != nil {
-		s.pre = prep.NewPreprocessorOpts(g, k, alg.Policy, opts.Cache)
-		s.f = alg.BindCached(s.pre)
-	} else {
-		s.f = alg.Bind(g, k)
-	}
-	s.prewarm(opts)
-	return s, nil
-}
-
-// NewSnapshotStore binds alg to a bigraph.Store at locality k — the
-// million-node entry point: the store may be an mmap'd CSR file, and
-// routing never materializes the network as a *graph.Graph. A store that
-// is itself a *graph.Graph takes the classic path (full metrics). k = 0
-// means the algorithm's own threshold T(n) (minimum 1).
+// NewSnapshotStore binds alg to a bigraph.Store at locality k: a
+// materialized *graph.Graph, or a CSR store of a million-node network,
+// possibly an mmap'd file that routing never materializes. k = 0 means
+// the algorithm's own threshold T(n) (minimum 1).
 //
-// Store-backed results have Result.Dist == 0 ("unknown"): stretch metrics
-// are skipped, delivery/loop/error counters are exact.
+// Only graph-backed results carry Result.Dist; on other stores it stays
+// 0 ("unknown"): stretch metrics are skipped, delivery/loop/error
+// counters are exact.
 func NewSnapshotStore(st bigraph.Store, k int, alg route.Algorithm, opts SnapshotOptions) (*Snapshot, error) {
-	if g, ok := st.(*graph.Graph); ok {
-		return NewSnapshotOpts(g, k, alg, opts)
-	}
-	if st == nil || st.N() == 0 {
+	if g, isGraph := st.(*graph.Graph); st == nil || isGraph && g == nil || st.N() == 0 {
 		return nil, fmt.Errorf("engine: empty network")
 	}
 	if k == 0 {
@@ -106,28 +70,18 @@ func NewSnapshotStore(st bigraph.Store, k int, alg route.Algorithm, opts Snapsho
 	if k < 0 {
 		return nil, fmt.Errorf("engine: negative locality %d", k)
 	}
-	s := &Snapshot{st: st, k: k, alg: alg}
-	switch {
-	case alg.BindCached != nil:
-		s.pre = prep.NewPreprocessorStoreOpts(st, k, alg.Policy, opts.Cache)
-		s.f = alg.BindCached(s.pre)
-	case alg.BindStore != nil:
-		s.f = alg.BindStore(st, k)
-	default:
+	s := &Snapshot{alg: alg, pre: prep.NewPreprocessor(st, k, alg.Policy, opts.Cache)}
+	if s.f = alg.Over(s.pre); s.f == nil {
 		return nil, fmt.Errorf("engine: algorithm %s needs full topology and cannot bind to a graph store", alg.Name)
 	}
-	s.prewarm(opts)
-	return s, nil
-}
-
-func (s *Snapshot) prewarm(opts SnapshotOptions) {
-	if opts.Prewarm != 0 && s.pre != nil {
+	if opts.Prewarm != 0 && alg.Policy != 0 {
 		w := opts.Prewarm
 		if w < 0 {
 			w = 0 // prep interprets ≤0 as GOMAXPROCS
 		}
 		s.pre.Prewarm(w)
 	}
+	return s, nil
 }
 
 // Incremental returns a snapshot over the post-delta graph next that
@@ -136,34 +90,30 @@ func (s *Snapshot) prewarm(opts SnapshotOptions) {
 // preprocessing for all n vertices, only the |dirty| views inside the
 // k-ball of the delta are recomputed, lazily on first use. s itself is
 // untouched and remains fully consistent, so in-flight routes on the
-// old epoch never observe the new topology.
-//
-// Algorithms without a cached-preprocessing binding (alg.BindCached ==
-// nil) have no views to carry over; they rebind against next directly,
-// which is still build-cost-free for stateless algorithms.
+// old epoch never observe the new topology. Algorithms without
+// preprocessing have no views to carry over, which leaves a rebind
+// that is build-cost-free for stateless algorithms.
 func (s *Snapshot) Incremental(next *graph.Graph, dirty []graph.Vertex) (*Snapshot, error) {
 	if next == nil || next.N() == 0 {
 		return nil, fmt.Errorf("engine: incremental swap to empty network")
 	}
-	ns := &Snapshot{st: next, g: next, k: s.k, alg: s.alg}
-	if s.pre != nil {
-		ns.pre = s.pre.Derive(next, dirty)
-		ns.f = s.alg.BindCached(ns.pre)
-	} else {
-		ns.f = s.alg.Bind(next, s.k)
-	}
+	ns := &Snapshot{alg: s.alg, pre: s.pre.Derive(next, dirty)}
+	ns.f = s.alg.Over(ns.pre)
 	return ns, nil
 }
 
 // Graph returns the underlying network as a *graph.Graph, or nil for
 // store-backed snapshots (use Store for the universal handle).
-func (s *Snapshot) Graph() *graph.Graph { return s.g }
+func (s *Snapshot) Graph() *graph.Graph {
+	g, _ := s.pre.Store().(*graph.Graph)
+	return g
+}
 
 // Store returns the underlying network store (never nil).
-func (s *Snapshot) Store() bigraph.Store { return s.st }
+func (s *Snapshot) Store() bigraph.Store { return s.pre.Store() }
 
 // K returns the locality parameter the snapshot is bound at.
-func (s *Snapshot) K() int { return s.k }
+func (s *Snapshot) K() int { return s.pre.K() }
 
 // Algorithm returns the bound algorithm descriptor.
 func (s *Snapshot) Algorithm() route.Algorithm { return s.alg }
@@ -171,14 +121,9 @@ func (s *Snapshot) Algorithm() route.Algorithm { return s.alg }
 // Func returns the shared bound routing function.
 func (s *Snapshot) Func() route.Func { return s.f }
 
-// CacheStats reports the view-cache activity, or the zero value for
-// algorithms without preprocessing.
-func (s *Snapshot) CacheStats() prep.CacheStats {
-	if s.pre == nil {
-		return prep.CacheStats{}
-	}
-	return s.pre.Stats()
-}
+// CacheStats reports the view-cache activity (the zero value for
+// algorithms without preprocessing, which never consult the cache).
+func (s *Snapshot) CacheStats() prep.CacheStats { return s.pre.Stats() }
 
 // Route routes one message on the snapshot (the engine's per-request
 // body, also usable standalone). Store-backed snapshots skip the global
@@ -199,8 +144,5 @@ func (s *Snapshot) RouteScratch(src, dst graph.Vertex, maxSteps int, sc *sim.Scr
 		DetectLoops:      !s.alg.Randomized,
 		PredecessorAware: s.alg.PredecessorAware,
 	}
-	if s.g != nil {
-		return sim.RunScratch(s.g, sim.Func(s.f), src, dst, opts, sc)
-	}
-	return sim.RunStoreScratch(s.st, sim.Func(s.f), src, dst, opts, sc)
+	return sim.RunScratch(s.pre.Store(), sim.Func(s.f), src, dst, opts, sc)
 }

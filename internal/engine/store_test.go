@@ -8,6 +8,7 @@ import (
 	"klocal/internal/bigraph"
 	"klocal/internal/gen"
 	"klocal/internal/graph"
+	"klocal/internal/prep"
 	"klocal/internal/route"
 	"klocal/internal/sim"
 )
@@ -15,9 +16,16 @@ import (
 // gv abbreviates the vertex conversions in table-driven route pairs.
 func gv(i int) graph.Vertex { return graph.Vertex(i) }
 
+// opaqueStore hides a store's concrete type, so routing over it takes
+// the generic Store paths (the label-space branch of
+// nbhd.Scratch.Extract) instead of the graph and CSR row walks.
+type opaqueStore struct{ bigraph.Store }
+
 // TestSnapshotStoreDifferential pins store-backed routing to the classic
 // graph-backed path: same algorithm, same pairs, same outcomes and
-// walks — only Dist is allowed to differ (0 = unknown on the store side).
+// walks over the CSR form of the graph and over an opaque Store
+// wrapping it — only Dist is allowed to differ (0 = unknown on the store
+// side).
 func TestSnapshotStoreDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, g := range []graphCase{
@@ -26,38 +34,49 @@ func TestSnapshotStoreDifferential(t *testing.T) {
 		{gen.RandomConnected(rng, 20, 0.1), 0},
 	} {
 		c := bigraph.FromGraph(g.g)
+		stores := []struct {
+			name string
+			st   bigraph.Store
+		}{{"csr", c}, {"opaque", opaqueStore{c}}}
 		for _, alg := range []route.Algorithm{
 			route.Algorithm1(), route.Algorithm1B(), route.Algorithm2(), route.Algorithm3(),
-			route.TreeRightHand(),
+			route.TreeRightHand(), route.Algorithm2Policy(prep.PolicyMaxRank), route.RandomWalk(5),
 		} {
-			want, err := NewSnapshotOpts(g.g, g.k, alg, SnapshotOptions{})
+			want, err := NewSnapshotStore(g.g, g.k, alg, SnapshotOptions{})
 			if err != nil {
 				t.Fatalf("%s: graph snapshot: %v", alg.Name, err)
 			}
-			got, err := NewSnapshotStore(c, g.k, alg, SnapshotOptions{})
-			if err != nil {
-				t.Fatalf("%s: store snapshot: %v", alg.Name, err)
-			}
-			if got.Graph() != nil {
-				t.Fatalf("%s: CSR-backed snapshot claims a graph", alg.Name)
-			}
-			if got.K() != want.K() {
-				t.Fatalf("%s: k=%d, want %d", alg.Name, got.K(), want.K())
+			gots := make([]*Snapshot, len(stores))
+			for i, sc := range stores {
+				got, err := NewSnapshotStore(sc.st, g.k, alg, SnapshotOptions{})
+				if err != nil {
+					t.Fatalf("%s: %s snapshot: %v", alg.Name, sc.name, err)
+				}
+				if got.Graph() != nil {
+					t.Fatalf("%s: %s-backed snapshot claims a graph", alg.Name, sc.name)
+				}
+				if got.K() != want.K() {
+					t.Fatalf("%s: %s k=%d, want %d", alg.Name, sc.name, got.K(), want.K())
+				}
+				gots[i] = got
 			}
 			vs := g.g.Vertices()
 			for trial := 0; trial < 40; trial++ {
 				s := vs[rng.Intn(len(vs))]
 				d := vs[rng.Intn(len(vs))]
 				rw := want.Route(s, d, 0)
-				rg := got.Route(s, d, 0)
-				if rw.Outcome != rg.Outcome {
-					t.Fatalf("%s: route %d->%d outcome %v, want %v", alg.Name, s, d, rg.Outcome, rw.Outcome)
-				}
-				if fmt.Sprint(rw.Route) != fmt.Sprint(rg.Route) {
-					t.Fatalf("%s: route %d->%d walk %v, want %v", alg.Name, s, d, rg.Route, rw.Route)
-				}
-				if rg.Dist != 0 {
-					t.Fatalf("%s: store-backed Dist=%d, want 0 (unknown)", alg.Name, rg.Dist)
+				for i, got := range gots {
+					name := stores[i].name
+					rg := got.Route(s, d, 0)
+					if rw.Outcome != rg.Outcome {
+						t.Fatalf("%s/%s: route %d->%d outcome %v, want %v", alg.Name, name, s, d, rg.Outcome, rw.Outcome)
+					}
+					if fmt.Sprint(rw.Route) != fmt.Sprint(rg.Route) {
+						t.Fatalf("%s/%s: route %d->%d walk %v, want %v", alg.Name, name, s, d, rg.Route, rw.Route)
+					}
+					if rg.Dist != 0 {
+						t.Fatalf("%s/%s: store-backed Dist=%d, want 0 (unknown)", alg.Name, name, rg.Dist)
+					}
 				}
 			}
 		}
@@ -88,7 +107,7 @@ func TestSnapshotStoreEngineEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(snap, Config{Workers: 4})
-	w := ZipfStore(rand.New(rand.NewSource(2)), c, 0)
+	w := Zipf(rand.New(rand.NewSource(2)), c, 0)
 	if err := e.RunWorkload(w, 200, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +122,12 @@ func TestSnapshotStoreEngineEndToEnd(t *testing.T) {
 
 // routeAllocBudget is the engine's per-route allocation regression gate
 // for the fixed scenario below (cycle-24, Algorithm 2 at threshold, warm
-// cache): walk bookkeeping plus the per-hop in-view shortest-path search,
-// all O(route length · view size), none O(n). Measured ~199; the budget
-// catches anything that reintroduces per-hop view extraction (hundreds of
-// allocs) or O(n) work.
-const routeAllocBudget = 230
+// cache, CSR-backed). Snapshot.Route builds a fresh sim.Scratch per
+// call (its route buffer, loop-detection maps and search banks), so it
+// cannot reach RouteScratch's zero; the decisions themselves allocate
+// nothing. Measured 10.0; the budget catches anything that reintroduces
+// per-hop view extraction (hundreds of allocs) or O(n) work.
+const routeAllocBudget = 16
 
 func TestRouteAllocsBudget(t *testing.T) {
 	if raceEnabled {

@@ -35,16 +35,8 @@ func StoreVertices(st bigraph.Store) []graph.Vertex {
 
 // Uniform routes between independently uniform random distinct (s, t)
 // pairs — the throughput baseline.
-func Uniform(rng *rand.Rand, g *graph.Graph) Workload {
-	return uniformOver(rng, g.Vertices())
-}
-
-// UniformStore is Uniform over any bigraph.Store.
-func UniformStore(rng *rand.Rand, st bigraph.Store) Workload {
-	return uniformOver(rng, StoreVertices(st))
-}
-
-func uniformOver(rng *rand.Rand, vs []graph.Vertex) Workload {
+func Uniform(rng *rand.Rand, st bigraph.Store) Workload {
+	vs := StoreVertices(st)
 	return Workload{
 		Name: "uniform",
 		Next: func() Request {
@@ -65,17 +57,8 @@ const ZipfSkew = 1.2
 // (rank r drawn with probability ∝ 1/(1+r)^skew over the label-sorted
 // vertex list) — the "popular destination" traffic shape that makes the
 // per-source view cache earn its keep. skew ≤ 1 uses ZipfSkew.
-func Zipf(rng *rand.Rand, g *graph.Graph, skew float64) Workload {
-	return zipfOver(rng, g.Vertices(), skew)
-}
-
-// ZipfStore is Zipf over any bigraph.Store.
-func ZipfStore(rng *rand.Rand, st bigraph.Store, skew float64) Workload {
-	return zipfOver(rng, StoreVertices(st), skew)
-}
-
-func zipfOver(rng *rand.Rand, vs []graph.Vertex, skew float64) Workload {
-	// vs is label-sorted: rank = label order
+func Zipf(rng *rand.Rand, st bigraph.Store, skew float64) Workload {
+	vs := StoreVertices(st) // label-sorted: rank = label order
 	if skew <= 1 {
 		skew = ZipfSkew
 	}
@@ -96,16 +79,8 @@ func zipfOver(rng *rand.Rand, vs []graph.Vertex, skew float64) Workload {
 // AllPairs cycles deterministically through every ordered (s, t) pair in
 // label order — the exhaustive coverage workload (n·(n−1) distinct
 // requests per cycle).
-func AllPairs(g *graph.Graph) Workload {
-	return allPairsOver(g.Vertices())
-}
-
-// AllPairsStore is AllPairs over any bigraph.Store.
-func AllPairsStore(st bigraph.Store) Workload {
-	return allPairsOver(StoreVertices(st))
-}
-
-func allPairsOver(vs []graph.Vertex) Workload {
+func AllPairs(st bigraph.Store) Workload {
+	vs := StoreVertices(st)
 	i, j := 0, 1
 	return Workload{
 		Name: "allpairs",
@@ -127,7 +102,7 @@ func allPairsOver(vs []graph.Vertex) Workload {
 }
 
 // PairCount returns the number of requests in one AllPairs cycle.
-func PairCount(g *graph.Graph) int { return g.N() * (g.N() - 1) }
+func PairCount(st bigraph.Store) int { return st.N() * (st.N() - 1) }
 
 // Adversarial replays the paper's worst-case constructions: the
 // Theorem 4 dilation path (adversary.DilationPath), whose (s, t) pair
@@ -159,24 +134,19 @@ func adversarialPairs(inst gen.Instance) Workload {
 	}
 }
 
-// NewWorkload builds a named workload over g: "uniform", "zipf",
+// NewWorkload builds a named workload over st: "uniform", "zipf",
 // "allpairs" or "hotspot". ("adversarial" carries its own graph; use
 // Adversarial.)
-func NewWorkload(kind string, rng *rand.Rand, g *graph.Graph) (Workload, error) {
-	return NewWorkloadStore(kind, rng, g)
-}
-
-// NewWorkloadStore is NewWorkload over any bigraph.Store.
-func NewWorkloadStore(kind string, rng *rand.Rand, st bigraph.Store) (Workload, error) {
+func NewWorkload(kind string, rng *rand.Rand, st bigraph.Store) (Workload, error) {
 	switch kind {
 	case "uniform":
-		return UniformStore(rng, st), nil
+		return Uniform(rng, st), nil
 	case "zipf":
-		return ZipfStore(rng, st, 0), nil
+		return Zipf(rng, st, 0), nil
 	case "allpairs":
-		return AllPairsStore(st), nil
+		return AllPairs(st), nil
 	case "hotspot":
-		return HotspotStore(rng, st, 0), nil
+		return Hotspot(rng, st, 0), nil
 	default:
 		return Workload{}, fmt.Errorf("engine: unknown workload %q (uniform|zipf|allpairs|hotspot|adversarial)", kind)
 	}

@@ -14,17 +14,20 @@ import (
 )
 
 // warmRouteAllocGate bounds the steady-state allocations of one warm
-// RouteScratch call (graph-backed, views cached, worker-owned scratch).
-// The compact-view decision paths and the epoch-marked scratch banks make
-// this 0: any regression that reintroduces per-request maps, view
-// rebuilding, or growing buffers trips the gate immediately.
+// RouteScratch call (views cached, worker-owned scratch), graph- or
+// CSR-backed. The compact-view decision paths and the epoch-marked
+// scratch banks make this 0: any regression that reintroduces
+// per-request maps, view rebuilding, or growing buffers trips the gate
+// immediately.
 const warmRouteAllocGate = 0
 
 // TestWarmRouteAllocsGate is the zero-alloc regression gate on the warm
 // serving path: Snapshot.RouteScratch with a reused scratch, all views
 // prewarmed, must not allocate at all. Covers the plain compact path
-// (Algorithm 2) and the bounce-simulation path (Algorithm 1B), which
-// exercises nbhd.BounceScratch reuse through route's simPool.
+// (Algorithm 2), the bounce-simulation path (Algorithm 1B), which
+// exercises nbhd.BounceScratch reuse through route's simPool, and
+// Algorithm 3's per-hop extraction into pooled scratch, each over the
+// graph itself and over its CSR (bigraph.FromGraph, subtests "/csr").
 func TestWarmRouteAllocsGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -35,40 +38,51 @@ func TestWarmRouteAllocsGate(t *testing.T) {
 	}{
 		{"Algorithm2", route.Algorithm2()},
 		{"Algorithm1B", route.Algorithm1B()},
+		{"Algorithm3", route.Algorithm3()},
 	}
 	for _, tc := range algs {
-		t.Run(tc.name, func(t *testing.T) {
-			g := testGraph(24)
-			snap, err := NewSnapshotOpts(g, 0, tc.alg, SnapshotOptions{Prewarm: -1})
-			if err != nil {
-				t.Fatal(err)
+		for _, csr := range []bool{false, true} {
+			name := tc.name
+			if csr {
+				name += "/csr"
 			}
-			vs := g.Vertices()
-			pairs := [][2]graph.Vertex{
-				{vs[0], vs[len(vs)-1]},
-				{vs[len(vs)-1], vs[0]},
-				{vs[3], vs[len(vs)/2]},
-				{vs[len(vs)/2], vs[1]},
-			}
-			sc := sim.NewScratch()
-			// Warm: every view cached, every scratch bank grown to its
-			// high-water mark.
-			for _, p := range pairs {
-				if res := snap.RouteScratch(p[0], p[1], 0, sc); res.Outcome != sim.Delivered {
-					t.Fatalf("route %v: %v", p, res.Outcome)
+			t.Run(name, func(t *testing.T) {
+				g := testGraph(24)
+				var st bigraph.Store = g
+				if csr {
+					st = bigraph.FromGraph(g)
 				}
-			}
-			i := 0
-			avg := testing.AllocsPerRun(200, func() {
-				p := pairs[i%len(pairs)]
-				i++
-				snap.RouteScratch(p[0], p[1], 0, sc)
+				snap, err := NewSnapshotStore(st, 0, tc.alg, SnapshotOptions{Prewarm: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				vs := g.Vertices()
+				pairs := [][2]graph.Vertex{
+					{vs[0], vs[len(vs)-1]},
+					{vs[len(vs)-1], vs[0]},
+					{vs[3], vs[len(vs)/2]},
+					{vs[len(vs)/2], vs[1]},
+				}
+				sc := sim.NewScratch()
+				// Warm: every view cached, every scratch bank grown to
+				// its high-water mark.
+				for _, p := range pairs {
+					if res := snap.RouteScratch(p[0], p[1], 0, sc); res.Outcome != sim.Delivered {
+						t.Fatalf("route %v: %v", p, res.Outcome)
+					}
+				}
+				i := 0
+				avg := testing.AllocsPerRun(200, func() {
+					p := pairs[i%len(pairs)]
+					i++
+					snap.RouteScratch(p[0], p[1], 0, sc)
+				})
+				if avg > warmRouteAllocGate {
+					t.Fatalf("warm RouteScratch allocates %.2f times per request, gate %d", avg, warmRouteAllocGate)
+				}
+				t.Logf("warm RouteScratch: %.2f allocs/request (gate %d)", avg, warmRouteAllocGate)
 			})
-			if avg > warmRouteAllocGate {
-				t.Fatalf("warm RouteScratch allocates %.2f times per request, gate %d", avg, warmRouteAllocGate)
-			}
-			t.Logf("warm RouteScratch: %.2f allocs/request (gate %d)", avg, warmRouteAllocGate)
-		})
+		}
 	}
 }
 
@@ -138,9 +152,7 @@ func TestPreprocessAllocsGate(t *testing.T) {
 func TestDoBatchSaturatedNoLossNoDup(t *testing.T) {
 	g := gen.Path(8)
 	snap := &Snapshot{
-		st: g,
-		g:  g,
-		k:  1,
+		pre: prep.NewPreprocessor(g, 1, 0, prep.CacheOptions{}),
 		alg: route.Algorithm{
 			Name: "slow",
 			MinK: func(int) int { return 1 },

@@ -35,7 +35,7 @@ func samplePairs(rng *rand.Rand, g *graph.Graph, pairs int) []engine.Request {
 // evalRequestsEngine routes reqs over (alg, g, k) with `workers`
 // concurrent workers and folds the results into stats in request order.
 func evalRequestsEngine(alg route.Algorithm, g *graph.Graph, k, workers int, reqs []engine.Request, stats *PairStats) error {
-	snap, err := engine.NewSnapshot(g, k, alg)
+	snap, err := engine.NewSnapshotStore(g, k, alg, engine.SnapshotOptions{})
 	if err != nil {
 		return err
 	}

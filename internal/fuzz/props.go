@@ -233,7 +233,7 @@ func checkCluster(sc *Scenario) error {
 	if !sc.AtThreshold() || sc.G.N() > DifferentialMaxN {
 		return nil
 	}
-	snap, err := engine.NewSnapshot(sc.G, sc.K, sc.Alg)
+	snap, err := engine.NewSnapshotStore(sc.G, sc.K, sc.Alg, engine.SnapshotOptions{})
 	if err != nil {
 		return fmt.Errorf("engine snapshot: %v", err)
 	}
@@ -296,15 +296,16 @@ func checkCSR(sc *Scenario) error {
 		if err := sameView(got, want); err != nil {
 			return fmt.Errorf("CSR scratch view G_%d(%d): %w", sc.K, u, err)
 		}
-		if err := sameView(nbhd.ExtractStore(c, u, sc.K), want); err != nil {
+		if err := sameView(nbhd.Extract(c, u, sc.K), want); err != nil {
 			return fmt.Errorf("store BFS view G_%d(%d): %w", sc.K, u, err)
 		}
 	}
-	if sc.Alg.BindStore == nil {
+	f := sc.Alg.Bind(c, sc.K)
+	if f == nil {
 		return nil
 	}
 	mem := routeScenario(sc)
-	st := sim.RunStore(c, sim.Func(sc.Alg.BindStore(c, sc.K)), sc.S, sc.T, sim.Options{
+	st := sim.Run(c, sim.Func(f), sc.S, sc.T, sim.Options{
 		DetectLoops:      !sc.Alg.Randomized,
 		PredecessorAware: sc.Alg.PredecessorAware,
 	})
@@ -420,7 +421,7 @@ func checkDelta(sc *Scenario) error {
 	k := sc.K
 	sched := churn.ScheduleDeltas(sc.G, sc.Seed, DeltaSteps)
 	cur := sc.G
-	p := prep.NewPreprocessorPolicy(sc.G, k, sc.Alg.Policy)
+	p := prep.NewPreprocessor(sc.G, k, sc.Alg.Policy, prep.CacheOptions{})
 	for i, d := range sched {
 		old := make(map[graph.Vertex]*prep.View, cur.N())
 		for _, v := range cur.Vertices() {
@@ -447,9 +448,9 @@ func checkDelta(sc *Scenario) error {
 				return fmt.Errorf("delta %d (%s): derived view of %d differs from the reference preprocessing: %w", i, d, v, err)
 			}
 		}
-		if sc.Alg.BindCached != nil && post.HasVertex(sc.S) && post.HasVertex(sc.T) &&
+		if sc.Alg.Policy != 0 && post.HasVertex(sc.S) && post.HasVertex(sc.T) &&
 			k >= sc.Alg.MinK(post.N()) && post.Connected() {
-			res := sim.Run(post, sim.Func(sc.Alg.BindCached(p)), sc.S, sc.T, sim.Options{
+			res := sim.Run(post, sim.Func(sc.Alg.Over(p)), sc.S, sc.T, sim.Options{
 				DetectLoops:      !sc.Alg.Randomized,
 				PredecessorAware: sc.Alg.PredecessorAware,
 			})
@@ -467,7 +468,7 @@ func checkDifferential(sc *Scenario) error {
 	if !sc.AtThreshold() || sc.G.N() > DifferentialMaxN {
 		return nil
 	}
-	snap, err := engine.NewSnapshot(sc.G, sc.K, sc.Alg)
+	snap, err := engine.NewSnapshotStore(sc.G, sc.K, sc.Alg, engine.SnapshotOptions{})
 	if err != nil {
 		return fmt.Errorf("engine snapshot: %v", err)
 	}

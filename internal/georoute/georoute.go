@@ -13,6 +13,7 @@ import (
 
 	"klocal/internal/geom"
 	"klocal/internal/graph"
+	"klocal/internal/prep"
 	"klocal/internal/route"
 )
 
@@ -31,13 +32,14 @@ func Greedy(e *geom.Embedding) route.Algorithm {
 		OriginAware:      false,
 		PredecessorAware: false,
 		MinK:             func(int) int { return 0 },
-		Bind: func(g *graph.Graph, _ int) route.Func {
+		Over: func(p *prep.Preprocessor) route.Func {
+			st := p.Store()
 			return func(_, t, u, _ graph.Vertex) (graph.Vertex, error) {
 				target := e.Pos[t]
 				best := graph.NoVertex
 				bestD := 0.0
 				//klocal:allow greedy is the 1-local position-based baseline; it reads only edges incident to u, i.e. G_1(u)
-				g.EachAdj(u, func(w graph.Vertex) bool {
+				st.EachAdj(u, func(w graph.Vertex) bool {
 					if d := e.Pos[w].Dist2(target); best == graph.NoVertex || d < bestD {
 						best, bestD = w, d
 					}
@@ -61,13 +63,14 @@ func Compass(e *geom.Embedding) route.Algorithm {
 		OriginAware:      false,
 		PredecessorAware: false,
 		MinK:             func(int) int { return 0 },
-		Bind: func(g *graph.Graph, _ int) route.Func {
+		Over: func(p *prep.Preprocessor) route.Func {
+			st := p.Store()
 			return func(_, t, u, _ graph.Vertex) (graph.Vertex, error) {
 				pu, pt := e.Pos[u], e.Pos[t]
 				best := graph.NoVertex
 				bestA := 0.0
 				//klocal:allow compass is the 1-local position-based baseline; it reads only edges incident to u, i.e. G_1(u)
-				g.EachAdj(u, func(w graph.Vertex) bool {
+				st.EachAdj(u, func(w graph.Vertex) bool {
 					a := absAngleBetween(pu, pt, e.Pos[w])
 					if best == graph.NoVertex || a < bestA-1e-15 {
 						best, bestA = w, a
@@ -94,15 +97,16 @@ func GreedyCompass(e *geom.Embedding) route.Algorithm {
 		OriginAware:      false,
 		PredecessorAware: false,
 		MinK:             func(int) int { return 0 },
-		Bind: func(g *graph.Graph, _ int) route.Func {
+		Over: func(p *prep.Preprocessor) route.Func {
+			st := p.Store()
 			return func(_, t, u, _ graph.Vertex) (graph.Vertex, error) {
 				//klocal:allow greedy-compass is 1-local; degree of u is part of G_1(u)
-				if g.Deg(u) == 0 {
+				if st.Deg(u) == 0 {
 					//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
 					return graph.NoVertex, fmt.Errorf("georoute: greedy-compass at isolated node %d", u)
 				}
 				//klocal:allow greedy-compass is 1-local; incidence of {u,t} is part of G_1(u)
-				if g.HasEdge(u, t) {
+				if st.HasEdge(u, t) {
 					// The destination sits exactly on the reference ray,
 					// which the rotational successors exclude.
 					return t, nil
@@ -283,7 +287,7 @@ func FaceRouteAlgorithm(e *geom.Embedding) route.Algorithm {
 		// flag randomized algorithms use.
 		Randomized: true,
 		MinK:       func(int) int { return 0 },
-		Bind: func(_ *graph.Graph, _ int) route.Func {
+		Over: func(*prep.Preprocessor) route.Func {
 			type key struct{ s, t graph.Vertex }
 			walks := make(map[key][]graph.Vertex)
 			positions := make(map[key]int)

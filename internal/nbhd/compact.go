@@ -212,14 +212,33 @@ func (sc *Scratch) begin2(nv int) {
 	sc.queue2 = sc.queue2[:0]
 }
 
-// ExtractGraph computes G_k(u) into sc from a full graph via its CSR
+// Extract computes G_k(u) into sc from any store: graph- and CSR-backed
+// stores are walked row by row straight into local index space
+// (extractGraph, extractCSR); any other store goes through the
+// label-space Extract first. It reports false when u is absent or k is
+// negative (the empty view). Preprocessing and Algorithm 3 both extract
+// through it.
+//
+//klocal:hotpath
+func (sc *Scratch) Extract(st bigraph.Store, u graph.Vertex, k int) bool {
+	switch s := st.(type) {
+	case *graph.Graph:
+		return sc.extractGraph(s, u, k)
+	case *bigraph.CSR:
+		return sc.extractCSR(s, u, k)
+	default:
+		return k >= 0 && sc.FromView(Extract(st, u, k).G, u, k)
+	}
+}
+
+// extractGraph computes G_k(u) into sc from a full graph via its CSR
 // rows: the vertices within distance k of u, and the edges whose
 // nearer endpoint is within distance k−1 — exactly Extract's rule (the
 // compact differential tests pin the equivalence). It reports false when
 // u is absent or k is negative (the empty view).
 //
 //klocal:hotpath
-func (sc *Scratch) ExtractGraph(g *graph.Graph, u graph.Vertex, k int) bool {
+func (sc *Scratch) extractGraph(g *graph.Graph, u graph.Vertex, k int) bool {
 	root, ok := g.Index(u)
 	if !ok || k < 0 {
 		return false
@@ -274,11 +293,11 @@ func (sc *Scratch) ExtractGraph(g *graph.Graph, u graph.Vertex, k int) bool {
 	return true
 }
 
-// ExtractCSR is ExtractGraph over a CSR store; CSR indices are
+// extractCSR is extractGraph over a CSR store; CSR indices are
 // label-ordered too, so the same local-space construction applies.
 //
 //klocal:hotpath
-func (sc *Scratch) ExtractCSR(c *bigraph.CSR, u graph.Vertex, k int) bool {
+func (sc *Scratch) extractCSR(c *bigraph.CSR, u graph.Vertex, k int) bool {
 	root, ok := c.IndexOf(u)
 	if !ok || k < 0 {
 		return false

@@ -60,8 +60,13 @@ func checkViewMatches(t *testing.T, cv *CompactView, nb *Neighborhood) {
 	}
 }
 
-// TestExtractCompactMatchesExtract pins ExtractGraph and ExtractCSR to
-// the map-based Extract on random graphs.
+// opaqueStore hides a store's concrete type from Scratch.Extract's
+// dispatch, forcing its generic label-space branch.
+type opaqueStore struct{ bigraph.Store }
+
+// TestExtractCompactMatchesExtract pins all three branches of
+// Scratch.Extract — the graph and CSR row walks and the generic store
+// path — to the map-based Extract on random graphs.
 func TestExtractCompactMatchesExtract(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	sc := NewScratch()
@@ -71,19 +76,19 @@ func TestExtractCompactMatchesExtract(t *testing.T) {
 		u := vs[r.Intn(len(vs))]
 		k := r.Intn(5)
 		nb := Extract(g, u, k)
-		if !sc.ExtractGraph(g, u, k) {
-			t.Fatalf("ExtractGraph(%d,%d) reported absent centre", u, k)
-		}
-		checkViewMatches(t, &sc.View, nb)
-
 		c := bigraph.FromGraph(g)
-		if !sc.ExtractCSR(c, u, k) {
-			t.Fatalf("ExtractCSR(%d,%d) reported absent centre", u, k)
+		for _, st := range []bigraph.Store{g, c, opaqueStore{c}} {
+			if !sc.Extract(st, u, k) {
+				t.Fatalf("Extract(%T, %d, %d) reported absent centre", st, u, k)
+			}
+			checkViewMatches(t, &sc.View, nb)
 		}
-		checkViewMatches(t, &sc.View, nb)
 	}
-	if sc.ExtractGraph(randomGraph(r, 5), graph.Vertex(1<<40), 2) {
-		t.Fatal("ExtractGraph accepted absent centre")
+	g := randomGraph(r, 5)
+	for _, st := range []bigraph.Store{g, bigraph.FromGraph(g), opaqueStore{g}} {
+		if sc.Extract(st, graph.Vertex(1<<40), 2) {
+			t.Fatalf("Extract(%T) accepted absent centre", st)
+		}
 	}
 }
 
@@ -146,8 +151,8 @@ func TestCompactNextHopMatchesGraph(t *testing.T) {
 		u := vs[r.Intn(len(vs))]
 		k := 1 + r.Intn(4)
 		nb := Extract(g, u, k)
-		if !sc.ExtractGraph(g, u, k) {
-			t.Fatal("ExtractGraph failed")
+		if !sc.Extract(g, u, k) {
+			t.Fatal("Extract failed")
 		}
 		cv := &sc.View
 		for _, tgt := range cv.Verts {
@@ -174,10 +179,10 @@ func TestCompactScratchAllocs(t *testing.T) {
 	u := vs[len(vs)/2]
 	sc := NewScratch()
 	// Size the scratch and build the graph's CSR mirror.
-	sc.ExtractGraph(g, u, 3)
+	sc.Extract(g, u, 3)
 	sc.Classify()
 	avg := testing.AllocsPerRun(200, func() {
-		sc.ExtractGraph(g, u, 3)
+		sc.Extract(g, u, 3)
 		sc.Classify()
 		sc.NextHopToward(sc.View.CenterIdx, int32(sc.View.NV()-1))
 	})

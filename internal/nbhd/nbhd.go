@@ -9,6 +9,7 @@ import (
 	"sort"
 	"sync"
 
+	"klocal/internal/bigraph"
 	"klocal/internal/graph"
 )
 
@@ -23,28 +24,65 @@ type Neighborhood struct {
 	Dist map[graph.Vertex]int
 }
 
-// Extract computes G_k(u): the vertices within distance k of u, and the
-// edges whose nearer endpoint is within distance k−1. (An edge joining two
-// vertices both at distance exactly k lies only on paths of length > k
-// rooted at u and is therefore not part of u's knowledge.)
-func Extract(g *graph.Graph, u graph.Vertex, k int) *Neighborhood {
-	dist := g.BFSBounded(u, k)
+// Extract computes G_k(u) from any store: the vertices within distance k
+// of u, and the edges whose nearer endpoint is within distance k−1. (An
+// edge joining two vertices both at distance exactly k lies only on
+// paths of length > k rooted at u and is therefore not part of u's
+// knowledge.) An absent centre yields the empty view.
+func Extract(st bigraph.Store, u graph.Vertex, k int) *Neighborhood {
+	dist := make(map[graph.Vertex]int)
 	b := graph.NewBuilder()
-	for v := range dist {
-		b.AddVertex(v)
+	// One visitor per pass, not one closure per dequeued vertex: x and
+	// dx carry the vertex being expanded.
+	var queue []graph.Vertex
+	var x graph.Vertex
+	var dx int
+	discover := func(w graph.Vertex) bool {
+		if _, seen := dist[w]; !seen {
+			dist[w] = dx + 1
+			queue = append(queue, w)
+		}
+		return true
+	}
+	link := func(w graph.Vertex) bool {
+		if _, ok := dist[w]; ok {
+			b.AddEdge(x, w)
+		}
+		return true
+	}
+	if st.HasVertex(u) {
+		dist[u] = 0
+		queue = append(queue, u)
+		for head := 0; head < len(queue); head++ {
+			x = queue[head]
+			if dx = dist[x]; dx < k {
+				st.EachAdj(x, discover)
+			}
+		}
 	}
 	for v, dv := range dist {
-		if dv >= k {
-			continue
+		b.AddVertex(v)
+		if dv < k {
+			x = v
+			st.EachAdj(v, link)
 		}
-		g.EachAdj(v, func(w graph.Vertex) bool {
-			if _, ok := dist[w]; ok {
-				b.AddEdge(v, w)
-			}
-			return true
-		})
 	}
 	return &Neighborhood{Center: u, K: k, G: b.Build(), Dist: dist}
+}
+
+// ExtractView returns G_k(u) as a graph and whether it is complete: no
+// vertex sits on the distance-k horizon, so u's whole component is
+// inside the view and the absence of a destination proves a partition.
+// The discovery protocols (netsim, cluster) trim their link-state
+// unions with it.
+func ExtractView(st bigraph.Store, u graph.Vertex, k int) (*graph.Graph, bool) {
+	nb := Extract(st, u, k)
+	for _, d := range nb.Dist {
+		if d >= k {
+			return nb.G, false
+		}
+	}
+	return nb.G, true
 }
 
 // Contains reports whether v is within u's knowledge.

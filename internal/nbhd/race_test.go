@@ -17,6 +17,7 @@ import (
 
 func TestConcurrentExtractSharedGraph(t *testing.T) {
 	g := gen.Grid(12, 12)
+	c := bigraph.FromGraph(g)
 	verts := g.Vertices()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -31,9 +32,9 @@ func TestConcurrentExtractSharedGraph(t *testing.T) {
 					t.Errorf("Extract(%d, %d): view misses its own centre", u, k)
 					return
 				}
-				st := nbhd.ExtractStore(g, u, k)
+				st := nbhd.Extract(c, u, k)
 				if st.G.N() != nb.G.N() {
-					t.Errorf("Extract/ExtractStore disagree at (%d, %d): %d vs %d vertices",
+					t.Errorf("Extract over graph and CSR disagree at (%d, %d): %d vs %d vertices",
 						u, k, nb.G.N(), st.G.N())
 					return
 				}

@@ -26,6 +26,7 @@ import (
 
 	"klocal/internal/fault"
 	"klocal/internal/graph"
+	"klocal/internal/nbhd"
 	"klocal/internal/route"
 )
 
@@ -830,27 +831,10 @@ func buildView(nd *node, k int) (*graph.Graph, bool) {
 			b.AddEdge(origin, w)
 		}
 	}
-	full := b.Build()
 	// The union already contains exactly G_k(u)'s edges when the flood
 	// TTL is k−1, but trimming keeps the invariant independent of the
 	// seeding details.
-	trimmed := graph.NewBuilder()
-	trimmed.AddVertex(nd.id)
-	dist := full.BFSBounded(nd.id, k)
-	complete := true
-	for v, dv := range dist {
-		if dv >= k {
-			complete = false
-			continue
-		}
-		full.EachAdj(v, func(w graph.Vertex) bool {
-			if _, ok := dist[w]; ok {
-				trimmed.AddEdge(v, w)
-			}
-			return true
-		})
-	}
-	return trimmed.Build(), complete
+	return nbhd.ExtractView(b.Build(), nd.id, k)
 }
 
 // View returns the discovered k-neighbourhood of v (nil before

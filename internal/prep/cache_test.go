@@ -11,7 +11,7 @@ import (
 
 func TestCacheHitsAndSharing(t *testing.T) {
 	g := gen.Cycle(16)
-	p := NewPreprocessorOpts(g, 4, PolicyMinRank, CacheOptions{Shards: 4})
+	p := NewPreprocessor(g, 4, PolicyMinRank, CacheOptions{Shards: 4})
 	v1 := p.At(3)
 	v2 := p.At(3)
 	if v1 != v2 {
@@ -28,7 +28,7 @@ func TestCacheHitsAndSharing(t *testing.T) {
 
 func TestCacheCapacityEviction(t *testing.T) {
 	g := gen.Cycle(32)
-	p := NewPreprocessorOpts(g, 3, PolicyMinRank, CacheOptions{Shards: 1, Capacity: 4})
+	p := NewPreprocessor(g, 3, PolicyMinRank, CacheOptions{Shards: 1, Capacity: 4})
 	for _, v := range g.Vertices() {
 		p.At(v)
 	}
@@ -54,7 +54,7 @@ func TestCacheCapacityDefaultShards(t *testing.T) {
 	g := gen.Grid(10, 10)
 	vs := g.Vertices()
 	for _, capacity := range []int{1, 3, 4, 7, DefaultShards + 5} {
-		p := NewPreprocessorOpts(g, 2, PolicyMinRank, CacheOptions{Capacity: capacity})
+		p := NewPreprocessor(g, 2, PolicyMinRank, CacheOptions{Capacity: capacity})
 		for i, v := range vs {
 			p.At(v)
 			if st := p.Stats(); st.Size > int64(capacity) {
@@ -79,7 +79,7 @@ func TestCacheConcurrentSameResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := gen.RandomConnected(rng, 24, 0.1)
 	k := 6
-	p := NewPreprocessorOpts(g, k, PolicyMinRank, CacheOptions{Shards: 8})
+	p := NewPreprocessor(g, k, PolicyMinRank, CacheOptions{Shards: 8})
 
 	var wg sync.WaitGroup
 	views := make([][]*View, 8)
@@ -98,7 +98,7 @@ func TestCacheConcurrentSameResults(t *testing.T) {
 	// All workers must observe identical view contents, and (after the
 	// cache settles) the same instances as a fresh sequential pass.
 	for i, u := range g.Vertices() {
-		want := PreprocessPolicy(g, u, k, PolicyMinRank)
+		want := PreprocessStore(g, u, k, PolicyMinRank)
 		for w := 0; w < 8; w++ {
 			got := views[w][i]
 			if err := DiffViews(got, want); err != nil {
@@ -116,7 +116,7 @@ func TestCacheConcurrentSameResults(t *testing.T) {
 
 func TestPrewarm(t *testing.T) {
 	g := gen.Lollipop(12, 6)
-	p := NewPreprocessor(g, 5)
+	p := NewPreprocessor(g, 5, PolicyMinRank, CacheOptions{})
 	p.Prewarm(4)
 	if st := p.Stats(); st.Size != int64(g.N()) {
 		t.Fatalf("prewarm cached %d views, want %d", st.Size, g.N())
@@ -132,7 +132,7 @@ func TestPrewarm(t *testing.T) {
 
 func TestPrewarmBounded(t *testing.T) {
 	g := gen.Cycle(20)
-	p := NewPreprocessorOpts(g, 3, PolicyMinRank, CacheOptions{Capacity: 5})
+	p := NewPreprocessor(g, 3, PolicyMinRank, CacheOptions{Capacity: 5})
 	p.Prewarm(2)
 	if st := p.Stats(); st.Size > 5 {
 		t.Fatalf("bounded prewarm overfilled: size %d > capacity 5", st.Size)
@@ -141,7 +141,7 @@ func TestPrewarmBounded(t *testing.T) {
 
 func TestShardRounding(t *testing.T) {
 	g := gen.Path(4)
-	p := NewPreprocessorOpts(g, 1, PolicyMinRank, CacheOptions{Shards: 5})
+	p := NewPreprocessor(g, 1, PolicyMinRank, CacheOptions{Shards: 5})
 	if len(p.shards) != 8 {
 		t.Fatalf("shards = %d, want next power of two 8", len(p.shards))
 	}

@@ -29,7 +29,7 @@ func TestViewCompactMatchesMaps(t *testing.T) {
 		vs := g.Vertices()
 		u := vs[r.Intn(len(vs))]
 		k := 1 + r.Intn(4)
-		v := Preprocess(g, u, k)
+		v := PreprocessStore(g, u, k, PolicyMinRank)
 		ref := PreprocessRef(g, u, k, PolicyMinRank)
 
 		if v.C.Raw == nil || v.C.Routing == nil {

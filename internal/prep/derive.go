@@ -32,7 +32,7 @@ import (
 // rows deleted: O(|dirty| + |live|) map operations plus one clone per
 // shard.
 func (p *Preprocessor) Derive(st bigraph.Store, dirty []graph.Vertex) *Preprocessor {
-	np := NewPreprocessorStoreOpts(st, p.k, p.pol, CacheOptions{
+	np := NewPreprocessor(st, p.k, p.pol, CacheOptions{
 		Shards:   len(p.shards),
 		Capacity: p.capacity,
 	})

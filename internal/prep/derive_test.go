@@ -20,7 +20,7 @@ func sameViewData(a, b *View) bool { return DiffViews(a, b) == nil }
 func TestDeriveExact(t *testing.T) {
 	g := gen.Grid(8, 8)
 	k := 2
-	p := NewPreprocessor(g, k)
+	p := NewPreprocessor(g, k, PolicyMinRank, CacheOptions{})
 	p.Prewarm(4)
 	total := p.Stats().Size
 	if total != int64(g.N()) {
@@ -79,7 +79,7 @@ func TestDeriveExact(t *testing.T) {
 func TestDeriveEpochIsolation(t *testing.T) {
 	g := gen.Grid(7, 7)
 	k := 2
-	p := NewPreprocessor(g, k)
+	p := NewPreprocessor(g, k, PolicyMinRank, CacheOptions{})
 	p.Prewarm(4)
 
 	d := churn.Delta{Op: churn.RemoveEdge, U: g.Edges()[0].U, V: g.Edges()[0].V}
@@ -88,7 +88,7 @@ func TestDeriveEpochIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	np := p.Derive(post, dirty)
-	if np.Graph() != post {
+	if np.Store() != post {
 		t.Fatal("derived preprocessor not bound to the post graph")
 	}
 	if np.K() != k || np.Policy() != p.Policy() {
@@ -108,7 +108,7 @@ func TestDeriveEpochIsolation(t *testing.T) {
 			if nv == p.At(u) {
 				t.Fatalf("dirty vertex %d shares a view across epochs", u)
 			}
-			if want := PreprocessPolicy(post, u, k, p.Policy()); !sameViewData(nv, want) {
+			if want := PreprocessStore(post, u, k, p.Policy()); !sameViewData(nv, want) {
 				t.Fatalf("derived view at dirty vertex %d differs from from-scratch view", u)
 			}
 		} else if nv != p.At(u) {
@@ -120,7 +120,7 @@ func TestDeriveEpochIsolation(t *testing.T) {
 	// The old epoch is untouched: every old view still matches a fresh
 	// computation over the OLD graph.
 	g.EachVertex(func(u graph.Vertex) bool {
-		if !sameViewData(p.At(u), PreprocessPolicy(g, u, k, p.Policy())) {
+		if !sameViewData(p.At(u), PreprocessStore(g, u, k, p.Policy())) {
 			t.Fatalf("old epoch view at %d corrupted by Derive", u)
 		}
 		return true
@@ -129,7 +129,7 @@ func TestDeriveEpochIsolation(t *testing.T) {
 
 func TestDeriveBoundedCache(t *testing.T) {
 	g := gen.Cycle(24)
-	p := NewPreprocessorOpts(g, 2, PolicyMinRank, CacheOptions{Capacity: 10})
+	p := NewPreprocessor(g, 2, PolicyMinRank, CacheOptions{Capacity: 10})
 	p.Prewarm(2)
 	d := churn.Delta{Op: churn.RemoveEdge, U: 0, V: 1}
 	post, dirty, err := churn.Apply(g, d, 2)
@@ -167,7 +167,7 @@ func TestDeriveBoundedCache(t *testing.T) {
 func TestConcurrentRoutingDuringDerive(t *testing.T) {
 	g := gen.Grid(6, 6)
 	k := 2
-	p := NewPreprocessor(g, k)
+	p := NewPreprocessor(g, k, PolicyMinRank, CacheOptions{})
 	vs := g.Vertices()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

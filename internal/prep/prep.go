@@ -122,37 +122,15 @@ func (c *Compact) NextHopFromCenter(t graph.Vertex) graph.Vertex {
 //klocal:hotpath
 func (c *Compact) CompIdxOf(li int32) int32 { return c.CompID[li] }
 
-// Preprocess computes the view at u for locality k on network g with the
-// paper's minimum-rank dormancy policy.
-func Preprocess(g *graph.Graph, u graph.Vertex, k int) *View {
-	return PreprocessPolicy(g, u, k, PolicyMinRank)
-}
-
-// PreprocessPolicy computes the view under an explicit dormancy policy.
-func PreprocessPolicy(g *graph.Graph, u graph.Vertex, k int, pol Policy) *View {
-	return PreprocessStore(g, u, k, pol)
-}
-
-// PreprocessStore computes the view reading topology through a
-// bigraph.Store. Graph- and CSR-backed stores are extracted straight
-// into local index space; any other store goes through the generic
-// label-space extraction first. From there the whole pipeline —
-// dormancy, pruning, classification, next hops — runs on pooled
-// scratch, and the result is copied into a few flat slices.
+// PreprocessStore computes the view at u for locality k under policy
+// pol, reading topology through st. nbhd.Scratch.Extract lands G_k(u)
+// in local index space; from there the whole pipeline — dormancy,
+// pruning, classification, next hops — runs on pooled scratch, and the
+// result is copied into a few flat slices.
 func PreprocessStore(st bigraph.Store, u graph.Vertex, k int, pol Policy) *View {
 	b := builders.Get().(*builder)
 	defer builders.Put(b)
-	sc := b.sc
-	var ok bool
-	switch s := st.(type) {
-	case *graph.Graph:
-		ok = sc.ExtractGraph(s, u, k)
-	case *bigraph.CSR:
-		ok = sc.ExtractCSR(s, u, k)
-	default:
-		ok = k >= 0 && sc.FromView(nbhd.ExtractStore(st, u, k).G, u, k)
-	}
-	if !ok {
+	if !b.sc.Extract(st, u, k) {
 		// Absent centre or negative k: the empty view.
 		return emptyView(u, k)
 	}
@@ -290,7 +268,6 @@ type prepShard struct {
 // (BFS-heavy) critical sections.
 type Preprocessor struct {
 	st  bigraph.Store
-	g   *graph.Graph // non-nil only when st is a materialized *graph.Graph
 	k   int
 	pol Policy
 
@@ -299,32 +276,10 @@ type Preprocessor struct {
 	capacity int // per whole cache; 0 = unbounded
 }
 
-// NewPreprocessor returns a caching preprocessor for network g at
-// locality k with the paper's minimum-rank policy.
-func NewPreprocessor(g *graph.Graph, k int) *Preprocessor {
-	return NewPreprocessorPolicy(g, k, PolicyMinRank)
-}
-
-// NewPreprocessorPolicy returns a caching preprocessor under an explicit
-// dormancy policy.
-func NewPreprocessorPolicy(g *graph.Graph, k int, pol Policy) *Preprocessor {
-	return NewPreprocessorOpts(g, k, pol, CacheOptions{})
-}
-
-// NewPreprocessorOpts returns a caching preprocessor with explicit cache
-// tuning — the traffic engine's entry point.
-func NewPreprocessorOpts(g *graph.Graph, k int, pol Policy, opts CacheOptions) *Preprocessor {
-	return NewPreprocessorStoreOpts(g, k, pol, opts)
-}
-
-// NewPreprocessorStore returns a caching preprocessor over any
-// bigraph.Store (mmap'd CSR files included) with default cache options.
-func NewPreprocessorStore(st bigraph.Store, k int, pol Policy) *Preprocessor {
-	return NewPreprocessorStoreOpts(st, k, pol, CacheOptions{})
-}
-
-// NewPreprocessorStoreOpts is NewPreprocessorOpts over any bigraph.Store.
-func NewPreprocessorStoreOpts(st bigraph.Store, k int, pol Policy, opts CacheOptions) *Preprocessor {
+// NewPreprocessor returns a caching preprocessor over any bigraph.Store
+// (mmap'd CSR files included) at locality k under dormancy policy pol,
+// with explicit cache tuning (the zero CacheOptions means defaults).
+func NewPreprocessor(st bigraph.Store, k int, pol Policy, opts CacheOptions) *Preprocessor {
 	n := opts.Shards
 	if n <= 0 {
 		n = DefaultShards
@@ -342,9 +297,6 @@ func NewPreprocessorStoreOpts(st bigraph.Store, k int, pol Policy, opts CacheOpt
 		mask:     uint64(shards - 1),
 		capacity: opts.Capacity,
 	}
-	if g, ok := st.(*graph.Graph); ok {
-		p.g = g
-	}
 	for i := range p.shards {
 		p.shards[i].live = make(map[graph.Vertex]*View)
 	}
@@ -353,10 +305,6 @@ func NewPreprocessorStoreOpts(st bigraph.Store, k int, pol Policy, opts CacheOpt
 
 // K returns the locality parameter.
 func (p *Preprocessor) K() int { return p.k }
-
-// Graph returns the underlying network as a *graph.Graph, or nil for a
-// store-backed preprocessor (use Store for the universal handle).
-func (p *Preprocessor) Graph() *graph.Graph { return p.g }
 
 // Store returns the underlying network store (never nil).
 func (p *Preprocessor) Store() bigraph.Store { return p.st }

@@ -34,7 +34,7 @@ func TestDormantOnSmallCycle(t *testing.T) {
 	// A 4-cycle with k=2: the whole cycle is local everywhere; exactly the
 	// minimum-rank edge {0,1} becomes dormant.
 	g := gen.Cycle(4)
-	v := Preprocess(g, 0, 2)
+	v := PreprocessStore(g, 0, 2, PolicyMinRank)
 	if len(v.C.Dormant) != 1 || v.C.Dormant[0] != graph.NewEdge(0, 1) {
 		t.Fatalf("dormant = %v, want [{0,1}]", v.C.Dormant)
 	}
@@ -57,7 +57,7 @@ func TestDormantOnSmallCycle(t *testing.T) {
 func TestNoDormantOnLongCycle(t *testing.T) {
 	// A cycle longer than 2k has no local cycles: nothing is dormant.
 	g := gen.Cycle(9)
-	v := Preprocess(g, 0, 4)
+	v := PreprocessStore(g, 0, 4, PolicyMinRank)
 	if len(v.C.Dormant) != 0 {
 		t.Fatalf("dormant = %v, want none", v.C.Dormant)
 	}
@@ -74,7 +74,7 @@ func TestRoutingViewDepthRestriction(t *testing.T) {
 	// only via 2 and the tail shifts one hop further.
 	g := graph.NewBuilder().AddCycle(0, 1, 2).AddPath(1, 3, 4, 5, 6).Build()
 	k := 3
-	v := Preprocess(g, 0, k)
+	v := PreprocessStore(g, 0, k, PolicyMinRank)
 	if !v.IsDormant(graph.NewEdge(0, 1)) {
 		t.Fatalf("triangle's minimum-rank edge should be dormant; got %v", v.C.Dormant)
 	}
@@ -107,7 +107,7 @@ func TestLemma2AdjacentRoutingEdgesConsistent(t *testing.T) {
 			consistent[e] = true
 		}
 		for _, u := range g.Vertices() {
-			v := Preprocess(g, u, k)
+			v := PreprocessStore(g, u, k, PolicyMinRank)
 			decode(v.C.Routing).EachAdj(u, func(w graph.Vertex) bool {
 				if !consistent[graph.NewEdge(u, w)] {
 					t.Fatalf("inconsistent routing edge {%d,%d} at u=%d k=%d in %v", u, w, u, k, g)
@@ -129,7 +129,7 @@ func TestLemma2Converse_AdjacentConsistentEdgesKept(t *testing.T) {
 		consistent := ConsistentEdges(g, k)
 		for _, e := range consistent {
 			for _, u := range []graph.Vertex{e.U, e.V} {
-				v := Preprocess(g, u, k)
+				v := PreprocessStore(g, u, k, PolicyMinRank)
 				if !decode(v.C.Routing).HasEdge(e.U, e.V) {
 					t.Fatalf("consistent edge %v missing from G'_k(%d), k=%d, g=%v", e, u, k, g)
 				}
@@ -172,7 +172,7 @@ func TestProposition1ActiveDegreeAtMost3(t *testing.T) {
 		g := gen.RandomConnected(rng, n, 0.2)
 		k := (n + 3) / 4
 		for _, u := range g.Vertices() {
-			if d := Preprocess(g, u, k).ActiveDegree(); d > 3 {
+			if d := PreprocessStore(g, u, k, PolicyMinRank).ActiveDegree(); d > 3 {
 				t.Fatalf("active degree %d > 3 at u=%d, k=%d, n=%d: %v", d, u, k, n, g)
 			}
 		}
@@ -186,7 +186,7 @@ func TestProposition2ActiveDegreeAtMost2(t *testing.T) {
 		g := gen.RandomConnected(rng, n, 0.2)
 		k := (n + 2) / 3
 		for _, u := range g.Vertices() {
-			if d := Preprocess(g, u, k).ActiveDegree(); d > 2 {
+			if d := PreprocessStore(g, u, k, PolicyMinRank).ActiveDegree(); d > 2 {
 				t.Fatalf("active degree %d > 2 at u=%d, k=%d, n=%d: %v", d, u, k, n, g)
 			}
 		}
@@ -200,7 +200,7 @@ func TestProposition3ActiveDegreeAtMost1(t *testing.T) {
 		g := gen.RandomConnected(rng, n, 0.2)
 		k := (n + 1) / 2
 		for _, u := range g.Vertices() {
-			if d := Preprocess(g, u, k).ActiveDegree(); d > 1 {
+			if d := PreprocessStore(g, u, k, PolicyMinRank).ActiveDegree(); d > 1 {
 				t.Fatalf("active degree %d > 1 at u=%d, k=%d, n=%d: %v", d, u, k, n, g)
 			}
 		}
@@ -214,7 +214,7 @@ func TestActiveRootsSortedAndMatchComponents(t *testing.T) {
 		g := gen.RandomConnected(rng, n, 0.2)
 		k := 1 + rng.Intn(5)
 		u := graph.Vertex(rng.Intn(n))
-		v := Preprocess(g, u, k)
+		v := PreprocessStore(g, u, k, PolicyMinRank)
 		roots := v.C.ActiveRoots
 		for i := 1; i < len(roots); i++ {
 			if roots[i-1] >= roots[i] {
@@ -254,7 +254,7 @@ func TestActiveRootsSortedAndMatchComponents(t *testing.T) {
 
 func TestCompOfCenterIsNil(t *testing.T) {
 	g := gen.Path(5)
-	v := Preprocess(g, 2, 2)
+	v := PreprocessStore(g, 2, 2, PolicyMinRank)
 	if v.C.CompIdxOf(v.C.Routing.CenterIdx) != -1 {
 		t.Error("the centre belongs to no local component")
 	}
@@ -277,7 +277,7 @@ func TestFig17DormantEdgeDetected(t *testing.T) {
 	}
 	// Every node that sees the small cycle classifies {s,d} dormant; in
 	// particular s itself.
-	v := Preprocess(f.G, f.S, f.K)
+	v := PreprocessStore(f.G, f.S, f.K, PolicyMinRank)
 	if !v.IsDormant(graph.NewEdge(f.S, f.D)) {
 		t.Errorf("{s,d} not dormant at s: dormant=%v", v.C.Dormant)
 	}
@@ -296,8 +296,8 @@ func TestFig17DormantEdgeDetected(t *testing.T) {
 
 func TestPreprocessorCachesAndIsConcurrencySafe(t *testing.T) {
 	g := gen.Cycle(12)
-	p := NewPreprocessor(g, 5)
-	if p.K() != 5 || p.Graph() != g {
+	p := NewPreprocessor(g, 5, PolicyMinRank, CacheOptions{})
+	if p.K() != 5 || p.Store() != g {
 		t.Error("accessors wrong")
 	}
 	a := p.At(0)
@@ -339,7 +339,7 @@ func TestConsistencyMatchesLocalDormancy(t *testing.T) {
 		}
 		dormantSomewhere := make(map[graph.Edge]bool)
 		for _, u := range g.Vertices() {
-			for _, e := range Preprocess(g, u, k).C.Dormant {
+			for _, e := range PreprocessStore(g, u, k, PolicyMinRank).C.Dormant {
 				dormantSomewhere[e] = true
 			}
 		}

@@ -20,7 +20,7 @@ func TestQuickRoutingSubgraphWithinRaw(t *testing.T) {
 		g := gen.RandomConnected(rng, n, 0.2)
 		u := graph.Vertex(rng.Intn(n))
 		k := 1 + rng.Intn(5)
-		v := Preprocess(g, u, k)
+		v := PreprocessStore(g, u, k, PolicyMinRank)
 		raw, routing := decode(v.C.Raw), decode(v.C.Routing)
 		for _, e := range routing.Edges() {
 			if !raw.HasEdge(e.U, e.V) {
@@ -50,7 +50,7 @@ func TestQuickRoutingDistancesBounded(t *testing.T) {
 		g := gen.RandomConnected(rng, n, 0.2)
 		u := graph.Vertex(rng.Intn(n))
 		k := 1 + rng.Intn(5)
-		v := Preprocess(g, u, k)
+		v := PreprocessStore(g, u, k, PolicyMinRank)
 		for li, w := range v.C.Routing.Verts {
 			d := int(v.C.Routing.Dist[li])
 			if d > k {
@@ -77,8 +77,8 @@ func TestQuickPolicyChoicesAreExtremes(t *testing.T) {
 		g := gen.RandomConnected(rng, n, 0.3)
 		u := graph.Vertex(rng.Intn(n))
 		k := 2 + rng.Intn(4)
-		vMin := PreprocessPolicy(g, u, k, PolicyMinRank)
-		vMax := PreprocessPolicy(g, u, k, PolicyMaxRank)
+		vMin := PreprocessStore(g, u, k, PolicyMinRank)
+		vMax := PreprocessStore(g, u, k, PolicyMaxRank)
 		dMin, dMax := vMin.C.Dormant, vMax.C.Dormant
 		if len(dMin) == 0 || len(dMax) == 0 {
 			return len(dMin) == len(dMax)
@@ -103,7 +103,7 @@ func TestQuickDormantCountsMatchAcrossPolicies(t *testing.T) {
 		u := graph.Vertex(rng.Intn(n))
 		k := 2 + rng.Intn(4)
 		for _, pol := range []Policy{PolicyMinRank, PolicyMaxRank} {
-			routing := decode(PreprocessPolicy(g, u, k, pol).C.Routing)
+			routing := decode(PreprocessStore(g, u, k, pol).C.Routing)
 			if !routing.Connected() {
 				return false
 			}

@@ -53,7 +53,7 @@ type RefView struct {
 // PreprocessRef computes the reference view at u for locality k under
 // policy pol, reading topology through st.
 func PreprocessRef(st bigraph.Store, u graph.Vertex, k int, pol Policy) *RefView {
-	raw := nbhd.ExtractStore(st, u, k)
+	raw := nbhd.Extract(st, u, k)
 	v := &RefView{Center: u, K: k, Raw: raw}
 	for _, e := range raw.G.Edges() {
 		if dormantInView(raw.G, e, k, pol) {

@@ -3,7 +3,6 @@ package route
 import (
 	"sync"
 
-	"klocal/internal/bigraph"
 	"klocal/internal/graph"
 	"klocal/internal/nbhd"
 	"klocal/internal/prep"
@@ -37,23 +36,16 @@ func Algorithm1BPolicy(pol prep.Policy) Algorithm {
 	if pol != prep.PolicyMinRank {
 		name += "[" + pol.String() + "]"
 	}
-	bind := func(p *prep.Preprocessor) Func {
-		return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
-			return stepAware(p, s, t, u, v, anticipateU2)
-		}
-	}
 	return Algorithm{
 		Name:             name,
 		OriginAware:      true,
 		PredecessorAware: true,
 		MinK:             MinK1,
 		Policy:           pol,
-		BindCached:       bind,
-		Bind: func(g *graph.Graph, k int) Func {
-			return bind(prep.NewPreprocessorPolicy(g, k, pol))
-		},
-		BindStore: func(st bigraph.Store, k int) Func {
-			return bind(prep.NewPreprocessorStore(st, k, pol))
+		Over: func(p *prep.Preprocessor) Func {
+			return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+				return stepAware(p, s, t, u, v, anticipateU2)
+			}
 		},
 	}
 }

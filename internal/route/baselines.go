@@ -5,9 +5,9 @@ import (
 	"math/rand"
 	"sync"
 
-	"klocal/internal/bigraph"
 	"klocal/internal/graph"
 	"klocal/internal/nbhd"
+	"klocal/internal/prep"
 )
 
 // TreeRightHand returns the naive right-hand rule that motivates
@@ -16,9 +16,10 @@ import (
 // rank order of all neighbours. It guarantees delivery on trees for any
 // k ≥ 1 but is defeated by cycles longer than 2k.
 func TreeRightHand() Algorithm {
-	step := func(extract viewAt, k int) Func {
+	over := func(p *prep.Preprocessor) Func {
+		st, k := p.Store(), p.K()
 		return func(_, t, u, v graph.Vertex) (graph.Vertex, error) {
-			view := extract(u, k)
+			view := nbhd.Extract(st, u, k)
 			if view.Contains(t) {
 				if hop := view.G.NextHopToward(u, t); hop != graph.NoVertex {
 					return hop, nil
@@ -30,7 +31,7 @@ func TreeRightHand() Algorithm {
 			// the view has no edges — take them from G_1(u).
 			adj := view.G.Adj(u)
 			if k < 1 {
-				adj = extract(u, 1).G.Adj(u)
+				adj = nbhd.Extract(st, u, 1).G.Adj(u)
 			}
 			if len(adj) == 0 {
 				//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
@@ -62,25 +63,8 @@ func TreeRightHand() Algorithm {
 		OriginAware:      false,
 		PredecessorAware: true,
 		MinK:             func(int) int { return 0 },
-		Bind: func(g *graph.Graph, k int) Func {
-			return step(graphViews(g), k)
-		},
-		BindStore: func(st bigraph.Store, k int) Func {
-			return step(storeViews(st), k)
-		},
+		Over:             over,
 	}
-}
-
-// viewAt abstracts where G_k(u) views come from, so baselines bind
-// identically over graphs and stores.
-type viewAt func(u graph.Vertex, k int) *nbhd.Neighborhood
-
-func graphViews(g *graph.Graph) viewAt {
-	return func(u graph.Vertex, k int) *nbhd.Neighborhood { return nbhd.Extract(g, u, k) }
-}
-
-func storeViews(st bigraph.Store) viewAt {
-	return func(u graph.Vertex, k int) *nbhd.Neighborhood { return nbhd.ExtractStore(st, u, k) }
 }
 
 // ShortestPathOracle returns the centralized baseline: a router with full
@@ -92,7 +76,11 @@ func ShortestPathOracle() Algorithm {
 		OriginAware:      false,
 		PredecessorAware: false,
 		MinK:             func(int) int { return 0 },
-		Bind: func(g *graph.Graph, _ int) Func {
+		Over: func(p *prep.Preprocessor) Func {
+			g, ok := p.Store().(*graph.Graph)
+			if !ok {
+				return nil
+			}
 			return func(_, t, u, _ graph.Vertex) (graph.Vertex, error) {
 				//klocal:allow the oracle baseline has full topology knowledge by design (the comparator the paper's model forbids)
 				hop := g.NextHopToward(u, t)
@@ -107,7 +95,7 @@ func ShortestPathOracle() Algorithm {
 }
 
 // RandomWalk returns the randomized reference discussed in Section 3
-// (Chen et al.) with a self-contained generator: every Bind derives a
+// (Chen et al.) with a self-contained generator: every binding derives a
 // fresh *rand.Rand from seed, so repeated binds of the same Algorithm
 // value replay identical draw sequences. See RandomWalkRand for the
 // caller-owned-generator variant.
@@ -134,10 +122,11 @@ func RandomWalkRand(rng *rand.Rand) Algorithm {
 // with distinct seeds.
 func randomWalk(newRNG func() *rand.Rand) Algorithm {
 	var mu sync.Mutex
-	step := func(extract viewAt, k int) Func {
+	over := func(p *prep.Preprocessor) Func {
+		st, k := p.Store(), p.K()
 		rng := newRNG()
 		return func(_, t, u, _ graph.Vertex) (graph.Vertex, error) {
-			view := extract(u, k)
+			view := nbhd.Extract(st, u, k)
 			if view.Contains(t) {
 				if hop := view.G.NextHopToward(u, t); hop != graph.NoVertex {
 					return hop, nil
@@ -146,7 +135,7 @@ func randomWalk(newRNG func() *rand.Rand) Algorithm {
 			adj := view.G.Adj(u)
 			if k < 1 {
 				// Ports are always known (Section 2): use G_1(u).
-				adj = extract(u, 1).G.Adj(u)
+				adj = nbhd.Extract(st, u, 1).G.Adj(u)
 			}
 			if len(adj) == 0 {
 				//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
@@ -164,11 +153,6 @@ func randomWalk(newRNG func() *rand.Rand) Algorithm {
 		PredecessorAware: false,
 		Randomized:       true,
 		MinK:             func(int) int { return 0 },
-		Bind: func(g *graph.Graph, k int) Func {
-			return step(graphViews(g), k)
-		},
-		BindStore: func(st bigraph.Store, k int) Func {
-			return step(storeViews(st), k)
-		},
+		Over:             over,
 	}
 }

@@ -21,33 +21,29 @@ import (
 // shrink the scenario to a minimal reproducer (see internal/fuzz and
 // the acceptance test there). Never route real traffic with it.
 func Algorithm2Broken() Algorithm {
-	bind := func(p *prep.Preprocessor) Func {
-		return func(_, t, u, v graph.Vertex) (graph.Vertex, error) {
-			view := p.At(u)
-			if hop := caseOneHop(view, t); hop != graph.NoVertex {
-				return hop, nil
-			}
-			roots := view.C.ActiveRoots
-			if len(roots) > 2 {
-				//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
-				return graph.NoVertex, fmt.Errorf("%w: active degree %d > 2", ErrLocalityTooSmall, len(roots))
-			}
-			// BROKEN: the arrival classification is discarded, so the
-			// circular-advance rule never fires and the predecessor is
-			// effectively ignored.
-			_ = v
-			return decideActive(rulesU, roots, arrivalPassive, -1)
-		}
-	}
 	return Algorithm{
 		Name:             "Algorithm2[broken:no-advance]",
 		OriginAware:      false,
 		PredecessorAware: true,
 		MinK:             MinK2,
 		Policy:           prep.PolicyMinRank,
-		BindCached:       bind,
-		Bind: func(g *graph.Graph, k int) Func {
-			return bind(prep.NewPreprocessorPolicy(g, k, prep.PolicyMinRank))
+		Over: func(p *prep.Preprocessor) Func {
+			return func(_, t, u, v graph.Vertex) (graph.Vertex, error) {
+				view := p.At(u)
+				if hop := caseOneHop(view, t); hop != graph.NoVertex {
+					return hop, nil
+				}
+				roots := view.C.ActiveRoots
+				if len(roots) > 2 {
+					//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
+					return graph.NoVertex, fmt.Errorf("%w: active degree %d > 2", ErrLocalityTooSmall, len(roots))
+				}
+				// BROKEN: the arrival classification is discarded, so the
+				// circular-advance rule never fires and the predecessor is
+				// effectively ignored.
+				_ = v
+				return decideActive(rulesU, roots, arrivalPassive, -1)
+			}
 		},
 	}
 }

@@ -6,14 +6,14 @@ package route
 //
 //   - A bound Func is safe for concurrent use by any number of
 //     goroutines routing arbitrary (s, t, u, v) arguments, provided the
-//     underlying *graph.Graph is never mutated (Graph is immutable by
-//     construction).
+//     underlying bigraph.Store is never mutated (*graph.Graph and
+//     *bigraph.CSR are immutable by construction).
 //
 //   - Algorithms 1, 1B and 2 close over a prep.Preprocessor. The
 //     preprocessor's view cache is sharded and internally synchronized;
 //     the *prep.View instances it hands out are immutable after
 //     publication, so concurrent readers never observe partial views.
-//     Funcs built by BindCached share one externally owned preprocessor
+//     Funcs bound through Over share one externally owned preprocessor
 //     across closures — also safe, including under cache eviction
 //     (evicted views stay valid for readers holding them; they are
 //     simply recomputed on the next miss).
@@ -28,27 +28,28 @@ package route
 //     worker with distinct seeds.
 //
 //   - Algorithm values themselves are plain data; copying them or
-//     calling Bind/BindCached concurrently is safe. Each Bind call
-//     builds an independent preprocessor (memory-heavy); the engine's
-//     Snapshot exists precisely to bind once and share.
+//     binding them concurrently is safe. Each Bind call builds an
+//     independent preprocessor (memory-heavy); the engine's Snapshot
+//     exists precisely to bind once through Over and share.
 //
-// Store contract (BindStore). The paper's model never lets a routing
-// decision at u see more than G_k(u); the representation of the rest of
-// the graph is therefore irrelevant to the algorithm, and BindStore
-// makes that literal: it binds the same routing function over a
-// bigraph.Store — an int-indexed CSR array store, possibly an mmap'd
-// on-disk file, for graphs too large to materialize as *graph.Graph.
-// The contract is that the k-neighbourhoods extracted from the store
-// are vertex-, distance- and edge-identical to those extracted from the
-// equivalent materialized graph (nbhd.ExtractStore/ExtractCSR vs
+// Store contract. The paper's model never lets a routing decision at u
+// see more than G_k(u); the representation of the rest of the graph is
+// therefore irrelevant to the algorithm, and the single binding makes
+// that literal: Over reads the network as a bigraph.Store — a
+// materialized *graph.Graph, an int-indexed CSR array store (possibly an
+// mmap'd on-disk file for graphs too large to materialize), or any other
+// implementation. The contract is that the k-neighbourhoods extracted
+// from every store are vertex-, distance- and edge-identical
+// (nbhd.Scratch.Extract's graph, CSR and generic branches, and
 // nbhd.Extract — held by the klocalcheck "csr" property on every
-// scenario), so a store-bound Func walks exactly the walk its
-// graph-bound twin walks; the only thing that changes is what the
-// process holds in memory. A Store must be immutable while bound, just
-// as Graph is; concurrency guarantees above carry over unchanged (the
-// CSR arrays are read-only after load). Only ShortestPathOracle lacks a
-// BindStore — it is defined by whole-graph knowledge, which is exactly
-// what a bounded store view cannot provide.
+// scenario and by the engine's store differential), so a Func walks
+// exactly the same walk over every store holding the same topology; the
+// only thing that changes is what the process holds in memory. A Store
+// must be immutable while bound; the concurrency guarantees above carry
+// over unchanged (the CSR arrays are read-only after load). Over returns
+// nil on a store that is not a *graph.Graph for ShortestPathOracle —
+// defined by whole-graph knowledge, which a bounded store view cannot
+// provide — and for the map-shaped *Ref test references.
 //
 // Model contracts (k-locality, determinism, statelessness) are enforced
 // mechanically on every decision path in this package by the klocalvet

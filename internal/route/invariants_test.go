@@ -100,7 +100,7 @@ func TestCorollary4PassiveEntryOnlyForT(t *testing.T) {
 	alg := Algorithm1()
 	randomFamily(rng, 20, 18, func(g *graph.Graph) {
 		k := alg.MinK(g.N())
-		p := prep.NewPreprocessor(g, k)
+		p := prep.NewPreprocessor(g, k, prep.PolicyMinRank, prep.CacheOptions{})
 		f := alg.Bind(g, k)
 		vs := g.Vertices()
 		for trial := 0; trial < 4; trial++ {

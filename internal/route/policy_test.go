@@ -70,8 +70,8 @@ func TestPoliciesDifferOnFig13(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vMin := prep.PreprocessPolicy(f.G, f.S, f.K, prep.PolicyMinRank)
-	vMax := prep.PreprocessPolicy(f.G, f.S, f.K, prep.PolicyMaxRank)
+	vMin := prep.PreprocessStore(f.G, f.S, f.K, prep.PolicyMinRank)
+	vMax := prep.PreprocessStore(f.G, f.S, f.K, prep.PolicyMaxRank)
 	dMin, dMax := vMin.C.Dormant, vMax.C.Dormant
 	if len(dMin) == 0 || len(dMax) == 0 {
 		t.Fatal("both policies should classify a dormant edge on the small cycle")

@@ -81,8 +81,8 @@ func TestConcurrentRoutingSharedPreprocessor(t *testing.T) {
 			k := alg.MinK(g.N())
 			// One externally owned sharded cache shared across workers,
 			// bounded below the vertex count so eviction races with reads.
-			p := prep.NewPreprocessorOpts(g, k, alg.Policy, prep.CacheOptions{Shards: 4, Capacity: g.N() / 2})
-			f := alg.BindCached(p)
+			p := prep.NewPreprocessor(g, k, alg.Policy, prep.CacheOptions{Shards: 4, Capacity: g.N() / 2})
+			f := alg.Over(p)
 			var wg sync.WaitGroup
 			for w := 0; w < 8; w++ {
 				wg.Add(1)
@@ -118,7 +118,7 @@ func TestConcurrentRoutingSharedPreprocessor(t *testing.T) {
 // workers; this exercises the read-only accessor surface under -race.
 func TestConcurrentViewReads(t *testing.T) {
 	g := gen.Lollipop(10, 5)
-	p := prep.NewPreprocessor(g, 4)
+	p := prep.NewPreprocessor(g, 4, prep.PolicyMinRank, prep.CacheOptions{})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

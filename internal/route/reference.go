@@ -225,12 +225,17 @@ func alg3StepRef(view *nbhd.Neighborhood, t, u graph.Vertex) (graph.Vertex, erro
 }
 
 // refTwin turns a production algorithm into its reference build: same
-// metadata, the map-based step bound through Bind only.
+// metadata, the map-based step bound over materialized graphs only (Over
+// returns nil on any other store).
 func refTwin(a Algorithm, name string, bind func(g *graph.Graph, k int) Func) Algorithm {
 	a.Name = name
-	a.Bind = bind
-	a.BindCached = nil
-	a.BindStore = nil
+	a.Over = func(p *prep.Preprocessor) Func {
+		g, ok := p.Store().(*graph.Graph)
+		if !ok {
+			return nil
+		}
+		return bind(g, p.K())
+	}
 	return a
 }
 

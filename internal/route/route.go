@@ -22,7 +22,8 @@ import (
 // origin s, destination t, current node u and predecessor v (graph.NoVertex
 // before the first hop), it returns the neighbour of u to forward to. The
 // k-neighbourhood is implicit: a Func is bound to a fixed network and
-// locality by Algorithm.Bind and consults only the local view of u.
+// locality by Algorithm.Over (or Bind) and consults only the local view
+// of u.
 //
 // Origin-oblivious algorithms ignore s; predecessor-oblivious algorithms
 // ignore v.
@@ -44,24 +45,27 @@ type Algorithm struct {
 	// guarantees delivery on every connected graph with n nodes, or 0 if
 	// the algorithm makes no such guarantee (baselines).
 	MinK func(n int) int
-	// Bind fixes the network and locality, returning the routing function.
-	Bind func(g *graph.Graph, k int) Func
 	// Policy is the dormant-edge policy the algorithm preprocesses with;
 	// zero for algorithms that need no preprocessing (Algorithm 3 and the
 	// baselines).
 	Policy prep.Policy
-	// BindCached, when non-nil, binds the routing function over an
-	// externally owned preprocessor — the traffic engine uses it to share
-	// one sharded view cache across all messages of a snapshot (and
-	// across Bind calls that would otherwise each build their own).
-	// The preprocessor must have been built for the same policy.
-	BindCached func(p *prep.Preprocessor) Func
-	// BindStore, when non-nil, binds the routing function over a
-	// bigraph.Store — CSR-backed (possibly mmap'd) million-node
-	// topologies included. Nil for baselines that need full topology
-	// knowledge (the oracle), which a k-local store deliberately cannot
-	// provide.
-	BindStore func(st bigraph.Store, k int) Func
+	// Over binds the routing function over a preprocessor, which carries
+	// the network (p.Store()), the locality (p.K()) and the view cache
+	// (p.At, built for Policy). The traffic engine hands every message
+	// of a snapshot the same preprocessor, so they share one sharded
+	// cache. Over returns nil when the algorithm cannot run on
+	// p.Store(): the baselines that need full topology knowledge (the
+	// oracle) bind only to a materialized *graph.Graph, which a k-local
+	// store deliberately cannot provide.
+	Over func(p *prep.Preprocessor) Func
+}
+
+// Bind fixes the network and locality, returning the routing function
+// over a private preprocessor built with the algorithm's Policy (nil
+// when Over rejects the store). Each call builds its own view cache;
+// bind through Over to share one.
+func (a Algorithm) Bind(st bigraph.Store, k int) Func {
+	return a.Over(prep.NewPreprocessor(st, k, a.Policy, prep.CacheOptions{}))
 }
 
 // Errors reported by routing functions. A routing error means the
@@ -242,23 +246,16 @@ func Algorithm1Policy(pol prep.Policy) Algorithm {
 	if pol != prep.PolicyMinRank {
 		name += "[" + pol.String() + "]"
 	}
-	bind := func(p *prep.Preprocessor) Func {
-		return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
-			return stepAware(p, s, t, u, v, nil)
-		}
-	}
 	return Algorithm{
 		Name:             name,
 		OriginAware:      true,
 		PredecessorAware: true,
 		MinK:             MinK1,
 		Policy:           pol,
-		BindCached:       bind,
-		Bind: func(g *graph.Graph, k int) Func {
-			return bind(prep.NewPreprocessorPolicy(g, k, pol))
-		},
-		BindStore: func(st bigraph.Store, k int) Func {
-			return bind(prep.NewPreprocessorStore(st, k, pol))
+		Over: func(p *prep.Preprocessor) Func {
+			return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+				return stepAware(p, s, t, u, v, nil)
+			}
 		},
 	}
 }
@@ -276,33 +273,26 @@ func Algorithm2Policy(pol prep.Policy) Algorithm {
 	if pol != prep.PolicyMinRank {
 		name += "[" + pol.String() + "]"
 	}
-	bind := func(p *prep.Preprocessor) Func {
-		return func(_, t, u, v graph.Vertex) (graph.Vertex, error) {
-			view := p.At(u)
-			if hop := caseOneHop(view, t); hop != graph.NoVertex {
-				return hop, nil
-			}
-			roots := view.C.ActiveRoots
-			if len(roots) > 2 {
-				//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
-				return graph.NoVertex, fmt.Errorf("%w: active degree %d > 2", ErrLocalityTooSmall, len(roots))
-			}
-			from, idx := classifyArrival(view, graph.NoVertex, v, false)
-			return decideActive(rulesU, roots, from, idx)
-		}
-	}
 	return Algorithm{
 		Name:             name,
 		OriginAware:      false,
 		PredecessorAware: true,
 		MinK:             MinK2,
 		Policy:           pol,
-		BindCached:       bind,
-		Bind: func(g *graph.Graph, k int) Func {
-			return bind(prep.NewPreprocessorPolicy(g, k, pol))
-		},
-		BindStore: func(st bigraph.Store, k int) Func {
-			return bind(prep.NewPreprocessorStore(st, k, pol))
+		Over: func(p *prep.Preprocessor) Func {
+			return func(_, t, u, v graph.Vertex) (graph.Vertex, error) {
+				view := p.At(u)
+				if hop := caseOneHop(view, t); hop != graph.NoVertex {
+					return hop, nil
+				}
+				roots := view.C.ActiveRoots
+				if len(roots) > 2 {
+					//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
+					return graph.NoVertex, fmt.Errorf("%w: active degree %d > 2", ErrLocalityTooSmall, len(roots))
+				}
+				from, idx := classifyArrival(view, graph.NoVertex, v, false)
+				return decideActive(rulesU, roots, from, idx)
+			}
 		},
 	}
 }
@@ -318,31 +308,16 @@ func Algorithm3() Algorithm {
 		OriginAware:      false,
 		PredecessorAware: false,
 		MinK:             MinK3,
-		Bind: func(g *graph.Graph, k int) Func {
+		Over: func(p *prep.Preprocessor) Func {
+			st, k := p.Store(), p.K()
 			return func(_, t, u, _ graph.Vertex) (graph.Vertex, error) {
 				sc := alg3Scratch.Get().(*nbhd.Scratch)
 				defer alg3Scratch.Put(sc)
-				if !sc.ExtractGraph(g, u, k) {
+				if !sc.Extract(st, u, k) {
 					//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
 					return graph.NoVertex, fmt.Errorf("%w: current node outside network", ErrNoRoute)
 				}
 				return alg3StepCompact(sc, t)
-			}
-		},
-		BindStore: func(st bigraph.Store, k int) Func {
-			if c, ok := st.(*bigraph.CSR); ok {
-				return func(_, t, u, _ graph.Vertex) (graph.Vertex, error) {
-					sc := alg3Scratch.Get().(*nbhd.Scratch)
-					defer alg3Scratch.Put(sc)
-					if !sc.ExtractCSR(c, u, k) {
-						//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
-						return graph.NoVertex, fmt.Errorf("%w: current node outside network", ErrNoRoute)
-					}
-					return alg3StepCompact(sc, t)
-				}
-			}
-			return func(_, t, u, _ graph.Vertex) (graph.Vertex, error) {
-				return alg3StepRef(nbhd.ExtractStore(st, u, k), t, u)
 			}
 		},
 	}

@@ -123,7 +123,7 @@ type Network interface {
 // dirEdge is the loop-detection state for predecessor-aware walks.
 type dirEdge struct{ from, to graph.Vertex }
 
-// Scratch is caller-owned working memory for RunScratch/RunStoreScratch:
+// Scratch is caller-owned working memory for RunScratch:
 // the route buffer, the loop-detection sets (cleared, not reallocated,
 // per run) and the distance search's banks, all grown to a high-water
 // mark and then reused without allocating. The Result returned by the
@@ -147,39 +147,38 @@ func NewScratch() *Scratch {
 	}
 }
 
-// Run simulates routing a message from s to t on g with the bound routing
-// function f. The predecessor-awareness of the algorithm determines the
-// livelock criterion:
+// distNetwork is a Network that answers exact distances with
+// caller-owned search scratch, as *graph.Graph does.
+type distNetwork interface {
+	DistScratch(u, v graph.Vertex, sc *graph.SearchScratch) int
+}
+
+// Run simulates routing a message from s to t on net with the bound
+// routing function f. The predecessor-awareness of the algorithm
+// determines the livelock criterion:
 //
 //   - predecessor-aware: the decision at u depends only on (u, v) (plus
 //     the fixed s, t), so revisiting a directed edge repeats forever;
 //   - predecessor-oblivious: the decision depends only on u, so
 //     revisiting any node repeats forever.
-func Run(g *graph.Graph, f Func, s, t graph.Vertex, opts Options) *Result {
-	return RunScratch(g, f, s, t, opts, NewScratch())
+//
+// Result.Dist is dist(s, t) when net can answer exact distances (a
+// *graph.Graph); on other stores, too large to pay for global topology
+// knowledge, it stays 0 ("unknown"), and consumers guard
+// dilation-derived metrics with Dist > 0.
+func Run(net Network, f Func, s, t graph.Vertex, opts Options) *Result {
+	return RunScratch(net, f, s, t, opts, NewScratch())
 }
 
 // RunScratch is Run allocating only into sc (plus the Result's error on
 // failure paths). The returned Result is owned by sc: it is valid until
 // the next run with the same scratch; Clone it to retain it.
-func RunScratch(g *graph.Graph, f Func, s, t graph.Vertex, opts Options, sc *Scratch) *Result {
-	res := run(g, f, s, t, opts, sc)
-	res.Dist = g.DistScratch(s, t, sc.search)
+func RunScratch(net Network, f Func, s, t graph.Vertex, opts Options, sc *Scratch) *Result {
+	res := run(net, f, s, t, opts, sc)
+	if d, ok := net.(distNetwork); ok {
+		res.Dist = d.DistScratch(s, t, sc.search)
+	}
 	return res
-}
-
-// RunStore is Run over any Network. Computing dist(s, t) needs global
-// topology knowledge, which a store may be too large to pay for, so
-// Result.Dist stays 0 ("unknown"): consumers guard dilation-derived
-// metrics with Dist > 0 and are unaffected.
-func RunStore(net Network, f Func, s, t graph.Vertex, opts Options) *Result {
-	return run(net, f, s, t, opts, NewScratch())
-}
-
-// RunStoreScratch is RunStore with caller-owned working memory, under
-// RunScratch's ownership contract.
-func RunStoreScratch(net Network, f Func, s, t graph.Vertex, opts Options, sc *Scratch) *Result {
-	return run(net, f, s, t, opts, sc)
 }
 
 //klocal:hotpath

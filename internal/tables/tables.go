@@ -21,6 +21,7 @@ import (
 	"math"
 
 	"klocal/internal/graph"
+	"klocal/internal/prep"
 	"klocal/internal/route"
 )
 
@@ -97,7 +98,7 @@ func (ft *FullTables) Algorithm() route.Algorithm {
 		OriginAware:      false,
 		PredecessorAware: false,
 		MinK:             func(int) int { return 0 },
-		Bind: func(_ *graph.Graph, _ int) route.Func {
+		Over: func(*prep.Preprocessor) route.Func {
 			return func(_, t, u, _ graph.Vertex) (graph.Vertex, error) {
 				hop, ok := ft.next[u][t]
 				if !ok || hop == graph.NoVertex {
@@ -240,7 +241,7 @@ func (ti *TreeInterval) Algorithm() route.Algorithm {
 		OriginAware:      false,
 		PredecessorAware: false,
 		MinK:             func(int) int { return 0 },
-		Bind: func(_ *graph.Graph, _ int) route.Func {
+		Over: func(*prep.Preprocessor) route.Func {
 			return func(_, t, u, _ graph.Vertex) (graph.Vertex, error) {
 				return ti.NextHop(u, t)
 			}

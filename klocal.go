@@ -199,7 +199,9 @@ func ExtractNeighborhood(g *Graph, u Vertex, k int) *Neighborhood {
 // Preprocess computes the preprocessed view at u: G_k(u), its dormant
 // edges, and the routing view G'_k(u) with components classified.
 // ExtractNeighborhood gives the label-space form of G_k(u).
-func Preprocess(g *Graph, u Vertex, k int) *View { return prep.Preprocess(g, u, k) }
+func Preprocess(g *Graph, u Vertex, k int) *View {
+	return prep.PreprocessStore(g, u, k, prep.PolicyMinRank)
+}
 
 // ConsistentSubgraph returns g restricted to its globally consistent
 // edges at locality k (Lemmas 3 and 5: connected, girth > 2k).
@@ -472,10 +474,6 @@ type (
 )
 
 var (
-	// NewSnapshot and NewSnapshotOpts bind an algorithm to a network for
-	// batched routing (k = 0 means the algorithm's threshold).
-	NewSnapshot     = engine.NewSnapshot
-	NewSnapshotOpts = engine.NewSnapshotOpts
 	// NewEngine starts a worker pool over a snapshot.
 	NewEngine = engine.New
 	// RouteAll routes a batch one-shot and returns ordered responses
@@ -498,15 +496,15 @@ var (
 	// SweepParallel is the locality sweep routed through the engine —
 	// identical points, concurrent wall clock.
 	SweepParallel = exper.SweepParallel
-	// NewPreprocessorOpts builds a sharded, size-bounded view cache for
-	// direct use with Algorithm.BindCached.
-	NewPreprocessorOpts = prep.NewPreprocessorOpts
+	// NewPreprocessor builds a sharded, size-bounded view cache for
+	// direct use with Algorithm.Over.
+	NewPreprocessor = prep.NewPreprocessor
 )
 
 // The mmap-able CSR graph store (internal/bigraph, DESIGN.md §12):
 // million-node topologies served without materializing an in-memory
-// graph. A *Graph is itself a GraphStore, so every store-suffixed
-// constructor below also accepts classic in-memory graphs.
+// graph. A *Graph is itself a GraphStore, and every binding, snapshot
+// and workload constructor takes a GraphStore.
 type (
 	// GraphStore is the minimal read-only topology contract routing
 	// needs (see route/doc.go for the locality terms).
@@ -531,16 +529,10 @@ var (
 	// NewCSRScratch allocates the reusable scratch for zero-alloc
 	// CSR.Extract calls.
 	NewCSRScratch = bigraph.NewScratch
-	// NewSnapshotStore binds an algorithm to any GraphStore; walks over
-	// store-backed snapshots leave Result.Dist at 0 (unknown).
+	// NewSnapshotStore binds an algorithm to any GraphStore for batched
+	// routing (k = 0 means the algorithm's threshold); walks over
+	// stores other than a *Graph leave Result.Dist at 0 (unknown).
 	NewSnapshotStore = engine.NewSnapshotStore
-	// UniformStoreWorkload, ZipfStoreWorkload and AllPairsStoreWorkload
-	// are the request generators over a GraphStore;
-	// NewTrafficWorkloadStore resolves one by name.
-	UniformStoreWorkload    = engine.UniformStore
-	ZipfStoreWorkload       = engine.ZipfStore
-	AllPairsStoreWorkload   = engine.AllPairsStore
-	NewTrafficWorkloadStore = engine.NewWorkloadStore
 )
 
 // Incremental topology churn (internal/churn, DESIGN.md §15): deltas
@@ -581,8 +573,7 @@ var (
 	ScheduleDeltas    = churn.ScheduleDeltas
 	// HotspotWorkload routes to destinations skewed by approximate
 	// betweenness centrality (the "core router" traffic shape).
-	HotspotWorkload      = engine.Hotspot
-	HotspotStoreWorkload = engine.HotspotStore
+	HotspotWorkload = engine.Hotspot
 	// NewMetricsShard allocates a metrics shard for caller-side
 	// instrumentation (e.g. loadgen's churn loop).
 	NewMetricsShard = metrics.NewShard
