@@ -84,10 +84,12 @@ func BenchmarkEngineDeltaIncremental(b *testing.B) {
 // BenchmarkEngineDeltaFullRebuild is the same flap served the naive
 // way: throw the cache away and recompute all n views on the new
 // topology. The ratio to BenchmarkEngineDeltaIncremental is the
-// headline churn number (≥10x here). The gap widens with n: the rebuild
-// recomputes all n views, while the incremental path recomputes |B_k|
-// of them and otherwise pays only flat O(n + m) copies (two int32
-// arrays, the view-cache maps).
+// headline churn number. The gap does not widen with n: the rebuild
+// recomputes all n views, but the incremental path, which recomputes
+// only |B_k| of them, also pays flat O(n + m) copies (two int32
+// arrays, the view-cache maps), so both grow linearly. On a 2-vCPU VM
+// the ratio measured 46x at n = 10^4 and 55x at n ≈ 10^5, and 29x at
+// n = 10^6 (202 ms against 5.8 s per flap).
 func BenchmarkEngineDeltaFullRebuild(b *testing.B) {
 	g, flap := churnFlap(b)
 	pol := klocal.Algorithm2().Policy

@@ -70,11 +70,21 @@ func parseStream(r io.Reader, bench string) (benchResult, error) {
 	return parseBenchLines(sb.String(), bench)
 }
 
+// seriesName reports whether name, as a result line prints it, is the
+// series bench: `go test` appends "-<GOMAXPROCS>" to every benchmark
+// name when GOMAXPROCS > 1, so "workers=1-2" is workers=1 on two
+// procs, while "workers=10" and "workers=1x" are other series.
+func seriesName(name, bench string) bool {
+	procs, ok := strings.CutPrefix(name, bench)
+	n, err := strconv.Atoi(strings.TrimPrefix(procs, "-"))
+	return ok && (procs == "" || err == nil && n > 0 && procs == "-"+strconv.Itoa(n))
+}
+
 func parseBenchLines(text, bench string) (benchResult, error) {
 	var res benchResult
 	for _, line := range strings.Split(text, "\n") {
 		fields := strings.Fields(line)
-		if len(fields) < 4 || fields[0] != bench {
+		if len(fields) < 4 || !seriesName(fields[0], bench) {
 			continue
 		}
 		// fields: name, iterations, then value/unit pairs.

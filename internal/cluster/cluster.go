@@ -104,7 +104,7 @@ type Config struct {
 	Shards int
 	// K is the locality parameter views are assembled at.
 	K int
-	// Alg is the routing algorithm bound to each discovered view.
+	// Alg is the routing algorithm, bound once over the discovered views.
 	Alg route.Algorithm
 	// Incarnation orders a member's lifetimes: a rejoining process must
 	// present a strictly higher incarnation to refute its own death.
@@ -213,10 +213,12 @@ type Member struct {
 	seeds    []string // unresolved bootstrap addresses
 	store    map[graph.Vertex]*record
 	storeGen int64
-	views    map[graph.Vertex]*boundView
-	viewGen  map[graph.Vertex]int64 // per-owned-vertex minimum gen a cached view must have
-	ready    bool                   // latched: every addressed vertex has a record
+	changed  []graph.Vertex // origins whose records changed since the last commit
+	ready    bool           // latched: every addressed vertex has a record
 	stopped  bool
+
+	cur  atomic.Pointer[epoch] // nil while the union is stale
+	down []atomic.Bool         // per shard: known dead (read lock-free per hop)
 
 	waitMu  sync.Mutex
 	waiters map[uint64]chan *RouteReply
@@ -264,8 +266,7 @@ func NewMember(cfg Config, asn Assignment, adj map[graph.Vertex][]graph.Vertex, 
 		inc:     cfg.Incarnation,
 		peers:   make(map[int]*peerState),
 		store:   make(map[graph.Vertex]*record),
-		views:   make(map[graph.Vertex]*boundView),
-		viewGen: make(map[graph.Vertex]int64),
+		down:    make([]atomic.Bool, asn.shards),
 		waiters: make(map[uint64]chan *RouteReply),
 		stop:    make(chan struct{}),
 	}
@@ -288,6 +289,7 @@ func NewMember(cfg Config, asn Assignment, adj map[graph.Vertex][]graph.Vertex, 
 	for _, v := range owned {
 		m.reOriginateLocked(v)
 	}
+	m.commitLocked()
 	m.checkReadyLocked()
 	m.mu.Unlock()
 	return m, nil

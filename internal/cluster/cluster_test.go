@@ -8,7 +8,7 @@ import (
 	"klocal/internal/engine"
 	"klocal/internal/gen"
 	"klocal/internal/graph"
-	"klocal/internal/nbhd"
+	"klocal/internal/prep"
 	"klocal/internal/route"
 	"klocal/internal/sim"
 )
@@ -54,10 +54,10 @@ func TestAssignmentRanges(t *testing.T) {
 }
 
 // TestDiscoveredViewsMatchExtract is the distributed discovery
-// correctness statement: after Converge, every member's assembled
-// G_k(u) for each owned vertex equals nbhd.Extract on the global graph
-// — the same equivalence netsim's discovery test pins, now across the
-// cluster's HTTP-shaped protocol.
+// correctness statement: after Converge, every member's preprocessed
+// G_k(u) for each owned vertex equals the view prep builds from the
+// global graph — the same equivalence netsim's discovery test pins, now
+// across the cluster's HTTP-shaped protocol.
 func TestDiscoveredViewsMatchExtract(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -80,14 +80,7 @@ func TestDiscoveredViewsMatchExtract(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, m := range members {
-				for _, v := range m.asn.Owned(m.Index()) {
-					want := nbhd.Extract(tc.g, v, tc.k).G
-					got := m.View(v)
-					if got == nil || !got.Equal(want) {
-						t.Fatalf("member %d: discovered view of %d differs from G_%d(%d)",
-							m.Index(), v, tc.k, v)
-					}
-				}
+				checkViews(t, m, tc.g)
 			}
 		})
 	}
@@ -173,14 +166,23 @@ func TestRetransmissionUnderLoss(t *testing.T) {
 // TestTombstoneAndRefutation drives the death/rebirth protocol by hand:
 // silence a member until its peers tombstone the shard, then let it
 // speak again and check the tombstones are refuted and views recover.
+// The cycle is long against k, so each survivor owns rows near the
+// withdrawn shard and rows far from it: with every owned view warm, the
+// tombstones must rebuild exactly the near rows, against the topology
+// minus shard 2, and the rejoin must bring every view back to g.
 func TestTombstoneAndRefutation(t *testing.T) {
-	g := gen.Cycle(12)
-	members, lt, err := NewLocalCluster(g, LocalClusterConfig{Shards: 3, K: 6, Alg: alg2(t)})
+	g := gen.Cycle(36)
+	k := 3
+	members, lt, err := NewLocalCluster(g, LocalClusterConfig{Shards: 3, K: k, Alg: alg2(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := Converge(members, 0); err != nil {
 		t.Fatal(err)
+	}
+	before := make([]map[graph.Vertex]*prep.View, 2)
+	for i, m := range members[:2] {
+		before[i] = warmViews(m)
 	}
 
 	// Silence member 2 entirely: peers' transfers to it exhaust their
@@ -196,21 +198,31 @@ func TestTombstoneAndRefutation(t *testing.T) {
 	// something to reliably deliver to the silent peer.
 	members[0].mu.Lock()
 	members[0].reOriginateLocked(members[0].asn.Owned(0)[0])
+	members[0].commitLocked()
 	members[0].mu.Unlock()
 	_ = Converge(members[:2], 64) // cannot fully settle; drives the retries
+	withdrawn := members[2].asn.Owned(2)
 	for _, m := range members[:2] {
 		st := m.Stats()
 		if st.PeersDead != 1 {
 			t.Fatalf("member %d: %d dead peers after silencing shard 2, want 1", m.Index(), st.PeersDead)
 		}
-		if st.Tombstones != len(members[2].adj) {
-			t.Fatalf("member %d: %d tombstones, want %d", m.Index(), st.Tombstones, len(members[2].adj))
+		if st.Tombstones != len(withdrawn) {
+			t.Fatalf("member %d: %d tombstones, want %d", m.Index(), st.Tombstones, len(withdrawn))
 		}
 	}
 	issued := members[0].Metrics().Counter("tombstones_issued") +
 		members[1].Metrics().Counter("tombstones_issued")
 	if issued == 0 {
 		t.Fatal("no tombstones counted as issued")
+	}
+	survivors := g
+	for _, v := range withdrawn {
+		survivors = survivors.DropVertex(v)
+	}
+	for i, m := range members[:2] {
+		checkKLocal(t, m, before[i], ball(g, k, withdrawn...))
+		checkViews(t, m, survivors)
 	}
 
 	// Member 2 speaks again: direct contact resurrects it, the survivors
@@ -231,6 +243,7 @@ func TestTombstoneAndRefutation(t *testing.T) {
 		if !st.Ready {
 			t.Fatalf("member %d not ready after rejoin", m.Index())
 		}
+		checkViews(t, m, g)
 	}
 	refuted := int64(0)
 	for _, m := range members {

@@ -163,6 +163,7 @@ func (m *Member) finish(msg *WireMessage, delivered bool, err error) {
 // process advances the walk while its head vertex is owned here, then
 // either terminates it (reply to entry) or hands it to the next shard.
 func (m *Member) process(msg *WireMessage) {
+	ownerT, knownT := m.asn.Owner(msg.T)
 	for {
 		u := msg.Route[len(msg.Route)-1]
 		if msg.Trace {
@@ -174,26 +175,21 @@ func (m *Member) process(msg *WireMessage) {
 		}
 		// Fail fast once the destination's shard is known-dead instead
 		// of walking the full budget toward a withdrawn region.
-		if ownerT, ok := m.asn.Owner(msg.T); ok && ownerT != m.cfg.Index {
-			if _, dead, known := m.peerAddr(ownerT); known && dead {
-				m.finish(msg, false, fmt.Errorf("%w: destination shard %d", ErrPeerDown, ownerT))
-				return
-			}
+		if knownT && ownerT != m.cfg.Index && m.down[ownerT].Load() {
+			m.finish(msg, false, fmt.Errorf("%w: destination shard %d", ErrPeerDown, ownerT))
+			return
 		}
 		if msg.Budget <= 0 {
 			m.finish(msg, false, fmt.Errorf("%w after %d hops", ErrHopBudget, len(msg.Route)-1))
 			return
 		}
-		bv, err := m.viewFor(u)
-		if err != nil {
-			m.finish(msg, false, err)
-			return
-		}
-		if bv.complete && !bv.view.HasVertex(msg.T) {
+		ep := m.current()
+		raw := ep.pre.At(u).C.Raw
+		if _, in := raw.Index(msg.T); !in && complete(raw) {
 			m.finish(msg, false, fmt.Errorf("%w: %d not in the complete view of %d", ErrPartitioned, msg.T, u))
 			return
 		}
-		next, err := bv.decide(msg.S, msg.T, u, msg.Prev)
+		next, err := ep.decide(msg.S, msg.T, u, msg.Prev)
 		if err != nil {
 			m.finish(msg, false, err)
 			return

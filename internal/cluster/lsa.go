@@ -59,8 +59,7 @@ func wireLSA(origin graph.Vertex, rec *record) WireLSA {
 func (m *Member) reOriginateLocked(v graph.Vertex) {
 	m.seqCount++
 	rec := &record{seq: m.seqEpochLocked() | (m.seqCount & 0xffffffff), adj: m.adj[v]}
-	m.store[v] = rec
-	m.storeGen++
+	m.putLocked(v, rec)
 	m.floodLocked(v, rec, -1)
 }
 
@@ -187,7 +186,6 @@ func (m *Member) handleLSAs(batch *LSABatch) *LSAAck {
 	from := batch.From
 	m.mergeDirectLocked(from, now)
 	ack := &LSAAck{From: m.selfInfoLocked(), Acked: make([]AckRef, 0, len(batch.LSAs))}
-	pre := m.captureStoreLocked()
 	changed := false
 	for _, l := range batch.LSAs {
 		ack.Acked = append(ack.Acked, AckRef{Origin: l.Origin, Seq: l.Seq, Tomb: l.Tomb})
@@ -209,13 +207,12 @@ func (m *Member) handleLSAs(batch *LSABatch) *LSAAck {
 		}
 		adj := make([]graph.Vertex, len(l.Adj))
 		copy(adj, l.Adj)
-		m.store[l.Origin] = &record{seq: l.Seq, adj: adj, tomb: l.Tomb}
+		m.putLocked(l.Origin, &record{seq: l.Seq, adj: adj, tomb: l.Tomb})
 		m.floodLocked(l.Origin, m.store[l.Origin], from.Index)
 		changed = true
 	}
 	if changed {
-		m.storeGen++
-		m.invalidateViewsLocked(pre)
+		m.commitLocked()
 		m.checkReadyLocked()
 	}
 	return ack

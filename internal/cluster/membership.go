@@ -95,13 +95,13 @@ func (m *Member) mergeGossipLocked(info PeerInfo, now time.Time) {
 		if info.Dead && info.Inc >= m.inc {
 			m.inc = info.Inc + 1
 			m.met.Count("tombstones_refuted", 1)
-			// Re-announcing identical adjacencies diffs to zero deltas:
-			// self-defense bumps sequence numbers without evicting views.
-			pre := m.captureStoreLocked()
+			// Re-announcing identical adjacencies changes no record's
+			// adjacency: self-defense bumps sequence numbers, and the
+			// commit rebuilds no union and evicts no view.
 			for _, v := range m.asn.Owned(m.cfg.Index) {
 				m.reOriginateLocked(v)
 			}
-			m.invalidateViewsLocked(pre)
+			m.commitLocked()
 		}
 		return
 	}
@@ -110,6 +110,7 @@ func (m *Member) mergeGossipLocked(info PeerInfo, now time.Time) {
 		p = &peerState{index: info.Index, addr: info.Addr, inc: info.Inc, dead: info.Dead,
 			lastSeen: now, pending: make(map[graph.Vertex]*xfer)}
 		m.peers[info.Index] = p
+		m.down[p.index].Store(p.dead)
 		m.pruneSeedLocked(info.Addr)
 		if p.dead {
 			m.tombstonePeerLocked(p)
@@ -156,6 +157,7 @@ func (m *Member) markDeadLocked(p *peerState, declared bool) {
 		return
 	}
 	p.dead = true
+	m.down[p.index].Store(true)
 	p.pending = make(map[graph.Vertex]*xfer)
 	if declared {
 		m.met.Count("deaths_declared", 1)
@@ -166,8 +168,6 @@ func (m *Member) markDeadLocked(p *peerState, declared bool) {
 // tombstonePeerLocked writes tombstones for every vertex the dead peer
 // owns and floods them, so views across the cluster withdraw the shard.
 func (m *Member) tombstonePeerLocked(p *peerState) {
-	pre := m.captureStoreLocked()
-	changed := false
 	for _, v := range m.asn.Owned(p.index) {
 		rec := m.store[v]
 		if rec != nil && rec.tomb {
@@ -178,15 +178,11 @@ func (m *Member) tombstonePeerLocked(p *peerState) {
 			seq = rec.seq
 		}
 		nr := &record{seq: seq, tomb: true}
-		m.store[v] = nr
+		m.putLocked(v, nr)
 		m.met.Count("tombstones_issued", 1)
 		m.floodLocked(v, nr, p.index)
-		changed = true
 	}
-	if changed {
-		m.storeGen++
-		m.invalidateViewsLocked(pre)
-	}
+	m.commitLocked()
 	m.checkReadyLocked()
 }
 
@@ -198,6 +194,7 @@ func (m *Member) resurrectLocked(p *peerState) {
 		return
 	}
 	p.dead = false
+	m.down[p.index].Store(false)
 	m.offerStoreLocked(p)
 }
 

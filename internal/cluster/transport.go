@@ -216,12 +216,7 @@ func NewLocalCluster(g *graph.Graph, lc LocalClusterConfig) ([]*Member, *LoopTra
 	for i := range members {
 		adj := make(map[graph.Vertex][]graph.Vertex)
 		for _, v := range asn.Owned(i) {
-			var nbrs []graph.Vertex
-			g.EachAdj(v, func(w graph.Vertex) bool {
-				nbrs = append(nbrs, w)
-				return true
-			})
-			adj[v] = nbrs
+			adj[v] = g.Adj(v)
 		}
 		cfg := Config{
 			Index:           i,

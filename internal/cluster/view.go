@@ -1,149 +1,161 @@
 package cluster
 
 import (
-	"fmt"
+	"slices"
 
 	"klocal/internal/churn"
 	"klocal/internal/graph"
 	"klocal/internal/nbhd"
+	"klocal/internal/prep"
 	"klocal/internal/route"
 )
 
-// boundView is one owned vertex's discovered G_k(u) with the routing
-// algorithm bound to it. It is immutable once built; a store change
-// whose k-radius dirty set covers u (per-row generation in
-// Member.viewGen) invalidates it and the next request rebuilds.
-type boundView struct {
-	gen      int64
-	view     *graph.Graph
-	complete bool
-	router   route.Func
+// epoch is one generation of a member's routing state: the union graph
+// of its link-state store, one preprocessor over it, and the algorithm
+// bound once through Over. All three are immutable once published
+// behind Member.cur, so the per-hop path reads them with one atomic
+// load and no member lock, and a cold owned view is one pre.At(u).
+type epoch struct {
+	union  *graph.Graph
+	pre    *prep.Preprocessor
+	router route.Func
 }
 
-// decide takes one forwarding step for the owned vertex u using only
-// the algorithm bound to u's locally discovered view. This is the
+// decide takes one forwarding step for the owned vertex u. This is the
 // cluster's entire decision path: klocalvet seeds it by signature and
-// verifies the closure never escapes to global topology.
-func (bv *boundView) decide(s, t, u, v graph.Vertex) (graph.Vertex, error) {
-	return bv.router(s, t, u, v)
+// verifies the closure never escapes to global topology. The bound
+// function reads the union only through the preprocessor, which trims
+// it to G_k(u).
+func (ep *epoch) decide(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+	return ep.router(s, t, u, v)
 }
 
-// viewFor returns the current bound view for owned vertex u, rebuilding
-// it outside the member lock when the link-state store has moved on.
-func (m *Member) viewFor(u graph.Vertex) (*boundView, error) {
-	if _, owned := m.adj[u]; !owned {
-		return nil, fmt.Errorf("cluster: vertex %d not owned by shard %d", u, m.cfg.Index)
-	}
-	m.mu.Lock()
-	gen := m.storeGen
-	// Per-row validity: the locality theorem says G_k(u) only changes
-	// when the link-state delta touches B_k(u), so a view survives any
-	// number of store generations as long as none of them dirtied u.
-	if bv := m.views[u]; bv != nil && bv.gen >= m.viewGen[u] {
-		m.mu.Unlock()
-		return bv, nil
-	}
-	// Snapshot the store for an unlocked build; records are immutable
-	// once stored, so sharing pointers is safe.
-	recs := make(map[graph.Vertex]*record, len(m.store))
-	for v, rec := range m.store {
-		recs[v] = rec
-	}
-	m.mu.Unlock()
+// bind publishes a generation over union whose view cache is pre.
+func (m *Member) bind(union *graph.Graph, pre *prep.Preprocessor) *epoch {
+	return &epoch{union: union, pre: pre, router: m.cfg.Alg.Over(pre)}
+}
 
-	view, complete := assembleView(recs, u, m.cfg.K)
-	bv := &boundView{gen: gen, view: view, complete: complete, router: m.cfg.Alg.Bind(view, m.cfg.K)}
-
+// current returns the published generation, first building the union
+// and a fresh preprocessor when the store changed while no view was
+// cached. One shard suffices: a member caches only its owned views.
+func (m *Member) current() *epoch {
+	if ep := m.cur.Load(); ep != nil {
+		return ep
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.storeGen == gen {
-		m.views[u] = bv
+	ep := m.cur.Load()
+	if ep == nil {
+		u := unionGraph(m.store)
+		ep = m.bind(u, prep.NewPreprocessor(u, m.cfg.K, m.cfg.Alg.Policy, prep.CacheOptions{Shards: 1}))
+		m.cur.Store(ep)
 	}
-	// A store that moved on mid-build just means this bound view serves
-	// one request from a slightly stale (still locally-consistent)
-	// snapshot; the next request rebuilds at the new generation.
-	return bv, nil
+	return ep
 }
 
-// assembleView is netsim's buildView over the member's record store:
-// the union of announced adjacencies — tombstoned origins and edges
-// into them excluded — trimmed to paths of length at most k rooted at
-// u. The second result reports completeness: no vertex sits on the
-// distance-k horizon, so u's whole component is inside the view and
-// absence of a destination proves a partition.
-func assembleView(recs map[graph.Vertex]*record, u graph.Vertex, k int) (*graph.Graph, bool) {
-	return nbhd.ExtractView(unionGraph(recs).WithVertex(u), u, k)
-}
-
-// unionGraph materializes the tombstone-excluded union of all announced
-// adjacencies: the member's whole picture of the topology. Tombstoned
-// origins and edges into them are absent, so a peer withdrawal reads as
-// vertex removal when two snapshots are diffed.
-func unionGraph(recs map[graph.Vertex]*record) *graph.Graph {
-	dead := make(map[graph.Vertex]bool)
-	for origin, rec := range recs {
-		if rec.tomb {
-			dead[origin] = true
+// complete reports whether no vertex of the raw view sits on the
+// distance-k horizon: u's whole component is inside the view, so a
+// destination absent from it proves a partition.
+func complete(raw *nbhd.CompactView) bool {
+	for _, d := range raw.Dist {
+		if d >= raw.K {
+			return false
 		}
 	}
-	b := graph.NewBuilder()
-	for origin, rec := range recs {
+	return true
+}
+
+// unionGraph builds, in one pass, the member's whole picture of the
+// topology: the union of all announced adjacencies minus tombstoned
+// origins and every edge into them.
+func unionGraph(store map[graph.Vertex]*record) *graph.Graph {
+	var edges []graph.Edge
+	var live []graph.Vertex
+	for origin, rec := range store {
 		if rec.tomb {
 			continue
 		}
-		b.AddVertex(origin)
+		live = append(live, origin)
 		for _, w := range rec.adj {
-			if dead[w] {
-				continue
+			if r := store[w]; r == nil || !r.tomb {
+				edges = append(edges, graph.Edge{U: origin, V: w})
 			}
-			b.AddEdge(origin, w)
 		}
 	}
-	return b.Build()
+	return graph.FromEdges(edges, live...)
 }
 
-// captureStoreLocked snapshots the union graph before a batch of store
-// mutations, or nil when no views are cached — with nothing to
-// invalidate there is nothing to diff against, and views cached later
-// are built from post-mutation snapshots anyway (viewFor only caches a
-// build whose generation is still current).
-func (m *Member) captureStoreLocked() *graph.Graph {
-	if len(m.views) == 0 {
-		return nil
+// putLocked stores rec as origin's record. While an epoch is published,
+// a change of adjacency or liveness (not a bare sequence bump) joins the
+// batch commitLocked applies; a stale union is rebuilt from the store.
+func (m *Member) putLocked(origin graph.Vertex, rec *record) {
+	old := m.store[origin]
+	if m.cur.Load() != nil && (old == nil || old.tomb != rec.tomb || !slices.Equal(old.adj, rec.adj)) {
+		m.changed = append(m.changed, origin)
 	}
-	return unionGraph(m.store)
+	m.store[origin] = rec
+	m.storeGen++
 }
 
-// invalidateViewsLocked maps the store mutations since pre onto churn
-// deltas and evicts exactly the owned rows inside the k-radius dirty
-// set — the cluster face of the locality theorem: a link flap at {x, y}
-// can only change G_k(u) for u within distance k of x or y, so every
-// other member view survives the generation bump untouched. Call after
-// m.storeGen has been advanced; pre == nil is a no-op.
-func (m *Member) invalidateViewsLocked(pre *graph.Graph) {
-	if pre == nil {
-		return
+// commitLocked closes a store-mutation batch. With no view cached it
+// only marks the union stale, so discovery does no graph work.
+// Otherwise it builds the post union once, turns the changed rows into
+// deltas and derives the preprocessor over it: exactly the views in the
+// k-radius dirty set rebuild, and every other view survives by pointer.
+func (m *Member) commitLocked() {
+	changed := m.changed
+	m.changed = nil
+	ep := m.cur.Load()
+	switch {
+	case len(changed) == 0 || ep == nil:
+	case ep.pre.Stats().Size == 0:
+		m.cur.Store(nil)
+	default:
+		post := unionGraph(m.store)
+		if deltas := rowDeltas(ep.union, post, changed); len(deltas) > 0 {
+			m.cur.Store(m.bind(post, ep.pre.Derive(post, churn.DirtySet(ep.union, post, deltas, m.cfg.K))))
+		}
 	}
-	post := unionGraph(m.store)
-	deltas := churn.Diff(pre, post)
-	if len(deltas) == 0 {
-		return // e.g. a re-origination with identical adjacency
-	}
-	for _, v := range churn.DirtySet(pre, post, deltas, m.cfg.K) {
-		if _, owned := m.adj[v]; !owned {
+}
+
+// rowDeltas returns the deltas relating pre to post at the changed
+// origins. An edge's presence depends only on its endpoints' records,
+// so every edge the batch changed lies in a changed origin's row, and an
+// origin that appears or vanishes is one vertex delta (its k-ball covers
+// every incident edge).
+func rowDeltas(pre, post *graph.Graph, changed []graph.Vertex) []churn.Delta {
+	var deltas []churn.Delta
+	for _, x := range changed {
+		if was, is := pre.HasVertex(x), post.HasVertex(x); was != is {
+			op := churn.AddVertex
+			if was {
+				op = churn.RemoveVertex
+			}
+			deltas = append(deltas, churn.Delta{Op: op, U: x})
 			continue
 		}
-		m.viewGen[v] = m.storeGen
-		delete(m.views, v)
+		a, b := pre.Adj(x), post.Adj(x) // both nil when x is absent
+		for len(a) > 0 || len(b) > 0 {
+			switch {
+			case len(b) == 0 || len(a) > 0 && a[0] < b[0]:
+				deltas = append(deltas, churn.Delta{Op: churn.RemoveEdge, U: x, V: a[0]})
+				a = a[1:]
+			case len(a) == 0 || b[0] < a[0]:
+				deltas = append(deltas, churn.Delta{Op: churn.AddEdge, U: x, V: b[0]})
+				b = b[1:]
+			default:
+				a, b = a[1:], b[1:]
+			}
+		}
 	}
+	return deltas
 }
 
-// View exposes the discovered k-neighbourhood of an owned vertex for
-// tests and the differential property (nil when u is not owned).
-func (m *Member) View(u graph.Vertex) *graph.Graph {
-	bv, err := m.viewFor(u)
-	if err != nil {
+// View returns the preprocessed G_k(u) of an owned vertex as the
+// member's routing decisions see it (nil when u is not owned).
+func (m *Member) View(u graph.Vertex) *prep.View {
+	if _, owned := m.adj[u]; !owned {
 		return nil
 	}
-	return bv.view
+	return m.current().pre.At(u)
 }

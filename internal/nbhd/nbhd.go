@@ -73,8 +73,7 @@ func Extract(st bigraph.Store, u graph.Vertex, k int) *Neighborhood {
 // ExtractView returns G_k(u) as a graph and whether it is complete: no
 // vertex sits on the distance-k horizon, so u's whole component is
 // inside the view and the absence of a destination proves a partition.
-// The discovery protocols (netsim, cluster) trim their link-state
-// unions with it.
+// netsim's discovery protocol trims its link-state unions with it.
 func ExtractView(st bigraph.Store, u graph.Vertex, k int) (*graph.Graph, bool) {
 	nb := Extract(st, u, k)
 	for _, d := range nb.Dist {

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"klocal/internal/bigraph"
@@ -96,15 +98,62 @@ func (sp GraphSpec) BuildStore() (bigraph.Store, error) {
 	return g, nil
 }
 
+// maxSpecEdges caps the edges a generator spec may ask for. It admits a
+// 1000×1000 grid (≈2·10⁶ edges) and refuses, before any allocation,
+// the specs whose generators would exhaust memory, such as a complete
+// graph on 10⁶ vertices (≈5·10¹¹ edges).
+const maxSpecEdges = 1 << 22
+
+// ErrSpecBounds rejects a generator spec whose size is below the
+// smallest graph its kind can build or whose edge count would exceed
+// maxSpecEdges. PUT /graph answers it with a 400 and keeps serving the
+// current deployment.
+var ErrSpecBounds = errors.New("serve: graph spec out of bounds")
+
+// specBounds returns the smallest size a generator kind builds and the
+// number of edges it asks for at size n, in float64 so no size
+// overflows. "random" draws once per vertex pair whatever its p, so it
+// counts every pair. Unknown kinds report ok = false.
+func specBounds(kind string, n int) (minSize int, edges float64, ok bool) {
+	x := float64(n)
+	switch kind {
+	case "lollipop":
+		return 4, x, true // cycle n−n/3 ≥ 3 plus its tail
+	case "cycle":
+		return 3, x, true
+	case "path", "tree":
+		return 2, x - 1, true
+	case "grid":
+		side := math.Ceil(math.Sqrt(x))
+		return 2, 2 * side * (side - 1), true
+	case "spider":
+		return 5, x - 1, true // four arms of (n−1)/4 ≥ 1 vertices
+	case "wheel":
+		return 4, 2 * (x - 1), true
+	case "barbell":
+		c := math.Floor((x - 2) / 2)
+		return 6, c*(c-1) + x, true // two cliques of (n−2)/2 ≥ 2 and a bridge
+	case "complete", "random":
+		return 2, x * (x - 1) / 2, true
+	}
+	return 0, 0, false
+}
+
 // Build constructs the (deterministic) graph the spec describes. Kind
-// "file" has no materialized graph — use BuildStore.
+// "file" has no materialized graph — use BuildStore. A generator size
+// outside its kind's bounds fails with ErrSpecBounds before generating.
 func (sp GraphSpec) Build() (*graph.Graph, error) {
 	sp = sp.withDefaults()
 	if sp.Kind == "file" {
 		return nil, fmt.Errorf("serve: kind \"file\" is store-backed; use BuildStore")
 	}
-	if sp.Kind != "edges" && sp.Size < 2 {
-		return nil, fmt.Errorf("serve: graph size %d too small", sp.Size)
+	if minSize, edges, ok := specBounds(sp.Kind, sp.Size); ok {
+		if sp.Size < minSize {
+			return nil, fmt.Errorf("%w: %s needs size >= %d, got %d", ErrSpecBounds, sp.Kind, minSize, sp.Size)
+		}
+		if edges > maxSpecEdges {
+			return nil, fmt.Errorf("%w: %s asks for %.3g edges (max %d)", ErrSpecBounds, sp, edges, maxSpecEdges)
+		}
 	}
 	rng := rand.New(rand.NewSource(sp.Seed))
 	var g *graph.Graph
