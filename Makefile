@@ -105,7 +105,10 @@ go-fuzz-smoke:
 # machinery, the cluster membership/LSA/forwarding stack (including the
 # 5-member TCP crash e2e), the graph substrate and neighborhood
 # extraction (shared-Scratch misuse shows up here first), and the shared
-# routing closures the engine's workers route through.
+# routing closures the engine's workers route through. Two races that
+# need many interleavings to show run ten times over: routing while a
+# cluster member derives new epochs, and eight goroutines publishing a
+# view's routing half at once.
 race:
 	$(GO) test -race -count=1 \
 		./internal/netsim/... ./internal/fault/... \
@@ -113,6 +116,9 @@ race:
 		./internal/serve/... ./internal/cluster/... ./internal/bigraph/... \
 		./internal/nbhd/... ./internal/graph/...
 	$(GO) test -race -count=1 -run Concurrent ./internal/route/...
+	$(GO) test -race -count=10 \
+		-run '^(TestConcurrentRouteWhileDeriving|TestConcurrentRoutingHalfFirstUse)$$' \
+		./internal/cluster/ ./internal/prep/
 	$(MAKE) go-fuzz-smoke
 
 # Traffic-engine benchmarks (throughput vs workers, cache cold vs warm,

@@ -54,6 +54,6 @@ func run() error {
 	k := klocal.MinK1(g.N())
 	view := klocal.Preprocess(g, s, k)
 	fmt.Printf("\nnode %d at k=%d: |G_k| = %d vertices, %d dormant edge(s), active degree %d\n",
-		s, k, view.C.Raw.NV(), len(view.C.Dormant), view.ActiveDegree())
+		s, k, view.C.Raw.NV(), len(view.RoutingHalf().Dormant), view.ActiveDegree())
 	return nil
 }

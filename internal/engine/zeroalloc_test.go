@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -86,43 +87,59 @@ func TestWarmRouteAllocsGate(t *testing.T) {
 	}
 }
 
-// preprocessAllocGate bounds the allocations of one cold view build.
-// The compact-native pipeline runs in pooled scratch and copies each
-// view into one block, two arenas, the component list and the dormant
-// edges, so a regression that reintroduces map-shaped construction
-// (hundreds of allocations per view) trips the gate immediately.
-const preprocessAllocGate = 10
+// preprocessAllocGate bounds the allocations of one cold view build,
+// which builds the Case-1 half only: one block for the view and G_k(u),
+// one int32 arena and one vertex arena. A regression that builds the
+// routing half eagerly (5 more) or reintroduces map-shaped
+// construction (hundreds) trips the gate immediately.
+const preprocessAllocGate = 3
 
-// TestPreprocessAllocsGate pins prep.PreprocessStore at or under
-// preprocessAllocGate allocations per view at k = 3, on the
-// million-vertex CSR grid the scale workloads serve and on a
-// graph-backed grid.
+// routingHalfAllocGate bounds the allocations of building one view's
+// routing half: one block for the half and G'_k(u), one int32 arena, one
+// vertex arena, the component list and the dormant edges.
+const routingHalfAllocGate = 5
+
+// gateStore is a store the view-build gates run on, with sources
+// spread over it (interior and border alike).
+type gateStore struct {
+	name string
+	st   bigraph.Store
+	vs   []graph.Vertex
+}
+
+// gateStores returns the million-vertex CSR grid the scale workloads
+// serve and a graph-backed grid.
+func gateStores(t *testing.T) []gateStore {
+	csr, err := gen.GridCSR(1000, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spread := func(rows, cols int) []graph.Vertex {
+		var vs []graph.Vertex
+		for r := 0; r < rows; r += rows / 10 {
+			for c := 0; c < cols; c += cols / 10 {
+				vs = append(vs, graph.Vertex(r*cols+c))
+			}
+		}
+		return vs
+	}
+	return []gateStore{
+		{"csr-1000x1000", csr, spread(1000, 1000)},
+		{"graph-100x100", gen.Grid(100, 100), spread(100, 100)},
+	}
+}
+
+// TestPreprocessAllocsGate pins prep.PreprocessStore, the Case-1 build
+// a cache miss runs, at or under preprocessAllocGate allocations per
+// view at k = 3.
 func TestPreprocessAllocsGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	const k = 3
-	csr, err := gen.GridCSR(1000, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stores := []struct {
-		name       string
-		st         bigraph.Store
-		rows, cols int
-	}{
-		{"csr-1000x1000", csr, 1000, 1000},
-		{"graph-100x100", gen.Grid(100, 100), 100, 100},
-	}
-	for _, tc := range stores {
+	for _, tc := range gateStores(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			// Interior and border vertices alike, spread over the grid.
-			var vs []graph.Vertex
-			for r := 0; r < tc.rows; r += tc.rows / 10 {
-				for c := 0; c < tc.cols; c += tc.cols / 10 {
-					vs = append(vs, graph.Vertex(r*tc.cols+c))
-				}
-			}
+			vs := tc.vs
 			for _, u := range vs { // warm: pooled scratch at its high-water mark
 				prep.PreprocessStore(tc.st, u, k, prep.PolicyMinRank)
 			}
@@ -135,6 +152,40 @@ func TestPreprocessAllocsGate(t *testing.T) {
 				t.Fatalf("PreprocessStore allocates %.2f times per view, gate %d", avg, preprocessAllocGate)
 			}
 			t.Logf("PreprocessStore: %.2f allocs/view (gate %d)", avg, preprocessAllocGate)
+		})
+	}
+}
+
+// TestRoutingHalfAllocsGate pins the first View.RoutingHalf call, which
+// builds the half, at or under routingHalfAllocGate allocations at
+// k = 3. Each measured call meets a fresh view, built beforehand.
+func TestRoutingHalfAllocsGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const k, runs = 3, 200
+	for _, tc := range gateStores(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			vs := tc.vs
+			for _, u := range vs { // warm: pooled scratch at its high-water mark
+				prep.PreprocessStore(tc.st, u, k, prep.PolicyMinRank).RoutingHalf()
+			}
+			// AllocsPerRun makes one warm-up call before its runs.
+			fresh := make([]*prep.View, runs+1)
+			for i := range fresh {
+				fresh[i] = prep.PreprocessStore(tc.st, vs[i%len(vs)], k, prep.PolicyMinRank)
+			}
+			// A collection mid-run could empty the pooled builders.
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			i := 0
+			avg := testing.AllocsPerRun(runs, func() {
+				fresh[i].RoutingHalf()
+				i++
+			})
+			if avg > routingHalfAllocGate {
+				t.Fatalf("building a routing half allocates %.2f times, gate %d", avg, routingHalfAllocGate)
+			}
+			t.Logf("RoutingHalf build: %.2f allocs/half (gate %d)", avg, routingHalfAllocGate)
 		})
 	}
 }

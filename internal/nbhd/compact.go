@@ -135,14 +135,17 @@ type Scratch struct {
 	// slices alias scratch buffers.
 	Comps []CompactComponent
 
-	// Global-index visited state for extraction: gmark[v] == gepoch means
-	// global index v was reached, gdist[v] its distance, glocal[v] (set
-	// during local-space construction) its local index.
-	gmark  []uint32
+	// Global-index state for extraction, the one array sized by the
+	// store: gslot[v] is 0 for a global index v the walk has not
+	// reached, its BFS position + 1 during the walk, and its local
+	// index + 1 once the reached set is sorted. Extraction zeroes the
+	// slots it touched before it returns.
+	gslot []int32
+	// gorder is the BFS discovery order (global indices) and doubles as
+	// the queue; gdist holds the distances parallel to it, in visit
+	// order.
+	gorder []int32
 	gdist  []int32
-	glocal []int32
-	gepoch uint32
-	gorder []int32 // BFS discovery order (global indices); doubles as the queue
 
 	// Backing buffers for View.
 	verts    []graph.Vertex
@@ -181,20 +184,33 @@ type Scratch struct {
 // sizes it.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// beginGlobal readies the global visited state for n vertices.
+// beginGlobal readies the global slot array for n vertices; every slot
+// is already zero.
 func (sc *Scratch) beginGlobal(n int) {
-	if len(sc.gmark) < n {
-		sc.gmark = make([]uint32, n)
-		sc.gdist = make([]int32, n)
-		sc.glocal = make([]int32, n)
-		sc.gepoch = 0
-	}
-	sc.gepoch++
-	if sc.gepoch == 0 { // uint32 wrap: all marks are stale garbage
-		clear(sc.gmark)
-		sc.gepoch = 1
+	if len(sc.gslot) < n {
+		sc.gslot = make([]int32, n)
 	}
 	sc.gorder = sc.gorder[:0]
+	sc.gdist = sc.gdist[:0]
+}
+
+// visit records global index gi as reached at distance d.
+//
+//klocal:hotpath
+func (sc *Scratch) visit(gi, d int32) {
+	sc.gorder = append(sc.gorder, gi)
+	sc.gdist = append(sc.gdist, d)
+	sc.gslot[gi] = int32(len(sc.gorder))
+}
+
+// endGlobal zeroes the slots of every reached global index, through the
+// visit list, so the next extraction starts from an all-zero array.
+//
+//klocal:hotpath
+func (sc *Scratch) endGlobal() {
+	for _, gi := range sc.gorder {
+		sc.gslot[gi] = 0
+	}
 }
 
 // begin2 readies the secondary epoch arrays for nv local vertices.
@@ -244,20 +260,15 @@ func (sc *Scratch) extractGraph(g *graph.Graph, u graph.Vertex, k int) bool {
 		return false
 	}
 	sc.beginGlobal(g.N())
-	sc.gmark[root] = sc.gepoch
-	sc.gdist[root] = 0
-	sc.gorder = append(sc.gorder, root)
+	sc.visit(root, 0)
 	for head := 0; head < len(sc.gorder); head++ {
-		x := sc.gorder[head]
-		d := sc.gdist[x]
+		d := sc.gdist[head]
 		if int(d) >= k {
-			continue // horizon vertices do not expand
+			break // the queue is in distance order: the rest is horizon
 		}
-		for _, y := range g.Row(x) {
-			if sc.gmark[y] != sc.gepoch {
-				sc.gmark[y] = sc.gepoch
-				sc.gdist[y] = d + 1
-				sc.gorder = append(sc.gorder, y)
+		for _, y := range g.Row(sc.gorder[head]) {
+			if sc.gslot[y] == 0 {
+				sc.visit(y, d+1)
 			}
 		}
 	}
@@ -267,29 +278,20 @@ func (sc *Scratch) extractGraph(g *graph.Graph, u graph.Vertex, k int) bool {
 	sc.verts = sc.verts[:0]
 	sc.dist = sc.dist[:0]
 	for li, gi := range sc.gorder {
-		sc.glocal[gi] = int32(li)
 		sc.verts = append(sc.verts, g.VertexAt(gi))
-		sc.dist = append(sc.dist, sc.gdist[gi])
+		sc.localize(li, gi)
 	}
 	sc.setView(u, k)
 	sc.adjStart = sc.adjStart[:0]
 	sc.adj = sc.adj[:0]
-	for li := range sc.View.Verts {
-		gi := sc.gorder[li]
+	for li, gi := range sc.gorder {
 		sc.adjStart = append(sc.adjStart, int32(len(sc.adj)))
-		di := sc.View.Dist[li]
-		for _, gy := range g.Row(gi) {
-			if sc.gmark[gy] != sc.gepoch {
-				continue
-			}
-			if int(di) < k || int(sc.gdist[gy]) < k {
-				sc.adj = append(sc.adj, sc.glocal[gy])
-			}
-		}
+		sc.keepEdges(sc.dist[li], g.Row(gi), k)
 	}
 	sc.adjStart = append(sc.adjStart, int32(len(sc.adj)))
 	sc.View.AdjStart = sc.adjStart
 	sc.View.Adj = sc.adj
+	sc.endGlobal()
 	return true
 }
 
@@ -303,20 +305,15 @@ func (sc *Scratch) extractCSR(c *bigraph.CSR, u graph.Vertex, k int) bool {
 		return false
 	}
 	sc.beginGlobal(c.N())
-	sc.gmark[root] = sc.gepoch
-	sc.gdist[root] = 0
-	sc.gorder = append(sc.gorder, root)
+	sc.visit(root, 0)
 	for head := 0; head < len(sc.gorder); head++ {
-		x := sc.gorder[head]
-		d := sc.gdist[x]
+		d := sc.gdist[head]
 		if int(d) >= k {
-			continue
+			break
 		}
-		for _, y := range c.Row(x) {
-			if sc.gmark[y] != sc.gepoch {
-				sc.gmark[y] = sc.gepoch
-				sc.gdist[y] = d + 1
-				sc.gorder = append(sc.gorder, y)
+		for _, y := range c.Row(sc.gorder[head]) {
+			if sc.gslot[y] == 0 {
+				sc.visit(y, d+1)
 			}
 		}
 	}
@@ -324,30 +321,50 @@ func (sc *Scratch) extractCSR(c *bigraph.CSR, u graph.Vertex, k int) bool {
 	sc.verts = sc.verts[:0]
 	sc.dist = sc.dist[:0]
 	for li, gi := range sc.gorder {
-		sc.glocal[gi] = int32(li)
 		sc.verts = append(sc.verts, c.Label(gi))
-		sc.dist = append(sc.dist, sc.gdist[gi])
+		sc.localize(li, gi)
 	}
 	sc.setView(u, k)
 	sc.adjStart = sc.adjStart[:0]
 	sc.adj = sc.adj[:0]
-	for li := range sc.View.Verts {
-		gi := sc.gorder[li]
+	for li, gi := range sc.gorder {
 		sc.adjStart = append(sc.adjStart, int32(len(sc.adj)))
-		di := sc.View.Dist[li]
-		for _, gy := range c.Row(gi) {
-			if sc.gmark[gy] != sc.gepoch {
-				continue
-			}
-			if int(di) < k || int(sc.gdist[gy]) < k {
-				sc.adj = append(sc.adj, sc.glocal[gy])
-			}
-		}
+		sc.keepEdges(sc.dist[li], c.Row(gi), k)
 	}
 	sc.adjStart = append(sc.adjStart, int32(len(sc.adj)))
 	sc.View.AdjStart = sc.adjStart
 	sc.View.Adj = sc.adj
+	sc.endGlobal()
 	return true
+}
+
+// localize moves reached global index gi, at position li of the sorted
+// reached set, into local space: sc.dist receives its distance, and its
+// slot turns from BFS position + 1 into local index + 1.
+//
+//klocal:hotpath
+func (sc *Scratch) localize(li int, gi int32) {
+	sc.dist = append(sc.dist, sc.gdist[sc.gslot[gi]-1])
+	sc.gslot[gi] = int32(li) + 1
+}
+
+// keepEdges appends to sc.adj the local indices of the row's reached
+// neighbours under Extract's edge rule: an edge survives when its nearer
+// endpoint lies within k−1 of the centre. di is the row owner's
+// distance. Rows are ascending global indices, and local order is
+// global order, so the appended run is ascending too.
+//
+//klocal:hotpath
+func (sc *Scratch) keepEdges(di int32, row []int32, k int) {
+	for _, gy := range row {
+		s := sc.gslot[gy]
+		if s == 0 {
+			continue
+		}
+		if ly := s - 1; int(di) < k || int(sc.dist[ly]) < k {
+			sc.adj = append(sc.adj, ly)
+		}
+	}
 }
 
 // setView publishes the verts/dist buffers into sc.View and resolves the
@@ -365,35 +382,29 @@ func (sc *Scratch) setView(u graph.Vertex, k int) {
 // FromView encodes an arbitrary view graph around a centre with
 // knowledge radius k — the ClassifyView contract: every vertex and every
 // edge of the view is kept, distances are measured inside the view
-// (−1 for vertices unreachable from the centre).
+// (−1 for vertices unreachable from the centre). The local space is the
+// whole view, so the walk needs no global array.
 func (sc *Scratch) FromView(view *graph.Graph, center graph.Vertex, k int) bool {
 	root, ok := view.Index(center)
 	if !ok {
 		return false
 	}
 	n := view.N()
-	sc.beginGlobal(n)
-	// The local space is the whole view: local index == mirror index
-	// (both ascending by label).
+	// Local index == mirror index (both ascending by label).
 	sc.verts = sc.verts[:0]
 	sc.dist = sc.dist[:0]
 	for i := 0; i < n; i++ {
 		sc.verts = append(sc.verts, view.VertexAt(int32(i)))
 		sc.dist = append(sc.dist, -1)
 	}
-	sc.gmark[root] = sc.gepoch
-	sc.gdist[root] = 0
-	sc.gorder = append(sc.gorder, root)
 	sc.dist[root] = 0
+	sc.gorder = append(sc.gorder[:0], root)
 	for head := 0; head < len(sc.gorder); head++ {
 		x := sc.gorder[head]
-		d := sc.gdist[x]
 		for _, y := range view.Row(x) {
-			if sc.gmark[y] != sc.gepoch {
-				sc.gmark[y] = sc.gepoch
-				sc.gdist[y] = d + 1
+			if sc.dist[y] < 0 {
+				sc.dist[y] = sc.dist[x] + 1
 				sc.gorder = append(sc.gorder, y)
-				sc.dist[y] = d + 1
 			}
 		}
 	}

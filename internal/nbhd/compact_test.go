@@ -190,3 +190,58 @@ func TestCompactScratchAllocs(t *testing.T) {
 		t.Fatalf("compact extract+classify allocates %v/op in steady state, want 0", avg)
 	}
 }
+
+// slotsClear reports whether the scratch's global slot array is all
+// zero, which every extraction must leave it.
+func slotsClear(sc *Scratch) bool {
+	for _, s := range sc.gslot {
+		if s != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestExtractLeavesSlotsZero pins the slot array's contract: whatever
+// an extraction reached, it zeroes again before returning, so the next
+// extraction needs no clearing pass. Covers the graph and CSR walks,
+// an absent centre, k = 0 and FromView (through the generic branch).
+func TestExtractLeavesSlotsZero(t *testing.T) {
+	r := rand.New(rand.NewSource(25))
+	g := randomGraph(r, 60)
+	c := bigraph.FromGraph(g)
+	vs := g.Vertices()
+	sc := NewScratch()
+	cases := []struct {
+		name string
+		st   bigraph.Store
+		u    graph.Vertex
+		k    int
+		ok   bool
+	}{
+		{"graph", g, vs[7], 3, true},
+		{"csr", c, vs[11], 4, true},
+		{"graph/k=0", g, vs[3], 0, true},
+		{"csr/k=0", c, vs[3], 0, true},
+		{"graph/absent", g, graph.Vertex(1 << 40), 2, false},
+		{"csr/absent", c, graph.Vertex(1 << 40), 2, false},
+		{"fromview", opaqueStore{g}, vs[5], 3, true},
+	}
+	for _, tc := range cases {
+		if got := sc.Extract(tc.st, tc.u, tc.k); got != tc.ok {
+			t.Fatalf("%s: Extract reported %v, want %v", tc.name, got, tc.ok)
+		}
+		if !slotsClear(sc) {
+			t.Fatalf("%s: extraction left non-zero slots", tc.name)
+		}
+		if tc.ok {
+			checkViewMatches(t, &sc.View, Extract(g, tc.u, tc.k))
+		}
+	}
+	if !sc.FromView(Extract(g, vs[9], 2).G, vs[9], 2) || !slotsClear(sc) {
+		t.Fatal("FromView left non-zero slots")
+	}
+	if len(sc.gslot) < g.N() {
+		t.Fatalf("slot array holds %d slots for %d vertices", len(sc.gslot), g.N())
+	}
+}

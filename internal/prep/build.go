@@ -8,14 +8,20 @@ import (
 )
 
 // This file is the compact-native preprocessing pipeline behind
-// PreprocessStore. Every stage after the G_k(u) extraction runs over the
-// raw view's dense local indices (index order is label order):
+// PreprocessStore and View.RoutingHalf. Every stage after the G_k(u)
+// extraction runs over the raw view's dense local indices (index order
+// is label order). A view is built in two halves, and a full build is
+// the two in sequence:
 //
-//  1. dormancy: one bounded BFS per edge over rank-filtered arcs;
-//  2. next hops: one centre BFS passing on the minimum first hop;
-//  3. pruning: one centre BFS over the non-dormant arcs builds G'_k(u);
-//  4. classification: nbhd.Scratch.Classify on the routing view;
-//  5. encoding: the results copied into a few flat slices.
+//   - the Case-1 half (PreprocessStore, on a cache miss):
+//     1. next hops: one centre BFS passing on the minimum first hop;
+//     2. encoding: G_k(u) and the next hops copied into flat slices;
+//   - the routing half (RoutingHalf, on the first decision that finds
+//     t outside G_k(u)), from the view's own C.Raw:
+//     3. dormancy: one bounded BFS per edge over rank-filtered arcs;
+//     4. pruning: one centre BFS over the non-dormant arcs builds G'_k(u);
+//     5. classification: nbhd.Scratch.Classify on the routing view;
+//     6. encoding: the results copied into a few flat slices.
 //
 // reference.go holds the map-shaped reference pipeline; DiffViews pins
 // the two field for field.
@@ -23,7 +29,7 @@ import (
 // builders pools view-build working memory across preprocessing calls.
 var builders = sync.Pool{New: func() any { return &builder{sc: nbhd.NewScratch()} }}
 
-// builder is the working memory of one view build. sc.View holds the
+// builder is the working memory of one half build. sc.View holds the
 // raw view G_k(u) after extraction and the routing view G'_k(u) during
 // classification; the banks below are indexed by raw local index or by
 // raw arc position (an index into the raw view's Adj).
@@ -58,27 +64,46 @@ type builder struct {
 	radj      []int32
 }
 
-// viewBlock co-allocates a view with its two compact encodings.
+// viewBlock co-allocates a view with its raw encoding.
 type viewBlock struct {
-	view         View
-	raw, routing nbhd.CompactView
+	view View
+	raw  nbhd.CompactView
 }
 
-// build runs the pipeline over the raw view just extracted into b.sc and
-// returns the heap-owned view.
-func (b *builder) build(maxRank bool) *View {
-	raw := b.sc.View // header copy: its slices stay valid through Classify
-	b.size(raw.NV(), len(raw.Adj))
-	b.classifyDormant(&raw, maxRank)
-	b.nextHops(&raw)
-	b.prune(&raw)
+// halfBlock co-allocates a routing half with its routing encoding.
+type halfBlock struct {
+	half    RoutingHalf
+	routing nbhd.CompactView
+}
+
+// view builds the Case-1 half over the raw view just extracted into
+// b.sc and returns the heap-owned view.
+func (b *builder) view(pol Policy) *View {
+	raw := &b.sc.View
+	b.size(raw.NV())
+	b.nextHops(raw)
+	return b.encodeView(raw, pol)
+}
+
+// buildRoutingHalf builds the routing half of the view whose G_k(u) is
+// raw, on pooled scratch. It reads raw alone.
+func buildRoutingHalf(raw *nbhd.CompactView, pol Policy) *RoutingHalf {
+	if raw.NV() == 0 {
+		return emptyHalf(raw.Center, raw.K)
+	}
+	b := builders.Get().(*builder)
+	defer builders.Put(b)
+	b.size(raw.NV())
+	b.sizeArcs(len(raw.Adj))
+	b.classifyDormant(raw, pol == PolicyMaxRank)
+	b.prune(raw)
 	b.sc.View = b.routing
 	b.sc.Classify()
-	return b.encode(&raw)
+	return b.encodeHalf(raw)
 }
 
-// size grows the banks to a raw view of nv vertices and arcs arcs.
-func (b *builder) size(nv, arcs int) {
+// size grows the per-vertex banks to a raw view of nv vertices.
+func (b *builder) size(nv int) {
 	if cap(b.mark) < nv {
 		b.mark = make([]uint32, nv)
 		b.depth = make([]int32, nv)
@@ -92,6 +117,11 @@ func (b *builder) size(nv, arcs int) {
 	b.hop = b.hop[:nv]
 	b.rdist = b.rdist[:nv]
 	b.rlocal = b.rlocal[:nv]
+}
+
+// sizeArcs grows and clears the dormant-arc bank for a raw view of
+// arcs arcs.
+func (b *builder) sizeArcs(arcs int) {
 	if cap(b.dormArc) < arcs {
 		b.dormArc = make([]bool, arcs)
 	}
@@ -299,16 +329,49 @@ func (b *builder) prune(cv *nbhd.CompactView) {
 	}
 }
 
-// encode copies the raw view, the next hops, the routing view (b.sc.View)
-// and its classification (b.sc.Comps) into a heap-owned View: one block
-// for the view and its two encodings, one int32 arena, one vertex arena,
-// the component list and the dormant edges.
-func (b *builder) encode(raw *nbhd.CompactView) *View {
+// encodeView copies the raw view and the next hops into a heap-owned
+// view: one block for the view and its raw encoding, one int32 arena
+// and one vertex arena.
+func (b *builder) encodeView(raw *nbhd.CompactView, pol Policy) *View {
+	nv := raw.NV()
+	ints := make([]int32, 0, 2*nv+1+len(raw.Adj))
+	verts := make([]graph.Vertex, 0, 2*nv)
+
+	blk := &viewBlock{}
+	v := &blk.view
+	v.Center, v.K, v.pol = raw.Center, int(raw.K), pol
+	blk.raw = nbhd.CompactView{
+		Center:    raw.Center,
+		CenterIdx: raw.CenterIdx,
+		K:         raw.K,
+		Verts:     take(&verts, raw.Verts),
+		Dist:      take(&ints, raw.Dist),
+		AdjStart:  take(&ints, raw.AdjStart),
+		Adj:       take(&ints, raw.Adj),
+	}
+	v.C.Raw = &blk.raw
+	n := len(verts)
+	for _, h := range b.hop {
+		if h < 0 {
+			verts = append(verts, graph.NoVertex)
+		} else {
+			verts = append(verts, raw.Verts[h])
+		}
+	}
+	v.C.NextHop = verts[n:len(verts):len(verts)]
+	return v
+}
+
+// encodeHalf copies the routing view (b.sc.View), its classification
+// (b.sc.Comps) and the dormant edges of raw into a heap-owned routing
+// half: one block for the half and its routing encoding, one int32
+// arena, one vertex arena, the component list and the dormant edges.
+func (b *builder) encodeHalf(raw *nbhd.CompactView) *RoutingHalf {
 	rt := &b.sc.View
 	comps := b.sc.Comps
-	nv, rnv := raw.NV(), rt.NV()
-	nInts := 2*nv + 1 + len(raw.Adj) + 3*rnv + 1 + len(rt.Adj)
-	nVerts := 2*nv + rnv
+	rnv := rt.NV()
+	nInts := 3*rnv + 1 + len(rt.Adj)
+	nVerts := rnv
 	for i := range comps {
 		cc := &comps[i]
 		nInts += len(cc.Verts) + len(cc.Roots) + len(cc.Constraints)
@@ -319,30 +382,8 @@ func (b *builder) encode(raw *nbhd.CompactView) *View {
 	ints := make([]int32, 0, nInts)
 	verts := make([]graph.Vertex, 0, nVerts)
 
-	blk := &viewBlock{}
-	v := &blk.view
-	v.Center, v.K = raw.Center, int(raw.K)
-	c := &v.C
-	blk.raw = nbhd.CompactView{
-		Center:    raw.Center,
-		CenterIdx: raw.CenterIdx,
-		K:         raw.K,
-		Verts:     take(&verts, raw.Verts),
-		Dist:      take(&ints, raw.Dist),
-		AdjStart:  take(&ints, raw.AdjStart),
-		Adj:       take(&ints, raw.Adj),
-	}
-	c.Raw = &blk.raw
-	n := len(verts)
-	for _, h := range b.hop {
-		if h < 0 {
-			verts = append(verts, graph.NoVertex)
-		} else {
-			verts = append(verts, raw.Verts[h])
-		}
-	}
-	c.NextHop = verts[n:len(verts):len(verts)]
-
+	blk := &halfBlock{}
+	h := &blk.half
 	blk.routing = nbhd.CompactView{
 		Center:    rt.Center,
 		CenterIdx: rt.CenterIdx,
@@ -352,16 +393,16 @@ func (b *builder) encode(raw *nbhd.CompactView) *View {
 		AdjStart:  take(&ints, rt.AdjStart),
 		Adj:       take(&ints, rt.Adj),
 	}
-	c.Routing = &blk.routing
-	n = len(ints)
+	h.Routing = &blk.routing
+	n := len(ints)
 	for i := 0; i < rnv; i++ {
 		ints = append(ints, -1)
 	}
-	c.CompID = ints[n:len(ints):len(ints)]
-	c.Comps = make([]nbhd.CompactComponent, len(comps))
+	h.CompID = ints[n:len(ints):len(ints)]
+	h.Comps = make([]nbhd.CompactComponent, len(comps))
 	for i := range comps {
 		cc := &comps[i]
-		c.Comps[i] = nbhd.CompactComponent{
+		h.Comps[i] = nbhd.CompactComponent{
 			Verts:       take(&ints, cc.Verts),
 			Roots:       take(&ints, cc.Roots),
 			Constraints: take(&ints, cc.Constraints),
@@ -370,26 +411,26 @@ func (b *builder) encode(raw *nbhd.CompactView) *View {
 			Constrained: cc.Constrained,
 		}
 		for _, li := range cc.Verts {
-			c.CompID[li] = int32(i)
+			h.CompID[li] = int32(i)
 		}
 	}
 	// Every neighbour of the centre roots its component, and the centre's
 	// row is ascending, so the active roots come out rank-ordered.
 	n = len(verts)
 	for _, r := range rt.Row(rt.CenterIdx) {
-		if comps[c.CompID[r]].Active {
+		if comps[h.CompID[r]].Active {
 			verts = append(verts, rt.Verts[r])
 		}
 	}
-	c.ActiveRoots = verts[n:len(verts):len(verts)]
+	h.ActiveRoots = verts[n:len(verts):len(verts)]
 
 	if len(b.dormant) > 0 {
-		c.Dormant = make([]graph.Edge, len(b.dormant)/2)
-		for i := range c.Dormant {
-			c.Dormant[i] = graph.Edge{U: raw.Verts[b.dormant[2*i]], V: raw.Verts[b.dormant[2*i+1]]}
+		h.Dormant = make([]graph.Edge, len(b.dormant)/2)
+		for i := range h.Dormant {
+			h.Dormant[i] = graph.Edge{U: raw.Verts[b.dormant[2*i]], V: raw.Verts[b.dormant[2*i+1]]}
 		}
 	}
-	return v
+	return h
 }
 
 // take appends src to an arena preallocated to its final size and
@@ -401,14 +442,21 @@ func take[T any](arena *[]T, src []T) []T {
 }
 
 // emptyView is the view of an absent centre (or a negative locality):
-// no vertices, no components, no active roots.
-func emptyView(u graph.Vertex, k int) *View {
+// no vertices, no next hops.
+func emptyView(u graph.Vertex, k int, pol Policy) *View {
 	blk := &viewBlock{}
 	blk.raw = nbhd.CompactView{Center: u, K: int32(k)}
-	blk.routing = blk.raw
 	v := &blk.view
-	v.Center, v.K = u, k
+	v.Center, v.K, v.pol = u, k, pol
 	v.C.Raw = &blk.raw
-	v.C.Routing = &blk.routing
 	return v
+}
+
+// emptyHalf is the routing half of an empty view: no vertices, no
+// components, no active roots.
+func emptyHalf(u graph.Vertex, k int32) *RoutingHalf {
+	blk := &halfBlock{}
+	blk.routing = nbhd.CompactView{Center: u, K: k}
+	blk.half.Routing = &blk.routing
+	return &blk.half
 }

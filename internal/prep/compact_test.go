@@ -32,7 +32,8 @@ func TestViewCompactMatchesMaps(t *testing.T) {
 		v := PreprocessStore(g, u, k, PolicyMinRank)
 		ref := PreprocessRef(g, u, k, PolicyMinRank)
 
-		if v.C.Raw == nil || v.C.Routing == nil {
+		h := v.RoutingHalf()
+		if v.C.Raw == nil || h.Routing == nil {
 			t.Fatal("compact encodings missing")
 		}
 		for _, tgt := range v.C.Raw.Verts {
@@ -45,7 +46,7 @@ func TestViewCompactMatchesMaps(t *testing.T) {
 			t.Fatalf("NextHopFromCenter outside view = %d want NoVertex", got)
 		}
 
-		rcv := v.C.Routing
+		rcv := h.Routing
 		if rcv.NV() != len(ref.RoutingDist) {
 			t.Fatalf("compact routing has %d vertices want %d", rcv.NV(), len(ref.RoutingDist))
 		}
@@ -55,11 +56,11 @@ func TestViewCompactMatchesMaps(t *testing.T) {
 			}
 		}
 
-		if len(v.C.Comps) != len(ref.Comps) {
-			t.Fatalf("%d compact comps want %d", len(v.C.Comps), len(ref.Comps))
+		if len(h.Comps) != len(ref.Comps) {
+			t.Fatalf("%d compact comps want %d", len(h.Comps), len(ref.Comps))
 		}
 		for i, mc := range ref.Comps {
-			cc := &v.C.Comps[i]
+			cc := &h.Comps[i]
 			if len(cc.Verts) != len(mc.Vertices) || len(cc.Roots) != len(mc.Roots) || len(cc.Constraints) != len(mc.ConstraintVertices) {
 				t.Fatalf("comp %d shape mismatch", i)
 			}
@@ -67,8 +68,8 @@ func TestViewCompactMatchesMaps(t *testing.T) {
 				if rcv.Verts[li] != mc.Vertices[j] {
 					t.Fatalf("comp %d vertex %d: %d want %d", i, j, rcv.Verts[li], mc.Vertices[j])
 				}
-				if v.C.CompIdxOf(li) != int32(i) {
-					t.Fatalf("CompIdxOf(%d) = %d want %d", li, v.C.CompIdxOf(li), i)
+				if h.CompIdxOf(li) != int32(i) {
+					t.Fatalf("CompIdxOf(%d) = %d want %d", li, h.CompIdxOf(li), i)
 				}
 			}
 			for j, li := range cc.Roots {
@@ -85,7 +86,7 @@ func TestViewCompactMatchesMaps(t *testing.T) {
 				t.Fatalf("comp %d flags mismatch", i)
 			}
 		}
-		if v.C.CompIdxOf(rcv.CenterIdx) != -1 {
+		if h.CompIdxOf(rcv.CenterIdx) != -1 {
 			t.Fatal("centre must have no component")
 		}
 

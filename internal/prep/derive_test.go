@@ -76,6 +76,55 @@ func TestDeriveExact(t *testing.T) {
 	}
 }
 
+// TestDeriveKeepsRoutingHalf: the routing half depends on G_k(u) alone,
+// so a clean view that Derive adopts keeps its half by pointer, while a
+// dirty view is rebuilt as a Case-1 half and builds its routing half on
+// first use, over the post-delta topology.
+func TestDeriveKeepsRoutingHalf(t *testing.T) {
+	g := gen.Grid(8, 8)
+	k := 2
+	p := NewPreprocessor(g, k, PolicyMinRank, CacheOptions{})
+	p.Prewarm(2)
+	halves := make(map[graph.Vertex]*RoutingHalf)
+	g.EachVertex(func(u graph.Vertex) bool {
+		if HasRoutingHalf(p.At(u)) {
+			t.Fatalf("Prewarm built the routing half at %d", u)
+		}
+		halves[u] = p.At(u).RoutingHalf()
+		return true
+	})
+
+	e := g.Edges()[g.M()/2]
+	post, dirty, err := churn.Apply(g, churn.Delta{Op: churn.RemoveEdge, U: e.U, V: e.V}, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	np := p.Derive(post, dirty)
+	isDirty := make(map[graph.Vertex]bool)
+	for _, u := range dirty {
+		isDirty[u] = true
+	}
+	g.EachVertex(func(u graph.Vertex) bool {
+		v := np.At(u)
+		if !isDirty[u] {
+			if !HasRoutingHalf(v) || v.RoutingHalf() != halves[u] {
+				t.Fatalf("clean vertex %d lost its routing half", u)
+			}
+			return true
+		}
+		if HasRoutingHalf(v) {
+			t.Fatalf("rebuilt dirty view at %d already holds a routing half", u)
+		}
+		if err := DiffViews(v, PreprocessRef(post, u, k, PolicyMinRank).Encode()); err != nil {
+			t.Fatalf("rebuilt dirty view at %d: %v", u, err)
+		}
+		if v.RoutingHalf() == halves[u] {
+			t.Fatalf("rebuilt dirty view at %d shares the old epoch's routing half", u)
+		}
+		return true
+	})
+}
+
 func TestDeriveEpochIsolation(t *testing.T) {
 	g := gen.Grid(7, 7)
 	k := 2

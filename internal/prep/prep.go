@@ -55,26 +55,34 @@ func (p Policy) String() string {
 	}
 }
 
-// View is the preprocessed local view at a node: the raw k-neighbourhood
-// G_k(u), the locally identified dormant edges, and the routing subgraph
-// G'_k(u) with its classified components — all in the int-indexed form
-// the routing decision paths read (DESIGN.md §14). A view is built once
-// and immutable afterwards, so concurrent routing workers share it
-// freely. reference.go holds the map-shaped reference construction
-// (PreprocessRef) the tests pin it to.
+// View is the preprocessed local view at a node, in the int-indexed form
+// the routing decision paths read (DESIGN.md §14). It has two halves.
+// The Case-1 half, C, is G_k(u) and its next hops: all that a decision
+// whose destination t lies inside G_k(u) reads, and all that a cache
+// miss builds. The routing half — the dormant edges, G'_k(u) and its
+// classified components — is what Cases 2–4 read when t lies outside
+// G_k(u). RoutingHalf builds it from C.Raw on first use and publishes it
+// once, so a view is immutable apart from that one publication and
+// concurrent routing workers share it freely. reference.go holds the
+// map-shaped reference construction (PreprocessRef) the tests pin it
+// to.
 type View struct {
 	Center graph.Vertex
 	K      int
-	// C holds the view's compact encodings.
+	// C holds the view's Case-1 half.
 	C Compact
+
+	// pol is the dormancy policy the routing half is built under.
+	pol Policy
+	// half is the routing half once built; see RoutingHalf.
+	half atomic.Pointer[RoutingHalf]
 }
 
-// Compact is the int-indexed face of a preprocessed view: flat arrays
-// over local indices that the per-hop decision closures read with binary
-// searches and array loads only. Local index order is label order in
-// both encodings, so every canonical rank tie-break is an int32 compare.
-// The slices of one view share a few backing arrays; none may be
-// mutated.
+// Compact is the Case-1 half of a preprocessed view: flat arrays over
+// local indices that the per-hop decision reads with binary searches
+// and array loads only. Local index order is label order, so every
+// canonical rank tie-break is an int32 compare. The slices share a few
+// backing arrays; none may be mutated.
 type Compact struct {
 	// Raw is the compact encoding of G_k(u).
 	Raw *nbhd.CompactView
@@ -84,6 +92,14 @@ type Compact struct {
 	// centre itself. Precomputing it turns the per-hop next-hop search
 	// into one binary search and a load.
 	NextHop []graph.Vertex
+}
+
+// RoutingHalf is the part of a preprocessed view that only the
+// beyond-the-horizon rules read (t outside G_k(u)): the dormant edges,
+// G'_k(u) and its classified components, in Routing's local index
+// space. It depends on G_k(u) alone. The slices share a few backing
+// arrays; none may be mutated.
+type RoutingHalf struct {
 	// Dormant lists the edges of G_k(u) classified dormant at this node,
 	// in rank order.
 	Dormant []graph.Edge
@@ -120,30 +136,49 @@ func (c *Compact) NextHopFromCenter(t graph.Vertex) graph.Vertex {
 // routing local index li, or -1 for the centre.
 //
 //klocal:hotpath
-func (c *Compact) CompIdxOf(li int32) int32 { return c.CompID[li] }
+func (h *RoutingHalf) CompIdxOf(li int32) int32 { return h.CompID[li] }
 
-// PreprocessStore computes the view at u for locality k under policy
-// pol, reading topology through st. nbhd.Scratch.Extract lands G_k(u)
-// in local index space; from there the whole pipeline — dormancy,
-// pruning, classification, next hops — runs on pooled scratch, and the
-// result is copied into a few flat slices.
+// RoutingHalf returns the view's routing half. The first call builds it
+// from C.Raw alone — never from the store, so the decision that needs it
+// stays k-local — and publishes it through an atomic pointer; a caller
+// that loses a concurrent first build returns the winner's half, so
+// every caller sees the same pointer. Later calls are one atomic load.
+//
+//klocal:hotpath
+func (v *View) RoutingHalf() *RoutingHalf {
+	if h := v.half.Load(); h != nil {
+		return h
+	}
+	h := buildRoutingHalf(v.C.Raw, v.pol)
+	if v.half.CompareAndSwap(nil, h) {
+		return h
+	}
+	return v.half.Load()
+}
+
+// PreprocessStore computes the Case-1 half of the view at u for
+// locality k under policy pol, reading topology through st:
+// nbhd.Scratch.Extract lands G_k(u) in local index space, one centre
+// BFS on pooled scratch finds the next hops, and the result is copied
+// into a few flat slices. The routing half waits for RoutingHalf.
 func PreprocessStore(st bigraph.Store, u graph.Vertex, k int, pol Policy) *View {
 	b := builders.Get().(*builder)
 	defer builders.Put(b)
 	if !b.sc.Extract(st, u, k) {
 		// Absent centre or negative k: the empty view.
-		return emptyView(u, k)
+		return emptyView(u, k, pol)
 	}
-	return b.build(pol == PolicyMaxRank)
+	return b.view(pol)
 }
 
 // IsDormant reports whether the view classified e as dormant, by binary
-// search in the rank-ordered Dormant list (no per-view edge map).
+// search in the rank-ordered Dormant list (no per-view edge map). It
+// builds the routing half if the view has none yet.
 //
 //klocal:hotpath
 func (v *View) IsDormant(e graph.Edge) bool {
 	e = graph.NewEdge(e.U, e.V)
-	es := v.C.Dormant
+	es := v.RoutingHalf().Dormant
 	lo, hi := 0, len(es)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -158,8 +193,9 @@ func (v *View) IsDormant(e graph.Edge) bool {
 
 // ActiveDegree returns the number of active neighbours of the centre
 // (Propositions 1–3 bound it by 3, 2 and 1 at k ≥ n/4, n/3, n/2 given the
-// matching algorithm's preprocessing).
-func (v *View) ActiveDegree() int { return len(v.C.ActiveRoots) }
+// matching algorithm's preprocessing). It builds the routing half if the
+// view has none yet.
+func (v *View) ActiveDegree() int { return len(v.RoutingHalf().ActiveRoots) }
 
 // CacheOptions tune the preprocessor's view cache. The zero value means
 // defaults: DefaultShards lock shards, unbounded capacity.
@@ -259,8 +295,9 @@ type prepShard struct {
 // Preprocessor caches per-node views for a fixed network and locality.
 // The preprocessing step "need not be repeated unless the network topology
 // changes", so views are computed once per node and shared. It is safe
-// for concurrent use: the cache is sharded by vertex, views are immutable
-// after construction, and a view is published only via the shard lock.
+// for concurrent use: the cache is sharded by vertex, a view is
+// published only via the shard lock, and it is immutable afterwards
+// apart from the once-only publication of its routing half.
 //
 // Under concurrent misses for the same vertex both callers compute the
 // view and the first insert wins; the duplicate work is bounded and
@@ -455,8 +492,10 @@ func (sh *prepShard) maybeFreezeLocked(force bool) {
 
 // Prewarm computes and caches the view of every vertex using `workers`
 // goroutines (GOMAXPROCS when ≤ 0), so later routing never pays the
-// preprocessing latency. With a bounded cache smaller than the vertex
-// count, prewarming fills the cache and stops early.
+// extraction and next-hop latency. It builds Case-1 halves only: a
+// view's routing half costs one build, on the first decision that finds
+// its destination outside G_k(u). With a bounded cache smaller than the
+// vertex count, prewarming fills the cache and stops early.
 func (p *Preprocessor) Prewarm(workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

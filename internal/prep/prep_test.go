@@ -35,13 +35,14 @@ func TestDormantOnSmallCycle(t *testing.T) {
 	// minimum-rank edge {0,1} becomes dormant.
 	g := gen.Cycle(4)
 	v := PreprocessStore(g, 0, 2, PolicyMinRank)
-	if len(v.C.Dormant) != 1 || v.C.Dormant[0] != graph.NewEdge(0, 1) {
-		t.Fatalf("dormant = %v, want [{0,1}]", v.C.Dormant)
+	h := v.RoutingHalf()
+	if len(h.Dormant) != 1 || h.Dormant[0] != graph.NewEdge(0, 1) {
+		t.Fatalf("dormant = %v, want [{0,1}]", h.Dormant)
 	}
 	if !v.IsDormant(graph.NewEdge(1, 0)) {
 		t.Error("IsDormant must normalize edge orientation")
 	}
-	routing := decode(v.C.Routing)
+	routing := decode(h.Routing)
 	if routing.HasEdge(0, 1) {
 		t.Error("dormant edge must leave the routing subgraph")
 	}
@@ -58,8 +59,8 @@ func TestNoDormantOnLongCycle(t *testing.T) {
 	// A cycle longer than 2k has no local cycles: nothing is dormant.
 	g := gen.Cycle(9)
 	v := PreprocessStore(g, 0, 4, PolicyMinRank)
-	if len(v.C.Dormant) != 0 {
-		t.Fatalf("dormant = %v, want none", v.C.Dormant)
+	if len(v.RoutingHalf().Dormant) != 0 {
+		t.Fatalf("dormant = %v, want none", v.RoutingHalf().Dormant)
 	}
 	if v.ActiveDegree() != 2 {
 		t.Errorf("active degree = %d, want 2", v.ActiveDegree())
@@ -76,7 +77,7 @@ func TestRoutingViewDepthRestriction(t *testing.T) {
 	k := 3
 	v := PreprocessStore(g, 0, k, PolicyMinRank)
 	if !v.IsDormant(graph.NewEdge(0, 1)) {
-		t.Fatalf("triangle's minimum-rank edge should be dormant; got %v", v.C.Dormant)
+		t.Fatalf("triangle's minimum-rank edge should be dormant; got %v", v.RoutingHalf().Dormant)
 	}
 	// Raw view reaches vertex 4 (0-1-3-4, depth 3); in the routing view 1
 	// is only reachable as 0-2-1, so the tail shifts: 3 stays (depth 3
@@ -84,13 +85,13 @@ func TestRoutingViewDepthRestriction(t *testing.T) {
 	if !v.C.Raw.Contains(4) {
 		t.Error("raw view should contain vertex 4")
 	}
-	if v.C.Routing.Contains(4) {
+	if v.RoutingHalf().Routing.Contains(4) {
 		t.Error("routing view must drop vertices beyond routing depth k")
 	}
-	if !v.C.Routing.Contains(3) {
+	if !v.RoutingHalf().Routing.Contains(3) {
 		t.Error("routing view should still reach vertex 3 via 2-1")
 	}
-	if d := distOf(v.C.Routing, 1); d != 2 {
+	if d := distOf(v.RoutingHalf().Routing, 1); d != 2 {
 		t.Errorf("routing distance to 1 = %d, want 2", d)
 	}
 }
@@ -108,7 +109,7 @@ func TestLemma2AdjacentRoutingEdgesConsistent(t *testing.T) {
 		}
 		for _, u := range g.Vertices() {
 			v := PreprocessStore(g, u, k, PolicyMinRank)
-			decode(v.C.Routing).EachAdj(u, func(w graph.Vertex) bool {
+			decode(v.RoutingHalf().Routing).EachAdj(u, func(w graph.Vertex) bool {
 				if !consistent[graph.NewEdge(u, w)] {
 					t.Fatalf("inconsistent routing edge {%d,%d} at u=%d k=%d in %v", u, w, u, k, g)
 				}
@@ -130,7 +131,7 @@ func TestLemma2Converse_AdjacentConsistentEdgesKept(t *testing.T) {
 		for _, e := range consistent {
 			for _, u := range []graph.Vertex{e.U, e.V} {
 				v := PreprocessStore(g, u, k, PolicyMinRank)
-				if !decode(v.C.Routing).HasEdge(e.U, e.V) {
+				if !decode(v.RoutingHalf().Routing).HasEdge(e.U, e.V) {
 					t.Fatalf("consistent edge %v missing from G'_k(%d), k=%d, g=%v", e, u, k, g)
 				}
 			}
@@ -214,25 +215,25 @@ func TestActiveRootsSortedAndMatchComponents(t *testing.T) {
 		g := gen.RandomConnected(rng, n, 0.2)
 		k := 1 + rng.Intn(5)
 		u := graph.Vertex(rng.Intn(n))
-		v := PreprocessStore(g, u, k, PolicyMinRank)
-		roots := v.C.ActiveRoots
+		h := PreprocessStore(g, u, k, PolicyMinRank).RoutingHalf()
+		roots := h.ActiveRoots
 		for i := 1; i < len(roots); i++ {
 			if roots[i-1] >= roots[i] {
 				t.Fatalf("active roots not sorted: %v", roots)
 			}
 		}
-		rcv := v.C.Routing
+		rcv := h.Routing
 		for _, r := range roots {
 			li, ok := rcv.Index(r)
 			if !ok {
 				t.Fatalf("active root %d outside the routing view", r)
 			}
-			ci := v.C.CompIdxOf(li)
-			if ci < 0 || !v.C.Comps[ci].Active {
+			ci := h.CompIdxOf(li)
+			if ci < 0 || !h.Comps[ci].Active {
 				t.Fatalf("active root %d has no active component", r)
 			}
 			isRoot := false
-			for _, x := range v.C.Comps[ci].Roots {
+			for _, x := range h.Comps[ci].Roots {
 				isRoot = isRoot || x == li
 			}
 			if !isRoot {
@@ -254,11 +255,11 @@ func TestActiveRootsSortedAndMatchComponents(t *testing.T) {
 
 func TestCompOfCenterIsNil(t *testing.T) {
 	g := gen.Path(5)
-	v := PreprocessStore(g, 2, 2, PolicyMinRank)
-	if v.C.CompIdxOf(v.C.Routing.CenterIdx) != -1 {
+	h := PreprocessStore(g, 2, 2, PolicyMinRank).RoutingHalf()
+	if h.CompIdxOf(h.Routing.CenterIdx) != -1 {
 		t.Error("the centre belongs to no local component")
 	}
-	if v.C.Routing.Contains(99) {
+	if h.Routing.Contains(99) {
 		t.Error("unknown vertex must be outside the routing view")
 	}
 	ref := PreprocessRef(g, 2, 2, PolicyMinRank)
@@ -279,10 +280,10 @@ func TestFig17DormantEdgeDetected(t *testing.T) {
 	// particular s itself.
 	v := PreprocessStore(f.G, f.S, f.K, PolicyMinRank)
 	if !v.IsDormant(graph.NewEdge(f.S, f.D)) {
-		t.Errorf("{s,d} not dormant at s: dormant=%v", v.C.Dormant)
+		t.Errorf("{s,d} not dormant at s: dormant=%v", v.RoutingHalf().Dormant)
 	}
 	if v.ActiveDegree() != 1 {
-		t.Errorf("s should have a single active neighbour, got %v", v.C.ActiveRoots)
+		t.Errorf("s should have a single active neighbour, got %v", v.RoutingHalf().ActiveRoots)
 	}
 	// The big cycle stays fully consistent.
 	cons := ConsistentSubgraph(f.G, f.K)
@@ -339,7 +340,7 @@ func TestConsistencyMatchesLocalDormancy(t *testing.T) {
 		}
 		dormantSomewhere := make(map[graph.Edge]bool)
 		for _, u := range g.Vertices() {
-			for _, e := range PreprocessStore(g, u, k, PolicyMinRank).C.Dormant {
+			for _, e := range PreprocessStore(g, u, k, PolicyMinRank).RoutingHalf().Dormant {
 				dormantSomewhere[e] = true
 			}
 		}

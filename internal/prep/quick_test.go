@@ -21,7 +21,7 @@ func TestQuickRoutingSubgraphWithinRaw(t *testing.T) {
 		u := graph.Vertex(rng.Intn(n))
 		k := 1 + rng.Intn(5)
 		v := PreprocessStore(g, u, k, PolicyMinRank)
-		raw, routing := decode(v.C.Raw), decode(v.C.Routing)
+		raw, routing := decode(v.C.Raw), decode(v.RoutingHalf().Routing)
 		for _, e := range routing.Edges() {
 			if !raw.HasEdge(e.U, e.V) {
 				return false
@@ -51,8 +51,9 @@ func TestQuickRoutingDistancesBounded(t *testing.T) {
 		u := graph.Vertex(rng.Intn(n))
 		k := 1 + rng.Intn(5)
 		v := PreprocessStore(g, u, k, PolicyMinRank)
-		for li, w := range v.C.Routing.Verts {
-			d := int(v.C.Routing.Dist[li])
+		rcv := v.RoutingHalf().Routing
+		for li, w := range rcv.Verts {
+			d := int(rcv.Dist[li])
 			if d > k {
 				return false
 			}
@@ -79,7 +80,7 @@ func TestQuickPolicyChoicesAreExtremes(t *testing.T) {
 		k := 2 + rng.Intn(4)
 		vMin := PreprocessStore(g, u, k, PolicyMinRank)
 		vMax := PreprocessStore(g, u, k, PolicyMaxRank)
-		dMin, dMax := vMin.C.Dormant, vMax.C.Dormant
+		dMin, dMax := vMin.RoutingHalf().Dormant, vMax.RoutingHalf().Dormant
 		if len(dMin) == 0 || len(dMax) == 0 {
 			return len(dMin) == len(dMax)
 		}
@@ -103,7 +104,7 @@ func TestQuickDormantCountsMatchAcrossPolicies(t *testing.T) {
 		u := graph.Vertex(rng.Intn(n))
 		k := 2 + rng.Intn(4)
 		for _, pol := range []Policy{PolicyMinRank, PolicyMaxRank} {
-			routing := decode(PreprocessStore(g, u, k, pol).C.Routing)
+			routing := decode(PreprocessStore(g, u, k, pol).RoutingHalf().Routing)
 			if !routing.Connected() {
 				return false
 			}

@@ -89,11 +89,15 @@ func dormantInView(view *graph.Graph, e graph.Edge, k int, pol Policy) bool {
 // Encode re-encodes the reference view into the compact form,
 // independently of build.go: each label-space graph re-indexed through
 // a scratch, one target-rooted BFS per next hop, the routing view
-// classified and cloned.
+// classified and cloned. It fills both halves itself, so DiffViews
+// compares the production routing half with this one rather than with
+// a second lazy build.
 func (v *RefView) Encode() *View {
 	sc := nbhd.NewScratch()
 	if !sc.FromView(v.Raw.G, v.Center, v.K) {
-		return emptyView(v.Center, v.K)
+		out := emptyView(v.Center, v.K, 0)
+		out.half.Store(emptyHalf(v.Center, int32(v.K)))
+		return out
 	}
 	out := &View{Center: v.Center, K: v.K}
 	out.C.Raw = sc.View.Clone()
@@ -106,19 +110,19 @@ func (v *RefView) Encode() *View {
 			out.C.NextHop[t] = sc.View.Verts[hop]
 		}
 	}
-	out.C.Dormant = append([]graph.Edge(nil), v.Dormant...)
 
+	h := &RoutingHalf{Dormant: append([]graph.Edge(nil), v.Dormant...)}
 	sc.FromView(v.Routing, v.Center, v.K)
 	sc.Classify()
-	out.C.Routing = sc.View.Clone()
-	out.C.Comps = make([]nbhd.CompactComponent, len(sc.Comps))
-	out.C.CompID = make([]int32, sc.View.NV())
-	for i := range out.C.CompID {
-		out.C.CompID[i] = -1
+	h.Routing = sc.View.Clone()
+	h.Comps = make([]nbhd.CompactComponent, len(sc.Comps))
+	h.CompID = make([]int32, sc.View.NV())
+	for i := range h.CompID {
+		h.CompID[i] = -1
 	}
 	for i := range sc.Comps {
 		cc := &sc.Comps[i]
-		out.C.Comps[i] = nbhd.CompactComponent{
+		h.Comps[i] = nbhd.CompactComponent{
 			Verts:       append([]int32(nil), cc.Verts...),
 			Roots:       append([]int32(nil), cc.Roots...),
 			Constraints: append([]int32(nil), cc.Constraints...),
@@ -127,10 +131,11 @@ func (v *RefView) Encode() *View {
 			Constrained: cc.Constrained,
 		}
 		for _, li := range cc.Verts {
-			out.C.CompID[li] = int32(i)
+			h.CompID[li] = int32(i)
 		}
 	}
-	out.C.ActiveRoots = append([]graph.Vertex(nil), v.ActiveRoots...)
+	h.ActiveRoots = append([]graph.Vertex(nil), v.ActiveRoots...)
+	out.half.Store(h)
 	return out
 }
 
@@ -189,7 +194,8 @@ func (p *RefPreprocessor) At(u graph.Vertex) *RefView {
 // DiffViews reports the first difference between two views, or nil when
 // they agree on everything routing reads: centre and locality, both
 // compact encodings, next hops, the dormant set, the classified
-// components, the component index and the active roots.
+// components, the component index and the active roots. It compares
+// both halves, so it builds the routing half of a view that has none.
 func DiffViews(got, want *View) error {
 	if got.Center != want.Center || got.K != want.K {
 		return fmt.Errorf("center/k (%d, %d), want (%d, %d)", got.Center, got.K, want.Center, want.K)
@@ -200,28 +206,29 @@ func DiffViews(got, want *View) error {
 	if !slices.Equal(got.C.NextHop, want.C.NextHop) {
 		return fmt.Errorf("next hops %v, want %v", got.C.NextHop, want.C.NextHop)
 	}
-	if !slices.Equal(got.C.Dormant, want.C.Dormant) {
-		return fmt.Errorf("dormant edges %v, want %v", got.C.Dormant, want.C.Dormant)
+	gh, wh := got.RoutingHalf(), want.RoutingHalf()
+	if !slices.Equal(gh.Dormant, wh.Dormant) {
+		return fmt.Errorf("dormant edges %v, want %v", gh.Dormant, wh.Dormant)
 	}
-	if err := diffCompactView(got.C.Routing, want.C.Routing); err != nil {
+	if err := diffCompactView(gh.Routing, wh.Routing); err != nil {
 		return fmt.Errorf("routing view: %w", err)
 	}
-	if len(got.C.Comps) != len(want.C.Comps) {
-		return fmt.Errorf("%d components, want %d", len(got.C.Comps), len(want.C.Comps))
+	if len(gh.Comps) != len(wh.Comps) {
+		return fmt.Errorf("%d components, want %d", len(gh.Comps), len(wh.Comps))
 	}
-	for i := range want.C.Comps {
-		g, w := &got.C.Comps[i], &want.C.Comps[i]
+	for i := range wh.Comps {
+		g, w := &gh.Comps[i], &wh.Comps[i]
 		if !slices.Equal(g.Verts, w.Verts) || !slices.Equal(g.Roots, w.Roots) ||
 			!slices.Equal(g.Constraints, w.Constraints) ||
 			g.Active != w.Active || g.Independent != w.Independent || g.Constrained != w.Constrained {
 			return fmt.Errorf("component %d is %+v, want %+v", i, *g, *w)
 		}
 	}
-	if !slices.Equal(got.C.CompID, want.C.CompID) {
-		return fmt.Errorf("component index %v, want %v", got.C.CompID, want.C.CompID)
+	if !slices.Equal(gh.CompID, wh.CompID) {
+		return fmt.Errorf("component index %v, want %v", gh.CompID, wh.CompID)
 	}
-	if !slices.Equal(got.C.ActiveRoots, want.C.ActiveRoots) {
-		return fmt.Errorf("active roots %v, want %v", got.C.ActiveRoots, want.C.ActiveRoots)
+	if !slices.Equal(gh.ActiveRoots, wh.ActiveRoots) {
+		return fmt.Errorf("active roots %v, want %v", gh.ActiveRoots, wh.ActiveRoots)
 	}
 	return nil
 }

@@ -60,10 +60,10 @@ func Algorithm1BPolicy(pol prep.Policy) Algorithm {
 // TestCompactStepMatchesRef).
 //
 //klocal:hotpath
-func anticipateU2(view *prep.View, s, _, u, v graph.Vertex, roots []graph.Vertex, activeIdx int) graph.Vertex {
+func anticipateU2(h *prep.RoutingHalf, s, _, u, v graph.Vertex, roots []graph.Vertex, activeIdx int) graph.Vertex {
 	// Case U2a: the origin is not on u's routing horizon chart, or sits
 	// exactly at the horizon — no anticipation is possible.
-	rcv := view.C.Routing
+	rcv := h.Routing
 	sLi, ok := rcv.Index(s)
 	if !ok || rcv.Dist[sLi] >= rcv.K || s == u {
 		return graph.NoVertex
@@ -72,13 +72,13 @@ func anticipateU2(view *prep.View, s, _, u, v graph.Vertex, roots []graph.Vertex
 	if !ok {
 		return graph.NoVertex
 	}
-	ci := view.C.CompIdxOf(tLi)
-	if ci < 0 || ci != view.C.CompIdxOf(sLi) {
+	ci := h.CompIdxOf(tLi)
+	if ci < 0 || ci != h.CompIdxOf(sLi) {
 		// The message is moving away from the origin; S2/US2 cannot be
 		// imminent on this side.
 		return graph.NoVertex
 	}
-	if simulatesBounce(view, sLi, tLi) {
+	if simulatesBounce(rcv, sLi, tLi) {
 		return v
 	}
 	return graph.NoVertex
@@ -90,8 +90,8 @@ func anticipateU2(view *prep.View, s, _, u, v graph.Vertex, roots []graph.Vertex
 var simPool = sync.Pool{New: func() any { return nbhd.NewBounceScratch() }}
 
 // simulatesBounce walks the anticipated trajectory inside u's routing
-// view, starting with the hop u→first (all positions are local indices
-// into view.C.Routing; index order is label order, so every rank
+// view rcv, starting with the hop u→first (all positions are local indices
+// into rcv; index order is label order, so every rank
 // comparison below matches the reference). It follows only forced U2
 // steps (exactly two active branches) and reports whether the walk
 // provably terminates in an S2/US2 reversal back along its own
@@ -105,12 +105,11 @@ var simPool = sync.Pool{New: func() any { return nbhd.NewBounceScratch() }}
 // horizon-reaching branch extends at least k from every chain vertex.
 //
 //klocal:hotpath
-func simulatesBounce(view *prep.View, sLi, firstLi int32) bool {
-	rcv := view.C.Routing
+func simulatesBounce(rcv *nbhd.CompactView, sLi, firstLi int32) bool {
 	sc := simPool.Get().(*nbhd.BounceScratch)
 	defer simPool.Put(sc)
 	prev, cur := rcv.CenterIdx, firstLi
-	for step := 0; step < 4*view.K+4; step++ {
+	for step := int32(0); step < 4*rcv.K+4; step++ {
 		if rcv.Dist[cur] >= rcv.K {
 			return false // cannot see past the horizon
 		}

@@ -33,7 +33,7 @@ func Algorithm2Broken() Algorithm {
 				if hop := caseOneHop(view, t); hop != graph.NoVertex {
 					return hop, nil
 				}
-				roots := view.C.ActiveRoots
+				roots := view.RoutingHalf().ActiveRoots
 				if len(roots) > 2 {
 					//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
 					return graph.NoVertex, fmt.Errorf("%w: active degree %d > 2", ErrLocalityTooSmall, len(roots))

@@ -10,9 +10,13 @@ package route
 //     *bigraph.CSR are immutable by construction).
 //
 //   - Algorithms 1, 1B and 2 close over a prep.Preprocessor. The
-//     preprocessor's view cache is sharded and internally synchronized;
-//     the *prep.View instances it hands out are immutable after
-//     publication, so concurrent readers never observe partial views.
+//     preprocessor's view cache is sharded and internally synchronized.
+//     The *prep.View instances it hands out are immutable after
+//     publication except for their routing half, which the first
+//     decision that finds t outside G_k(u) builds from the view's own
+//     G_k(u) and publishes once through an atomic pointer: concurrent
+//     first callers all get the winner's half, so readers never observe
+//     a partial view or two different halves.
 //     Funcs bound through Over share one externally owned preprocessor
 //     across closures — also safe, including under cache eviction
 //     (evicted views stay valid for readers holding them; they are

@@ -121,7 +121,7 @@ func TestCorollary4PassiveEntryOnlyForT(t *testing.T) {
 					continue // Case 1: shortest-path endgame
 				}
 				isActiveRoot := false
-				for _, r := range view.C.ActiveRoots {
+				for _, r := range view.RoutingHalf().ActiveRoots {
 					if r == hop {
 						isActiveRoot = true
 					}

@@ -72,7 +72,7 @@ func TestPoliciesDifferOnFig13(t *testing.T) {
 	}
 	vMin := prep.PreprocessStore(f.G, f.S, f.K, prep.PolicyMinRank)
 	vMax := prep.PreprocessStore(f.G, f.S, f.K, prep.PolicyMaxRank)
-	dMin, dMax := vMin.C.Dormant, vMax.C.Dormant
+	dMin, dMax := vMin.RoutingHalf().Dormant, vMax.RoutingHalf().Dormant
 	if len(dMin) == 0 || len(dMax) == 0 {
 		t.Fatal("both policies should classify a dormant edge on the small cycle")
 	}

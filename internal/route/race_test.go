@@ -127,13 +127,14 @@ func TestConcurrentViewReads(t *testing.T) {
 			for _, u := range g.Vertices() {
 				v := p.At(u)
 				_ = v.ActiveDegree()
+				h := v.RoutingHalf()
 				for _, x := range g.Vertices() {
 					_ = v.C.NextHopFromCenter(x)
-					if li, ok := v.C.Routing.Index(x); ok && x != u {
-						_ = v.C.Comps[v.C.CompIdxOf(li)].Has(li)
+					if li, ok := h.Routing.Index(x); ok && x != u {
+						_ = h.Comps[h.CompIdxOf(li)].Has(li)
 					}
 				}
-				for _, e := range v.C.Dormant {
+				for _, e := range h.Dormant {
 					_ = v.IsDormant(e)
 				}
 				raw := v.C.Raw

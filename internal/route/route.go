@@ -157,23 +157,23 @@ func decideActive(kind ruleKind, roots []graph.Vertex, from arrival, activeIdx i
 	}
 }
 
-// classifyArrival resolves the predecessor v against the view's compact
-// encoding: two binary searches and array loads, no component scans.
+// classifyArrival resolves the predecessor v against the view's routing
+// half: two binary searches and array loads, no component scans.
 //
 //klocal:hotpath
-func classifyArrival(view *prep.View, s, v graph.Vertex, originAware bool) (arrival, int) {
+func classifyArrival(h *prep.RoutingHalf, s, v graph.Vertex, originAware bool) (arrival, int) {
 	if v == graph.NoVertex {
 		return arrivalFirst, -1
 	}
-	for i, r := range view.C.ActiveRoots {
+	for i, r := range h.ActiveRoots {
 		if r == v {
 			return arrivalActive, i
 		}
 	}
 	if originAware {
-		if vi, ok := view.C.Routing.Index(v); ok {
-			if ci := view.C.CompIdxOf(vi); ci >= 0 && !view.C.Comps[ci].Active {
-				if si, ok := view.C.Routing.Index(s); ok && view.C.CompIdxOf(si) == ci {
+		if vi, ok := h.Routing.Index(v); ok {
+			if ci := h.CompIdxOf(vi); ci >= 0 && !h.Comps[ci].Active {
+				if si, ok := h.Routing.Index(s); ok && h.CompIdxOf(si) == ci {
 					return arrivalSPassive, -1
 				}
 			}
@@ -185,12 +185,12 @@ func classifyArrival(view *prep.View, s, v graph.Vertex, originAware bool) (arri
 // kindAt resolves which rule family applies at u for origin s.
 //
 //klocal:hotpath
-func kindAt(view *prep.View, s, u graph.Vertex) ruleKind {
+func kindAt(h *prep.RoutingHalf, s, u graph.Vertex) ruleKind {
 	if u == s {
 		return rulesS
 	}
-	if si, ok := view.C.Routing.Index(s); ok {
-		if ci := view.C.CompIdxOf(si); ci >= 0 && !view.C.Comps[ci].Active {
+	if si, ok := h.Routing.Index(s); ok {
+		if ci := h.CompIdxOf(si); ci >= 0 && !h.Comps[ci].Active {
 			return rulesUS
 		}
 	}
@@ -201,7 +201,8 @@ func kindAt(view *prep.View, s, u graph.Vertex) ruleKind {
 // k-neighbourhood: follow a shortest path) or NoVertex if Case 1 does not
 // apply. The routing function always evaluates at the view's centre, so
 // the precomputed next-hop table answers in one binary search — this
-// deletes the per-hop BFS that dominated the old profile.
+// deletes the per-hop BFS that dominated the old profile. It reads the
+// view's Case-1 half only; the other cases read view.RoutingHalf().
 //
 //klocal:hotpath
 func caseOneHop(view *prep.View, t graph.Vertex) graph.Vertex {
@@ -212,7 +213,7 @@ func caseOneHop(view *prep.View, t graph.Vertex) graph.Vertex {
 // 2 on an arrival from an active root, it may override the default U2
 // decision with a pre-emptive reversal (Rules U2b–U2f). Returning
 // NoVertex keeps the default.
-type refineU2 func(view *prep.View, s, t, u, v graph.Vertex, roots []graph.Vertex, activeIdx int) graph.Vertex
+type refineU2 func(h *prep.RoutingHalf, s, t, u, v graph.Vertex, roots []graph.Vertex, activeIdx int) graph.Vertex
 
 // stepAware is the shared body of Algorithms 1 and 1B.
 //
@@ -222,14 +223,15 @@ func stepAware(p *prep.Preprocessor, s, t, u, v graph.Vertex, refine refineU2) (
 	if hop := caseOneHop(view, t); hop != graph.NoVertex {
 		return hop, nil
 	}
-	kind := kindAt(view, s, u)
-	from, idx := classifyArrival(view, s, v, true)
-	if kind == rulesU && from == arrivalActive && len(view.C.ActiveRoots) == 2 && refine != nil {
-		if hop := refine(view, s, t, u, v, view.C.ActiveRoots, idx); hop != graph.NoVertex {
+	h := view.RoutingHalf()
+	kind := kindAt(h, s, u)
+	from, idx := classifyArrival(h, s, v, true)
+	if kind == rulesU && from == arrivalActive && len(h.ActiveRoots) == 2 && refine != nil {
+		if hop := refine(h, s, t, u, v, h.ActiveRoots, idx); hop != graph.NoVertex {
 			return hop, nil
 		}
 	}
-	return decideActive(kind, view.C.ActiveRoots, from, idx)
+	return decideActive(kind, h.ActiveRoots, from, idx)
 }
 
 // Algorithm1 returns the paper's Algorithm 1: the (n/4)-local,
@@ -285,12 +287,13 @@ func Algorithm2Policy(pol prep.Policy) Algorithm {
 				if hop := caseOneHop(view, t); hop != graph.NoVertex {
 					return hop, nil
 				}
-				roots := view.C.ActiveRoots
+				h := view.RoutingHalf()
+				roots := h.ActiveRoots
 				if len(roots) > 2 {
 					//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
 					return graph.NoVertex, fmt.Errorf("%w: active degree %d > 2", ErrLocalityTooSmall, len(roots))
 				}
-				from, idx := classifyArrival(view, graph.NoVertex, v, false)
+				from, idx := classifyArrival(h, graph.NoVertex, v, false)
 				return decideActive(rulesU, roots, from, idx)
 			}
 		},

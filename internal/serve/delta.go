@@ -5,8 +5,6 @@ import (
 	"net/http"
 	"time"
 
-	"encoding/json"
-
 	"klocal/internal/churn"
 	"klocal/internal/engine"
 	"klocal/internal/graph"
@@ -143,8 +141,7 @@ func (s *Server) ApplyDeltas(deltas []churn.Delta) (*deployment, int, time.Durat
 
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	var req DeltaRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad delta body: %w", err))
+	if !s.decodeBody(w, r, maxDeltaBody, "delta body", &req) {
 		return
 	}
 	if len(req.Deltas) == 0 {

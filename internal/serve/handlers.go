@@ -139,6 +139,34 @@ func (s *Server) fail(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorReply{Error: err.Error()})
 }
 
+// Request-body ceilings of the hot endpoints, so that no single request
+// makes the daemon allocate without bound.
+const (
+	// maxRouteBody: a RouteRequest encodes in under 100 bytes.
+	maxRouteBody = 1 << 12
+	// maxBatchBody admits about 2·10⁵ pairs at ~20 bytes each.
+	maxBatchBody = 1 << 22
+	// maxDeltaBody admits about 10⁴ deltas at ~60 bytes each.
+	maxDeltaBody = 1 << 20
+)
+
+// decodeBody decodes r's JSON body into v, reading at most limit bytes,
+// and answers a failure itself: 413 for a body past the limit, 400 for
+// a malformed one. It reports whether v was decoded.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		s.fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("%s over %d bytes", what, tooLarge.Limit))
+	} else {
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", what, err))
+	}
+	return false
+}
+
 // reply converts an engine response into the wire form, tracing the walk
 // against the deployment's own graph when asked.
 func (d *deployment) reply(ae *algEngine, resp engine.Response, withTrace bool) RouteReply {
@@ -173,8 +201,7 @@ func (d *deployment) reply(ae *algEngine, resp engine.Response, withTrace bool) 
 func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	s.httpRequests.Add(1)
 	var req RouteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !s.decodeBody(w, r, maxRouteBody, "request body", &req) {
 		return
 	}
 	d, err := s.current()
@@ -208,8 +235,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.httpRequests.Add(1)
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !s.decodeBody(w, r, maxBatchBody, "request body", &req) {
 		return
 	}
 	if len(req.Pairs) == 0 {

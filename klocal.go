@@ -100,9 +100,11 @@ type (
 	// LocalComponent is a classified local component of a view.
 	LocalComponent = nbhd.Component
 	// View is the preprocessed local view at a node, in int-indexed
-	// form: View.C holds G_k(u) (C.Raw), the precomputed next hops, the
-	// dormant edges (C.Dormant), the routing subgraph G'_k(u) with the
-	// dormant edges removed (C.Routing) and its classified components.
+	// form. View.C is its Case-1 half: G_k(u) (C.Raw) and the
+	// precomputed next hops. View.RoutingHalf() returns the rest, built
+	// on first use: the dormant edges (Dormant), the routing subgraph
+	// G'_k(u) with the dormant edges removed (Routing) and its
+	// classified components.
 	View = prep.View
 	// Network is the concurrent message-passing simulator with k-hop
 	// neighbourhood discovery.
@@ -196,8 +198,9 @@ func ExtractNeighborhood(g *Graph, u Vertex, k int) *Neighborhood {
 	return nbhd.Extract(g, u, k)
 }
 
-// Preprocess computes the preprocessed view at u: G_k(u), its dormant
-// edges, and the routing view G'_k(u) with components classified.
+// Preprocess computes the preprocessed view at u: G_k(u) and its next
+// hops now, and on the first RoutingHalf call its dormant edges and the
+// routing view G'_k(u) with components classified.
 // ExtractNeighborhood gives the label-space form of G_k(u).
 func Preprocess(g *Graph, u Vertex, k int) *View {
 	return prep.PreprocessStore(g, u, k, prep.PolicyMinRank)
