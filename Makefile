@@ -94,10 +94,14 @@ churn-smoke:
 # The Go-native fuzzing engine over the same scenario space, long enough
 # to exercise the decoder and mutator plumbing, then over PATCH /graph
 # delta batches (typed errors only, results equal to a rebuild). `go
-# test -fuzz` takes one target per invocation.
+# test -fuzz` takes one target per invocation. -fuzzminimizetime
+# caps how long the fuzzer shrinks each new interesting input: one
+# FuzzRouting exec costs about 12 ms, so uncapped minimization stalls
+# the budget at 0 execs/sec. A crasher is still reported, and
+# klocalcheck's shrinker still minimizes findings.
 go-fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzRouting -fuzztime 20s ./internal/fuzz
-	$(GO) test -run '^$$' -fuzz FuzzApplyAll -fuzztime 20s ./internal/churn
+	$(GO) test -run '^$$' -fuzz FuzzRouting -fuzztime 20s -fuzzminimizetime 20x ./internal/fuzz
+	$(GO) test -run '^$$' -fuzz FuzzApplyAll -fuzztime 20s -fuzzminimizetime 20x ./internal/churn
 
 # The concurrency-heavy code paths: the fault-tolerant discovery
 # protocol and injector, the traffic engine and its metric shards, the

@@ -205,6 +205,7 @@ type Member struct {
 	adj  map[graph.Vertex][]graph.Vertex
 	tr   Transport
 	met  *metrics.Shard
+	lim  bodyLimits
 
 	mu       sync.Mutex
 	inc      int64
@@ -263,6 +264,7 @@ func NewMember(cfg Config, asn Assignment, adj map[graph.Vertex][]graph.Vertex, 
 		adj:     make(map[graph.Vertex][]graph.Vertex, len(owned)),
 		tr:      tr,
 		met:     metrics.NewShard(),
+		lim:     newBodyLimits(asn.N(), cfg.HopBudget),
 		inc:     cfg.Incarnation,
 		peers:   make(map[int]*peerState),
 		store:   make(map[graph.Vertex]*record),

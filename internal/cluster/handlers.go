@@ -3,10 +3,12 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 
 	"klocal/internal/graph"
+	"klocal/internal/httpbody"
 )
 
 // RouteRequest is the JSON body of POST /route on a cluster member —
@@ -58,18 +60,66 @@ func (m *Member) Handler() http.Handler {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v) // the status is sent; an error here cannot reach the peer
 }
 
 type errorReply struct {
 	Error string `json:"error"`
 }
 
-func decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply{Error: "bad request body: " + err.Error()})
+// Request-body ceilings. /route and HELLO do not grow with the graph.
+// The LSA, Forward and Reply messages do, so their ceilings are derived
+// for each member from its vertex count and hop budget (bodyLimits).
+const (
+	// maxRouteBody bounds POST /route: a RouteRequest encodes in under
+	// 100 bytes.
+	maxRouteBody = 1 << 12
+	// maxHelloBody bounds a HELLO: one PeerInfo row per member, at most
+	// 80 bytes plus the member's address, so 1 MiB admits thousands of
+	// members.
+	maxHelloBody = 1 << 20
+	// envelopeBytes is the allowance, in the derived ceilings, for all
+	// but the lists that grow with the graph: the scalar fields, a
+	// PeerInfo row, an error text.
+	envelopeBytes = 64 << 10
+)
+
+// The widest JSON encodings the derived ceilings count.
+const (
+	intBytes    = 20              // "-9223372036854775808", or a uint64's 20 digits
+	vertexBytes = intBytes + 1    // a vertex and its separating comma
+	lsaBytes    = 40 + 2*intBytes // a WireLSA but its adjacency, comma included
+	stepBytes   = 25 + 3*intBytes // a traced Step, comma included
+)
+
+// bodyLimits are a member's ceilings on the messages that grow with the
+// graph, each the largest such message a member of its cluster sends.
+// An LSA batch holds at most lsaBatchBytes of announcements, or one
+// larger announcement, whose adjacency is at most the other n − 1
+// vertices. A Forward or a Reply carries a walk of at most hopBudget
+// hops: a route of hopBudget + 1 vertices and, when traced, as many
+// Steps. Members of one cluster share n, and the hop budget unless they
+// are configured apart.
+type bodyLimits struct {
+	lsa, walk int64
+}
+
+func newBodyLimits(n, hopBudget int) bodyLimits {
+	const perHop = vertexBytes + stepBytes
+	hops := min(int64(hopBudget), (math.MaxInt64-envelopeBytes)/perHop-1) + 1
+	return bodyLimits{
+		lsa:  envelopeBytes + max(lsaBatchBytes, lsaBytes+vertexBytes*int64(n-1)),
+		walk: envelopeBytes + hops*perHop,
+	}
+}
+
+// decodeInto decodes r's JSON body into v, reading at most limit bytes,
+// and answers a failure itself (httpbody.Decode: 413 past the limit,
+// 400 when malformed). It reports whether v was decoded.
+func decodeInto(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	status, err := httpbody.Decode(w, r, limit, "request body", v)
+	if err != nil {
+		writeJSON(w, status, errorReply{Error: err.Error()})
 		return false
 	}
 	return true
@@ -91,7 +141,7 @@ func replyStatus(rep *RouteReply) int {
 
 func (m *Member) handleRouteHTTP(w http.ResponseWriter, r *http.Request) {
 	var req RouteRequest
-	if !decodeInto(w, r, &req) {
+	if !decodeInto(w, r, maxRouteBody, &req) {
 		return
 	}
 	rep, err := m.Route(r.Context(), graph.Vertex(req.S), graph.Vertex(req.T), req.Trace)
@@ -104,7 +154,7 @@ func (m *Member) handleRouteHTTP(w http.ResponseWriter, r *http.Request) {
 
 func (m *Member) handleHelloHTTP(w http.ResponseWriter, r *http.Request) {
 	var msg HelloMsg
-	if !decodeInto(w, r, &msg) {
+	if !decodeInto(w, r, maxHelloBody, &msg) {
 		return
 	}
 	writeJSON(w, http.StatusOK, m.handleHello(&msg))
@@ -112,7 +162,7 @@ func (m *Member) handleHelloHTTP(w http.ResponseWriter, r *http.Request) {
 
 func (m *Member) handleLSAHTTP(w http.ResponseWriter, r *http.Request) {
 	var batch LSABatch
-	if !decodeInto(w, r, &batch) {
+	if !decodeInto(w, r, m.lim.lsa, &batch) {
 		return
 	}
 	writeJSON(w, http.StatusOK, m.handleLSAs(&batch))
@@ -120,7 +170,7 @@ func (m *Member) handleLSAHTTP(w http.ResponseWriter, r *http.Request) {
 
 func (m *Member) handleForwardHTTP(w http.ResponseWriter, r *http.Request) {
 	var msg WireMessage
-	if !decodeInto(w, r, &msg) {
+	if !decodeInto(w, r, m.lim.walk, &msg) {
 		return
 	}
 	if err := m.acceptForward(&msg); err != nil {
@@ -132,7 +182,7 @@ func (m *Member) handleForwardHTTP(w http.ResponseWriter, r *http.Request) {
 
 func (m *Member) handleReplyHTTP(w http.ResponseWriter, r *http.Request) {
 	var rep RouteReply
-	if !decodeInto(w, r, &rep) {
+	if !decodeInto(w, r, m.lim.walk, &rep) {
 		return
 	}
 	m.deliverReply(&rep)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"klocal/internal/graph"
@@ -86,10 +87,39 @@ func (m *Member) enqueueLocked(p *peerState, l WireLSA) {
 	p.pending[l.Origin] = &xfer{l: l}
 }
 
+// lsaBatchBytes caps the announcements in one batch a member sends, in
+// encoded bytes: retryPass starts a new batch for a peer before one
+// would grow past it, so a whole store (offered to a peer that just
+// appeared) goes out as several batches. An announcement larger than
+// the cap goes alone.
+const lsaBatchBytes = 64 << 10
+
+// wireLSABytes is the length of l's JSON encoding in a batch, its
+// separating comma included.
+func wireLSABytes(l *WireLSA) int {
+	var digits [20]byte
+	n := len(`{"origin":,"seq":},`) +
+		len(strconv.AppendInt(digits[:0], int64(l.Origin), 10)) +
+		len(strconv.AppendUint(digits[:0], l.Seq, 10))
+	if len(l.Adj) > 0 {
+		n += len(`,"adj":[]`) + len(l.Adj) - 1
+		for _, v := range l.Adj {
+			n += len(strconv.AppendInt(digits[:0], int64(v), 10))
+		}
+	}
+	if l.Tomb {
+		n += len(`,"tomb":true`)
+	}
+	return n
+}
+
 // retryPass runs one retransmission round at the given instant: every
-// due transfer is (re)sent in one batch per peer, acknowledged entries
-// are cleared, and a transfer that exhausts the attempt budget condemns
-// its peer.
+// due transfer is (re)sent in batches of at most lsaBatchBytes per
+// peer, acknowledged entries are cleared, and a transfer that exhausts
+// the attempt budget condemns its peer. A failed batch ends the pass's
+// exchange with that peer: its later batches wait for their retry, as
+// they would have had they shared the failed one, so a peer that stops
+// answering costs one PeerDeadline per pass, not one per batch.
 func (m *Member) retryPass(now time.Time) {
 	type batch struct {
 		idx  int
@@ -104,7 +134,8 @@ func (m *Member) retryPass(now time.Time) {
 		if p.dead || p.addr == "" || len(p.pending) == 0 {
 			continue
 		}
-		b := batch{idx: idx, addr: p.addr}
+		var own []batch // this peer's, in origin order
+		size := 0       // of the last one
 		exhausted := false
 		origins := make([]graph.Vertex, 0, len(p.pending))
 		for v := range p.pending {
@@ -125,15 +156,20 @@ func (m *Member) retryPass(now time.Time) {
 				m.met.Count("lsa_retransmits", 1)
 			}
 			x.due = now.Add(m.cfg.RetryBase * time.Duration(m.plan.Backoff(x.attempts)))
+			sz := wireLSABytes(&x.l)
+			if len(own) == 0 || size+sz > lsaBatchBytes {
+				own = append(own, batch{idx: idx, addr: p.addr})
+				size = 0
+			}
+			b := &own[len(own)-1]
 			b.lsas = append(b.lsas, x.l)
+			size += sz
 		}
 		if exhausted {
 			condemned = append(condemned, p)
 			continue
 		}
-		if len(b.lsas) > 0 {
-			batches = append(batches, b)
-		}
+		batches = append(batches, own...)
 	}
 	sort.Slice(condemned, func(i, j int) bool { return condemned[i].index < condemned[j].index })
 	for _, p := range condemned {
@@ -141,13 +177,18 @@ func (m *Member) retryPass(now time.Time) {
 	}
 	m.mu.Unlock()
 
-	sort.Slice(batches, func(i, j int) bool { return batches[i].idx < batches[j].idx })
+	sort.SliceStable(batches, func(i, j int) bool { return batches[i].idx < batches[j].idx })
+	failed := -1 // the peer whose batch failed last
 	for _, b := range batches {
+		if b.idx == failed {
+			continue
+		}
 		ctx, cancel := context.WithTimeout(context.Background(), m.cfg.PeerDeadline)
 		ack, err := m.tr.LSAs(ctx, b.addr, &LSABatch{From: self, LSAs: b.lsas})
 		cancel()
 		m.met.Count("lsa_sent", int64(len(b.lsas)))
 		if err != nil {
+			failed = b.idx
 			continue // the transfers stay pending on their backoff schedule
 		}
 		now := time.Now()

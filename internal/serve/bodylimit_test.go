@@ -8,10 +8,12 @@ import (
 	"testing"
 )
 
-// TestBodyLimits table-tests the body ceilings of the hot endpoints. A
-// valid body is served; a truncated one answers 400; one past the
-// endpoint's ceiling answers 413, even when it is valid JSON (leading
-// whitespace pads it). After every rejection the deployment keeps its
+// TestBodyLimits table-tests the body ceilings of every endpoint that
+// decodes a body. A valid body is served; a truncated one answers 400;
+// one past the endpoint's ceiling answers 413, even when it is valid
+// JSON (leading whitespace pads it), whether its length is declared up
+// front (refused unread) or only found by reading ("streamed", as a
+// chunked upload). After every rejection the deployment keeps its
 // epoch and keeps routing.
 func TestBodyLimits(t *testing.T) {
 	s, err := New(Config{Graph: GraphSpec{Kind: "cycle", Size: 40}, K: 3, Algorithms: []string{"alg2"}})
@@ -20,10 +22,19 @@ func TestBodyLimits(t *testing.T) {
 	}
 	defer s.Drain()
 	h := s.Handler()
-	serve := func(method, path, body string) *httptest.ResponseRecorder {
+	// length overrides the request's declared Content-Length when
+	// non-zero: -1 leaves it unknown.
+	serveLen := func(method, path, body string, length int64) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		req := httptest.NewRequest(method, path, strings.NewReader(body))
+		if length != 0 {
+			req.ContentLength = length
+		}
+		h.ServeHTTP(rec, req)
 		return rec
+	}
+	serve := func(method, path, body string) *httptest.ResponseRecorder {
+		return serveLen(method, path, body, 0)
 	}
 	epoch := func() int64 {
 		var gr GraphReply
@@ -38,26 +49,38 @@ func TestBodyLimits(t *testing.T) {
 		route = `{"s":0,"t":5}`
 		batch = `{"pairs":[[0,5],[3,9]]}`
 		patch = `{"deltas":[{"op":"add-edge","u":0,"v":20}]}`
+		spec  = `{"kind":"cycle","size":40}`
 	)
 	cases := []struct {
 		name, method, path, body string
+		length                   int64
 		want                     int
 	}{
-		{"route/valid", http.MethodPost, "/route", route, http.StatusOK},
-		{"route/truncated", http.MethodPost, "/route", route[:9], http.StatusBadRequest},
-		{"route/at-limit", http.MethodPost, "/route", pad(maxRouteBody-len(route), route), http.StatusOK},
-		{"route/oversized", http.MethodPost, "/route", pad(maxRouteBody, route), http.StatusRequestEntityTooLarge},
-		{"batch/valid", http.MethodPost, "/batch", batch, http.StatusOK},
-		{"batch/truncated", http.MethodPost, "/batch", batch[:15], http.StatusBadRequest},
-		{"batch/oversized", http.MethodPost, "/batch", pad(maxBatchBody, batch), http.StatusRequestEntityTooLarge},
-		{"patch/truncated", http.MethodPatch, "/graph", patch[:20], http.StatusBadRequest},
-		{"patch/oversized", http.MethodPatch, "/graph", pad(maxDeltaBody, patch), http.StatusRequestEntityTooLarge},
-		{"patch/valid", http.MethodPatch, "/graph", patch, http.StatusOK},
+		{"route/valid", http.MethodPost, "/route", route, 0, http.StatusOK},
+		{"route/truncated", http.MethodPost, "/route", route[:9], 0, http.StatusBadRequest},
+		{"route/at-limit", http.MethodPost, "/route", pad(maxRouteBody-len(route), route), 0, http.StatusOK},
+		{"route/at-limit-streamed", http.MethodPost, "/route", pad(maxRouteBody-len(route), route), -1, http.StatusOK},
+		{"route/oversized", http.MethodPost, "/route", pad(maxRouteBody, route), 0, http.StatusRequestEntityTooLarge},
+		{"route/oversized-streamed", http.MethodPost, "/route", pad(maxRouteBody, route), -1, http.StatusRequestEntityTooLarge},
+		{"batch/valid", http.MethodPost, "/batch", batch, 0, http.StatusOK},
+		{"batch/truncated", http.MethodPost, "/batch", batch[:15], 0, http.StatusBadRequest},
+		{"batch/oversized", http.MethodPost, "/batch", pad(maxBatchBody, batch), 0, http.StatusRequestEntityTooLarge},
+		{"batch/oversized-streamed", http.MethodPost, "/batch", pad(maxBatchBody, batch), -1, http.StatusRequestEntityTooLarge},
+		{"patch/truncated", http.MethodPatch, "/graph", patch[:20], 0, http.StatusBadRequest},
+		{"patch/oversized", http.MethodPatch, "/graph", pad(maxDeltaBody, patch), 0, http.StatusRequestEntityTooLarge},
+		{"patch/oversized-streamed", http.MethodPatch, "/graph", pad(maxDeltaBody, patch), -1, http.StatusRequestEntityTooLarge},
+		{"put/truncated", http.MethodPut, "/graph", spec[:12], 0, http.StatusBadRequest},
+		// A streamed PUT past its 176 MiB ceiling is cut off by the same
+		// reader as the streamed cases above; this one declares it.
+		{"put/oversized", http.MethodPut, "/graph", spec, maxGraphBody + 1, http.StatusRequestEntityTooLarge},
+		{"put/valid", http.MethodPut, "/graph", spec, 0, http.StatusOK},
+		// Last: after its chord, alg2 at k = 3 no longer delivers the check route.
+		{"patch/valid", http.MethodPatch, "/graph", patch, 0, http.StatusOK},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			before := epoch()
-			rec := serve(tc.method, tc.path, tc.body)
+			rec := serveLen(tc.method, tc.path, tc.body, tc.length)
 			if rec.Code != tc.want {
 				t.Fatalf("%s %s: code %d, want %d: %s", tc.method, tc.path, rec.Code, tc.want, rec.Body)
 			}

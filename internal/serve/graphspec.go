@@ -98,16 +98,17 @@ func (sp GraphSpec) BuildStore() (bigraph.Store, error) {
 	return g, nil
 }
 
-// maxSpecEdges caps the edges a generator spec may ask for. It admits a
+// maxSpecEdges caps the edges a spec may ask for or list. It admits a
 // 1000×1000 grid (≈2·10⁶ edges) and refuses, before any allocation,
 // the specs whose generators would exhaust memory, such as a complete
-// graph on 10⁶ vertices (≈5·10¹¹ edges).
+// graph on 10⁶ vertices (≈5·10¹¹ edges). An "edges" spec is held to
+// the same cap, which also sizes PUT /graph's body ceiling.
 const maxSpecEdges = 1 << 22
 
 // ErrSpecBounds rejects a generator spec whose size is below the
-// smallest graph its kind can build or whose edge count would exceed
-// maxSpecEdges. PUT /graph answers it with a 400 and keeps serving the
-// current deployment.
+// smallest graph its kind can build, and any spec whose edge count
+// would exceed maxSpecEdges. PUT /graph answers it with a 400 and keeps
+// serving the current deployment.
 var ErrSpecBounds = errors.New("serve: graph spec out of bounds")
 
 // specBounds returns the smallest size a generator kind builds and the
@@ -161,6 +162,9 @@ func (sp GraphSpec) Build() (*graph.Graph, error) {
 	case "edges":
 		if len(sp.Edges) == 0 {
 			return nil, fmt.Errorf("serve: kind \"edges\" needs a non-empty edge list")
+		}
+		if len(sp.Edges) > maxSpecEdges {
+			return nil, fmt.Errorf("%w: %s lists %d edges (max %d)", ErrSpecBounds, sp, len(sp.Edges), maxSpecEdges)
 		}
 		b := graph.NewBuilder()
 		for _, e := range sp.Edges {

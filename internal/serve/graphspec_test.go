@@ -10,8 +10,8 @@ import (
 )
 
 // TestGraphSpecBounds builds every generator kind at every size from 1
-// to 5, plus specs far past the edge ceiling. A size below the smallest
-// graph the kind can build, and a spec asking for more than
+// to 5, plus specs past the edge ceiling. A size below the smallest
+// graph the kind can build, and a spec asking for or listing more than
 // maxSpecEdges edges, must fail with ErrSpecBounds before the generator
 // runs; every other spec must build a connected graph. No spec may
 // panic.
@@ -57,6 +57,7 @@ func TestGraphSpecBounds(t *testing.T) {
 		{Kind: "grid", Size: 1 << 40},
 		{Kind: "path", Size: math.MaxInt},
 		{Kind: "lollipop", Size: math.MaxInt},
+		{Edges: make([][2]int64, maxSpecEdges+1)}, // never read: the length check comes first
 	} {
 		if _, err := build(sp); !errors.Is(err, ErrSpecBounds) {
 			t.Errorf("%s: err = %v, want ErrSpecBounds", sp, err)

@@ -1,16 +1,20 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"klocal/internal/engine"
 	"klocal/internal/graph"
+	"klocal/internal/httpbody"
 	"klocal/internal/metrics"
 	"klocal/internal/sim"
 	"klocal/internal/trace"
@@ -120,12 +124,34 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxPooledReply caps the buffers returned to replyBufs: one that grew
+// past it (a /batch of hundreds of pairs) is left to the collector, so
+// one huge batch cannot pin its reply in the pool.
+const maxPooledReply = 64 << 10
+
+// replyBufs holds the *bytes.Buffer replies are encoded into.
+var replyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON sends every reply of the daemon: v as one line of compact
+// JSON, encoded into a pooled buffer and sent in one Write with its
+// Content-Length set. A value encoding/json refuses becomes a 500 error
+// reply instead of a truncated body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := replyBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		_ = json.NewEncoder(buf).Encode(errorReply{Error: "encoding the reply: " + err.Error()})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes()) // a failed write means the client is gone; there is no one left to tell
+	if buf.Cap() <= maxPooledReply {
+		replyBufs.Put(buf)
+	}
 }
 
 type errorReply struct {
@@ -139,8 +165,8 @@ func (s *Server) fail(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorReply{Error: err.Error()})
 }
 
-// Request-body ceilings of the hot endpoints, so that no single request
-// makes the daemon allocate without bound.
+// Request-body ceilings, so that no single request makes the daemon
+// allocate without bound.
 const (
 	// maxRouteBody: a RouteRequest encodes in under 100 bytes.
 	maxRouteBody = 1 << 12
@@ -148,23 +174,24 @@ const (
 	maxBatchBody = 1 << 22
 	// maxDeltaBody admits about 10⁴ deltas at ~60 bytes each.
 	maxDeltaBody = 1 << 20
+	// maxGraphBody admits, in compact JSON, the largest spec PUT /graph
+	// builds: an "edges" spec of maxSpecEdges edges at the widest labels
+	// (`[-9223372036854775808,-9223372036854775808],`, 44 bytes each),
+	// plus 4 KiB for the other fields: 176 MiB. An indented spec fits
+	// when its labels are narrower; whitespace is not budgeted.
+	maxGraphBody = 44*maxSpecEdges + 1<<12
 )
 
 // decodeBody decodes r's JSON body into v, reading at most limit bytes,
-// and answers a failure itself: 413 for a body past the limit, 400 for
-// a malformed one. It reports whether v was decoded.
+// and answers a failure itself (httpbody.Decode: 413 past the limit,
+// 400 when malformed). It reports whether v was decoded.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
-	if err == nil {
-		return true
+	status, err := httpbody.Decode(w, r, limit, what, v)
+	if err != nil {
+		s.fail(w, status, err)
+		return false
 	}
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		s.fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("%s over %d bytes", what, tooLarge.Limit))
-	} else {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", what, err))
-	}
-	return false
+	return true
 }
 
 // reply converts an engine response into the wire form, tracing the walk
@@ -280,8 +307,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 	var spec GraphSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad graph spec: %w", err))
+	if !s.decodeBody(w, r, maxGraphBody, "graph spec", &spec) {
 		return
 	}
 	nd, err := s.Swap(spec)
