@@ -105,14 +105,16 @@ go-fuzz-smoke:
 
 # The concurrency-heavy code paths: the fault-tolerant discovery
 # protocol and injector, the traffic engine and its metric shards, the
-# sharded preprocessing cache, the routing daemon's hot-swap/drain
+# lock-free preprocessing cache, the routing daemon's hot-swap/drain
 # machinery, the cluster membership/LSA/forwarding stack (including the
 # 5-member TCP crash e2e), the graph substrate and neighborhood
 # extraction (shared-Scratch misuse shows up here first), and the shared
-# routing closures the engine's workers route through. Two races that
+# routing closures the engine's workers route through. Three races that
 # need many interleavings to show run ten times over: routing while a
-# cluster member derives new epochs, and eight goroutines publishing a
-# view's routing half at once.
+# cluster member derives new epochs, eight goroutines publishing a
+# view's routing half at once, and lookups on the last three epochs of
+# a view cache publishing into the table pages they share while new
+# epochs are derived.
 race:
 	$(GO) test -race -count=1 \
 		./internal/netsim/... ./internal/fault/... \
@@ -121,7 +123,7 @@ race:
 		./internal/nbhd/... ./internal/graph/...
 	$(GO) test -race -count=1 -run Concurrent ./internal/route/...
 	$(GO) test -race -count=10 \
-		-run '^(TestConcurrentRouteWhileDeriving|TestConcurrentRoutingHalfFirstUse)$$' \
+		-run '^(TestConcurrentRouteWhileDeriving|TestConcurrentRoutingHalfFirstUse|TestConcurrentAtAcrossEpochs)$$' \
 		./internal/cluster/ ./internal/prep/
 	$(MAKE) go-fuzz-smoke
 

@@ -43,6 +43,9 @@ type Store interface {
 	M() int
 	// HasVertex reports whether v is a vertex.
 	HasVertex(v graph.Vertex) bool
+	// Index returns v's dense index, its position in ascending label
+	// order (in [0, N())), reporting presence.
+	Index(v graph.Vertex) (int32, bool)
 	// Deg returns the degree of v (0 if absent).
 	Deg(v graph.Vertex) int
 	// EachAdj calls fn for every neighbour of v in ascending label

@@ -42,12 +42,13 @@ func (c *CSR) M() int { return len(c.targets) / 2 }
 // arrays in bytes — the numerator of the bytes/vertex scaling metric.
 func (c *CSR) Bytes() int64 { return int64(len(c.offsets))*8 + int64(len(c.targets))*4 }
 
-// index resolves a label to its dense index, reporting presence. The
-// binary search is hand-rolled: sort.Search's closure would allocate on
-// every lookup, and index sits under every per-hop accessor.
+// Index resolves a label to its dense index, reporting presence
+// (Store). The binary search is hand-rolled: sort.Search's closure
+// would allocate on every lookup, and Index sits under every per-hop
+// accessor.
 //
 //klocal:hotpath
-func (c *CSR) index(v graph.Vertex) (int32, bool) {
+func (c *CSR) Index(v graph.Vertex) (int32, bool) {
 	if c.labels == nil {
 		if v < 0 || int(v) >= c.N() {
 			return 0, false
@@ -69,13 +70,6 @@ func (c *CSR) index(v graph.Vertex) (int32, bool) {
 	return 0, false
 }
 
-// IndexOf resolves a label to its dense index, reporting presence — the
-// exported twin of index, for the compact view extractors that BFS over
-// rows directly.
-//
-//klocal:hotpath
-func (c *CSR) IndexOf(v graph.Vertex) (int32, bool) { return c.index(v) }
-
 // Label returns the label of dense index i.
 func (c *CSR) Label(i int32) graph.Vertex {
 	if c.labels == nil {
@@ -96,7 +90,7 @@ func (c *CSR) Row(i int32) []int32 {
 
 // HasVertex reports whether v is a vertex (Store).
 func (c *CSR) HasVertex(v graph.Vertex) bool {
-	_, ok := c.index(v)
+	_, ok := c.Index(v)
 	return ok
 }
 
@@ -104,7 +98,7 @@ func (c *CSR) HasVertex(v graph.Vertex) bool {
 //
 //klocal:hotpath
 func (c *CSR) Deg(v graph.Vertex) int {
-	i, ok := c.index(v)
+	i, ok := c.Index(v)
 	if !ok {
 		return 0
 	}
@@ -117,7 +111,7 @@ func (c *CSR) Deg(v graph.Vertex) int {
 //
 //klocal:hotpath
 func (c *CSR) EachAdj(v graph.Vertex, fn func(w graph.Vertex) bool) {
-	i, ok := c.index(v)
+	i, ok := c.Index(v)
 	if !ok {
 		return
 	}
@@ -141,11 +135,11 @@ func (c *CSR) EachVertex(fn func(v graph.Vertex) bool) {
 // HasEdge reports whether {u, v} is an edge (Store) by binary search in
 // u's row.
 func (c *CSR) HasEdge(u, v graph.Vertex) bool {
-	i, ok := c.index(u)
+	i, ok := c.Index(u)
 	if !ok {
 		return false
 	}
-	j, ok := c.index(v)
+	j, ok := c.Index(v)
 	if !ok {
 		return false
 	}
@@ -153,7 +147,7 @@ func (c *CSR) HasEdge(u, v graph.Vertex) bool {
 }
 
 // hasArc is HasEdge in index space; hand-rolled for the same reason as
-// index (sort.Search's closure allocates).
+// Index (sort.Search's closure allocates).
 //
 //klocal:hotpath
 func (c *CSR) hasArc(i, j int32) bool {
@@ -211,7 +205,7 @@ func FromGraph(g *graph.Graph) *CSR {
 	pos := c.offsets[0]
 	for _, v := range vs {
 		g.EachAdj(v, func(w graph.Vertex) bool {
-			j, ok := c.index(w)
+			j, ok := c.Index(w)
 			if !ok {
 				panic(fmt.Sprintf("bigraph: neighbour %d of %d not a vertex", w, v))
 			}

@@ -72,7 +72,7 @@ func (sc *Scratch) Contains(v int32) bool {
 //
 //klocal:hotpath
 func (c *CSR) Extract(u graph.Vertex, k int, sc *Scratch) error {
-	root, ok := c.index(u)
+	root, ok := c.Index(u)
 	if !ok {
 		//klocal:allow cold error path: fires only on a caller contract violation, never on the measured route
 		return fmt.Errorf("bigraph: extract: vertex %d not in graph", u)

@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -265,5 +267,73 @@ func TestHTTPClusterConvergesPastLSACeiling(t *testing.T) {
 	}
 	if !rep.Delivered || rep.Crossings == 0 {
 		t.Fatalf("1490 → 1510 across the shard boundary: delivered %v, crossings %d (%s)", rep.Delivered, rep.Crossings, rep.Err)
+	}
+}
+
+// countingBody counts the bytes read from a response body.
+type countingBody struct {
+	io.ReadCloser
+	n *atomic.Int64
+}
+
+func (b countingBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	b.n.Add(int64(n))
+	return n, err
+}
+
+// countingTransport wraps every response body in a countingBody.
+type countingTransport struct {
+	rt http.RoundTripper
+	n  *atomic.Int64
+}
+
+func (c countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := c.rt.RoundTrip(r)
+	if err == nil {
+		resp.Body = countingBody{resp.Body, c.n}
+	}
+	return resp, err
+}
+
+// TestPeerReplyCeiling: HTTPTransport reads a peer's HELLO reply and
+// LSA ack under maxHelloBody. A reply of exactly the ceiling decodes; a
+// 2 MiB one (valid JSON, padded with whitespace) fails both exchanges
+// with ErrReplyTooLarge after at most the ceiling plus one byte is read.
+func TestPeerReplyCeiling(t *testing.T) {
+	var reply atomic.Pointer[string]
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = io.WriteString(w, *reply.Load())
+	}))
+	defer srv.Close()
+	var read atomic.Int64
+	tr := NewHTTPTransport(&http.Client{Transport: countingTransport{srv.Client().Transport, &read}})
+	addr := srv.Listener.Addr().String()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	exchanges := []struct {
+		name string
+		call func() error
+	}{
+		{"hello", func() error { _, err := tr.Hello(ctx, addr, &HelloMsg{}); return err }},
+		{"lsa", func() error { _, err := tr.LSAs(ctx, addr, &LSABatch{}); return err }},
+	}
+	for _, size := range []int{maxHelloBody, 2 << 20} {
+		body := strings.Repeat(" ", size-2) + "{}"
+		reply.Store(&body)
+		for _, ex := range exchanges {
+			read.Store(0)
+			err := ex.call()
+			switch {
+			case size <= maxHelloBody && err != nil:
+				t.Errorf("%s: a %d-byte reply failed: %v", ex.name, size, err)
+			case size > maxHelloBody && !errors.Is(err, ErrReplyTooLarge):
+				t.Errorf("%s: a %d-byte reply returned %v, want ErrReplyTooLarge", ex.name, size, err)
+			case read.Load() > maxHelloBody+1:
+				t.Errorf("%s: read %d bytes of a %d-byte reply, ceiling %d", ex.name, read.Load(), size, maxHelloBody)
+			}
+		}
 	}
 }

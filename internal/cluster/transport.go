@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -27,6 +28,10 @@ type Transport interface {
 	// Reply returns a terminal RouteReply to the entry member.
 	Reply(ctx context.Context, addr string, rep *RouteReply) error
 }
+
+// ErrReplyTooLarge fails an exchange whose HELLO reply or LSA ack
+// runs past maxHelloBody bytes.
+var ErrReplyTooLarge = errors.New("cluster: peer reply over the size ceiling")
 
 // HTTPTransport speaks the cluster protocol over net/http against the
 // endpoints Member.Handler serves.
@@ -71,7 +76,16 @@ func (t *HTTPTransport) post(ctx context.Context, addr, path string, in, out any
 		io.Copy(io.Discard, resp.Body)
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	// A HELLO reply or an LSA ack is read under the HELLO ceiling, so a
+	// peer cannot make this member allocate without bound. An ack holds
+	// one AckRef per announcement of a batch of at most lsaBatchBytes,
+	// far below it.
+	lr := &io.LimitedReader{R: resp.Body, N: maxHelloBody + 1}
+	err = json.NewDecoder(lr).Decode(out)
+	if lr.N == 0 {
+		return fmt.Errorf("%w: %s%s over %d bytes", ErrReplyTooLarge, addr, path, maxHelloBody)
+	}
+	return err
 }
 
 func (t *HTTPTransport) Hello(ctx context.Context, addr string, msg *HelloMsg) (*HelloMsg, error) {

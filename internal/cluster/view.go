@@ -37,7 +37,7 @@ func (m *Member) bind(union *graph.Graph, pre *prep.Preprocessor) *epoch {
 
 // current returns the published generation, first building the union
 // and a fresh preprocessor when the store changed while no view was
-// cached. One shard suffices: a member caches only its owned views.
+// cached.
 func (m *Member) current() *epoch {
 	if ep := m.cur.Load(); ep != nil {
 		return ep
@@ -47,7 +47,7 @@ func (m *Member) current() *epoch {
 	ep := m.cur.Load()
 	if ep == nil {
 		u := unionGraph(m.store)
-		ep = m.bind(u, prep.NewPreprocessor(u, m.cfg.K, m.cfg.Alg.Policy, prep.CacheOptions{Shards: 1}))
+		ep = m.bind(u, prep.NewPreprocessor(u, m.cfg.K, m.cfg.Alg.Policy, prep.CacheOptions{}))
 		m.cur.Store(ep)
 	}
 	return ep

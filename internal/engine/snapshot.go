@@ -4,7 +4,7 @@
 // The pieces:
 //
 //   - Snapshot: an immutable binding of (network, locality, algorithm)
-//     whose per-vertex preprocessing lives behind a sharded,
+//     whose per-vertex preprocessing lives behind a lock-free,
 //     lazily-populated, size-bounded cache (prep.Preprocessor), so the
 //     paper's "preprocessing need not be repeated" observation is
 //     realized once per source vertex instead of once per message.
@@ -31,9 +31,9 @@ import (
 // Snapshot is an immutable view of a network bound to one algorithm at
 // one locality. It is safe for concurrent use: the network never
 // mutates, the routing function is shared (see route's goroutine-safety
-// contracts), and preprocessing is cached behind the sharded view cache
-// of pre, which also carries the network and the locality. Build a new
-// Snapshot when the topology changes.
+// contracts), and preprocessing is cached behind the lock-free view
+// cache of pre, which also carries the network and the locality. Build
+// a new Snapshot when the topology changes.
 type Snapshot struct {
 	alg route.Algorithm
 	f   route.Func
@@ -42,7 +42,7 @@ type Snapshot struct {
 
 // SnapshotOptions tune snapshot construction.
 type SnapshotOptions struct {
-	// Cache tunes the sharded view cache of preprocessed algorithms.
+	// Cache tunes the view cache of preprocessed algorithms.
 	Cache prep.CacheOptions
 	// Prewarm computes every vertex's view at construction using this
 	// many goroutines (0 = no prewarm, <0 = GOMAXPROCS).

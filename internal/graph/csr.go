@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // This file is the int-indexed face of Graph: the CSR arrays read
 // directly, by dense vertex index (a vertex's position in label order).
 // The arrays are built eagerly by every constructor and derivation, so
@@ -7,14 +9,35 @@ package graph
 // (mutate.go) is ready for Row and DistScratch the moment it exists.
 
 // Index resolves a vertex label to its dense index (its position in the
-// sorted vertex order), reporting presence. It is one hash lookup: Index
-// sits under every label-space accessor and every per-hop accessor of
-// the compact routing structures.
+// sorted vertex order), reporting presence. It is a bounds check when
+// the labels are 0..n−1 and one hash lookup otherwise: Index sits under
+// every label-space accessor, every per-hop accessor of the compact
+// routing structures and every view-cache lookup.
 //
 //klocal:hotpath
 func (g *Graph) Index(v Vertex) (int32, bool) {
+	if g.dense {
+		if v < 0 || int(v) >= len(g.verts) {
+			return 0, false
+		}
+		return int32(v), true
+	}
 	i, ok := g.index[v]
 	return i, ok
+}
+
+// SameLabels reports whether g and h have the same vertex set, and so
+// give every label the same dense index. A graph derived by an edge
+// splice shares its parent's label array, which makes this one pointer
+// compare; graphs built apart cost n compares.
+func (g *Graph) SameLabels(h *Graph) bool {
+	if len(g.verts) != len(h.verts) {
+		return false
+	}
+	if len(g.verts) == 0 || &g.verts[0] == &h.verts[0] {
+		return true
+	}
+	return slices.Equal(g.verts, h.verts)
 }
 
 // VertexAt returns the label of dense index i (inverse of Index).

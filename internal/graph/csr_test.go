@@ -102,3 +102,48 @@ func TestIndexSparseLabels(t *testing.T) {
 		t.Error("the zero Graph is not the empty graph")
 	}
 }
+
+// TestIndexDenseLabels pins Index's fast path for labels 0..n−1, which
+// every derivation must recompute: an arrival past the end keeps the
+// labels dense, a gap or a departure below the top ends it.
+func TestIndexDenseLabels(t *testing.T) {
+	g := FromEdges([]Edge{{0, 1}, {1, 2}, {2, 3}}) // verts 0 1 2 3
+	check := func(what string, h *Graph, want map[Vertex]int32) {
+		t.Helper()
+		for v := Vertex(-2); v <= 8; v++ {
+			i, ok := h.Index(v)
+			if w, in := want[v]; ok != in || ok && i != w {
+				t.Errorf("%s: Index(%d) = %d,%v, want %d,%v", what, v, i, ok, w, in)
+			}
+		}
+		if _, ok := h.Index(NoVertex); ok {
+			t.Errorf("%s: Index found NoVertex", what)
+		}
+	}
+	check("dense", g, map[Vertex]int32{0: 0, 1: 1, 2: 2, 3: 3})
+	check("spliced", g.WithoutEdge(1, 2).WithEdge(0, 3), map[Vertex]int32{0: 0, 1: 1, 2: 2, 3: 3})
+	check("arrival at the end", g.WithEdge(3, 4), map[Vertex]int32{0: 0, 1: 1, 2: 2, 3: 3, 4: 4})
+	check("arrival past a gap", g.WithVertex(6), map[Vertex]int32{0: 0, 1: 1, 2: 2, 3: 3, 6: 4})
+	check("departure", g.DropVertex(1), map[Vertex]int32{0: 0, 2: 1, 3: 2})
+	check("gap filled", g.WithVertex(5).WithVertex(4), map[Vertex]int32{0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5})
+}
+
+// TestSameLabels pins the re-indexing check prep.Derive relies on: an
+// edge splice shares the label array, a rebuild over the same vertices
+// compares equal, and an arrival or departure does not.
+func TestSameLabels(t *testing.T) {
+	g := FromEdges([]Edge{{-1, 0}, {0, 1}, {1, 3}})
+	spliced := g.WithEdge(-1, 3).WithoutEdge(0, 1)
+	if !g.SameLabels(spliced) || !g.SameLabels(FromEdges(spliced.Edges(), 0, 1)) {
+		t.Error("graphs over the same vertices report different labels")
+	}
+	for _, h := range []*Graph{g.WithVertex(2), g.DropVertex(0), g.WithVertex(-2).DropVertex(3), &Graph{}} {
+		if g.SameLabels(h) || h.SameLabels(g) {
+			t.Errorf("%v and %v report the same labels", g.Vertices(), h.Vertices())
+		}
+	}
+	var zero Graph
+	if !zero.SameLabels(&Graph{}) {
+		t.Error("two empty graphs report different labels")
+	}
+}

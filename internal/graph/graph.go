@@ -80,6 +80,7 @@ func (e Edge) String() string {
 type Graph struct {
 	verts []Vertex         // sorted ascending
 	index map[Vertex]int32 // verts[index[v]] == v
+	dense bool             // verts[i] == i for every i: a label is its own index
 	start []int32          // len n+1 (nil for the zero value)
 	to    []int32          // 2m arcs, each row ascending
 }
@@ -87,10 +88,13 @@ type Graph struct {
 // withLabels returns a graph over the sorted, distinct labels verts with
 // its index built and start sized; the caller fills start and to.
 func withLabels(verts []Vertex) *Graph {
+	n := len(verts)
 	g := &Graph{
 		verts: verts,
-		index: make(map[Vertex]int32, len(verts)),
-		start: make([]int32, len(verts)+1),
+		index: make(map[Vertex]int32, n),
+		// n sorted, distinct labels from 0 to n−1 are exactly 0..n−1.
+		dense: n == 0 || verts[0] == 0 && verts[n-1] == Vertex(n-1),
+		start: make([]int32, n+1),
 	}
 	for i, v := range verts {
 		g.index[v] = int32(i)

@@ -38,7 +38,7 @@ func (g *Graph) spliceAdd(a, b int32) *Graph {
 	n += 1 + copy(to[n+1:], g.to[pa:pb])
 	to[n] = a
 	copy(to[n+1:], g.to[pb:])
-	return &Graph{verts: g.verts, index: g.index, start: shiftStarts(g.start, a, b, 1), to: to}
+	return &Graph{verts: g.verts, index: g.index, dense: g.dense, start: shiftStarts(g.start, a, b, 1), to: to}
 }
 
 // spliceRemove returns g without the edge between the adjacent indices
@@ -53,7 +53,7 @@ func (g *Graph) spliceRemove(a, b int32) *Graph {
 	to = append(to, g.to[:pa]...)
 	to = append(to, g.to[pa+1:pb]...)
 	to = append(to, g.to[pb+1:]...)
-	return &Graph{verts: g.verts, index: g.index, start: shiftStarts(g.start, a, b, -1), to: to}
+	return &Graph{verts: g.verts, index: g.index, dense: g.dense, start: shiftStarts(g.start, a, b, -1), to: to}
 }
 
 // shiftStarts returns a copy of start for one arc added (d = 1) or

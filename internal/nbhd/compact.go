@@ -300,7 +300,7 @@ func (sc *Scratch) extractGraph(g *graph.Graph, u graph.Vertex, k int) bool {
 //
 //klocal:hotpath
 func (sc *Scratch) extractCSR(c *bigraph.CSR, u graph.Vertex, k int) bool {
-	root, ok := c.IndexOf(u)
+	root, ok := c.Index(u)
 	if !ok || k < 0 {
 		return false
 	}

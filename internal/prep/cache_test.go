@@ -6,12 +6,11 @@ import (
 	"testing"
 
 	"klocal/internal/gen"
-	"klocal/internal/graph"
 )
 
 func TestCacheHitsAndSharing(t *testing.T) {
 	g := gen.Cycle(16)
-	p := NewPreprocessor(g, 4, PolicyMinRank, CacheOptions{Shards: 4})
+	p := NewPreprocessor(g, 4, PolicyMinRank, CacheOptions{})
 	v1 := p.At(3)
 	v2 := p.At(3)
 	if v1 != v2 {
@@ -28,7 +27,7 @@ func TestCacheHitsAndSharing(t *testing.T) {
 
 func TestCacheCapacityEviction(t *testing.T) {
 	g := gen.Cycle(32)
-	p := NewPreprocessor(g, 3, PolicyMinRank, CacheOptions{Shards: 1, Capacity: 4})
+	p := NewPreprocessor(g, 3, PolicyMinRank, CacheOptions{Capacity: 4})
 	for _, v := range g.Vertices() {
 		p.At(v)
 	}
@@ -46,14 +45,14 @@ func TestCacheCapacityEviction(t *testing.T) {
 	}
 }
 
-// TestCacheCapacityDefaultShards pins Capacity as a bound on the whole
-// cache under the default shard count — below the shard count, and at
-// capacities that are not a multiple of it — not a per-shard bound that
-// an empty shard could overshoot.
+// TestCacheCapacityDefaultShards pins Capacity as an exact bound on
+// the whole cache, at capacities from 1 up and not powers of two: after
+// every insert the cache holds at most Capacity views, and filling it
+// leaves exactly Capacity.
 func TestCacheCapacityDefaultShards(t *testing.T) {
 	g := gen.Grid(10, 10)
 	vs := g.Vertices()
-	for _, capacity := range []int{1, 3, 4, 7, DefaultShards + 5} {
+	for _, capacity := range []int{1, 3, 4, 7, 13} {
 		p := NewPreprocessor(g, 2, PolicyMinRank, CacheOptions{Capacity: capacity})
 		for i, v := range vs {
 			p.At(v)
@@ -79,7 +78,7 @@ func TestCacheConcurrentSameResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := gen.RandomConnected(rng, 24, 0.1)
 	k := 6
-	p := NewPreprocessor(g, k, PolicyMinRank, CacheOptions{Shards: 8})
+	p := NewPreprocessor(g, k, PolicyMinRank, CacheOptions{})
 
 	var wg sync.WaitGroup
 	views := make([][]*View, 8)
@@ -137,16 +136,6 @@ func TestPrewarmBounded(t *testing.T) {
 	if st := p.Stats(); st.Size > 5 {
 		t.Fatalf("bounded prewarm overfilled: size %d > capacity 5", st.Size)
 	}
-}
-
-func TestShardRounding(t *testing.T) {
-	g := gen.Path(4)
-	p := NewPreprocessor(g, 1, PolicyMinRank, CacheOptions{Shards: 5})
-	if len(p.shards) != 8 {
-		t.Fatalf("shards = %d, want next power of two 8", len(p.shards))
-	}
-	var zero graph.Vertex
-	_ = p.shardOf(zero) // must not panic on any vertex
 }
 
 func TestCacheStatsDelta(t *testing.T) {

@@ -1,7 +1,10 @@
 package prep
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -15,8 +18,7 @@ func sameViewData(a, b *View) bool { return DiffViews(a, b) == nil }
 
 // TestDeriveExact pins which views a derivation drops and which it
 // adopts: exactly the dirty ones are recomputed, every clean one is
-// adopted by pointer from either cache level, and the parent keeps all
-// of its views.
+// adopted by pointer, and the parent keeps all of its views.
 func TestDeriveExact(t *testing.T) {
 	g := gen.Grid(8, 8)
 	k := 2
@@ -64,10 +66,10 @@ func TestDeriveExact(t *testing.T) {
 		return true
 	})
 
-	// np now holds its recomputed dirty views in the live level and the
-	// adopted ones frozen. Deriving again over the same topology with
-	// the same dirty set drops the same count from both levels together;
-	// an empty dirty set drops nothing.
+	// np now holds its recomputed dirty views in copied pages and the
+	// adopted ones in pages it shares with p. Deriving again over the
+	// same topology with the same dirty set drops the same count; an
+	// empty dirty set drops nothing.
 	if got, want := np.Derive(post, dirty).Stats().Size, total-int64(len(dirty)); got != want {
 		t.Fatalf("second Derive kept %d views, want %d", got, want)
 	}
@@ -189,22 +191,16 @@ func TestDeriveBoundedCache(t *testing.T) {
 	if got := np.Stats().Size; got > 10 {
 		t.Fatalf("derived bounded cache holds %d views, capacity 10", got)
 	}
-	// The bounded path must keep adopted views in the evictable live
-	// level — a frozen map would exempt them from capacity replacement.
-	for i := range np.shards {
-		if np.shards[i].frozen.Load() != nil {
-			t.Fatal("bounded derived cache froze adopted views")
-		}
-	}
-	// Filling the cache further stays within capacity plus the seed
-	// cache's per-shard replacement slack (an insert into a shard whose
-	// live map is empty cannot evict).
+	// Filling the derived cache keeps it within capacity exactly.
 	post.EachVertex(func(u graph.Vertex) bool {
 		np.At(u)
+		if got := np.Stats().Size; got > 10 {
+			t.Fatalf("bounded cache grew to %d views after adoption", got)
+		}
 		return true
 	})
-	if got := np.Stats().Size; got > 10+int64(len(np.shards)) {
-		t.Fatalf("bounded cache grew to %d views after adoption", got)
+	if got := len(CachedViews(np)); got > 10 {
+		t.Fatalf("bounded derived table holds %d views, capacity 10", got)
 	}
 }
 
@@ -258,4 +254,80 @@ func TestConcurrentRoutingDuringDerive(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// chordFlap returns a prewarmed unbounded preprocessor over a side×side
+// grid at k = 3 and the post graph and dirty set of adding a chord
+// between two interior vertices 10 apart around the centre, so every
+// grid size presents the same k-balls and only n differs.
+func chordFlap(tb testing.TB, side int) (*Preprocessor, *graph.Graph, []graph.Vertex) {
+	tb.Helper()
+	const k = 3
+	g := gen.Grid(side, side)
+	p := NewPreprocessor(g, k, PolicyMinRank, CacheOptions{})
+	p.Prewarm(0)
+	c := graph.Vertex(side/2*side + side/2)
+	post, dirty, err := churn.Apply(g, churn.Delta{Op: churn.AddEdge, U: c, V: c + 10}, k)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p, post, dirty
+}
+
+// TestDeriveAllocsIndependentOfN gates the locality theorem's cost
+// promise on the view cache: one chord-flap Derive on a prewarmed grid
+// allocates a directory of n/256 pointers and the pages that hold dirty
+// slots, under 32 KiB at n = 10⁴ and at n = 4·10⁴ alike, where cloning
+// a label map per shard cost hundreds of KB and grew with n.
+func TestDeriveAllocsIndependentOfN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const gate = 32 << 10
+	for _, side := range []int{100, 200} {
+		p, post, dirty := chordFlap(t, side)
+		// The minimum over a few Derives, with the collector off, keeps
+		// a background allocation out of the window.
+		best := ^uint64(0)
+		func() {
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			for trial := 0; trial < 3; trial++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				np := p.Derive(post, dirty)
+				runtime.ReadMemStats(&after)
+				runtime.KeepAlive(np)
+				best = min(best, after.TotalAlloc-before.TotalAlloc)
+			}
+		}()
+		if best > gate {
+			t.Fatalf("n=%d: one chord-flap Derive allocates %d bytes, gate %d", side*side, best, gate)
+		}
+		t.Logf("n=%d: %d dirty views, Derive allocates %d bytes (gate %d)", side*side, len(dirty), best, gate)
+	}
+}
+
+// BenchmarkDeriveIncreasingN times one chord-flap Derive on a
+// prewarmed grid as n grows (k = 3, the same k-balls at every size):
+// ns/op and B/op should stay flat. Each iteration flaps the chord the
+// other way and, off the clock, rebuilds the dirty views, so every
+// Derive meets a full cache as PATCH /graph under traffic does.
+func BenchmarkDeriveIncreasingN(b *testing.B) {
+	for _, side := range []int{100, 200, 316} {
+		b.Run(fmt.Sprintf("n=%d", side*side), func(b *testing.B) {
+			p, post, dirty := chordFlap(b, side)
+			gs := [2]*graph.Graph{p.Store().(*graph.Graph), post}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p = p.Derive(gs[(i+1)%2], dirty)
+				b.StopTimer()
+				for _, u := range dirty {
+					p.At(u)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(len(dirty)), "dirtyViews/op")
+		})
+	}
 }

@@ -4,21 +4,15 @@ package prep
 // without building it.
 func HasRoutingHalf(v *View) bool { return v.half.Load() != nil }
 
-// CachedViews returns every view p holds, frozen and live.
+// CachedViews returns every view p's table holds.
 func CachedViews(p *Preprocessor) []*View {
 	var out []*View
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		if m := sh.frozen.Load(); m != nil {
-			for _, v := range *m {
+	for _, pg := range p.dir {
+		for x := range pg {
+			if v := pg[x].Load(); v != nil {
 				out = append(out, v)
 			}
 		}
-		for _, v := range sh.live {
-			out = append(out, v)
-		}
-		sh.mu.Unlock()
 	}
 	return out
 }

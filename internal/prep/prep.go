@@ -198,22 +198,16 @@ func (v *View) IsDormant(e graph.Edge) bool {
 func (v *View) ActiveDegree() int { return len(v.RoutingHalf().ActiveRoots) }
 
 // CacheOptions tune the preprocessor's view cache. The zero value means
-// defaults: DefaultShards lock shards, unbounded capacity.
+// an unbounded cache.
 type CacheOptions struct {
-	// Shards is the number of independently locked cache shards; views
-	// hash across shards by vertex so concurrent routing workers rarely
-	// contend. Rounded up to a power of two. 0 means DefaultShards.
-	Shards int
-	// Capacity bounds the total number of cached views across all
-	// shards; an insert past it evicts an arbitrary resident view, from
-	// the inserting shard first and the others after it (random
-	// replacement — adequate because routing workloads revisit sources
-	// far more often than they scan). 0 means unbounded.
+	// Capacity bounds the number of cached views. A bounded cache is
+	// direct-mapped: it has min(n, Capacity) slots, the vertex of dense
+	// index i lives in slot i mod slots, and a miss replaces whatever
+	// view held its slot (arbitrary replacement — adequate because
+	// routing workloads revisit sources far more often than they scan).
+	// 0 means unbounded: one slot per vertex, never evicted.
 	Capacity int
 }
-
-// DefaultShards is the shard count used when CacheOptions.Shards is 0.
-const DefaultShards = 8
 
 // CacheStats is a point-in-time snapshot of preprocessor cache activity.
 type CacheStats struct {
@@ -225,7 +219,10 @@ type CacheStats struct {
 	Misses int64
 	// Evictions counts views discarded to respect Capacity.
 	Evictions int64
-	// Size is the number of views currently resident.
+	// Size is the number of views currently resident. A derived
+	// preprocessor shares table pages with its parent (see Derive), and
+	// a view that another epoch publishes into a shared page is not
+	// counted here, so Size may under-count; it never over-counts.
 	Size int64
 }
 
@@ -264,80 +261,89 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// prepShard is one lock-striped portion of the view cache.
-//
-// Reads are two-level: frozen is an immutable map published through an
-// atomic pointer — warm hits resolve against it with no lock and no
-// shared-cacheline write beyond this shard's own padded hit counter —
-// and live holds entries inserted since the last freeze, guarded by mu.
-// When live outgrows frozen, the two merge into a fresh frozen map
-// (amortized O(1) per insert) so a prewarmed cache serves every hit
-// lock-free. Bounded caches (Capacity > 0) skip the frozen level and
-// keep everything in live, preserving the exact eviction semantics.
-//
-// The counters live in the shard and the struct is padded past a cache
-// line, so hit accounting from different workers never false-shares —
-// the previous design's four global atomics serialized every warm hit
-// in the pool.
-type prepShard struct {
-	frozen atomic.Pointer[map[graph.Vertex]*View]
-	mu     sync.Mutex
-	live   map[graph.Vertex]*View
+// The view table is split into pages of pageSize slots behind a
+// directory, the unit Derive shares between epochs or copies.
+const (
+	pageBits = 8
+	pageSize = 1 << pageBits
+	pageMask = pageSize - 1
+)
 
+// viewPage is one page of view slots; a nil slot holds no view.
+type viewPage [pageSize]atomic.Pointer[View]
+
+// statStripes is the number of counter stripes; a slot counts on
+// stripe slot mod statStripes.
+const statStripes = 8
+
+// counters is one stripe of cache activity counters, padded past a
+// cache line so that hit accounting from different workers rarely
+// contends and never false-shares.
+type counters struct {
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
 	size      atomic.Int64
 
-	_ [64]byte // pad: neighbouring shards' counters must not share a line
+	_ [64]byte
 }
 
 // Preprocessor caches per-node views for a fixed network and locality.
 // The preprocessing step "need not be repeated unless the network topology
-// changes", so views are computed once per node and shared. It is safe
-// for concurrent use: the cache is sharded by vertex, a view is
-// published only via the shard lock, and it is immutable afterwards
-// apart from the once-only publication of its routing half.
+// changes", so views are computed once per node and shared.
 //
-// Under concurrent misses for the same vertex both callers compute the
-// view and the first insert wins; the duplicate work is bounded and
-// lock-free, which beats serializing whole shards behind preprocessing
-// (BFS-heavy) critical sections.
+// The cache is a table of view slots addressed by the store's dense
+// vertex index and split into fixed pages behind a directory. An
+// unbounded cache has one slot per vertex; a bounded one is
+// direct-mapped (CacheOptions.Capacity). A hit is an index lookup, one
+// atomic load and a centre check. A miss builds the view outside any
+// lock and publishes it with a compare-and-swap; under concurrent
+// misses for the same vertex both callers compute and the first
+// publication wins, a bounded duplicate that beats serializing lookups
+// behind preprocessing. A view is immutable once published apart from
+// the once-only publication of its routing half, so the cache is
+// lock-free and safe for concurrent use.
 type Preprocessor struct {
 	st  bigraph.Store
 	k   int
 	pol Policy
 
-	shards   []prepShard
-	mask     uint64
-	capacity int // per whole cache; 0 = unbounded
+	capacity int    // whole-cache bound; 0 = unbounded
+	slots    uint32 // n, or min(n, capacity) when bounded
+	// dir holds the table's pages, page j covering slots
+	// [j·pageSize, (j+1)·pageSize); it is filled before p is shared and
+	// never written after.
+	dir []*viewPage
+
+	stats [statStripes]counters
 }
 
 // NewPreprocessor returns a caching preprocessor over any bigraph.Store
 // (mmap'd CSR files included) at locality k under dormancy policy pol,
 // with explicit cache tuning (the zero CacheOptions means defaults).
 func NewPreprocessor(st bigraph.Store, k int, pol Policy, opts CacheOptions) *Preprocessor {
-	n := opts.Shards
-	if n <= 0 {
-		n = DefaultShards
+	p := newTable(st, k, pol, opts.Capacity)
+	for j := range p.dir {
+		p.dir[j] = new(viewPage)
 	}
-	// Round up to a power of two so vertex hashing is a mask.
-	shards := 1
-	for shards < n {
-		shards <<= 1
+	return p
+}
+
+// newTable returns a preprocessor whose directory is sized for st but
+// holds no pages yet.
+func newTable(st bigraph.Store, k int, pol Policy, capacity int) *Preprocessor {
+	slots := st.N()
+	if capacity > 0 && capacity < slots {
+		slots = capacity
 	}
-	p := &Preprocessor{
+	return &Preprocessor{
 		st:       st,
 		k:        k,
 		pol:      pol,
-		shards:   make([]prepShard, shards),
-		mask:     uint64(shards - 1),
-		capacity: opts.Capacity,
+		capacity: capacity,
+		slots:    uint32(slots),
+		dir:      make([]*viewPage, (slots+pageMask)>>pageBits),
 	}
-	for i := range p.shards {
-		p.shards[i].live = make(map[graph.Vertex]*View)
-	}
-	return p
 }
 
 // K returns the locality parameter.
@@ -349,145 +355,73 @@ func (p *Preprocessor) Store() bigraph.Store { return p.st }
 // Policy returns the dormancy policy.
 func (p *Preprocessor) Policy() Policy { return p.pol }
 
-// Stats returns a snapshot of cache activity, summed over the shards.
+// Stats returns a snapshot of cache activity, summed over the counter
+// stripes.
 func (p *Preprocessor) Stats() CacheStats {
 	var s CacheStats
-	for i := range p.shards {
-		sh := &p.shards[i]
-		s.Hits += sh.hits.Load()
-		s.Misses += sh.misses.Load()
-		s.Evictions += sh.evictions.Load()
-		s.Size += sh.size.Load()
+	for i := range p.stats {
+		c := &p.stats[i]
+		s.Hits += c.hits.Load()
+		s.Misses += c.misses.Load()
+		s.Evictions += c.evictions.Load()
+		s.Size += c.size.Load()
 	}
 	return s
 }
 
-// totalSize sums resident views across shards (the capacity check).
-func (p *Preprocessor) totalSize() int64 {
-	var n int64
-	for i := range p.shards {
-		n += p.shards[i].size.Load()
+// slot returns the table slot of dense index i: i itself on an
+// unbounded cache, i mod slots on a bounded one.
+//
+//klocal:hotpath
+func (p *Preprocessor) slot(i int32) uint32 {
+	s := uint32(i)
+	if s >= p.slots {
+		s %= p.slots
 	}
-	return n
+	return s
 }
 
-// shardIdx picks the lock shard for u (Fibonacci hashing spreads the
-// typically consecutive vertex labels).
-func (p *Preprocessor) shardIdx(u graph.Vertex) uint64 {
-	return ((uint64(u) * 0x9e3779b97f4a7c15) >> 32) & p.mask
-}
-
-// shardOf returns the lock shard for u.
-func (p *Preprocessor) shardOf(u graph.Vertex) *prepShard {
-	return &p.shards[p.shardIdx(u)]
-}
-
-// At returns the (cached) view at u. Warm hits on an unbounded cache
-// resolve against the shard's frozen map: one atomic load, no lock, no
-// cross-shard cacheline traffic.
+// At returns the (cached) view at u. A label absent from the store gets
+// its empty view, which is not cached.
 //
 //klocal:hotpath
 func (p *Preprocessor) At(u graph.Vertex) *View {
-	home := p.shardIdx(u)
-	sh := &p.shards[home]
-	if m := sh.frozen.Load(); m != nil {
-		if v, ok := (*m)[u]; ok {
-			sh.hits.Add(1)
+	i, ok := p.st.Index(u)
+	if !ok {
+		p.stats[0].misses.Add(1)
+		return emptyView(u, p.k, p.pol)
+	}
+	s := p.slot(i)
+	c := &p.stats[s%statStripes]
+	if v := p.dir[s>>pageBits][s&pageMask].Load(); v != nil && v.Center == u {
+		c.hits.Add(1)
+		return v
+	}
+	c.misses.Add(1)
+	return p.publish(s, PreprocessStore(p.st, u, p.k, p.pol))
+}
+
+// publish installs v in slot s unless a concurrent miss on the same
+// vertex published first, and returns the view every caller shares. On
+// a bounded cache the slot may hold another vertex's view, which v
+// evicts.
+func (p *Preprocessor) publish(s uint32, v *View) *View {
+	slot := &p.dir[s>>pageBits][s&pageMask]
+	c := &p.stats[s%statStripes]
+	for {
+		cur := slot.Load()
+		if cur != nil && cur.Center == v.Center {
+			return cur
+		}
+		if slot.CompareAndSwap(cur, v) {
+			if cur == nil {
+				c.size.Add(1)
+			} else {
+				c.evictions.Add(1)
+			}
 			return v
 		}
 	}
-	sh.mu.Lock()
-	if v, ok := sh.live[u]; ok {
-		sh.mu.Unlock()
-		sh.hits.Add(1)
-		return v
-	}
-	sh.mu.Unlock()
-	sh.misses.Add(1)
-	v := PreprocessStore(p.st, u, p.k, p.pol)
-	if cur := sh.publish(u, v, p.capacity == 0); cur != v {
-		return cur
-	}
-	if p.capacity > 0 {
-		p.trim(home, u)
-	}
-	return v
-}
-
-// publish inserts v as u's view unless a concurrent miss published one
-// first, and returns the view every caller shares.
-func (sh *prepShard) publish(u graph.Vertex, v *View, freeze bool) *View {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if cur, ok := sh.live[u]; ok {
-		return cur
-	}
-	if m := sh.frozen.Load(); m != nil {
-		// A concurrent freeze may have moved the winning entry out of
-		// live; freezes happen under mu, so this read is stable.
-		if cur, ok := (*m)[u]; ok {
-			return cur
-		}
-	}
-	sh.live[u] = v
-	sh.size.Add(1)
-	if freeze {
-		sh.maybeFreezeLocked(false)
-	}
-	return v
-}
-
-// trim evicts resident views until the whole cache is back within
-// capacity: random replacement (map iteration order), starting in the
-// inserting shard and moving on to the next ones, so a bound below the
-// shard count holds too. The view just inserted for spare survives.
-// One shard lock at a time; concurrent trims may each evict, which only
-// undershoots the bound.
-func (p *Preprocessor) trim(home uint64, spare graph.Vertex) {
-	limit := int64(p.capacity)
-	for i := uint64(0); i <= p.mask && p.totalSize() > limit; i++ {
-		sh := &p.shards[(home+i)&p.mask]
-		sh.mu.Lock()
-		for w := range sh.live {
-			if p.totalSize() <= limit {
-				break
-			}
-			if w == spare {
-				continue
-			}
-			delete(sh.live, w)
-			sh.size.Add(-1)
-			sh.evictions.Add(1)
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// maybeFreezeLocked merges live into a fresh frozen map when live has
-// caught up with frozen (or unconditionally when force is set), then
-// resets live. Doubling-style growth keeps the merge cost amortized O(1)
-// per insert. Caller holds sh.mu.
-func (sh *prepShard) maybeFreezeLocked(force bool) {
-	const freezeMin = 32
-	var frozen map[graph.Vertex]*View
-	if m := sh.frozen.Load(); m != nil {
-		frozen = *m
-	}
-	if !force && (len(sh.live) < freezeMin || len(sh.live) < len(frozen)) {
-		return
-	}
-	if len(sh.live) == 0 {
-		return
-	}
-	merged := make(map[graph.Vertex]*View, len(frozen)+len(sh.live))
-	for w, v := range frozen {
-		merged[w] = v
-	}
-	for w, v := range sh.live {
-		merged[w] = v
-	}
-	sh.frozen.Store(&merged)
-	sh.live = make(map[graph.Vertex]*View)
 }
 
 // Prewarm computes and caches the view of every vertex using `workers`
@@ -495,15 +429,13 @@ func (sh *prepShard) maybeFreezeLocked(force bool) {
 // extraction and next-hop latency. It builds Case-1 halves only: a
 // view's routing half costs one build, on the first decision that finds
 // its destination outside G_k(u). With a bounded cache smaller than the
-// vertex count, prewarming fills the cache and stops early.
+// vertex count, prewarming fills every slot with the lowest-labelled
+// vertices and stops.
 func (p *Preprocessor) Prewarm(workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	limit := p.st.N()
-	if p.capacity > 0 && limit > p.capacity {
-		limit = p.capacity
-	}
+	limit := int(p.slots)
 	if limit == 0 {
 		return
 	}
@@ -528,16 +460,6 @@ func (p *Preprocessor) Prewarm(workers int) {
 		}()
 	}
 	wg.Wait()
-	if p.capacity == 0 {
-		// Freeze the remainder so a prewarmed cache serves every
-		// subsequent hit lock-free.
-		for i := range p.shards {
-			sh := &p.shards[i]
-			sh.mu.Lock()
-			sh.maybeFreezeLocked(true)
-			sh.mu.Unlock()
-		}
-	}
 }
 
 // ConsistentEdges returns the globally consistent edges of g at locality

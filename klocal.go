@@ -448,7 +448,7 @@ var (
 var Degrade = exper.Degrade
 
 // The traffic engine (internal/engine): batched concurrent routing over
-// an immutable snapshot with sharded, size-bounded preprocessing.
+// an immutable snapshot with lock-free, size-bounded preprocessing.
 type (
 	// Snapshot is an immutable (network, locality, algorithm) binding
 	// with a shared preprocessed-view cache.
@@ -469,7 +469,8 @@ type (
 	// MetricsReport is a merged, renderable metric snapshot
 	// (WriteText / WriteJSON).
 	MetricsReport = metrics.Report
-	// CacheOptions tune the sharded preprocessed-view cache.
+	// CacheOptions tune the preprocessed-view cache: a lock-free table
+	// of view slots, one per vertex or direct-mapped under a capacity.
 	CacheOptions = prep.CacheOptions
 	// CacheStats snapshots view-cache activity (hits, misses,
 	// evictions, size).
@@ -499,7 +500,7 @@ var (
 	// SweepParallel is the locality sweep routed through the engine —
 	// identical points, concurrent wall clock.
 	SweepParallel = exper.SweepParallel
-	// NewPreprocessor builds a sharded, size-bounded view cache for
+	// NewPreprocessor builds a lock-free, size-bounded view cache for
 	// direct use with Algorithm.Over.
 	NewPreprocessor = prep.NewPreprocessor
 )
