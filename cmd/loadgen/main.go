@@ -246,6 +246,10 @@ func run() error {
 	// one delta copy-on-write, derive the next snapshot (only views in
 	// the k-radius dirty set recompute), publish it atomically. Its own
 	// metrics shard records the per-delta cost.
+	var churnSchema klocal.MetricsSchema
+	deltas := churnSchema.Counter("deltas")
+	invalidated := churnSchema.Histogram("invalidated_views")
+	swapNS := churnSchema.Histogram("swap_ns")
 	var churnMet *klocal.MetricsShard
 	var churnStop, churnDone chan struct{}
 	if *churnRate > 0 {
@@ -255,7 +259,7 @@ func run() error {
 		if *workload == "adversarial" {
 			return fmt.Errorf("-churn would destroy the adversarial instance's extremal structure")
 		}
-		churnMet = klocal.NewMetricsShard()
+		churnMet = klocal.NewMetricsShard(&churnSchema)
 		churnStop = make(chan struct{})
 		churnDone = make(chan struct{})
 		go func(cur *klocal.Graph, cs *klocal.Snapshot) {
@@ -284,9 +288,9 @@ func run() error {
 					return
 				}
 				eng.SwapSnapshot(next)
-				churnMet.Count("deltas", 1)
-				churnMet.Observe("invalidated_views", int64(len(dirty)))
-				churnMet.Observe("swap_ns", time.Since(t0).Nanoseconds())
+				churnMet.Add(deltas, 1)
+				churnMet.Observe(invalidated, int64(len(dirty)))
+				churnMet.Observe(swapNS, time.Since(t0).Nanoseconds())
 				cur, cs = post, next
 			}
 		}(g, snap)
@@ -317,9 +321,9 @@ func run() error {
 		rep.WriteText(os.Stdout)
 		if churnMet != nil {
 			fmt.Printf("churn: %d deltas applied, %.1f views invalidated per delta (p99 %v swap)\n",
-				churnMet.Counter("deltas"),
-				churnMet.Histogram("invalidated_views").Mean(),
-				time.Duration(churnMet.Histogram("swap_ns").Quantile(0.99)).Round(time.Microsecond))
+				churnMet.Counter(deltas),
+				churnMet.Histogram(invalidated).Mean(),
+				time.Duration(churnMet.Histogram(swapNS).Quantile(0.99)).Round(time.Microsecond))
 		}
 		fmt.Printf("elapsed                  %v\n", elapsed.Round(time.Millisecond))
 		if rep.Gauge("delivery_rate") == 1.0 {

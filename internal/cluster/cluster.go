@@ -25,7 +25,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,12 +41,17 @@ import (
 // addressing (which process answers for which label) and carries no
 // topology; adjacency is only ever learned through announcements.
 type Assignment struct {
-	vertices []graph.Vertex // sorted
+	vertices []graph.Vertex // sorted, unique
 	shards   int
+	// contiguous reports labels exactly vertices[0], vertices[0]+1, …:
+	// then a label's position is its offset from vertices[0], with no
+	// search. Every generated graph and every .csr file is contiguous.
+	contiguous bool
 }
 
 // NewAssignment splits the given vertex labels into shards contiguous
-// ranges. The slice is copied and sorted.
+// ranges. The slice is copied and sorted; a label given twice is an
+// error, since two shards would then both own it.
 func NewAssignment(vertices []graph.Vertex, shards int) (Assignment, error) {
 	if len(vertices) == 0 {
 		return Assignment{}, fmt.Errorf("cluster: empty vertex space")
@@ -54,10 +59,16 @@ func NewAssignment(vertices []graph.Vertex, shards int) (Assignment, error) {
 	if shards < 1 || shards > len(vertices) {
 		return Assignment{}, fmt.Errorf("cluster: %d shards over %d vertices", shards, len(vertices))
 	}
-	vs := make([]graph.Vertex, len(vertices))
-	copy(vs, vertices)
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	return Assignment{vertices: vs, shards: shards}, nil
+	vs := slices.Clone(vertices)
+	slices.Sort(vs)
+	contiguous := true
+	for i := 1; i < len(vs); i++ {
+		if vs[i] == vs[i-1] {
+			return Assignment{}, fmt.Errorf("cluster: vertex %d listed twice", vs[i])
+		}
+		contiguous = contiguous && vs[i] == vs[i-1]+1
+	}
+	return Assignment{vertices: vs, shards: shards, contiguous: contiguous}, nil
 }
 
 // Shards returns the number of shards.
@@ -66,34 +77,48 @@ func (a Assignment) Shards() int { return a.shards }
 // N returns the number of vertices in the addressed space.
 func (a Assignment) N() int { return len(a.vertices) }
 
+// pos returns v's position in the sorted label space, or false when v
+// is outside it: an offset on a contiguous space, a binary search on
+// any other. Every hop looks its next vertex up here; the offset spares
+// it the search.
+//
+//klocal:hotpath
+func (a Assignment) pos(v graph.Vertex) (int, bool) {
+	if a.contiguous {
+		i := int(v - a.vertices[0])
+		return i, i >= 0 && i < len(a.vertices)
+	}
+	return slices.BinarySearch(a.vertices, v)
+}
+
+// shardAt returns the shard owning position i. Shard s owns positions
+// [⌊s·n/S⌋, ⌊(s+1)·n/S⌋), so it is the largest s with s·n < (i+1)·S.
+//
+//klocal:hotpath
+func (a Assignment) shardAt(i int) int {
+	return ((i+1)*a.shards - 1) / len(a.vertices)
+}
+
 // Owner returns the shard index owning v, or false when v is outside
 // the addressed vertex space.
 func (a Assignment) Owner(v graph.Vertex) (int, bool) {
-	i := sort.Search(len(a.vertices), func(i int) bool { return a.vertices[i] >= v })
-	if i >= len(a.vertices) || a.vertices[i] != v {
+	i, ok := a.pos(v)
+	if !ok {
 		return 0, false
 	}
-	// Contiguous ranges: shard s owns positions [s·n/shards, (s+1)·n/shards).
+	return a.shardAt(i), true
+}
+
+// span returns shard i's position range [lo, hi).
+func (a Assignment) span(i int) (lo, hi int) {
 	n := len(a.vertices)
-	lo, hi := 0, a.shards
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if (mid+1)*n/a.shards <= i {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, true
+	return i * n / a.shards, (i + 1) * n / a.shards
 }
 
 // Owned returns shard i's vertex range (a fresh slice).
 func (a Assignment) Owned(i int) []graph.Vertex {
-	n := len(a.vertices)
-	lo, hi := i*n/a.shards, (i+1)*n/a.shards
-	out := make([]graph.Vertex, hi-lo)
-	copy(out, a.vertices[lo:hi])
-	return out
+	lo, hi := a.span(i)
+	return slices.Clone(a.vertices[lo:hi])
 }
 
 // Config tunes a cluster member.
@@ -194,6 +219,44 @@ func (r *record) newer(seq uint64, tomb bool) bool {
 	return r == nil || seq > r.seq || (seq == r.seq && tomb && !r.tomb)
 }
 
+// The member metrics, registered once for every member's shard. The
+// per-class fault counters (lsa_retransmits, tombstones_issued/refuted,
+// hello_timeouts, deaths_declared) ride along with the routing ones.
+var (
+	memberMetrics      = &metrics.Schema{}
+	mRequests          = memberMetrics.Counter("requests")
+	mDelivered         = memberMetrics.Counter("delivered")
+	mFailed            = memberMetrics.Counter("failed")
+	mFailedKind        = registerFailedKinds()
+	mForwards          = memberMetrics.Counter("forwards")
+	mCrossings         = memberMetrics.Counter("crossings")
+	mForwardRetries    = memberMetrics.Counter("forward_retries")
+	mRepliesSent       = memberMetrics.Counter("replies_sent")
+	mRepliesLost       = memberMetrics.Counter("replies_lost")
+	mHelloSent         = memberMetrics.Counter("hello_sent")
+	mHelloRecv         = memberMetrics.Counter("hello_recv")
+	mHelloTimeouts     = memberMetrics.Counter("hello_timeouts")
+	mLSASent           = memberMetrics.Counter("lsa_sent")
+	mLSARecv           = memberMetrics.Counter("lsa_recv")
+	mLSARetransmits    = memberMetrics.Counter("lsa_retransmits")
+	mDeathsDeclared    = memberMetrics.Counter("deaths_declared")
+	mTombstonesIssued  = memberMetrics.Counter("tombstones_issued")
+	mTombstonesRefuted = memberMetrics.Counter("tombstones_refuted")
+	mHops              = memberMetrics.Histogram("hops")
+	mCrossingsPerReq   = memberMetrics.Histogram("crossings_per_req")
+	mLatency           = memberMetrics.Histogram("latency_ns")
+)
+
+// registerFailedKinds registers failed_<kind> for every kind errKindOf
+// returns, in errKinds order, routing last.
+func registerFailedKinds() (ids [len(errKinds) + 1]metrics.CounterID) {
+	for i, k := range errKinds {
+		ids[i] = memberMetrics.Counter("failed_" + k.name)
+	}
+	ids[len(errKinds)] = memberMetrics.Counter("failed_" + routingKind)
+	return ids
+}
+
 // Member is one cluster participant: it owns a shard of vertices,
 // gossips membership, floods and stores link-state, assembles G_k(u)
 // views for its owned vertices, and forwards routing requests hop by
@@ -202,7 +265,10 @@ type Member struct {
 	cfg  Config
 	asn  Assignment
 	plan fault.Plan // retry schedule for reliable transfers
-	adj  map[graph.Vertex][]graph.Vertex
+	// rows holds the owned vertices' sorted adjacency, indexed by label
+	// position minus lo, the shard's first position.
+	rows [][]graph.Vertex
+	lo   int
 	tr   Transport
 	met  *metrics.Shard
 	lim  bodyLimits
@@ -257,13 +323,15 @@ func NewMember(cfg Config, asn Assignment, adj map[graph.Vertex][]graph.Vertex, 
 	if len(adj) != len(owned) {
 		return nil, fmt.Errorf("cluster: adjacency covers %d vertices, shard %d owns %d", len(adj), cfg.Index, len(owned))
 	}
+	lo, _ := asn.span(cfg.Index)
 	m := &Member{
 		cfg:     cfg,
 		asn:     asn,
 		plan:    fault.Plan{MaxAttempts: cfg.MaxAttempts, BackoffCap: cfg.BackoffCap},
-		adj:     make(map[graph.Vertex][]graph.Vertex, len(owned)),
+		rows:    make([][]graph.Vertex, len(owned)),
+		lo:      lo,
 		tr:      tr,
-		met:     metrics.NewShard(),
+		met:     metrics.NewShard(memberMetrics),
 		lim:     newBodyLimits(asn.N(), cfg.HopBudget),
 		inc:     cfg.Incarnation,
 		peers:   make(map[int]*peerState),
@@ -277,15 +345,13 @@ func NewMember(cfg Config, asn Assignment, adj map[graph.Vertex][]graph.Vertex, 
 			m.seeds = append(m.seeds, s)
 		}
 	}
-	for _, v := range owned {
+	for i, v := range owned {
 		nbrs, ok := adj[v]
 		if !ok {
 			return nil, fmt.Errorf("cluster: adjacency missing owned vertex %d", v)
 		}
-		own := make([]graph.Vertex, len(nbrs))
-		copy(own, nbrs)
-		sort.Slice(own, func(i, j int) bool { return own[i] < own[j] })
-		m.adj[v] = own
+		m.rows[i] = slices.Clone(nbrs)
+		slices.Sort(m.rows[i])
 	}
 	m.mu.Lock()
 	for _, v := range owned {
@@ -295,6 +361,19 @@ func NewMember(cfg Config, asn Assignment, adj map[graph.Vertex][]graph.Vertex, 
 	m.checkReadyLocked()
 	m.mu.Unlock()
 	return m, nil
+}
+
+// ownAdj returns the a-priori adjacency of v, or false when this member
+// does not own v.
+//
+//klocal:hotpath
+func (m *Member) ownAdj(v graph.Vertex) ([]graph.Vertex, bool) {
+	p, ok := m.asn.pos(v)
+	p -= m.lo
+	if !ok || p < 0 || p >= len(m.rows) {
+		return nil, false
+	}
+	return m.rows[p], true
 }
 
 // seqEpochLocked folds the incarnation into the high half of the
@@ -444,12 +523,10 @@ func (m *Member) pendingCount() int {
 }
 
 // report attaches the derived gauges to a snapshot of the counters —
-// the shared body of /metrics and FinalReport. The per-class fault
-// counters (lsa_retransmits, tombstones_issued/refuted, hello_timeouts,
-// deaths_declared) ride along in the shard's counter set.
+// the shared body of /metrics and FinalReport.
 func (m *Member) report(name string) *metrics.Report {
 	st := m.Stats()
-	rep := m.met.Clone().Snapshot()
+	rep := m.met.Snapshot()
 	rep.Name = name
 	if reqs := rep.Counter("requests"); reqs > 0 {
 		rep.Put("delivery_rate", float64(rep.Counter("delivered"))/float64(reqs))

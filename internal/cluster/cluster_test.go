@@ -20,36 +20,57 @@ func alg2(t *testing.T) route.Algorithm {
 
 func TestAssignmentRanges(t *testing.T) {
 	g := gen.Cycle(10)
-	asn, err := NewAssignment(g.Vertices(), 3)
-	if err != nil {
-		t.Fatal(err)
+	offset := make([]graph.Vertex, 10)
+	sparse := make([]graph.Vertex, 10)
+	for i := range offset {
+		offset[i] = graph.Vertex(100 + i)
+		sparse[i] = graph.Vertex(i*i + i)
 	}
-	seen := make(map[graph.Vertex]int)
-	total := 0
-	for i := 0; i < asn.Shards(); i++ {
-		for _, v := range asn.Owned(i) {
-			if prev, dup := seen[v]; dup {
-				t.Fatalf("vertex %d owned by shards %d and %d", v, prev, i)
-			}
-			seen[v] = i
-			owner, ok := asn.Owner(v)
-			if !ok || owner != i {
-				t.Fatalf("Owner(%d) = (%d, %v), want (%d, true)", v, owner, ok, i)
-			}
-			total++
+	// Contiguous label spaces resolve a label by its offset, any other
+	// by binary search; both must split the same way.
+	for _, labels := range [][]graph.Vertex{g.Vertices(), offset, sparse} {
+		asn, err := NewAssignment(labels, 3)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if total != g.N() {
-		t.Fatalf("shards cover %d vertices, want %d", total, g.N())
-	}
-	if _, ok := asn.Owner(graph.Vertex(99)); ok {
-		t.Fatal("Owner accepted a vertex outside the space")
+		seen := make(map[graph.Vertex]int)
+		total := 0
+		for i := 0; i < asn.Shards(); i++ {
+			for _, v := range asn.Owned(i) {
+				if prev, dup := seen[v]; dup {
+					t.Fatalf("vertex %d owned by shards %d and %d", v, prev, i)
+				}
+				seen[v] = i
+				owner, ok := asn.Owner(v)
+				if !ok || owner != i {
+					t.Fatalf("labels %v: Owner(%d) = (%d, %v), want (%d, true)", labels, v, owner, ok, i)
+				}
+				total++
+			}
+		}
+		if total != len(labels) {
+			t.Fatalf("shards cover %d vertices, want %d", total, len(labels))
+		}
+		for _, v := range []graph.Vertex{-1, 2, 99, 110, 1 << 40} {
+			if _, in := seen[v]; !in {
+				if _, ok := asn.Owner(v); ok {
+					t.Fatalf("labels %v: Owner accepted %d, outside the space", labels, v)
+				}
+			}
+		}
 	}
 	if _, err := NewAssignment(nil, 1); err == nil {
 		t.Fatal("NewAssignment accepted an empty vertex space")
 	}
 	if _, err := NewAssignment(g.Vertices(), 11); err == nil {
 		t.Fatal("NewAssignment accepted more shards than vertices")
+	}
+	// A repeated label would land in two shards' ranges; [0 1 1 3] also
+	// spans as many labels as a contiguous space of four would.
+	for _, dup := range [][]graph.Vertex{{0, 1, 1, 2}, {0, 1, 1, 3}, {5, 5}} {
+		if _, err := NewAssignment(dup, 2); err == nil {
+			t.Fatalf("NewAssignment accepted duplicate labels %v", dup)
+		}
 	}
 }
 
@@ -92,40 +113,55 @@ func TestDiscoveredViewsMatchExtract(t *testing.T) {
 // crossing real shard handoffs) must be hop-identical to the
 // global-graph engine's walk.
 func TestClusterRoutesMatchEngine(t *testing.T) {
-	g := gen.Cycle(15)
 	k := 5 // alg2 threshold T(15) = 5
 	alg := alg2(t)
-	members, _, err := NewLocalCluster(g, LocalClusterConfig{Shards: 3, K: k, Alg: alg})
-	if err != nil {
-		t.Fatal(err)
+	// The 15-cycle under its own labels and under sparse ones, which
+	// the assignment resolves by binary search instead of by offset.
+	sparse := func(v graph.Vertex) graph.Vertex { return 3*v + 7 }
+	var edges []graph.Edge
+	for _, e := range gen.Cycle(15).Edges() {
+		edges = append(edges, graph.Edge{U: sparse(e.U), V: sparse(e.V)})
 	}
-	if err := Converge(members, 0); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := engine.NewSnapshotStore(g, k, alg, engine.SnapshotOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pair := range [][2]graph.Vertex{{0, 7}, {3, 12}, {14, 1}, {5, 5}} {
-		s, tt := pair[0], pair[1]
-		want := snap.Route(s, tt, 0)
-		if want.Outcome != sim.Delivered {
-			t.Fatalf("engine route %d->%d: %s", s, tt, want.Outcome)
+	for _, tc := range []struct {
+		g     *graph.Graph
+		label func(graph.Vertex) graph.Vertex
+	}{
+		{gen.Cycle(15), func(v graph.Vertex) graph.Vertex { return v }},
+		{graph.FromEdges(edges), sparse},
+	} {
+		g := tc.g
+		members, _, err := NewLocalCluster(g, LocalClusterConfig{Shards: 3, K: k, Alg: alg})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for entry := range members {
-			rep, err := members[entry].Route(context.Background(), s, tt, true)
-			if err != nil {
-				t.Fatal(err)
+		if err := Converge(members, 0); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := engine.NewSnapshotStore(g, k, alg, engine.SnapshotOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pair := range [][2]graph.Vertex{{0, 7}, {3, 12}, {14, 1}, {5, 5}} {
+			s, tt := tc.label(pair[0]), tc.label(pair[1])
+			want := snap.Route(s, tt, 0)
+			if want.Outcome != sim.Delivered {
+				t.Fatalf("engine route %d->%d: %s", s, tt, want.Outcome)
 			}
-			if !rep.Delivered {
-				t.Fatalf("cluster route %d->%d via member %d: %s (%s)", s, tt, entry, rep.Err, rep.ErrKind)
-			}
-			if fmt.Sprint(rep.Route) != fmt.Sprint(want.Route) {
-				t.Fatalf("cluster route %d->%d via member %d = %v, engine walk %v",
-					s, tt, entry, rep.Route, want.Route)
-			}
-			if len(rep.Steps) != len(rep.Route) {
-				t.Fatalf("trace has %d steps for a %d-vertex walk", len(rep.Steps), len(rep.Route))
+			for entry := range members {
+				rep, err := members[entry].Route(context.Background(), s, tt, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !rep.Delivered {
+					t.Fatalf("cluster route %d->%d via member %d: %s (%s)", s, tt, entry, rep.Err, rep.ErrKind)
+				}
+				if fmt.Sprint(rep.Route) != fmt.Sprint(want.Route) {
+					t.Fatalf("cluster route %d->%d via member %d = %v, engine walk %v",
+						s, tt, entry, rep.Route, want.Route)
+				}
+				if len(rep.Steps) != len(rep.Route) {
+					t.Fatalf("trace has %d steps for a %d-vertex walk", len(rep.Steps), len(rep.Route))
+				}
 			}
 		}
 	}

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"klocal/internal/graph"
+	"klocal/internal/metrics"
 )
 
 // Typed failure modes of the forwarding path. RouteReply.ErrKind
@@ -37,32 +39,51 @@ var (
 	ErrStopped = errors.New("cluster: member stopping")
 )
 
+// errKinds gives each typed forwarding error its wire name. An error
+// matching none of them is a routing error (routingKind).
+var errKinds = [...]struct {
+	err  error
+	name string
+}{
+	{ErrHopBudget, "hop_budget"},
+	{ErrPeerDeadline, "peer_deadline"},
+	{ErrPeerDown, "peer_down"},
+	{ErrPeerUnknown, "peer_unknown"},
+	{ErrNotReady, "not_ready"},
+	{ErrPartitioned, "partitioned"},
+	{ErrRequestTimeout, "timeout"},
+	{ErrUnknownVertex, "unknown_vertex"},
+	{ErrStopped, "stopped"},
+}
+
+const routingKind = "routing"
+
 // errKindOf maps a forwarding error to its wire name.
 func errKindOf(err error) string {
-	switch {
-	case err == nil:
+	if err == nil {
 		return ""
-	case errors.Is(err, ErrHopBudget):
-		return "hop_budget"
-	case errors.Is(err, ErrPeerDeadline):
-		return "peer_deadline"
-	case errors.Is(err, ErrPeerDown):
-		return "peer_down"
-	case errors.Is(err, ErrPeerUnknown):
-		return "peer_unknown"
-	case errors.Is(err, ErrNotReady):
-		return "not_ready"
-	case errors.Is(err, ErrPartitioned):
-		return "partitioned"
-	case errors.Is(err, ErrRequestTimeout):
-		return "timeout"
-	case errors.Is(err, ErrUnknownVertex):
-		return "unknown_vertex"
-	case errors.Is(err, ErrStopped):
-		return "stopped"
-	default:
-		return "routing"
 	}
+	for _, k := range errKinds {
+		if errors.Is(err, k.err) {
+			return k.name
+		}
+	}
+	return routingKind
+}
+
+// failedCounter returns the failed_<kind> counter of a reply's ErrKind,
+// or false for a kind errKindOf never returns (a peer's reply may carry
+// any string).
+func failedCounter(kind string) (metrics.CounterID, bool) {
+	for i, k := range errKinds {
+		if k.name == kind {
+			return mFailedKind[i], true
+		}
+	}
+	if kind == routingKind {
+		return mFailedKind[len(errKinds)], true
+	}
+	return 0, false
 }
 
 // Step is one annotated hop of a cluster walk: which vertex decided,
@@ -150,85 +171,84 @@ func (m *Member) finish(msg *WireMessage, delivered bool, err error) {
 		m.deliverReply(rep)
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.PeerDeadline)
-	defer cancel()
-	if rerr := m.tr.Reply(ctx, msg.EntryAddr, rep); rerr != nil {
+	if rerr := m.tr.Reply(msg.EntryAddr, rep, m.cfg.PeerDeadline); rerr != nil {
 		// The entry's request timeout is the backstop for a lost reply.
-		m.met.Count("replies_lost", 1)
+		m.met.Add(mRepliesLost, 1)
 		return
 	}
-	m.met.Count("replies_sent", 1)
+	m.met.Add(mRepliesSent, 1)
 }
 
 // process advances the walk while its head vertex is owned here, then
 // either terminates it (reply to entry) or hands it to the next shard.
+// The segment's hops are counted once, before the walk leaves this
+// member, so no reply reaches its entry member ahead of its counts.
 func (m *Member) process(msg *WireMessage) {
+	entered := len(msg.Route)
+	owner, err := m.walk(msg)
+	if hops := len(msg.Route) - entered; hops > 0 {
+		m.met.Add(mForwards, int64(hops))
+	}
+	if owner < 0 {
+		m.finish(msg, err == nil, err)
+		return
+	}
+	msg.Crossings++
+	m.met.Add(mCrossings, 1)
+	if err := m.handoff(owner, msg); err != nil {
+		m.finish(msg, false, err)
+	}
+}
+
+// walk takes the walk's hops while its head is owned here. It returns
+// the shard that owns the new head, or −1 when the walk ends here:
+// delivered when err is nil, failed with err otherwise. A hop costs one
+// view lookup and one decision; the destination is searched for in the
+// view only when the view is complete, to prove a partition.
+func (m *Member) walk(msg *WireMessage) (int, error) {
 	ownerT, knownT := m.asn.Owner(msg.T)
+	u := msg.Route[len(msg.Route)-1]
+	row, _ := m.ownAdj(u) // acceptForward admits only owned heads
 	for {
-		u := msg.Route[len(msg.Route)-1]
 		if msg.Trace {
 			msg.Steps = append(msg.Steps, Step{Index: len(msg.Steps), Node: u, Member: m.cfg.Index})
 		}
 		if u == msg.T {
-			m.finish(msg, true, nil)
-			return
+			return -1, nil
 		}
 		// Fail fast once the destination's shard is known-dead instead
 		// of walking the full budget toward a withdrawn region.
 		if knownT && ownerT != m.cfg.Index && m.down[ownerT].Load() {
-			m.finish(msg, false, fmt.Errorf("%w: destination shard %d", ErrPeerDown, ownerT))
-			return
+			return -1, fmt.Errorf("%w: destination shard %d", ErrPeerDown, ownerT)
 		}
 		if msg.Budget <= 0 {
-			m.finish(msg, false, fmt.Errorf("%w after %d hops", ErrHopBudget, len(msg.Route)-1))
-			return
+			return -1, fmt.Errorf("%w after %d hops", ErrHopBudget, len(msg.Route)-1)
 		}
 		ep := m.current()
-		raw := ep.pre.At(u).C.Raw
-		if _, in := raw.Index(msg.T); !in && complete(raw) {
-			m.finish(msg, false, fmt.Errorf("%w: %d not in the complete view of %d", ErrPartitioned, msg.T, u))
-			return
+		if raw := ep.pre.At(u).C.Raw; raw.Complete && !raw.Contains(msg.T) {
+			return -1, fmt.Errorf("%w: %d not in the complete view of %d", ErrPartitioned, msg.T, u)
 		}
 		next, err := ep.decide(msg.S, msg.T, u, msg.Prev)
 		if err != nil {
-			m.finish(msg, false, err)
-			return
+			return -1, err
 		}
-		if !m.isOwnNeighbor(u, next) {
-			m.finish(msg, false, fmt.Errorf("cluster: algorithm chose %d, not a neighbour of %d", next, u))
-			return
+		// Check the step against the a-priori adjacency — the one
+		// structural fact the member holds about u.
+		if _, ok := slices.BinarySearch(row, next); !ok {
+			return -1, fmt.Errorf("cluster: algorithm chose %d, not a neighbour of %d", next, u)
 		}
 		msg.Prev = u
 		msg.Route = append(msg.Route, next)
 		msg.Budget--
-		m.met.Count("forwards", 1)
-		owner, ok := m.asn.Owner(next)
+		p, ok := m.asn.pos(next)
 		if !ok {
-			m.finish(msg, false, fmt.Errorf("%w: %d", ErrUnknownVertex, next))
-			return
+			return -1, fmt.Errorf("%w: %d", ErrUnknownVertex, next)
 		}
-		if owner == m.cfg.Index {
-			continue
+		if p < m.lo || p >= m.lo+len(m.rows) {
+			return m.asn.shardAt(p), nil
 		}
-		msg.Crossings++
-		m.met.Count("crossings", 1)
-		if err := m.handoff(owner, msg); err != nil {
-			m.finish(msg, false, err)
-			return
-		}
-		return // the next shard owns the walk now
+		u, row = next, m.rows[p-m.lo]
 	}
-}
-
-// isOwnNeighbor checks the algorithm's step against the member's
-// a-priori adjacency — the one structural fact it holds about u.
-func (m *Member) isOwnNeighbor(u, w graph.Vertex) bool {
-	for _, x := range m.adj[u] {
-		if x == w {
-			return true
-		}
-	}
-	return false
 }
 
 // handoff transfers the walk to the owner shard with a per-attempt
@@ -244,7 +264,7 @@ func (m *Member) handoff(owner int, msg *WireMessage) error {
 	var lastErr error
 	for att := 1; att <= m.cfg.ForwardAttempts; att++ {
 		if att > 1 {
-			m.met.Count("forward_retries", 1)
+			m.met.Add(mForwardRetries, 1)
 			d := m.cfg.RetryBase * time.Duration(m.plan.Backoff(att-1))
 			select {
 			case <-m.stop:
@@ -257,9 +277,7 @@ func (m *Member) handoff(owner int, msg *WireMessage) error {
 				return fmt.Errorf("%w: shard %d", ErrPeerDown, owner)
 			}
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), m.cfg.PeerDeadline)
-		err := m.tr.Forward(ctx, addr, msg)
-		cancel()
+		err := m.tr.Forward(addr, msg, m.cfg.PeerDeadline)
 		if err == nil {
 			return nil
 		}
@@ -280,7 +298,7 @@ func (m *Member) acceptForward(msg *WireMessage) error {
 		return fmt.Errorf("cluster: empty walk")
 	}
 	head := msg.Route[len(msg.Route)-1]
-	if _, owned := m.adj[head]; !owned {
+	if _, owned := m.ownAdj(head); !owned {
 		return fmt.Errorf("cluster: vertex %d not owned by shard %d", head, m.cfg.Index)
 	}
 	m.mu.Lock()
@@ -318,18 +336,18 @@ func (m *Member) Route(ctx context.Context, s, t graph.Vertex, withTrace bool) (
 	start := time.Now()
 	finish := func(rep *RouteReply) *RouteReply {
 		rep.LatencyNS = time.Since(start).Nanoseconds()
-		m.met.Count("requests", 1)
+		m.met.Add(mRequests, 1)
 		if rep.Delivered {
-			m.met.Count("delivered", 1)
-			m.met.Observe("hops", int64(rep.Hops))
-			m.met.Observe("crossings_per_req", int64(rep.Crossings))
+			m.met.Add(mDelivered, 1)
+			m.met.Observe(mHops, int64(rep.Hops))
+			m.met.Observe(mCrossingsPerReq, int64(rep.Crossings))
 		} else {
-			m.met.Count("failed", 1)
-			if rep.ErrKind != "" {
-				m.met.Count("failed_"+rep.ErrKind, 1)
+			m.met.Add(mFailed, 1)
+			if c, ok := failedCounter(rep.ErrKind); ok {
+				m.met.Add(c, 1)
 			}
 		}
-		m.met.Observe("latency_ns", rep.LatencyNS)
+		m.met.Observe(mLatency, rep.LatencyNS)
 		return rep
 	}
 	msg := &WireMessage{
@@ -371,7 +389,7 @@ func (m *Member) Route(ctx context.Context, s, t graph.Vertex, withTrace bool) (
 		}
 	} else {
 		msg.Crossings++
-		m.met.Count("crossings", 1)
+		m.met.Add(mCrossings, 1)
 		if err := m.handoff(owner, msg); err != nil {
 			m.dropWaiter(msg.ID)
 			return finish(m.replyFor(msg, false, err)), nil

@@ -59,7 +59,8 @@ func wireLSA(origin graph.Vertex, rec *record) WireLSA {
 // issued against an earlier sequence.
 func (m *Member) reOriginateLocked(v graph.Vertex) {
 	m.seqCount++
-	rec := &record{seq: m.seqEpochLocked() | (m.seqCount & 0xffffffff), adj: m.adj[v]}
+	adj, _ := m.ownAdj(v)
+	rec := &record{seq: m.seqEpochLocked() | (m.seqCount & 0xffffffff), adj: adj}
 	m.putLocked(v, rec)
 	m.floodLocked(v, rec, -1)
 }
@@ -153,7 +154,7 @@ func (m *Member) retryPass(now time.Time) {
 				break
 			}
 			if x.attempts > 1 {
-				m.met.Count("lsa_retransmits", 1)
+				m.met.Add(mLSARetransmits, 1)
 			}
 			x.due = now.Add(m.cfg.RetryBase * time.Duration(m.plan.Backoff(x.attempts)))
 			sz := wireLSABytes(&x.l)
@@ -186,7 +187,7 @@ func (m *Member) retryPass(now time.Time) {
 		ctx, cancel := context.WithTimeout(context.Background(), m.cfg.PeerDeadline)
 		ack, err := m.tr.LSAs(ctx, b.addr, &LSABatch{From: self, LSAs: b.lsas})
 		cancel()
-		m.met.Count("lsa_sent", int64(len(b.lsas)))
+		m.met.Add(mLSASent, int64(len(b.lsas)))
 		if err != nil {
 			failed = b.idx
 			continue // the transfers stay pending on their backoff schedule
@@ -220,7 +221,7 @@ func (m *Member) retryPass(now time.Time) {
 // onward, refute tombstones against our own live origins, and ack
 // receipt of everything.
 func (m *Member) handleLSAs(batch *LSABatch) *LSAAck {
-	m.met.Count("lsa_recv", int64(len(batch.LSAs)))
+	m.met.Add(mLSARecv, int64(len(batch.LSAs)))
 	now := time.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -235,16 +236,16 @@ func (m *Member) handleLSAs(batch *LSABatch) *LSAAck {
 			continue
 		}
 		if l.Tomb {
-			if _, owned := m.adj[l.Origin]; owned {
+			if _, owned := m.ownAdj(l.Origin); owned {
 				// Our own obituary: refute it with a fresh announcement
 				// instead of storing it.
-				m.met.Count("tombstones_refuted", 1)
+				m.met.Add(mTombstonesRefuted, 1)
 				m.reOriginateLocked(l.Origin)
 				changed = true
 				continue
 			}
 		} else if rec != nil && rec.tomb {
-			m.met.Count("tombstones_refuted", 1)
+			m.met.Add(mTombstonesRefuted, 1)
 		}
 		adj := make([]graph.Vertex, len(l.Adj))
 		copy(adj, l.Adj)

@@ -94,7 +94,7 @@ func (m *Member) mergeGossipLocked(info PeerInfo, now time.Time) {
 	if info.Index == m.cfg.Index {
 		if info.Dead && info.Inc >= m.inc {
 			m.inc = info.Inc + 1
-			m.met.Count("tombstones_refuted", 1)
+			m.met.Add(mTombstonesRefuted, 1)
 			// Re-announcing identical adjacencies changes no record's
 			// adjacency: self-defense bumps sequence numbers, and the
 			// commit rebuilds no union and evicts no view.
@@ -160,7 +160,7 @@ func (m *Member) markDeadLocked(p *peerState, declared bool) {
 	m.down[p.index].Store(true)
 	p.pending = make(map[graph.Vertex]*xfer)
 	if declared {
-		m.met.Count("deaths_declared", 1)
+		m.met.Add(mDeathsDeclared, 1)
 	}
 	m.tombstonePeerLocked(p)
 }
@@ -179,7 +179,7 @@ func (m *Member) tombstonePeerLocked(p *peerState) {
 		}
 		nr := &record{seq: seq, tomb: true}
 		m.putLocked(v, nr)
-		m.met.Count("tombstones_issued", 1)
+		m.met.Add(mTombstonesIssued, 1)
 		m.floodLocked(v, nr, p.index)
 	}
 	m.commitLocked()
@@ -231,9 +231,9 @@ func (m *Member) helloPass() {
 		ctx, cancel := context.WithTimeout(context.Background(), m.cfg.PeerDeadline)
 		resp, err := m.tr.Hello(ctx, tg.addr, req)
 		cancel()
-		m.met.Count("hello_sent", 1)
+		m.met.Add(mHelloSent, 1)
 		if err != nil {
-			m.met.Count("hello_timeouts", 1)
+			m.met.Add(mHelloTimeouts, 1)
 			continue
 		}
 		now := time.Now()
@@ -269,7 +269,7 @@ func (m *Member) helloPass() {
 // handleHello serves an inbound heartbeat: merge the sender (direct
 // evidence) and its gossip, answer with our table.
 func (m *Member) handleHello(req *HelloMsg) *HelloMsg {
-	m.met.Count("hello_recv", 1)
+	m.met.Add(mHelloRecv, 1)
 	now := time.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -15,18 +15,21 @@ import (
 	"klocal/internal/route"
 )
 
-// Transport carries the four cluster RPCs. Implementations must honour
-// the context deadline; a returned error means the exchange did not
-// complete (the protocol layer retries on its own schedule).
+// Transport carries the four cluster RPCs. A returned error means the
+// exchange did not complete (the protocol layer retries on its own
+// schedule). Hello and LSAs honour the context deadline. Forward and
+// Reply sit on the hop path and take the per-attempt deadline as an
+// argument instead: only a transport whose exchange can block arms it,
+// and reports its expiry as context.DeadlineExceeded.
 type Transport interface {
 	// Hello exchanges membership tables with a peer.
 	Hello(ctx context.Context, addr string, msg *HelloMsg) (*HelloMsg, error)
 	// LSAs delivers a batch of announcements and returns the receipt.
 	LSAs(ctx context.Context, addr string, batch *LSABatch) (*LSAAck, error)
 	// Forward hands an in-flight walk to the shard owning its head.
-	Forward(ctx context.Context, addr string, msg *WireMessage) error
+	Forward(addr string, msg *WireMessage, deadline time.Duration) error
 	// Reply returns a terminal RouteReply to the entry member.
-	Reply(ctx context.Context, addr string, rep *RouteReply) error
+	Reply(addr string, rep *RouteReply, deadline time.Duration) error
 }
 
 // ErrReplyTooLarge fails an exchange whose HELLO reply or LSA ack
@@ -104,19 +107,24 @@ func (t *HTTPTransport) LSAs(ctx context.Context, addr string, batch *LSABatch) 
 	return &out, nil
 }
 
-func (t *HTTPTransport) Forward(ctx context.Context, addr string, msg *WireMessage) error {
+func (t *HTTPTransport) Forward(addr string, msg *WireMessage, deadline time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
 	return t.post(ctx, addr, "/cluster/forward", msg, nil)
 }
 
-func (t *HTTPTransport) Reply(ctx context.Context, addr string, rep *RouteReply) error {
+func (t *HTTPTransport) Reply(addr string, rep *RouteReply, deadline time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
 	return t.post(ctx, addr, "/cluster/reply", rep, nil)
 }
 
 // LoopTransport wires members together in-process: RPCs are direct
-// method calls on the registered receiver. It backs the klocalcheck
-// differential and the deterministic unit tests, where real sockets
-// would only add scheduling noise. The optional Before hook sees every
-// RPC first and can fail it — the fault-injection point for exercising
+// method calls on the registered receiver, which never block, so it
+// arms no deadline. It backs the klocalcheck differential and the
+// deterministic unit tests, where real sockets would only add
+// scheduling noise. The optional Before hook sees every RPC first and
+// can fail it — the fault-injection point for exercising
 // retransmission, handoff retries, and per-hop deadlines.
 type LoopTransport struct {
 	mu      sync.Mutex
@@ -180,7 +188,7 @@ func (t *LoopTransport) LSAs(ctx context.Context, addr string, batch *LSABatch) 
 	return m.handleLSAs(batch), nil
 }
 
-func (t *LoopTransport) Forward(ctx context.Context, addr string, msg *WireMessage) error {
+func (t *LoopTransport) Forward(addr string, msg *WireMessage, _ time.Duration) error {
 	m, err := t.lookup("forward", addr)
 	if err != nil {
 		return err
@@ -190,7 +198,7 @@ func (t *LoopTransport) Forward(ctx context.Context, addr string, msg *WireMessa
 	return m.acceptForward(msg.clone())
 }
 
-func (t *LoopTransport) Reply(ctx context.Context, addr string, rep *RouteReply) error {
+func (t *LoopTransport) Reply(addr string, rep *RouteReply, _ time.Duration) error {
 	m, err := t.lookup("reply", addr)
 	if err != nil {
 		return err

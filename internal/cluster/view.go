@@ -5,7 +5,6 @@ import (
 
 	"klocal/internal/churn"
 	"klocal/internal/graph"
-	"klocal/internal/nbhd"
 	"klocal/internal/prep"
 	"klocal/internal/route"
 )
@@ -51,18 +50,6 @@ func (m *Member) current() *epoch {
 		m.cur.Store(ep)
 	}
 	return ep
-}
-
-// complete reports whether no vertex of the raw view sits on the
-// distance-k horizon: u's whole component is inside the view, so a
-// destination absent from it proves a partition.
-func complete(raw *nbhd.CompactView) bool {
-	for _, d := range raw.Dist {
-		if d >= raw.K {
-			return false
-		}
-	}
-	return true
 }
 
 // unionGraph builds, in one pass, the member's whole picture of the
@@ -154,7 +141,7 @@ func rowDeltas(pre, post *graph.Graph, changed []graph.Vertex) []churn.Delta {
 // View returns the preprocessed G_k(u) of an owned vertex as the
 // member's routing decisions see it (nil when u is not owned).
 func (m *Member) View(u graph.Vertex) *prep.View {
-	if _, owned := m.adj[u]; !owned {
+	if _, owned := m.ownAdj(u); !owned {
 		return nil
 	}
 	return m.current().pre.At(u)

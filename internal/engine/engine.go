@@ -138,7 +138,7 @@ func New(snap *Snapshot, cfg Config) *Engine {
 	}
 	e.snap.Store(snap)
 	for w := 0; w < cfg.Workers; w++ {
-		e.shards[w] = metrics.NewShard()
+		e.shards[w] = metrics.NewShard(workerMetrics)
 		e.wg.Add(1)
 		go e.worker(w)
 	}
@@ -161,6 +161,19 @@ func (e *Engine) SwapSnapshot(next *Snapshot) *Snapshot {
 	return e.snap.Swap(next)
 }
 
+// The worker metrics, registered once for every worker's shard.
+var (
+	workerMetrics = &metrics.Schema{}
+	mRequests     = workerMetrics.Counter("requests")
+	mDelivered    = workerMetrics.Counter("delivered")
+	mLooped       = workerMetrics.Counter("looped")
+	mErrored      = workerMetrics.Counter("errored")
+	mExhausted    = workerMetrics.Counter("exhausted")
+	mLatency      = workerMetrics.Histogram("latency_ns")
+	mHops         = workerMetrics.Histogram("hops")
+	mStretch      = workerMetrics.Histogram("stretch_milli")
+)
+
 // worker routes tasks until the queue closes, recording into its own
 // metric shard. Each worker owns one sim.Scratch for its whole lifetime,
 // so the warm routing path allocates only the Response's retained copy
@@ -174,23 +187,23 @@ func (e *Engine) worker(w int) {
 		res := e.snap.Load().RouteScratch(tk.req.S, tk.req.T, e.cfg.MaxSteps, sc)
 		lat := time.Since(start)
 
-		sh.Count("requests", 1)
-		sh.Observe("latency_ns", lat.Nanoseconds())
+		sh.Add(mRequests, 1)
+		sh.Observe(mLatency, lat.Nanoseconds())
 		switch res.Outcome {
 		case sim.Delivered:
-			sh.Count("delivered", 1)
-			sh.Observe("hops", int64(res.Len()))
+			sh.Add(mDelivered, 1)
+			sh.Observe(mHops, int64(res.Len()))
 			if res.Dist > 0 {
 				// Stretch recorded in milli-units so the log-scale
 				// buckets resolve the 1.0–7.0 range the theorems bound.
-				sh.Observe("stretch_milli", int64(res.Dilation()*1000+0.5))
+				sh.Observe(mStretch, int64(res.Dilation()*1000+0.5))
 			}
 		case sim.Looped:
-			sh.Count("looped", 1)
+			sh.Add(mLooped, 1)
 		case sim.Errored:
-			sh.Count("errored", 1)
+			sh.Add(mErrored, 1)
 		case sim.Exhausted:
-			sh.Count("exhausted", 1)
+			sh.Add(mExhausted, 1)
 		}
 
 		// The scratch owns res and the next task overwrites it; the

@@ -1,18 +1,27 @@
-// Package metrics provides the measurement layer of the traffic engine:
-// atomic counters, fixed-bucket log-scale histograms, and mergeable
-// per-worker shards that let many routing workers record without
-// contending on shared locks. A Report snapshots a merged view and
-// renders it as plain text or JSON.
+// Package metrics provides the measurement layer of the traffic engine
+// and the cluster: per-writer shards of named counters and fixed-bucket
+// log-scale histograms that merge exactly. A Report snapshots a merged
+// view and renders it as plain text or JSON.
 //
-// Concurrency model. Counter is safe for concurrent use. Histogram is
-// deliberately single-writer: each worker owns its own histograms inside
-// a Shard. A Shard guards its maps and histograms with one private
-// mutex, so the owning worker records through an uncontended lock while
-// observers take consistent live copies with Clone/MergeShardsLive — the
-// daemon's /metrics endpoint reads without ever quiescing the workers.
-// MergeShards keeps the historical post-quiesce contract (and is equally
-// safe on live shards). This mirrors the paper's locality discipline:
-// record locally, aggregate globally.
+// Concurrency model. A subsystem registers its metric names once, in a
+// Schema, and keeps the returned handles; recording through a handle
+// indexes a slot fixed when the shard was built, so no recording path
+// hashes a name or touches a map. A counter slot is an atomic add, safe
+// from any number of goroutines: a cluster member's walks all count
+// into the member's one shard. A histogram slot has its own mutex, so
+// a writer holds only that slot, and only for one Observe, while
+// Clone/MergeShardsLive copy each histogram whole — the daemon's
+// /metrics endpoint reads without ever quiescing the writers. A copy
+// reads every histogram before any counter, and the counters in
+// reverse registration order. Writers count an event before they
+// observe its samples, and add an event's base counter (requests)
+// before its dependent ones (delivered, failed_<kind>), which a schema
+// registers after it; so no copied histogram holds more samples than
+// the counter of its events, and no copied dependent counter exceeds
+// its base. MergeShards keeps the
+// historical post-quiesce contract (and is equally safe on live
+// shards). This mirrors the paper's locality discipline: record
+// locally, aggregate globally.
 package metrics
 
 import (
@@ -23,20 +32,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// Counter is a monotonically adjustable atomic counter.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Load returns the current value.
-func (c *Counter) Load() int64 { return c.v.Load() }
 
 // Histogram bucket layout: values 0..15 get exact buckets; larger values
 // share eight sub-buckets per power-of-two octave (relative error ≤ 12.5%).
@@ -82,8 +77,8 @@ func bucketBounds(i int) (lo, hi int64) {
 }
 
 // Histogram is a fixed log-scale-bucket histogram of non-negative int64
-// samples. It is single-writer: use one per worker (see Shard) and Merge
-// the shards after the workers stop. The zero value is ready to use.
+// samples. It is not safe for concurrent use; a Shard guards each of
+// its histograms. The zero value is ready to use.
 type Histogram struct {
 	count   int64
 	sum     int64
@@ -213,126 +208,181 @@ type BucketCount struct {
 	Count int64 `json:"count"`
 }
 
-// Shard is one worker's private metric set: named histograms and local
-// counters. A worker records into its own shard through the shard's
-// private mutex (uncontended on the hot path — only live observers ever
-// take it concurrently); the engine merges all shards into a Report once
-// the workers have stopped, or takes a live snapshot at any moment with
-// Clone/MergeShardsLive.
+// Schema is the fixed set of metric names one subsystem records. The
+// subsystem registers each name once, at start-up, and records through
+// the returned handles; every shard built from the schema holds one
+// slot per handle, so recording indexes a slice and never looks a name
+// up. Register every name before the first NewShard over the schema.
+type Schema struct {
+	counters []string
+	hists    []string
+}
+
+// CounterID is a registered counter's handle: its slot in every shard
+// of the schema.
+type CounterID int
+
+// HistogramID is a registered histogram's handle.
+type HistogramID int
+
+// Counter registers a counter name and returns its handle.
+func (sc *Schema) Counter(name string) CounterID {
+	sc.counters = register(sc.counters, "counter", name)
+	return CounterID(len(sc.counters) - 1)
+}
+
+// Histogram registers a histogram name and returns its handle.
+func (sc *Schema) Histogram(name string) HistogramID {
+	sc.hists = register(sc.hists, "histogram", name)
+	return HistogramID(len(sc.hists) - 1)
+}
+
+func register(names []string, kind, name string) []string {
+	for _, n := range names {
+		if n == name {
+			panic(fmt.Sprintf("metrics: %s %q registered twice", kind, name))
+		}
+	}
+	return append(names, name)
+}
+
+// Shard is one writer's metric set over a schema. Counters are atomic,
+// so any number of goroutines add to them at once; each histogram has
+// its own guard, so a live Clone or MergeShardsLive never copies one
+// torn. The zero Shard has no schema and holds nothing.
 type Shard struct {
-	mu       sync.Mutex
-	counters map[string]int64
-	hists    map[string]*Histogram
+	schema   *Schema
+	counters []counterSlot
+	hists    []histSlot
 }
 
-// NewShard returns an empty shard.
-func NewShard() *Shard {
+// counterSlot is one counter. A report lists a counter once anything
+// was added to it; zero records an add of nothing, which leaves the
+// value at 0 but still lists it.
+type counterSlot struct {
+	v    atomic.Int64
+	zero atomic.Bool
+}
+
+func (c *counterSlot) listed() bool { return c.v.Load() != 0 || c.zero.Load() }
+
+type histSlot struct {
+	mu sync.Mutex
+	h  Histogram
+}
+
+// NewShard returns an empty shard with one slot per name registered in
+// sc so far.
+func NewShard(sc *Schema) *Shard {
 	return &Shard{
-		counters: make(map[string]int64),
-		hists:    make(map[string]*Histogram),
+		schema:   sc,
+		counters: make([]counterSlot, len(sc.counters)),
+		hists:    make([]histSlot, len(sc.hists)),
 	}
 }
 
-// Count adds n to the named shard-local counter.
-func (s *Shard) Count(name string, n int64) {
-	s.mu.Lock()
-	s.counters[name] += n
-	s.mu.Unlock()
-}
-
-// Counter returns the named shard-local counter (0 if absent).
-func (s *Shard) Counter(name string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counters[name]
-}
-
-// Observe records v into the named shard-local histogram.
-func (s *Shard) Observe(name string, v int64) {
-	s.mu.Lock()
-	s.histogramLocked(name).Observe(v)
-	s.mu.Unlock()
-}
-
-// Histogram returns the named histogram, creating it if absent. The
-// returned pointer bypasses the shard lock: read or mutate it only while
-// no other goroutine is using the shard (tests, post-quiesce analysis).
-func (s *Shard) Histogram(name string) *Histogram {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.histogramLocked(name)
-}
-
-func (s *Shard) histogramLocked(name string) *Histogram {
-	h, ok := s.hists[name]
-	if !ok {
-		h = &Histogram{}
-		s.hists[name] = h
+// Add adds n to the counter.
+func (s *Shard) Add(c CounterID, n int64) {
+	sl := &s.counters[c]
+	if n == 0 {
+		sl.zero.Store(true)
+		return
 	}
-	return h
+	sl.v.Add(n)
 }
 
-// Clone returns a deep copy of the shard taken atomically under its
-// lock — the live-read primitive: a worker can keep recording while an
-// observer snapshots a consistent view.
-func (s *Shard) Clone() *Shard {
-	out := NewShard()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for name, n := range s.counters {
-		out.counters[name] = n
-	}
-	for name, h := range s.hists {
-		out.hists[name] = h.Clone()
-	}
-	return out
+// Counter returns the counter's current value.
+func (s *Shard) Counter(c CounterID) int64 { return s.counters[c].v.Load() }
+
+// Observe records v into the histogram.
+func (s *Shard) Observe(h HistogramID, v int64) {
+	sl := &s.hists[h]
+	sl.mu.Lock()
+	sl.h.Observe(v)
+	sl.mu.Unlock()
 }
 
-// MergeShards combines per-worker shards into one merged shard. Each
-// input is read under its own lock, so the result is per-shard
-// consistent even while workers record; call it after the workers
-// quiesce when a globally exact total is required.
+// Histogram returns a copy of the histogram, taken under its guard.
+func (s *Shard) Histogram(h HistogramID) *Histogram {
+	sl := &s.hists[h]
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	return sl.h.Clone()
+}
+
+// Clone returns a deep copy of the shard — the live-read primitive:
+// writers keep recording while an observer takes a consistent copy.
+func (s *Shard) Clone() *Shard { return MergeShards(s) }
+
+// MergeShards combines shards of one schema into a new shard. Nil
+// shards and the zero Shard contribute nothing; shards of two different
+// schemas cannot merge, and mixing them panics. Each input is read
+// histograms first, each under its guard, then counters, last
+// registered first. A writer counts an event before it observes the
+// event's samples, and adds a base counter before the dependent
+// counters registered after it, so even while writers record a merged
+// histogram never holds more samples than the counter of its events
+// and a dependent counter never exceeds its base; call it after the
+// writers quiesce when a globally exact total is required.
 func MergeShards(shards ...*Shard) *Shard {
-	out := NewShard()
+	out := &Shard{}
 	for _, s := range shards {
-		if s == nil {
+		if s == nil || s.schema == nil {
 			continue
 		}
-		s.mu.Lock()
-		for name, n := range s.counters {
-			out.counters[name] += n
+		if out.schema == nil {
+			out = NewShard(s.schema)
+		} else if s.schema != out.schema {
+			panic("metrics: merging shards of different schemas")
 		}
-		for name, h := range s.hists {
-			out.histogramLocked(name).Merge(h)
+		for i := range s.hists {
+			sl := &s.hists[i]
+			sl.mu.Lock()
+			out.hists[i].h.Merge(&sl.h)
+			sl.mu.Unlock()
 		}
-		s.mu.Unlock()
+		for i := len(s.counters) - 1; i >= 0; i-- {
+			from, to := &s.counters[i], &out.counters[i]
+			to.v.Add(from.v.Load())
+			if from.zero.Load() {
+				to.zero.Store(true)
+			}
+		}
 	}
 	return out
 }
 
 // MergeShardsLive is MergeShards for shards still receiving writes: it
-// never blocks a recording worker for longer than one shard copy, and
-// the merged result is consistent within each shard (cross-shard skew is
-// bounded by the scrape instant). This is the /metrics read path — the
-// workers are never quiesced.
+// never blocks a recording writer for longer than one histogram copy,
+// and the merged result is consistent within each shard (cross-shard
+// skew is bounded by the scrape instant). This is the /metrics read
+// path — the writers are never quiesced.
 func MergeShardsLive(shards ...*Shard) *Shard {
 	return MergeShards(shards...)
 }
 
-// Snapshot freezes the shard into a Report. Extra key/value pairs (e.g.
-// derived rates) may be attached afterwards via Report.Put.
+// Snapshot freezes the shard into a Report under the schema's names,
+// reading it in MergeShards' order, so a live shard's report is as
+// consistent as its copy. A counter nothing was added to and a
+// histogram with no samples are absent. Extra key/value pairs (e.g. derived rates) may be attached
+// afterwards via Report.Put.
 func (s *Shard) Snapshot() *Report {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	r := &Report{
 		Counters:   make(map[string]int64, len(s.counters)),
 		Histograms: make(map[string]HistogramSnapshot, len(s.hists)),
 	}
-	for name, n := range s.counters {
-		r.Counters[name] = n
+	for i := range s.hists {
+		sl := &s.hists[i]
+		sl.mu.Lock()
+		if sl.h.Count() > 0 {
+			r.Histograms[s.schema.hists[i]] = snapshotHistogram(&sl.h)
+		}
+		sl.mu.Unlock()
 	}
-	for name, h := range s.hists {
-		r.Histograms[name] = snapshotHistogram(h)
+	for i := len(s.counters) - 1; i >= 0; i-- {
+		if c := &s.counters[i]; c.listed() {
+			r.Counters[s.schema.counters[i]] = c.v.Load()
+		}
 	}
 	return r
 }

@@ -110,34 +110,39 @@ func TestMergeEmptyAndClone(t *testing.T) {
 }
 
 func TestCounterConcurrent(t *testing.T) {
-	var c Counter
+	var sc Schema
+	c := sc.Counter("requests")
+	sh := NewShard(&sc)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				c.Inc()
+				sh.Add(c, 1)
 			}
 		}()
 	}
 	wg.Wait()
-	if c.Load() != 8000 {
-		t.Fatalf("counter = %d, want 8000", c.Load())
+	if sh.Counter(c) != 8000 {
+		t.Fatalf("counter = %d, want 8000", sh.Counter(c))
 	}
 }
 
 func TestShardMergeAndReport(t *testing.T) {
-	shards := []*Shard{NewShard(), NewShard()}
+	var sc Schema
+	delivered := sc.Counter("delivered")
+	hops := sc.Histogram("hops")
+	shards := []*Shard{NewShard(&sc), NewShard(&sc)}
 	for i, s := range shards {
-		s.Count("delivered", int64(10*(i+1)))
+		s.Add(delivered, int64(10*(i+1)))
 		for v := int64(0); v < 100; v++ {
-			s.Observe("hops", v)
+			s.Observe(hops, v)
 		}
 	}
 	merged := MergeShards(shards...)
-	if merged.counters["delivered"] != 30 {
-		t.Fatalf("merged counter = %d", merged.counters["delivered"])
+	if merged.Counter(delivered) != 30 {
+		t.Fatalf("merged counter = %d", merged.Counter(delivered))
 	}
 	rep := merged.Snapshot()
 	rep.Name = "test"

@@ -123,7 +123,10 @@ func TestMergeRandomSplitsExact(t *testing.T) {
 // request counter at clone time). Run under -race this also proves the
 // lock discipline.
 func TestShardLiveClone(t *testing.T) {
-	sh := NewShard()
+	var sc Schema
+	requests := sc.Counter("requests")
+	latency := sc.Histogram("latency_ns")
+	sh := NewShard(&sc)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -135,24 +138,128 @@ func TestShardLiveClone(t *testing.T) {
 				return
 			default:
 			}
-			sh.Count("requests", 1)
-			sh.Observe("latency_ns", i%4096)
+			sh.Add(requests, 1)
+			sh.Observe(latency, i%4096)
 		}
 	}()
 	for i := 0; i < 200; i++ {
 		c := sh.Clone()
-		if got, want := c.Histogram("latency_ns").Count(), c.Counter("requests"); got > want {
+		if got, want := c.Histogram(latency).Count(), c.Counter(requests); got > want {
 			t.Fatalf("torn clone: %d observations vs %d counted requests", got, want)
 		}
-		m := MergeShardsLive(sh, NewShard())
-		if m.Counter("requests") < c.Counter("requests") {
+		m := MergeShardsLive(sh, NewShard(&sc))
+		if m.Counter(requests) < c.Counter(requests) {
 			t.Fatal("live merge went backwards against an earlier clone")
 		}
 	}
 	close(stop)
 	wg.Wait()
 	final := MergeShards(sh)
-	if final.Histogram("latency_ns").Count() != final.Counter("requests") {
+	if final.Histogram(latency).Count() != final.Counter(requests) {
 		t.Fatal("post-quiesce merge lost samples")
+	}
+}
+
+// TestShardConcurrentWriters records into one shard from four
+// goroutines at once, as a cluster member's walks do, while another
+// goroutine live-merges it. Every copy must be consistent: each
+// histogram's buckets sum to its count, no histogram holds more samples
+// than the counter of its events, a dependent counter (delivered) never
+// exceeds its base (requests), in a copy or in a live Snapshot, and
+// nothing goes backwards. After the writers quiesce the totals are
+// exact. make race runs it ten times.
+func TestShardConcurrentWriters(t *testing.T) {
+	const writers, perWriter = 4, 5000
+	var sc Schema
+	requests := sc.Counter("requests")
+	delivered := sc.Counter("delivered")
+	hops := sc.Counter("hops_total")
+	idle := sc.Counter("idle")
+	latency := sc.Histogram("latency_ns")
+	sizes := sc.Histogram("size")
+	sh := NewShard(&sc)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := int64(0); i < perWriter; i++ {
+				sh.Add(requests, 1)
+				sh.Add(delivered, 1)
+				sh.Add(hops, i%7)
+				sh.Observe(latency, i*int64(w+1))
+				sh.Observe(sizes, i%300)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	consistent := func(m *Shard) (reqs int64) {
+		t.Helper()
+		reqs = m.Counter(requests)
+		if d := m.Counter(delivered); d > reqs {
+			t.Fatalf("skewed copy: %d delivered vs %d requests", d, reqs)
+		}
+		for _, id := range []HistogramID{latency, sizes} {
+			h := m.Histogram(id)
+			var inBuckets int64
+			for _, b := range h.Buckets() {
+				inBuckets += b.Count
+			}
+			if inBuckets != h.Count() {
+				t.Fatalf("torn histogram: buckets hold %d samples, count %d", inBuckets, h.Count())
+			}
+			if h.Count() > reqs {
+				t.Fatalf("torn copy: %d samples vs %d counted requests", h.Count(), reqs)
+			}
+		}
+		return reqs
+	}
+	var last int64
+	for merging := true; merging; {
+		select {
+		case <-done:
+			merging = false
+		default:
+		}
+		reqs := consistent(MergeShardsLive(sh))
+		if rep := sh.Snapshot(); rep.Counters["delivered"] > rep.Counters["requests"] {
+			t.Fatalf("skewed snapshot: %d delivered vs %d requests", rep.Counters["delivered"], rep.Counters["requests"])
+		}
+		if reqs < last {
+			t.Fatalf("live merge went backwards: %d after %d", reqs, last)
+		}
+		last = reqs
+	}
+	final := MergeShards(sh)
+	consistent(final)
+	var wantHops int64
+	for i := int64(0); i < perWriter; i++ {
+		wantHops += i % 7
+	}
+	if got := final.Counter(requests); got != writers*perWriter {
+		t.Fatalf("requests = %d, want %d", got, writers*perWriter)
+	}
+	if got := final.Counter(delivered); got != writers*perWriter {
+		t.Fatalf("delivered = %d, want %d", got, writers*perWriter)
+	}
+	if got := final.Counter(hops); got != writers*wantHops {
+		t.Fatalf("hops_total = %d, want %d", got, writers*wantHops)
+	}
+	for _, id := range []HistogramID{latency, sizes} {
+		if got := final.Histogram(id).Count(); got != writers*perWriter {
+			t.Fatalf("histogram %d holds %d samples, want %d", id, got, writers*perWriter)
+		}
+	}
+	rep := final.Snapshot()
+	if _, ok := rep.Counters["idle"]; ok {
+		t.Fatal("a counter never added to is in the report")
+	}
+	sh.Add(idle, 0)
+	if got, ok := MergeShards(sh).Snapshot().Counters["idle"]; !ok || got != 0 {
+		t.Fatalf("a counter added 0 reads %d, listed %v; want 0, listed", got, ok)
 	}
 }

@@ -37,6 +37,12 @@ type CompactView struct {
 	// neighbours are Adj[AdjStart[i]:AdjStart[i+1]], ascending.
 	AdjStart []int32
 	Adj      []int32
+	// Complete reports that no vertex sits at distance K or beyond: the
+	// centre's whole component is inside the view, so a vertex absent
+	// from it is unreachable. Extraction and FromView record it from
+	// their last-visited vertex, since their walks visit in distance
+	// order; a view assembled by hand leaves it false.
+	Complete bool
 }
 
 // NV returns the number of vertices in the view.
@@ -81,7 +87,7 @@ func (cv *CompactView) Row(i int32) []int32 {
 // Clone returns a heap-owned deep copy that stays valid after the
 // scratch it was built in is reused.
 func (cv *CompactView) Clone() *CompactView {
-	out := &CompactView{Center: cv.Center, CenterIdx: cv.CenterIdx, K: cv.K}
+	out := &CompactView{Center: cv.Center, CenterIdx: cv.CenterIdx, K: cv.K, Complete: cv.Complete}
 	out.Verts = append([]graph.Vertex(nil), cv.Verts...)
 	out.Dist = append([]int32(nil), cv.Dist...)
 	out.AdjStart = append([]int32(nil), cv.AdjStart...)
@@ -281,7 +287,7 @@ func (sc *Scratch) extractGraph(g *graph.Graph, u graph.Vertex, k int) bool {
 		sc.verts = append(sc.verts, g.VertexAt(gi))
 		sc.localize(li, gi)
 	}
-	sc.setView(u, k)
+	sc.setView(u, k, sc.gdist[len(sc.gdist)-1] < int32(k))
 	sc.adjStart = sc.adjStart[:0]
 	sc.adj = sc.adj[:0]
 	for li, gi := range sc.gorder {
@@ -324,7 +330,7 @@ func (sc *Scratch) extractCSR(c *bigraph.CSR, u graph.Vertex, k int) bool {
 		sc.verts = append(sc.verts, c.Label(gi))
 		sc.localize(li, gi)
 	}
-	sc.setView(u, k)
+	sc.setView(u, k, sc.gdist[len(sc.gdist)-1] < int32(k))
 	sc.adjStart = sc.adjStart[:0]
 	sc.adj = sc.adj[:0]
 	for li, gi := range sc.gorder {
@@ -367,12 +373,13 @@ func (sc *Scratch) keepEdges(di int32, row []int32, k int) {
 	}
 }
 
-// setView publishes the verts/dist buffers into sc.View and resolves the
-// centre index.
-func (sc *Scratch) setView(u graph.Vertex, k int) {
+// setView publishes the verts/dist buffers into sc.View, resolves the
+// centre index and records whether the view is complete.
+func (sc *Scratch) setView(u graph.Vertex, k int, complete bool) {
 	cv := &sc.View
 	cv.Center = u
 	cv.K = int32(k)
+	cv.Complete = complete
 	cv.Verts = sc.verts
 	cv.Dist = sc.dist
 	ci, _ := cv.Index(u)
@@ -408,7 +415,7 @@ func (sc *Scratch) FromView(view *graph.Graph, center graph.Vertex, k int) bool 
 			}
 		}
 	}
-	sc.setView(center, k)
+	sc.setView(center, k, sc.dist[sc.gorder[len(sc.gorder)-1]] < int32(k))
 	// Full adjacency copy: FromView keeps all view edges.
 	sc.adjStart = sc.adjStart[:0]
 	sc.adj = sc.adj[:0]

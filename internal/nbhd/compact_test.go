@@ -21,11 +21,19 @@ func randomGraph(r *rand.Rand, n int) *graph.Graph {
 }
 
 // checkViewMatches compares a compact view against a reference
-// Neighborhood: same vertex set, distances, and edge set.
+// Neighborhood: same vertex set, distances, and edge set, and complete
+// exactly when no reference distance reaches the radius.
 func checkViewMatches(t *testing.T, cv *CompactView, nb *Neighborhood) {
 	t.Helper()
 	if cv.NV() != len(nb.Dist) {
 		t.Fatalf("view size %d want %d", cv.NV(), len(nb.Dist))
+	}
+	complete := true
+	for _, d := range nb.Dist {
+		complete = complete && d < int(cv.K)
+	}
+	if cv.Complete != complete {
+		t.Fatalf("view of %d at k=%d: Complete = %v, want %v", nb.Center, cv.K, cv.Complete, complete)
 	}
 	for li, v := range cv.Verts {
 		d, ok := nb.Dist[v]

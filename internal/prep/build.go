@@ -348,6 +348,7 @@ func (b *builder) encodeView(raw *nbhd.CompactView, pol Policy) *View {
 		Dist:      take(&ints, raw.Dist),
 		AdjStart:  take(&ints, raw.AdjStart),
 		Adj:       take(&ints, raw.Adj),
+		Complete:  raw.Complete,
 	}
 	v.C.Raw = &blk.raw
 	n := len(verts)
@@ -442,10 +443,10 @@ func take[T any](arena *[]T, src []T) []T {
 }
 
 // emptyView is the view of an absent centre (or a negative locality):
-// no vertices, no next hops.
+// no vertices, no next hops, and complete, as no vertex is reachable.
 func emptyView(u graph.Vertex, k int, pol Policy) *View {
 	blk := &viewBlock{}
-	blk.raw = nbhd.CompactView{Center: u, K: int32(k)}
+	blk.raw = nbhd.CompactView{Center: u, K: int32(k), Complete: true}
 	v := &blk.view
 	v.Center, v.K, v.pol = u, k, pol
 	v.C.Raw = &blk.raw

@@ -193,7 +193,7 @@ func (p *RefPreprocessor) At(u graph.Vertex) *RefView {
 
 // DiffViews reports the first difference between two views, or nil when
 // they agree on everything routing reads: centre and locality, both
-// compact encodings, next hops, the dormant set, the classified
+// compact encodings, the raw view's completeness, next hops, the dormant set, the classified
 // components, the component index and the active roots. It compares
 // both halves, so it builds the routing half of a view that has none.
 func DiffViews(got, want *View) error {
@@ -202,6 +202,9 @@ func DiffViews(got, want *View) error {
 	}
 	if err := diffCompactView(got.C.Raw, want.C.Raw); err != nil {
 		return fmt.Errorf("raw view: %w", err)
+	}
+	if got.C.Raw.Complete != want.C.Raw.Complete {
+		return fmt.Errorf("raw view complete = %v, want %v", got.C.Raw.Complete, want.C.Raw.Complete)
 	}
 	if !slices.Equal(got.C.NextHop, want.C.NextHop) {
 		return fmt.Errorf("next hops %v, want %v", got.C.NextHop, want.C.NextHop)

@@ -232,7 +232,7 @@ func New(cfg Config) (*Server, error) {
 		lastScrape: make(map[string]scrapePoint),
 	}
 	for _, name := range cfg.Algorithms {
-		s.retired[name] = metrics.NewShard()
+		s.retired[name] = &metrics.Shard{} // empty until a generation retires
 	}
 	d, err := s.buildDeployment(cfg.Graph)
 	if err != nil {

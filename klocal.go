@@ -578,11 +578,15 @@ var (
 	// HotspotWorkload routes to destinations skewed by approximate
 	// betweenness centrality (the "core router" traffic shape).
 	HotspotWorkload = engine.Hotspot
-	// NewMetricsShard allocates a metrics shard for caller-side
-	// instrumentation (e.g. loadgen's churn loop).
+	// NewMetricsShard allocates a metrics shard over a schema for
+	// caller-side instrumentation (e.g. loadgen's churn loop).
 	NewMetricsShard = metrics.NewShard
 )
 
-// MetricsShard is one writer's metric namespace (counters +
+// MetricsSchema names a caller's counters and histograms once and hands
+// out the handles it records through.
+type MetricsSchema = metrics.Schema
+
+// MetricsShard is one writer's metric set over a schema (counters +
 // histograms); Snapshot renders it as a MetricsReport.
 type MetricsShard = metrics.Shard
