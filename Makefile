@@ -109,13 +109,14 @@ go-fuzz-smoke:
 # machinery, the cluster membership/LSA/forwarding stack (including the
 # 5-member TCP crash e2e), the graph substrate and neighborhood
 # extraction (shared-Scratch misuse shows up here first), and the shared
-# routing closures the engine's workers route through. Four races that
+# routing closures the engine's lanes route through. Five races that
 # need many interleavings to show run ten times over: routing while a
 # cluster member derives new epochs, eight goroutines publishing a
 # view's routing half at once, lookups on the last three epochs of
 # a view cache publishing into the table pages they share while new
-# epochs are derived, and four goroutines recording into one metrics
-# shard while another live-merges it.
+# epochs are derived, four goroutines recording into one metrics
+# shard while another live-merges it, and eight goroutines routing on
+# an engine's four lanes while its snapshot is swapped and it closes.
 race:
 	$(GO) test -race -count=1 \
 		./internal/netsim/... ./internal/fault/... \
@@ -124,8 +125,8 @@ race:
 		./internal/nbhd/... ./internal/graph/...
 	$(GO) test -race -count=1 -run Concurrent ./internal/route/...
 	$(GO) test -race -count=10 \
-		-run '^(TestConcurrentRouteWhileDeriving|TestConcurrentRoutingHalfFirstUse|TestConcurrentAtAcrossEpochs|TestShardConcurrentWriters)$$' \
-		./internal/cluster/ ./internal/prep/ ./internal/metrics/
+		-run '^(TestConcurrentRouteWhileDeriving|TestConcurrentRoutingHalfFirstUse|TestConcurrentAtAcrossEpochs|TestShardConcurrentWriters|TestLanesSwapAndClose)$$' \
+		./internal/cluster/ ./internal/prep/ ./internal/metrics/ ./internal/engine/
 	$(MAKE) go-fuzz-smoke
 
 # Traffic-engine benchmarks (throughput vs workers, cache cold vs warm,

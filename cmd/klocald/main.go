@@ -44,10 +44,9 @@ func main() {
 		seed       = flag.Int64("seed", 1, "generator seed")
 		p          = flag.Float64("p", 0.1, "extra-edge probability for -graph random")
 		graphFile  = flag.String("graph-file", "", "graph file (overrides the generator flags): .json GraphSpec, or a topology to serve store-backed — binary .csr (mmap'd) or edge list .txt/.txt.gz")
-		workers    = flag.Int("workers", 0, "routing workers per algorithm (0 = GOMAXPROCS)")
-		queue      = flag.Int("queue", 0, "engine queue depth (0 = 4 × workers)")
+		workers    = flag.Int("workers", 0, "engine lanes per algorithm: at most this many of its requests route at once (0 = GOMAXPROCS)")
 		maxSteps   = flag.Int("max-steps", 0, "per-walk step budget (0 = simulator default)")
-		admission  = flag.Duration("admission", 100*time.Millisecond, "max queue wait before a request is rejected with 429 (0 = wait forever)")
+		admission  = flag.Duration("admission", 100*time.Millisecond, "max wait for a free lane before a request is rejected with 429 (0 = wait forever)")
 		cacheCap   = flag.Int("cache-cap", 0, "preprocessed-view cache capacity per snapshot (0 = unbounded)")
 		prewarm    = flag.Bool("prewarm", false, "precompute every vertex view at (re)deploy time")
 		drain      = flag.Duration("drain", 10*time.Second, "graceful shutdown budget for the HTTP listener")
@@ -95,7 +94,6 @@ func main() {
 		Algorithms:      splitCSV(*algos),
 		K:               *k,
 		Workers:         *workers,
-		QueueDepth:      *queue,
 		MaxSteps:        *maxSteps,
 		AdmissionBudget: *admission,
 		CacheCapacity:   *cacheCap,

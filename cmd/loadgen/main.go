@@ -1,16 +1,15 @@
 // Command loadgen stress-tests the routing algorithms under realistic
 // traffic: it generates a workload of (s, t) requests, routes them
-// concurrently through the traffic engine's worker pool, and prints a
-// metrics report (delivery rate, throughput, latency/hop/stretch
-// histograms, view-cache activity).
+// concurrently on the traffic engine's lanes (-workers of them, one
+// routing goroutine each), and prints a metrics report (delivery rate,
+// throughput, latency/hop/stretch histograms, view-cache activity).
 //
 // Usage:
 //
 //	loadgen [-algo alg2] [-workload zipf] [-n 100000] [-workers 8]
 //	        [-duration 0] [-report text]
 //	        [-graph lollipop] [-size 48] [-k 0] [-seed 1] [-p 0.1]
-//	        [-zipf-skew 1.2] [-queue 0] [-max-steps 0] [-cache-cap 0]
-//	        [-prewarm]
+//	        [-zipf-skew 1.2] [-max-steps 0] [-cache-cap 0] [-prewarm]
 //
 // Workloads: uniform (random pairs), zipf (skewed destinations),
 // hotspot (destinations skewed by approximate betweenness — traffic
@@ -75,7 +74,7 @@ func run() error {
 		algName   = flag.String("algo", "alg2", "algorithm: alg1|alg1b|alg2|alg3|righthand|oracle|randomwalk")
 		workload  = flag.String("workload", "zipf", "workload: uniform|zipf|hotspot|allpairs|adversarial")
 		n         = flag.Int("n", 100000, "number of requests (0 = unbounded, needs -duration)")
-		workers   = flag.Int("workers", 0, "routing workers (0 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 0, "engine lanes, each routing on its own goroutine (0 = GOMAXPROCS)")
 		duration  = flag.Duration("duration", 0, "wall-clock bound for the run (0 = none)")
 		report    = flag.String("report", "text", "report format: text|json")
 		graphKind = flag.String("graph", "lollipop", "topology: lollipop|cycle|path|grid|spider|wheel|barbell|complete|random|tree, or a GraphSpec/case *.json file")
@@ -85,7 +84,6 @@ func run() error {
 		seed      = flag.Int64("seed", 1, "seed for graph generation and the workload")
 		p         = flag.Float64("p", 0.1, "extra-edge probability for -graph random")
 		zipfSkew  = flag.Float64("zipf-skew", klocal.ZipfSkew, "Zipf exponent for -workload zipf")
-		queue     = flag.Int("queue", 0, "request queue depth (0 = 4×workers)")
 		maxSteps  = flag.Int("max-steps", 0, "per-walk step budget (0 = simulator default, 8n+16; set ~2k when routing below threshold at scale)")
 		cacheCap  = flag.Int("cache-cap", 0, "max cached preprocessed views (0 = unbounded)")
 		prewarm   = flag.Bool("prewarm", false, "precompute every vertex's view before routing")
@@ -240,7 +238,7 @@ func run() error {
 		fmt.Println()
 	}
 
-	eng := klocal.NewEngine(snap, klocal.EngineConfig{Workers: *workers, QueueDepth: *queue, MaxSteps: *maxSteps})
+	eng := klocal.NewEngine(snap, klocal.EngineConfig{Workers: *workers, MaxSteps: *maxSteps})
 
 	// The churner hot-swaps snapshots under the running traffic: apply
 	// one delta copy-on-write, derive the next snapshot (only views in

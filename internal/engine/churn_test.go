@@ -57,8 +57,8 @@ func TestSnapshotIncrementalMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestSwapSnapshotMidTraffic hot-swaps epochs while workers route — the
-// -race witness for the atomic snapshot pointer.
+// TestSwapSnapshotMidTraffic hot-swaps epochs while a caller routes —
+// the -race witness for the atomic snapshot pointer.
 func TestSwapSnapshotMidTraffic(t *testing.T) {
 	g := gen.Grid(6, 6)
 	k := 2
@@ -66,7 +66,7 @@ func TestSwapSnapshotMidTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(snap, Config{Workers: 4, QueueDepth: 64})
+	e := New(snap, Config{Workers: 4})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {

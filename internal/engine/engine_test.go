@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -63,7 +66,7 @@ func TestRouteBatchDeliversEverything(t *testing.T) {
 			t.Fatal(err)
 		}
 		reqs := Take(AllPairs(g), PairCount(g))
-		resps, rep, err := RouteAll(snap, reqs, Config{Workers: 4, QueueDepth: 8})
+		resps, rep, err := RouteAll(snap, reqs, Config{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,60 +145,64 @@ func TestCacheAmortization(t *testing.T) {
 	}
 }
 
+// TestSubmitAfterCloseFails: Do, DoBatch and RunWorkload after Close
+// fail with ErrClosed whatever their budget, and Close is idempotent.
 func TestSubmitAfterCloseFails(t *testing.T) {
 	g := testGraph(12)
 	snap, _ := NewSnapshotStore(g, 0, route.Algorithm3(), SnapshotOptions{})
 	e := New(snap, Config{Workers: 2})
-	go func() {
-		for range e.Results() {
-		}
-	}()
-	if err := e.Submit(Request{S: 0, T: 1}); err != nil {
+	req := Request{S: 0, T: 1}
+	if _, err := e.Do(req, 0); err != nil {
 		t.Fatal(err)
 	}
 	e.Close()
 	e.Close() // idempotent
-	if err := e.Submit(Request{S: 0, T: 1}); err != ErrClosed {
-		t.Fatalf("submit after close: %v, want ErrClosed", err)
+	for _, budget := range []time.Duration{0, time.Millisecond} {
+		if _, err := e.Do(req, budget); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Do after Close (budget %v): %v, want ErrClosed", budget, err)
+		}
+		if _, err := e.DoBatch([]Request{req, req}, budget); !errors.Is(err, ErrClosed) {
+			t.Fatalf("DoBatch after Close (budget %v): %v, want ErrClosed", budget, err)
+		}
+	}
+	if err := e.RunWorkload(Uniform(rand.New(rand.NewSource(1)), g), 10, 0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("RunWorkload after Close: %v, want ErrClosed", err)
+	}
+	if got := e.Report().Counter("requests"); got != 1 {
+		t.Fatalf("requests = %d, want the 1 routed before Close", got)
 	}
 }
 
+// TestBackpressureBoundsQueue: the lanes bound concurrency. With all W
+// lanes held at gated decisions, the (W+1)th caller gets ErrSaturated
+// within its budget; callers with no budget wait and all route once the
+// gate opens, never more than W at once.
 func TestBackpressureBoundsQueue(t *testing.T) {
-	// With a tiny queue and slow consumption, Submit must block rather
-	// than buffer unboundedly — verified by watching the submitter make
-	// no progress until the consumer drains.
-	g := testGraph(12)
-	snap, _ := NewSnapshotStore(g, 0, route.Algorithm3(), SnapshotOptions{})
-	e := New(snap, Config{Workers: 1, QueueDepth: 1})
-
-	submitted := make(chan int, 64)
-	go func() {
-		for i := 0; i < 20; i++ {
-			e.Submit(Request{S: 0, T: 1})
-			submitted <- i
-		}
-		close(submitted)
-	}()
-	// Without consuming results, the submitter can get at most
-	// queue(1) + results buffer(1) + in-flight(1) + one blocked ≈ 4 ahead.
-	time.Sleep(50 * time.Millisecond)
-	ahead := len(submitted)
-	if ahead > 6 {
-		t.Fatalf("submitter ran %d requests ahead of a stalled consumer; backpressure broken", ahead)
+	const lanes, waiters = 3, 5
+	gt := newGate()
+	e := New(gt.snapshot(t, gen.Path(2)), Config{Workers: lanes})
+	var held []<-chan error
+	for range lanes {
+		held = append(held, hold(e))
 	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for range e.Results() {
-		}
-	}()
-	for range submitted {
+	gt.await(lanes)
+	if _, err := e.Do(Request{S: 0, T: 1}, 10*time.Millisecond); !errors.Is(err, ErrSaturated) {
+		t.Fatalf("caller %d of %d lanes got %v, want ErrSaturated", lanes+1, lanes, err)
 	}
-	e.Close()
-	wg.Wait()
-	if got := e.Report().Counter("requests"); got != 20 {
-		t.Fatalf("routed %d requests, want 20", got)
+	for range waiters {
+		held = append(held, hold(e))
+	}
+	gt.release()
+	for _, done := range held {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p := gt.peak.Load(); p != lanes {
+		t.Fatalf("%d routes ran at once on %d lanes", p, lanes)
+	}
+	if got := e.Report().Counter("requests"); got != lanes+waiters {
+		t.Fatalf("routed %d requests, want %d", got, lanes+waiters)
 	}
 }
 
@@ -235,20 +242,12 @@ func TestRunWorkloadCountAndDuration(t *testing.T) {
 }
 
 func TestConcurrentSubmitters(t *testing.T) {
-	// Many goroutines submitting through one engine session (race-audit
-	// coverage for the intake path; run under -race via make race).
+	// Many goroutines calling Do and DoBatch on one engine session
+	// (race-audit coverage for the lanes; run under -race via make race).
 	g := testGraph(16)
 	snap, _ := NewSnapshotStore(g, 0, route.Algorithm1B(), SnapshotOptions{})
-	e := New(snap, Config{Workers: 4, QueueDepth: 2})
-	var drained sync.WaitGroup
-	drained.Add(1)
-	total := 0
-	go func() {
-		defer drained.Done()
-		for range e.Results() {
-			total++
-		}
-	}()
+	e := New(snap, Config{Workers: 4})
+	var routed atomic.Int64
 	var wg sync.WaitGroup
 	vs := g.Vertices()
 	for p := 0; p < 6; p++ {
@@ -257,27 +256,163 @@ func TestConcurrentSubmitters(t *testing.T) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(p)))
 			for i := 0; i < 50; i++ {
-				s := vs[r.Intn(len(vs))]
-				d := vs[r.Intn(len(vs))]
-				if s == d {
-					continue
+				reqs := make([]Request, 1+i%3)
+				for j := range reqs {
+					reqs[j] = Request{S: vs[r.Intn(len(vs))], T: vs[r.Intn(len(vs))]}
 				}
-				if err := e.Submit(Request{S: s, T: d}); err != nil {
-					t.Errorf("submit: %v", err)
+				out := []Response{{}}
+				var err error
+				if len(reqs) == 1 {
+					out[0], err = e.Do(reqs[0], 0)
+				} else {
+					out, err = e.DoBatch(reqs, 0)
+				}
+				if err != nil {
+					t.Errorf("caller %d: %v", p, err)
 					return
 				}
+				for j := range out {
+					if out[j].Request != reqs[j] {
+						t.Errorf("caller %d: slot %d holds %+v, want %+v", p, j, out[j].Request, reqs[j])
+						return
+					}
+				}
+				routed.Add(int64(len(out)))
 			}
 		}(p)
 	}
 	wg.Wait()
-	e.Close()
-	drained.Wait()
 	rep := e.Report()
-	if int64(total) != rep.Counter("requests") {
-		t.Fatalf("drained %d responses, counted %d requests", total, rep.Counter("requests"))
+	if routed.Load() != rep.Counter("requests") {
+		t.Fatalf("callers got %d responses, counted %d requests", routed.Load(), rep.Counter("requests"))
 	}
 	if rep.Counter("delivered") != rep.Counter("requests") {
 		t.Fatalf("lost deliveries: %d/%d", rep.Counter("delivered"), rep.Counter("requests"))
+	}
+}
+
+// TestNewStartsNoGoroutine: an engine is its lanes; callers route on
+// their own goroutines.
+func TestNewStartsNoGoroutine(t *testing.T) {
+	snap, err := NewSnapshotStore(testGraph(12), 0, route.Algorithm3(), SnapshotOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	e := New(snap, Config{Workers: 8})
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("New started %d goroutines", after-before)
+	}
+	e.Close()
+}
+
+// TestLanesSwapAndClose drives Do and DoBatch from eight goroutines over
+// four lanes while the snapshot is swapped twice and the engine is then
+// closed with every lane held at a gated decision. No response is lost
+// or duplicated, every call after Close fails with ErrClosed, Close
+// waits for the gated routes, and the report counts exactly the
+// requests of the successful calls. make race runs it ten times.
+func TestLanesSwapAndClose(t *testing.T) {
+	const lanes, callers = 4, 8
+	g := testGraph(20)
+	snapA, err := NewSnapshotStore(g, 0, route.Algorithm2(), SnapshotOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapB, err := NewSnapshotStore(g, 0, route.Algorithm1B(), SnapshotOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gt := newGate()
+	gated := gt.snapshot(t, g)
+	e := New(snapA, Config{Workers: lanes})
+
+	vs := g.Vertices()
+	var routed atomic.Int64
+	// One value per caller once it has seen ErrClosed.
+	closedSeen := make(chan struct{}, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c)))
+			for i := 0; ; i++ {
+				reqs := make([]Request, 1+rng.Intn(4))
+				for j := range reqs {
+					reqs[j] = Request{S: vs[rng.Intn(len(vs))], T: vs[rng.Intn(len(vs))]}
+				}
+				out := []Response{{}}
+				var err error
+				if i%2 == 0 {
+					reqs = reqs[:1]
+					out[0], err = e.Do(reqs[0], 0)
+				} else {
+					out, err = e.DoBatch(reqs, 0)
+				}
+				if errors.Is(err, ErrClosed) {
+					closedSeen <- struct{}{}
+					if _, err := e.Do(reqs[0], time.Second); !errors.Is(err, ErrClosed) {
+						t.Errorf("caller %d: Do after Close: %v, want ErrClosed", c, err)
+					}
+					if _, err := e.DoBatch(reqs, time.Second); !errors.Is(err, ErrClosed) {
+						t.Errorf("caller %d: DoBatch after Close: %v, want ErrClosed", c, err)
+					}
+					return
+				}
+				// A failed check keeps the caller looping, so it still
+				// reaches Close and the test fails instead of hanging.
+				if err != nil {
+					t.Errorf("caller %d: %v", c, err)
+					continue
+				}
+				if len(out) != len(reqs) {
+					t.Errorf("caller %d: %d responses for %d requests", c, len(out), len(reqs))
+					continue
+				}
+				for j := range out {
+					if out[j].Request != reqs[j] || out[j].Index != j {
+						t.Errorf("caller %d: slot %d holds %+v at index %d, want %+v", c, j, out[j].Request, out[j].Index, reqs[j])
+					}
+				}
+				routed.Add(int64(len(out)))
+			}
+		}(c)
+	}
+	awaitRouted := func(n int64) {
+		for routed.Load() < n {
+			runtime.Gosched()
+		}
+	}
+
+	awaitRouted(200)
+	e.SwapSnapshot(snapB)
+	awaitRouted(routed.Load() + 200)
+	e.SwapSnapshot(gated)
+	gt.await(lanes) // every lane now holds a route waiting at the gate
+
+	closed := make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	// The callers without a lane were waiting for one: Close wakes them.
+	for range callers - lanes {
+		<-closedSeen
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while gated routes held every lane")
+	default:
+	}
+	gt.release()
+	<-closed
+	wg.Wait()
+	if got := len(closedSeen); got != lanes {
+		t.Fatalf("%d lane holders saw ErrClosed after the gate opened, want %d", got, lanes)
+	}
+	if got := e.Report().Counter("requests"); got != routed.Load() {
+		t.Fatalf("requests = %d, callers got %d responses", got, routed.Load())
 	}
 }
 

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"klocal/internal/bigraph"
 	"klocal/internal/gen"
 	"klocal/internal/graph"
 	"klocal/internal/prep"
@@ -14,96 +16,89 @@ import (
 	"klocal/internal/sim"
 )
 
+// funcSnapshot binds decide over st through NewSnapshotStore, as an
+// algorithm without preprocessing.
+func funcSnapshot(tb testing.TB, st bigraph.Store, decide route.Func) *Snapshot {
+	tb.Helper()
+	alg := route.Algorithm{
+		Name: "test",
+		MinK: func(int) int { return 1 },
+		Over: func(*prep.Preprocessor) route.Func { return decide },
+	}
+	snap, err := NewSnapshotStore(st, 1, alg, SnapshotOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return snap
+}
+
 // slowSnapshot builds a snapshot over a 2-path whose routing function
-// sleeps perHop before forwarding — a deterministic way to keep the
-// worker pool busy and the queue full.
-func slowSnapshot(perHop time.Duration) *Snapshot {
-	g := gen.Path(2)
-	return &Snapshot{
-		pre: prep.NewPreprocessor(g, 1, 0, prep.CacheOptions{}),
-		alg: route.Algorithm{
-			Name: "slow",
-			MinK: func(int) int { return 1 },
-		},
-		f: func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
-			time.Sleep(perHop)
-			return t, nil
-		},
+// sleeps perHop before forwarding: slow routing for the deadline test.
+func slowSnapshot(tb testing.TB, perHop time.Duration) *Snapshot {
+	return funcSnapshot(tb, gen.Path(2), func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+		time.Sleep(perHop)
+		return t, nil
+	})
+}
+
+// gate holds routing decisions until the test opens it: a deterministic
+// way to keep lanes busy.
+type gate struct {
+	// entered receives one value per decision that waits at the shut
+	// gate. At most one decision per lane waits, and its capacity
+	// exceeds every test's lane count, so a decision never blocks on it.
+	entered chan struct{}
+	open    chan struct{}
+	// inFlight counts the decisions in progress; peak is its maximum.
+	inFlight, peak atomic.Int64
+}
+
+func newGate() *gate {
+	return &gate{entered: make(chan struct{}, 64), open: make(chan struct{})}
+}
+
+// snapshot returns a snapshot over st whose decisions wait at the gate
+// while it is shut, then forward straight to the destination: a request
+// is delivered when its endpoints are adjacent and errored otherwise.
+func (g *gate) snapshot(tb testing.TB, st bigraph.Store) *Snapshot {
+	return funcSnapshot(tb, st, func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+		n := g.inFlight.Add(1)
+		for p := g.peak.Load(); n > p && !g.peak.CompareAndSwap(p, n); p = g.peak.Load() {
+		}
+		select {
+		case <-g.open:
+		default:
+			g.entered <- struct{}{}
+			<-g.open
+		}
+		g.inFlight.Add(-1)
+		return t, nil
+	})
+}
+
+// await returns once n decisions wait at the shut gate.
+func (g *gate) await(n int) {
+	for range n {
+		<-g.entered
 	}
 }
 
-// TestRouteBatchStrayIndexRange: a stray Submit before a batch used to
-// make the collector index out[r.Index] with the stray's global index —
-// an index-out-of-range panic when it exceeds the batch length. It must
-// surface as a typed *BatchIndexError instead.
-func TestRouteBatchStrayIndexRange(t *testing.T) {
-	g := testGraph(16)
-	snap, err := NewSnapshotStore(g, 0, route.Algorithm2(), SnapshotOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(snap, Config{Workers: 1})
-	vs := g.Vertices()
+// release opens the gate for good.
+func (g *gate) release() { close(g.open) }
 
-	// First stray: consumed, so only its successor pollutes the batch.
-	if err := e.Submit(Request{S: vs[0], T: vs[1]}); err != nil {
-		t.Fatal(err)
-	}
-	if r := <-e.Results(); r.Index != 0 {
-		t.Fatalf("first stray got index %d, want 0", r.Index)
-	}
-	// Second stray (global index 1) left in flight: with one worker it
-	// reaches the batch collector first, and 1 is out of range for a
-	// single-request batch.
-	if err := e.Submit(Request{S: vs[1], T: vs[2]}); err != nil {
-		t.Fatal(err)
-	}
-
-	_, err = e.RouteBatch([]Request{{S: vs[2], T: vs[3]}})
-	var bie *BatchIndexError
-	if !errors.As(err, &bie) {
-		t.Fatalf("RouteBatch returned %v, want *BatchIndexError", err)
-	}
-	if bie.Dup || bie.Index != 1 || bie.Len != 1 {
-		t.Fatalf("unexpected error detail: %+v", bie)
-	}
-	e.Close()
-	for range e.Results() {
-	}
-}
-
-// TestRouteBatchStrayIndexDup: a stray whose global index collides with
-// a batch slot used to silently overwrite it (dropping one batch
-// response forever). The collision must be reported.
-func TestRouteBatchStrayIndexDup(t *testing.T) {
-	g := testGraph(16)
-	snap, err := NewSnapshotStore(g, 0, route.Algorithm2(), SnapshotOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(snap, Config{Workers: 1})
-	vs := g.Vertices()
-
-	// Unconsumed stray with global index 0 — in range for the batch, so
-	// the old code silently dropped batch slot 0.
-	if err := e.Submit(Request{S: vs[0], T: vs[1]}); err != nil {
-		t.Fatal(err)
-	}
-	_, err = e.RouteBatch([]Request{{S: vs[2], T: vs[3]}, {S: vs[3], T: vs[4]}})
-	var bie *BatchIndexError
-	if !errors.As(err, &bie) {
-		t.Fatalf("RouteBatch returned %v, want *BatchIndexError", err)
-	}
-	if !bie.Dup || bie.Index != 0 || bie.Len != 2 {
-		t.Fatalf("unexpected error detail: %+v", bie)
-	}
-	e.Close()
-	for range e.Results() {
-	}
+// hold starts a Do of the one-hop request 0→1 on e in the background and
+// returns the channel its error arrives on.
+func hold(e *Engine) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.Do(Request{S: 0, T: 1}, 0)
+		done <- err
+	}()
+	return done
 }
 
 // TestThroughputUsesActiveWindow: an engine idle between New and its
-// first task must not count the idle time in throughput_rps.
+// first request must not count the idle time in throughput_rps.
 func TestThroughputUsesActiveWindow(t *testing.T) {
 	g := testGraph(20)
 	snap, err := NewSnapshotStore(g, 0, route.Algorithm2(), SnapshotOptions{})
@@ -116,7 +111,7 @@ func TestThroughputUsesActiveWindow(t *testing.T) {
 
 	w := Uniform(rand.New(rand.NewSource(3)), g)
 	reqs := Take(w, 64)
-	if _, err := e.RouteBatch(reqs); err != nil {
+	if _, err := e.DoBatch(reqs, 0); err != nil {
 		t.Fatal(err)
 	}
 	rep := e.Report()
@@ -138,13 +133,12 @@ func TestThroughputUsesActiveWindow(t *testing.T) {
 	}
 }
 
-// TestRunWorkloadDeadlineUnderBackpressure: with the queue held full by
-// slow routing, the duration bound must be enforced around the blocking
-// submit — the old code blocked in Submit past the deadline and accepted
-// an extra request once a slot freed.
+// TestRunWorkloadDeadlineUnderBackpressure: with every lane busy on a
+// slow route, the duration bound must still stop the run — each lane
+// reads the clock before it draws, so no request is drawn past the
+// deadline and the run ends with the last route in flight.
 func TestRunWorkloadDeadlineUnderBackpressure(t *testing.T) {
-	snap := slowSnapshot(300 * time.Millisecond)
-	e := New(snap, Config{Workers: 1, QueueDepth: 1})
+	e := New(slowSnapshot(t, 300*time.Millisecond), Config{Workers: 1})
 	w := Workload{
 		Name: "pair",
 		Next: func() Request { return Request{S: 0, T: 1} },
@@ -155,23 +149,22 @@ func TestRunWorkloadDeadlineUnderBackpressure(t *testing.T) {
 	}
 	elapsed := time.Since(start)
 
-	// Pipeline capacity at the deadline: one request in flight plus one
-	// queued. The third submit must be abandoned when the timer fires,
-	// not block until a slot frees (which would admit it post-deadline).
+	// The one lane draws at once and routes until 300ms; its next draw
+	// finds the 100ms deadline passed.
 	rep := e.Report()
-	if got := rep.Counter("requests"); got > 2 {
-		t.Fatalf("accepted %d requests, want <= 2 (submit admitted past the deadline)", got)
+	if got := rep.Counter("requests"); got > 1 {
+		t.Fatalf("routed %d requests, want <= 1 (a request drawn past the deadline)", got)
 	}
-	// Drain cost is the two admitted slow routes; the old behaviour adds
-	// a third (~900ms total).
-	if elapsed > 750*time.Millisecond {
-		t.Fatalf("RunWorkload took %v, deadline not enforced around blocking submit", elapsed)
+	// The run costs the one slow route; a second one (~600ms) means the
+	// deadline was missed.
+	if elapsed > 550*time.Millisecond {
+		t.Fatalf("RunWorkload took %v, deadline not enforced at the draw", elapsed)
 	}
 }
 
 // TestDoConcurrentAndSaturation covers the synchronous serving path: Do
 // never interleaves responses across callers, and reports ErrSaturated
-// (not a block) when the queue stays full past the admission budget.
+// (not a block) when every lane stays busy past the admission budget.
 func TestDoConcurrentAndSaturation(t *testing.T) {
 	g := testGraph(20)
 	snap, err := NewSnapshotStore(g, 0, route.Algorithm2(), SnapshotOptions{})
@@ -200,7 +193,7 @@ func TestDoConcurrentAndSaturation(t *testing.T) {
 		}
 	}
 
-	// DoBatch keeps request order even though workers finish out of order.
+	// DoBatch keeps request order.
 	w := Uniform(rand.New(rand.NewSource(9)), g)
 	reqs := Take(w, 40)
 	resps, err := e.DoBatch(reqs, 0)
@@ -214,22 +207,21 @@ func TestDoConcurrentAndSaturation(t *testing.T) {
 	}
 	e.Close()
 
-	// Saturation: clog a 1-worker/1-slot pipeline (nobody consumes
-	// Results), then demand admission within a finite budget.
-	slow := New(slowSnapshot(2*time.Millisecond), Config{Workers: 1, QueueDepth: 1})
-	for i := 0; i < 3; i++ { // in-flight + out buffer + queue slot
-		if err := slow.Submit(Request{S: 0, T: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// Saturation: hold a 1-lane engine's only lane at a gated decision,
+	// then demand a lane within a finite budget.
+	gt := newGate()
+	slow := New(gt.snapshot(t, gen.Path(2)), Config{Workers: 1})
+	held := hold(slow)
+	gt.await(1)
 	if _, err := slow.Do(Request{S: 0, T: 1}, 50*time.Millisecond); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("Do on a saturated engine returned %v, want ErrSaturated", err)
 	}
 	if _, err := slow.DoBatch([]Request{{S: 0, T: 1}}, 50*time.Millisecond); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("DoBatch on a saturated engine returned %v, want ErrSaturated", err)
 	}
-	for i := 0; i < 3; i++ {
-		<-slow.Results()
+	gt.release()
+	if err := <-held; err != nil {
+		t.Fatal(err)
 	}
 	slow.Close()
 }

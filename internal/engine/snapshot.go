@@ -9,9 +9,11 @@
 //     paper's "preprocessing need not be repeated" observation is
 //     realized once per source vertex instead of once per message.
 //
-//   - Engine: a worker-pool executor with a bounded request queue
-//     (Submit blocks when full — backpressure, never unbounded memory)
-//     and per-worker metric shards merged into a metrics.Report.
+//   - Engine: W lanes, each one sim.Scratch and one metrics shard. A
+//     caller checks a lane out, routes on its own goroutine and hands
+//     it back, so at most W requests route at once and a caller that
+//     finds every lane busy waits within its admission budget. The
+//     per-lane shards merge into a metrics.Report.
 //
 //   - Workload: pluggable deterministic request generators — uniform
 //     random pairs, Zipf-skewed destinations, all-pairs, and the paper's
@@ -132,7 +134,7 @@ func (s *Snapshot) Route(src, dst graph.Vertex, maxSteps int) *sim.Result {
 	return s.RouteScratch(src, dst, maxSteps, sim.NewScratch())
 }
 
-// RouteScratch is Route allocating only into sc — the engine workers'
+// RouteScratch is Route allocating only into sc — the engine lanes'
 // per-request body. The returned Result is owned by sc (sim.RunScratch's
 // contract): valid until the next route with the same scratch, Clone to
 // retain.

@@ -12,8 +12,8 @@ import (
 
 // Workload is a deterministic request generator: given the seed it was
 // built with, the i-th Next call always yields the same request. A
-// Workload is not safe for concurrent use; the engine draws from it in
-// one producer goroutine (RunWorkload).
+// Workload is not safe for concurrent use; RunWorkload's lanes draw
+// from it under one mutex.
 type Workload struct {
 	// Name identifies the generator in reports.
 	Name string
@@ -152,8 +152,8 @@ func NewWorkload(kind string, rng *rand.Rand, st bigraph.Store) (Workload, error
 	}
 }
 
-// Take materializes the next n requests of w — handy for RouteBatch and
-// for deterministic tests.
+// Take materializes the next n requests of w — handy for DoBatch,
+// RouteAll and deterministic tests.
 func Take(w Workload, n int) []Request {
 	out := make([]Request, n)
 	for i := range out {

@@ -190,31 +190,14 @@ func TestRoutingHalfAllocsGate(t *testing.T) {
 	}
 }
 
-// TestDoBatchSaturatedNoLossNoDup: when DoBatch fails with ErrSaturated
-// mid-batch, the already-admitted requests are still routed toward the
-// batch's pooled completion channel. The error path must consume exactly
-// those in-flight responses before the channel returns to the pool —
-// a straggler left behind would be delivered to a later, unrelated batch
-// (a response lost here and a slot corrupted there). This test saturates
-// a 1-worker/1-slot engine mid-batch, then reuses the engine for full
-// batches of distinguishable requests and checks every slot carries its
-// own request. Run under -race it also proves the pooled channel handoff
-// is properly synchronized.
+// TestDoBatchSaturatedNoLossNoDup: a batch that finds every lane busy
+// past its budget fails with ErrSaturated and routes nothing — the
+// requests counter does not move — and later full batches on the same
+// engine hold their own requests slot for slot. A Do waiting at a gated
+// decision holds the engine's one lane.
 func TestDoBatchSaturatedNoLossNoDup(t *testing.T) {
-	g := gen.Path(8)
-	snap := &Snapshot{
-		pre: prep.NewPreprocessor(g, 1, 0, prep.CacheOptions{}),
-		alg: route.Algorithm{
-			Name: "slow",
-			MinK: func(int) int { return 1 },
-		},
-		f: func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
-			time.Sleep(20 * time.Millisecond)
-			return t, nil
-		},
-	}
-	e := New(snap, Config{Workers: 1, QueueDepth: 1})
-	defer e.Close()
+	gt := newGate()
+	e := New(gt.snapshot(t, gen.Path(8)), Config{Workers: 1})
 
 	// Distinguishable one-hop requests: slot i of any full batch must
 	// come back carrying exactly {i, i+1}.
@@ -223,8 +206,8 @@ func TestDoBatchSaturatedNoLossNoDup(t *testing.T) {
 		reqs[i] = Request{S: graph.Vertex(i), T: graph.Vertex(i + 1)}
 	}
 
-	// Saturate mid-batch: the worker is busy 20ms per hop, the queue
-	// holds one task, so the budget expires while the third submit waits.
+	held := hold(e)
+	gt.await(1)
 	out, err := e.DoBatch(reqs, 30*time.Millisecond)
 	if !errors.Is(err, ErrSaturated) {
 		t.Fatalf("DoBatch on a saturated engine returned %v, want ErrSaturated", err)
@@ -232,11 +215,16 @@ func TestDoBatchSaturatedNoLossNoDup(t *testing.T) {
 	if out != nil {
 		t.Fatalf("saturated DoBatch returned %d responses, want none", len(out))
 	}
+	if got := e.LiveShard().Counter(mRequests); got != 0 {
+		t.Fatalf("requests = %d after a saturated batch, want 0 (the held route is still in flight)", got)
+	}
+	gt.release()
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
 
-	// The channel DoBatch just pooled must be empty. Route full batches
-	// through the same engine: any straggler from the failed batch would
-	// surface as a slot holding a foreign request (or a missing one).
-	for round := 0; round < 3; round++ {
+	const rounds = 3
+	for round := 0; round < rounds; round++ {
 		out, err := e.DoBatch(reqs, 0)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -245,12 +233,56 @@ func TestDoBatchSaturatedNoLossNoDup(t *testing.T) {
 			t.Fatalf("round %d: %d responses for %d requests", round, len(out), len(reqs))
 		}
 		for i := range out {
-			if out[i].Request != reqs[i] {
-				t.Fatalf("round %d slot %d holds %+v, want %+v (stale response leaked across batches)", round, i, out[i].Request, reqs[i])
+			if out[i].Request != reqs[i] || out[i].Index != i {
+				t.Fatalf("round %d slot %d holds %+v at index %d, want %+v", round, i, out[i].Request, out[i].Index, reqs[i])
 			}
 			if out[i].Result == nil || out[i].Result.Outcome != sim.Delivered {
 				t.Fatalf("round %d slot %d undelivered", round, i)
 			}
 		}
 	}
+	if got, want := e.Report().Counter("requests"), int64(1+rounds*len(reqs)); got != want {
+		t.Fatalf("requests = %d, want %d: the saturated batch routed part of itself", got, want)
+	}
+}
+
+// sinkResult keeps measured clones on the heap.
+var sinkResult *sim.Result
+
+// TestDoAllocsGate pins Do's fast path: on an idle engine with warm
+// views and lanes, a Do with a nonzero admission budget allocates
+// exactly what Result.Clone does — no timer, no channel, no handoff.
+func TestDoAllocsGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	g := testGraph(24)
+	snap, err := NewSnapshotStore(g, 0, route.Algorithm2(), SnapshotOptions{Prewarm: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lanes = 2
+	e := New(snap, Config{Workers: lanes})
+	defer e.Close()
+	vs := g.Vertices()
+	req := Request{S: vs[0], T: vs[len(vs)-1]}
+	for range 4 * lanes { // every lane's scratch at its high-water mark
+		resp, err := e.Do(req, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Result.Outcome != sim.Delivered {
+			t.Fatalf("warm Do: %v", resp.Result.Outcome)
+		}
+	}
+	res := snap.RouteScratch(req.S, req.T, 0, sim.NewScratch())
+	clone := testing.AllocsPerRun(200, func() { sinkResult = res.Clone() })
+	do := testing.AllocsPerRun(200, func() {
+		resp, _ := e.Do(req, time.Second)
+		sinkResult = resp.Result
+	})
+	if do != clone {
+		t.Fatalf("warm Do allocates %.2f times, Result.Clone %.2f", do, clone)
+	}
+	t.Logf("warm Do: %.2f allocs, all of them Result.Clone's", do)
 }

@@ -14,7 +14,7 @@ import (
 
 // Allocation gates of one warm request through the daemon's handler, on
 // top of the httptest harness's own allocations. They cover request
-// decoding (about 7), the engine hop and its result clone, boxing the
+// decoding (about 7), the engine's result clone (2 per route), boxing the
 // reply for encoding/json, the reply's headers and write, and the
 // recorder's header snapshot (3). The reply buffer is pooled.
 const (

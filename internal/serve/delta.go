@@ -120,11 +120,7 @@ func (s *Server) ApplyDeltas(deltas []churn.Delta) (*deployment, int, time.Durat
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		eng := engine.New(snap, engine.Config{
-			Workers:    s.cfg.Workers,
-			QueueDepth: s.cfg.QueueDepth,
-			MaxSteps:   s.cfg.MaxSteps,
-		})
+		eng := engine.New(snap, engine.Config{Workers: s.cfg.Workers, MaxSteps: s.cfg.MaxSteps})
 		nd.algs = append(nd.algs, name)
 		nd.byAlg[name] = &algEngine{name: name, snap: snap, eng: eng}
 	}

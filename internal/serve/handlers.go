@@ -356,7 +356,7 @@ type MetricsReply struct {
 }
 
 // snapshotMetrics assembles the live cumulative view. It never blocks a
-// routing worker: live shards are read via metrics.MergeShardsLive.
+// route in flight: live shards are read via metrics.MergeShardsLive.
 func (s *Server) snapshotMetrics() MetricsReply {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -14,16 +14,17 @@
 //
 //   - live metrics: /metrics reads engine shards via
 //     metrics.MergeShardsLive — per-shard-consistent copies taken under
-//     the shard locks — so scraping never quiesces a routing worker.
+//     the shard locks — so scraping never quiesces a route in flight.
 //     Metrics of drained (retired) deployments fold into a cumulative
 //     shard under the server mutex in the same critical section that
 //     unregisters them, so totals never double- or under-count a
 //     generation.
 //
-//   - admission control: handlers route through Engine.Do with a
-//     configurable queue-wait budget; when the bounded queue stays full
-//     past it, the request is rejected with 429 instead of piling onto
-//     an unbounded backlog.
+//   - admission control: handlers route through Engine.Do on their own
+//     goroutine, on one of the engine's W lanes, with a configurable
+//     budget for the wait for a lane; when every lane stays busy past
+//     it, the request is rejected with 429 instead of piling onto an
+//     unbounded backlog.
 //
 // See DESIGN.md §9 for the swap protocol and the concurrency contract.
 package serve
@@ -52,14 +53,14 @@ type Config struct {
 	Algorithms []string
 	// K is the locality parameter (0 = each algorithm's own threshold).
 	K int
-	// Workers sizes each algorithm's routing pool (0 = GOMAXPROCS).
+	// Workers is each algorithm's lane count: at most this many of its
+	// requests route at once (0 = GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds each engine's request queue (0 = 4 × workers).
-	QueueDepth int
 	// MaxSteps bounds each walk (0 = the simulator's default budget).
 	MaxSteps int
-	// AdmissionBudget is how long a request may wait for a queue slot
-	// before it is rejected with 429 (0 = wait indefinitely).
+	// AdmissionBudget is how long a request may wait for a lane before
+	// it is rejected with 429 (0 = wait indefinitely). It bounds the
+	// whole wait before routing starts.
 	AdmissionBudget time.Duration
 	// CacheCapacity bounds each snapshot's preprocessed-view cache
 	// (0 = unbounded).
@@ -75,8 +76,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// algEngine is one algorithm's snapshot and running worker pool inside
-// a deployment.
+// algEngine is one algorithm's snapshot and engine inside a
+// deployment.
 type algEngine struct {
 	name string
 	snap *engine.Snapshot
@@ -282,11 +283,7 @@ func (s *Server) buildDeployment(spec GraphSpec) (*deployment, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng := engine.New(snap, engine.Config{
-			Workers:    s.cfg.Workers,
-			QueueDepth: s.cfg.QueueDepth,
-			MaxSteps:   s.cfg.MaxSteps,
-		})
+		eng := engine.New(snap, engine.Config{Workers: s.cfg.Workers, MaxSteps: s.cfg.MaxSteps})
 		d.algs = append(d.algs, name)
 		d.byAlg[name] = &algEngine{name: name, snap: snap, eng: eng}
 	}

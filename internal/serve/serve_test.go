@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +16,8 @@ import (
 
 	"klocal/internal/engine"
 	"klocal/internal/graph"
+	"klocal/internal/prep"
+	"klocal/internal/route"
 	"klocal/internal/verify"
 )
 
@@ -220,16 +223,15 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
-// TestAdmissionControl429 deterministically saturates a 1-worker,
-// 1-slot engine (in-package: stray Submits with no Results consumer clog
-// the pipeline) and checks the HTTP layer answers 429 within the
-// admission budget, then recovers once the pipeline drains.
+// TestAdmissionControl429 deterministically saturates a 1-lane engine
+// — a swapped-in snapshot whose decision blocks at a gate holds the one
+// lane — and checks the HTTP layer answers 429 within the admission
+// budget, then recovers once the gate opens.
 func TestAdmissionControl429(t *testing.T) {
 	srv, err := New(Config{
 		Graph:           GraphSpec{Kind: "path", Size: 8},
 		Algorithms:      []string{"alg3"},
 		Workers:         1,
-		QueueDepth:      1,
 		AdmissionBudget: 30 * time.Millisecond,
 	})
 	if err != nil {
@@ -238,15 +240,30 @@ func TestAdmissionControl429(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// Pipeline capacity is out(1) + in-worker(1) + queue(1): three stray
-	// Submits leave the worker blocked on the unconsumed Results channel
-	// and the queue full.
-	eng := srv.cur.Load().byAlg["alg3"].eng
-	for i := 0; i < 3; i++ {
-		if err := eng.Submit(engine.Request{S: 0, T: 7}); err != nil {
-			t.Fatal(err)
-		}
+	d := srv.cur.Load()
+	eng := d.byAlg["alg3"].eng
+	entered, open := make(chan struct{}, 1), make(chan struct{})
+	gated, err := engine.NewSnapshotStore(d.st, 1, route.Algorithm{
+		Name: "gated",
+		MinK: func(int) int { return 1 },
+		Over: func(*prep.Preprocessor) route.Func {
+			return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+				entered <- struct{}{}
+				<-open
+				return t, nil
+			}
+		},
+	}, engine.SnapshotOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	orig := eng.SwapSnapshot(gated)
+	held := make(chan error, 1)
+	go func() {
+		_, err := eng.Do(engine.Request{S: 0, T: 1}, 0)
+		held <- err
+	}()
+	<-entered // the one lane waits at the gate
 
 	start := time.Now()
 	code := postJSON(t, "POST", ts.URL+"/route", RouteRequest{S: 0, T: 7}, nil)
@@ -257,9 +274,12 @@ func TestAdmissionControl429(t *testing.T) {
 		t.Errorf("rejection took %v, want ≈ the 30ms budget", wait)
 	}
 
-	// Drain the strays; the daemon must recover.
-	for i := 0; i < 3; i++ {
-		<-eng.Results()
+	// Restore the real snapshot and open the gate; the daemon must
+	// recover.
+	eng.SwapSnapshot(orig)
+	close(open)
+	if err := <-held; err != nil {
+		t.Fatal(err)
 	}
 	var rr RouteReply
 	if code := postJSON(t, "POST", ts.URL+"/route", RouteRequest{S: 0, T: 7}, &rr); code != http.StatusOK {
@@ -273,6 +293,24 @@ func TestAdmissionControl429(t *testing.T) {
 	postJSON(t, "GET", ts.URL+"/metrics?format=json", nil, &m)
 	if m.HTTPRejections != 1 {
 		t.Errorf("http_rejections = %d, want 1", m.HTTPRejections)
+	}
+}
+
+// TestFailedNewLeaksNoGoroutine: New builds each algorithm's engine
+// before binding the next, so a later algorithm that fails to bind
+// must not leave the earlier engines running anything.
+func TestFailedNewLeaksNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	_, err := New(Config{
+		Graph:      GraphSpec{Kind: "path", Size: 8},
+		Algorithms: []string{"alg2", "alg3", "bogus"},
+		Workers:    4,
+	})
+	if err == nil {
+		t.Fatal("New accepted an unknown algorithm")
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after a failed New, %d before", after, before)
 	}
 }
 

@@ -455,10 +455,12 @@ type (
 	Snapshot = engine.Snapshot
 	// SnapshotOptions tune the view cache and prewarming.
 	SnapshotOptions = engine.SnapshotOptions
-	// Engine is the worker-pool batch router (bounded queue,
-	// backpressure, per-worker metric shards).
+	// Engine is the concurrent router: W lanes, each a simulation
+	// scratch and a metric shard, on which callers route on their own
+	// goroutines (at most W at once; a caller waits for a free lane
+	// within its admission budget).
 	Engine = engine.Engine
-	// EngineConfig sizes the worker pool and request queue.
+	// EngineConfig sets the lane count and the per-walk step budget.
 	EngineConfig = engine.Config
 	// RouteRequest is one (s, t) routing task.
 	RouteRequest = engine.Request
@@ -478,7 +480,8 @@ type (
 )
 
 var (
-	// NewEngine starts a worker pool over a snapshot.
+	// NewEngine builds an engine's lanes over a snapshot; it starts no
+	// goroutine.
 	NewEngine = engine.New
 	// RouteAll routes a batch one-shot and returns ordered responses
 	// plus the merged metrics report.
