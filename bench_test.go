@@ -143,7 +143,10 @@ func BenchmarkFig17(b *testing.B) {
 func BenchmarkSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rng := klocal.NewRand(3)
-		res := klocal.Sweep(rng, 12, 1, 6)
+		res, err := klocal.Sweep(rng, 12, 1, 6, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
 		var sink io.Writer = io.Discard
 		res.Render(sink)
 	}

@@ -8,10 +8,10 @@
 // Usage:
 //
 //	tables [-n 40] [-seed 1] [-graphs 5] [-sweep] [-sweep-n 13]
-//	       [-parallel] [-workers 0]
+//	       [-workers 0]
 //
-// -parallel routes the sweep's pair evaluations through the traffic
-// engine's worker pool (identical results, concurrent wall clock).
+// The sweep routes its pairs through the traffic engine on -workers
+// lanes; its output does not depend on -workers.
 package main
 
 import (
@@ -31,13 +31,12 @@ func main() {
 
 func run() error {
 	var (
-		n        = flag.Int("n", 40, "network size for Tables 1-4")
-		seed     = flag.Int64("seed", 1, "random seed for the workload graphs")
-		graphs   = flag.Int("graphs", 5, "random graphs in the positive-side workload")
-		sweep    = flag.Bool("sweep", false, "also run the locality sweep (slow)")
-		sweepN   = flag.Int("sweep-n", 13, "network size for the sweep")
-		parallel = flag.Bool("parallel", false, "route the sweep through the traffic engine's worker pool")
-		workers  = flag.Int("workers", 0, "engine workers for -parallel (0 = GOMAXPROCS)")
+		n       = flag.Int("n", 40, "network size for Tables 1-4")
+		seed    = flag.Int64("seed", 1, "random seed for the workload graphs")
+		graphs  = flag.Int("graphs", 5, "random graphs in the positive-side workload")
+		sweep   = flag.Bool("sweep", false, "also run the locality sweep (slow)")
+		sweepN  = flag.Int("sweep-n", 13, "network size for the sweep")
+		workers = flag.Int("workers", 0, "engine lanes the sweep routes on (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 
@@ -128,15 +127,11 @@ func run() error {
 
 	if *sweep {
 		fmt.Fprintln(out)
-		if *parallel {
-			res, err := klocal.SweepParallel(rng, *sweepN, 3, 20, *workers)
-			if err != nil {
-				return err
-			}
-			res.Render(out)
-		} else {
-			klocal.Sweep(rng, *sweepN, 3, 20).Render(out)
+		res, err := klocal.Sweep(rng, *sweepN, 3, 20, *workers)
+		if err != nil {
+			return err
 		}
+		res.Render(out)
 	}
 	return nil
 }

@@ -17,6 +17,13 @@ import (
 // through a carrier accessor (p.Store()), or passing it to any other
 // function or method is exactly the "reach past the k-neighbourhood"
 // bug that would silently invalidate the theorems, and is flagged.
+//
+// The map-shaped views (nbhd.Neighborhood, prep.RefView) are k-local
+// but serve only as test references that pin the compact pipeline: a
+// decision path that builds one — nbhd.Extract, nbhd.ExtractView,
+// nbhd.ClassifyView(Ref), prep.PreprocessRef, prep.NewRefPreprocessor —
+// is flagged too, since it rebuilds G_k(u) in maps on every hop instead
+// of reading the view cache (prep.Preprocessor.At).
 var AnalyzerLocality = &Analyzer{
 	Name: "klocality",
 	Doc:  "decision paths may traverse the graph only through the nbhd/prep view APIs",
@@ -48,6 +55,9 @@ func checkLocalityScope(pass *Pass, s scope) {
 				}
 			}
 		}
+		if name, ok := mapShaped(pass, call); ok {
+			pass.Reportf(call.Pos(), "decision path builds a map-shaped view with %s; decide over the view cache (prep.Preprocessor.At), map-shaped views are test references", name)
+		}
 		// Network passed as an argument: only the preprocessing
 		// boundary (nbhd/prep) may receive it; everything else could
 		// smuggle global topology into the decision. A helper that is
@@ -66,12 +76,9 @@ func checkLocalityScope(pass *Pass, s scope) {
 	})
 }
 
-// sanctionedBoundary reports whether call targets the preprocessing
-// boundary: a function or method of internal/nbhd or internal/prep
-// (nbhd.Extract, prep.PreprocessStore, Scratch.Extract, ...). These
-// construct G_k(u) and are the only admissible consumers of the raw
-// network inside a decision.
-func sanctionedBoundary(pass *Pass, call *ast.CallExpr) bool {
+// calledFunc returns the function or method call targets, or nil for a
+// call through a function value.
+func calledFunc(pass *Pass, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
@@ -79,26 +86,49 @@ func sanctionedBoundary(pass *Pass, call *ast.CallExpr) bool {
 	case *ast.SelectorExpr:
 		id = fun.Sel
 	default:
-		return false
+		return nil
 	}
-	fn, ok := pass.Info.Uses[id].(*types.Func)
-	return ok && (fromPkg(fn, nbhdPkgSuffix) || fromPkg(fn, prepPkgSuffix))
+	fn, _ := pass.Info.Uses[id].(*types.Func)
+	return fn
+}
+
+// sanctionedBoundary reports whether call targets the preprocessing
+// boundary: a function or method of internal/nbhd or internal/prep
+// (prep.PreprocessStore, Scratch.Extract, ...). These construct G_k(u)
+// and are the only admissible consumers of the raw network inside a
+// decision.
+func sanctionedBoundary(pass *Pass, call *ast.CallExpr) bool {
+	fn := calledFunc(pass, call)
+	return fn != nil && (fromPkg(fn, nbhdPkgSuffix) || fromPkg(fn, prepPkgSuffix))
 }
 
 // closureCallee reports whether call targets a member of the decision
 // closure.
 func closureCallee(pass *Pass, call *ast.CallExpr) bool {
-	var id *ast.Ident
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return false
+	fn := calledFunc(pass, call)
+	return fn != nil && pass.decisionFunc(fn)
+}
+
+// mapShaped reports whether call constructs a map-shaped view, and
+// names the constructor.
+func mapShaped(pass *Pass, call *ast.CallExpr) (string, bool) {
+	fn := calledFunc(pass, call)
+	if fn == nil || fn.Type().(*types.Signature).Recv() != nil {
+		return "", false
 	}
-	fn, ok := pass.Info.Uses[id].(*types.Func)
-	return ok && pass.decisionFunc(fn)
+	switch {
+	case fromPkg(fn, nbhdPkgSuffix):
+		switch fn.Name() {
+		case "Extract", "ExtractView", "ClassifyView", "ClassifyViewRef":
+			return "nbhd." + fn.Name(), true
+		}
+	case fromPkg(fn, prepPkgSuffix):
+		switch fn.Name() {
+		case "PreprocessRef", "NewRefPreprocessor":
+			return "prep." + fn.Name(), true
+		}
+	}
+	return "", false
 }
 
 // typeName renders a network type for diagnostics (*graph.Graph,

@@ -77,13 +77,29 @@ func BadAccessor(p *prep.Preprocessor) func(s, t, u, v graph.Vertex) (graph.Vert
 }
 
 // BadMethodArg hands the network to a method outside nbhd/prep.
-func BadMethodArg(g *graph.Graph, k int) func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+func BadMethodArg(p *prep.RefPreprocessor, g *graph.Graph) func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
 	return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
-		nb := nbhd.Extract(g, u, k)
+		nb := p.At(u).Raw
 		if nb.G.Equal(g) { // want "klocality: decision path passes a raw \*graph.Graph to Equal"
 			return graph.NoVertex, nil
 		}
 		return nb.G.NextHopToward(u, t), nil
+	}
+}
+
+// BadMapView builds map-shaped views on the decision path: they are
+// k-local, but test references, rebuilt in maps on every hop.
+func BadMapView(st bigraph.Store, k int) func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+	return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+		nb := nbhd.Extract(st, u, k) // want "klocality: decision path builds a map-shaped view with nbhd.Extract"
+		if nb.Contains(t) {
+			return nb.G.NextHopToward(u, t), nil
+		}
+		rv := prep.PreprocessRef(st, u, k, prep.PolicyMinRank) // want "klocality: decision path builds a map-shaped view with prep.PreprocessRef"
+		if len(rv.ActiveRoots) == 0 {
+			return graph.NoVertex, nil
+		}
+		return rv.ActiveRoots[0], nil
 	}
 }
 
@@ -103,20 +119,17 @@ func GoodScratch(st bigraph.Store, k int) func(s, t, u, v graph.Vertex) (graph.V
 	}
 }
 
-// Good goes through the sanctioned boundaries only: nbhd extraction,
-// preprocessed views, and graphs reached through them.
-func Good(g *graph.Graph, p *prep.RefPreprocessor, k int) func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+// Good goes through the sanctioned boundaries only: views a
+// preprocessor hands out, and graphs reached through them.
+func Good(p *prep.RefPreprocessor) func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
 	return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
-		view := nbhd.Extract(g, u, k)
-		vg := view.G
+		pv := p.At(u)
+		vg := pv.Raw.G
 		adj := vg.Adj(u)
-		if view.Contains(t) && len(adj) > 0 {
-			return view.G.NextHopToward(u, t), nil
+		if pv.Raw.Contains(t) && len(adj) > 0 {
+			return pv.Raw.G.NextHopToward(u, t), nil
 		}
-		if pv := p.At(u); pv != nil {
-			return pv.Routing.NextHopToward(u, t), nil
-		}
-		return graph.NoVertex, nil
+		return pv.Routing.NextHopToward(u, t), nil
 	}
 }
 

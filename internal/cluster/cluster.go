@@ -153,12 +153,6 @@ type Config struct {
 	// wall time: attempt i retries after RetryBase·Backoff(i)
 	// (default 50ms).
 	RetryBase time.Duration
-	// MaxAttempts bounds transmissions per reliable LSA transfer before
-	// the peer is declared dead (0 = fault.DefaultMaxAttempts).
-	MaxAttempts int
-	// BackoffCap caps the exponential backoff factor
-	// (0 = fault.DefaultBackoffCap).
-	BackoffCap int
 
 	// PeerDeadline bounds one RPC to a peer — a HELLO, an LSA batch, or
 	// one hop handoff attempt (default 1s).
@@ -257,14 +251,18 @@ func registerFailedKinds() (ids [len(errKinds) + 1]metrics.CounterID) {
 	return ids
 }
 
+// retry is the retransmission schedule of reliable transfers (LSAs and
+// hop handoffs): the zero fault.Plan, whose attempt budget and backoff
+// cap are fault.DefaultMaxAttempts and fault.DefaultBackoffCap.
+var retry fault.Plan
+
 // Member is one cluster participant: it owns a shard of vertices,
 // gossips membership, floods and stores link-state, assembles G_k(u)
 // views for its owned vertices, and forwards routing requests hop by
 // hop. All exported methods are safe for concurrent use.
 type Member struct {
-	cfg  Config
-	asn  Assignment
-	plan fault.Plan // retry schedule for reliable transfers
+	cfg Config
+	asn Assignment
 	// rows holds the owned vertices' sorted adjacency, indexed by label
 	// position minus lo, the shard's first position.
 	rows [][]graph.Vertex
@@ -327,7 +325,6 @@ func NewMember(cfg Config, asn Assignment, adj map[graph.Vertex][]graph.Vertex, 
 	m := &Member{
 		cfg:     cfg,
 		asn:     asn,
-		plan:    fault.Plan{MaxAttempts: cfg.MaxAttempts, BackoffCap: cfg.BackoffCap},
 		rows:    make([][]graph.Vertex, len(owned)),
 		lo:      lo,
 		tr:      tr,
@@ -413,12 +410,6 @@ func (m *Member) Stop() {
 		close(m.stop)
 	})
 	m.wg.Wait()
-}
-
-func (m *Member) isStopped() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stopped
 }
 
 func (m *Member) helloLoop() {

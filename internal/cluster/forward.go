@@ -265,7 +265,7 @@ func (m *Member) handoff(owner int, msg *WireMessage) error {
 	for att := 1; att <= m.cfg.ForwardAttempts; att++ {
 		if att > 1 {
 			m.met.Add(mForwardRetries, 1)
-			d := m.cfg.RetryBase * time.Duration(m.plan.Backoff(att-1))
+			d := m.cfg.RetryBase * time.Duration(retry.Backoff(att-1))
 			select {
 			case <-m.stop:
 				return ErrStopped
@@ -366,10 +366,13 @@ func (m *Member) Route(ctx context.Context, s, t graph.Vertex, withTrace bool) (
 	if _, ok := m.asn.Owner(t); !ok {
 		return finish(m.replyFor(msg, false, fmt.Errorf("%w: t=%d", ErrUnknownVertex, t))), nil
 	}
-	if m.isStopped() {
+	m.mu.Lock()
+	stopped, ready := m.stopped, m.ready
+	m.mu.Unlock()
+	if stopped {
 		return finish(m.replyFor(msg, false, ErrStopped)), nil
 	}
-	if !m.Ready() {
+	if !ready {
 		return finish(m.replyFor(msg, false, ErrNotReady)), nil
 	}
 

@@ -149,14 +149,14 @@ func (m *Member) retryPass(now time.Time) {
 				continue
 			}
 			x.attempts++
-			if x.attempts > m.plan.Attempts() {
+			if x.attempts > retry.Attempts() {
 				exhausted = true
 				break
 			}
 			if x.attempts > 1 {
 				m.met.Add(mLSARetransmits, 1)
 			}
-			x.due = now.Add(m.cfg.RetryBase * time.Duration(m.plan.Backoff(x.attempts)))
+			x.due = now.Add(m.cfg.RetryBase * time.Duration(retry.Backoff(x.attempts)))
 			sz := wireLSABytes(&x.l)
 			if len(own) == 0 || size+sz > lsaBatchBytes {
 				own = append(own, batch{idx: idx, addr: p.addr})

@@ -48,13 +48,13 @@ func TestSnapshotPrewarmAndCacheStats(t *testing.T) {
 	if cs := snap.CacheStats(); cs.Size != int64(g.N()) {
 		t.Fatalf("prewarmed cache size = %d, want %d", cs.Size, g.N())
 	}
-	// An algorithm without preprocessing reports zero stats.
+	// Algorithm 3 decides over the same cache, so it prewarms too.
 	snap3, err := NewSnapshotStore(g, 0, route.Algorithm3(), SnapshotOptions{Prewarm: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs := snap3.CacheStats(); cs.Size != 0 {
-		t.Fatalf("algorithm3 has no cache, got size %d", cs.Size)
+	if cs := snap3.CacheStats(); cs.Size != int64(g.N()) {
+		t.Fatalf("prewarmed algorithm3 cache size = %d, want %d", cs.Size, g.N())
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 )
 
 // funcSnapshot binds decide over st through NewSnapshotStore, as an
-// algorithm without preprocessing.
+// algorithm that ignores the view cache.
 func funcSnapshot(tb testing.TB, st bigraph.Store, decide route.Func) *Snapshot {
 	tb.Helper()
 	alg := route.Algorithm{

@@ -44,7 +44,7 @@ type Snapshot struct {
 
 // SnapshotOptions tune snapshot construction.
 type SnapshotOptions struct {
-	// Cache tunes the view cache of preprocessed algorithms.
+	// Cache tunes the view cache.
 	Cache prep.CacheOptions
 	// Prewarm computes every vertex's view at construction using this
 	// many goroutines (0 = no prewarm, <0 = GOMAXPROCS).
@@ -76,7 +76,7 @@ func NewSnapshotStore(st bigraph.Store, k int, alg route.Algorithm, opts Snapsho
 	if s.f = alg.Over(s.pre); s.f == nil {
 		return nil, fmt.Errorf("engine: algorithm %s needs full topology and cannot bind to a graph store", alg.Name)
 	}
-	if opts.Prewarm != 0 && alg.Policy != 0 {
+	if opts.Prewarm != 0 {
 		w := opts.Prewarm
 		if w < 0 {
 			w = 0 // prep interprets ≤0 as GOMAXPROCS
@@ -92,9 +92,7 @@ func NewSnapshotStore(st bigraph.Store, k int, alg route.Algorithm, opts Snapsho
 // preprocessing for all n vertices, only the |dirty| views inside the
 // k-ball of the delta are recomputed, lazily on first use. s itself is
 // untouched and remains fully consistent, so in-flight routes on the
-// old epoch never observe the new topology. Algorithms without
-// preprocessing have no views to carry over, which leaves a rebind
-// that is build-cost-free for stateless algorithms.
+// old epoch never observe the new topology.
 func (s *Snapshot) Incremental(next *graph.Graph, dirty []graph.Vertex) (*Snapshot, error) {
 	if next == nil || next.N() == 0 {
 		return nil, fmt.Errorf("engine: incremental swap to empty network")
@@ -123,8 +121,7 @@ func (s *Snapshot) Algorithm() route.Algorithm { return s.alg }
 // Func returns the shared bound routing function.
 func (s *Snapshot) Func() route.Func { return s.f }
 
-// CacheStats reports the view-cache activity (the zero value for
-// algorithms without preprocessing, which never consult the cache).
+// CacheStats reports the view-cache activity.
 func (s *Snapshot) CacheStats() prep.CacheStats { return s.pre.Stats() }
 
 // Route routes one message on the snapshot (the engine's per-request

@@ -26,20 +26,27 @@ const warmRouteAllocGate = 0
 // serving path: Snapshot.RouteScratch with a reused scratch, all views
 // prewarmed, must not allocate at all. Covers the plain compact path
 // (Algorithm 2), the bounce-simulation path (Algorithm 1B), which
-// exercises nbhd.BounceScratch reuse through route's simPool, and
-// Algorithm 3's per-hop extraction into pooled scratch, each over the
-// graph itself and over its CSR (bigraph.FromGraph, subtests "/csr").
+// exercises nbhd.BounceScratch reuse through route's simPool,
+// Algorithm 3's Lemma 12 move over the zero-policy routing half, and
+// the right-hand and random-walk baselines, each over the graph itself
+// and over its CSR (bigraph.FromGraph, subtests "/csr").
 func TestWarmRouteAllocsGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
+	// The paper's algorithms bind at their threshold (k = 0); the
+	// baselines, which guarantee nothing, at ⌊n/2⌋ = 12, where the four
+	// pairs below deliver.
 	algs := []struct {
 		name string
 		alg  route.Algorithm
+		k    int
 	}{
-		{"Algorithm2", route.Algorithm2()},
-		{"Algorithm1B", route.Algorithm1B()},
-		{"Algorithm3", route.Algorithm3()},
+		{"Algorithm2", route.Algorithm2(), 0},
+		{"Algorithm1B", route.Algorithm1B(), 0},
+		{"Algorithm3", route.Algorithm3(), 0},
+		{"RightHandRule", route.TreeRightHand(), 12},
+		{"RandomWalk", route.RandomWalk(3), 12},
 	}
 	for _, tc := range algs {
 		for _, csr := range []bool{false, true} {
@@ -53,7 +60,7 @@ func TestWarmRouteAllocsGate(t *testing.T) {
 				if csr {
 					st = bigraph.FromGraph(g)
 				}
-				snap, err := NewSnapshotStore(st, 0, tc.alg, SnapshotOptions{Prewarm: -1})
+				snap, err := NewSnapshotStore(st, tc.k, tc.alg, SnapshotOptions{Prewarm: -1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -84,6 +91,41 @@ func TestWarmRouteAllocsGate(t *testing.T) {
 				t.Logf("warm RouteScratch: %.2f allocs/request (gate %d)", avg, warmRouteAllocGate)
 			})
 		}
+	}
+}
+
+// TestWarmPortsAllocsGate holds the baselines at k = 0 to
+// warmRouteAllocGate too: G_0(u) has no edges, so a router's ports come
+// from a second cache of k = 1 views, which the warm-up fills. MaxSteps
+// caps the random walks, so the warm-up grows the scratch to its
+// high-water mark.
+func TestWarmPortsAllocsGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	g := testGraph(24)
+	vs := g.Vertices()
+	for _, alg := range []route.Algorithm{route.TreeRightHand(), route.RandomWalk(3)} {
+		t.Run(alg.Name, func(t *testing.T) {
+			p := prep.NewPreprocessor(g, 0, alg.Policy, prep.CacheOptions{})
+			f := sim.Func(alg.Over(p))
+			opts := sim.Options{MaxSteps: 48, DetectLoops: !alg.Randomized, PredecessorAware: alg.PredecessorAware}
+			sc := sim.NewScratch()
+			walk := func(i int) {
+				sim.RunScratch(g, f, vs[i%len(vs)], vs[(7*i+3)%len(vs)], opts, sc)
+			}
+			for i := 0; i < 4*len(vs); i++ {
+				walk(i)
+			}
+			i := 0
+			avg := testing.AllocsPerRun(200, func() {
+				walk(i)
+				i++
+			})
+			if avg > warmRouteAllocGate {
+				t.Fatalf("warm walk at k = 0 allocates %.2f times per request, gate %d", avg, warmRouteAllocGate)
+			}
+		})
 	}
 }
 
@@ -158,7 +200,8 @@ func TestPreprocessAllocsGate(t *testing.T) {
 
 // TestRoutingHalfAllocsGate pins the first View.RoutingHalf call, which
 // builds the half, at or under routingHalfAllocGate allocations at
-// k = 3. Each measured call meets a fresh view, built beforehand.
+// k = 3, under the paper's policy and under the zero policy Algorithm 3
+// reads. Each measured call meets a fresh view, built beforehand.
 func TestRoutingHalfAllocsGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -166,26 +209,30 @@ func TestRoutingHalfAllocsGate(t *testing.T) {
 	const k, runs = 3, 200
 	for _, tc := range gateStores(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			vs := tc.vs
-			for _, u := range vs { // warm: pooled scratch at its high-water mark
-				prep.PreprocessStore(tc.st, u, k, prep.PolicyMinRank).RoutingHalf()
+			for _, pol := range []prep.Policy{prep.PolicyMinRank, 0} {
+				t.Run(pol.String(), func(t *testing.T) {
+					vs := tc.vs
+					for _, u := range vs { // warm: pooled scratch at its high-water mark
+						prep.PreprocessStore(tc.st, u, k, pol).RoutingHalf()
+					}
+					// AllocsPerRun makes one warm-up call before its runs.
+					fresh := make([]*prep.View, runs+1)
+					for i := range fresh {
+						fresh[i] = prep.PreprocessStore(tc.st, vs[i%len(vs)], k, pol)
+					}
+					// A collection mid-run could empty the pooled builders.
+					defer debug.SetGCPercent(debug.SetGCPercent(-1))
+					i := 0
+					avg := testing.AllocsPerRun(runs, func() {
+						fresh[i].RoutingHalf()
+						i++
+					})
+					if avg > routingHalfAllocGate {
+						t.Fatalf("building a routing half allocates %.2f times, gate %d", avg, routingHalfAllocGate)
+					}
+					t.Logf("RoutingHalf build: %.2f allocs/half (gate %d)", avg, routingHalfAllocGate)
+				})
 			}
-			// AllocsPerRun makes one warm-up call before its runs.
-			fresh := make([]*prep.View, runs+1)
-			for i := range fresh {
-				fresh[i] = prep.PreprocessStore(tc.st, vs[i%len(vs)], k, prep.PolicyMinRank)
-			}
-			// A collection mid-run could empty the pooled builders.
-			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			i := 0
-			avg := testing.AllocsPerRun(runs, func() {
-				fresh[i].RoutingHalf()
-				i++
-			})
-			if avg > routingHalfAllocGate {
-				t.Fatalf("building a routing half allocates %.2f times, gate %d", avg, routingHalfAllocGate)
-			}
-			t.Logf("RoutingHalf build: %.2f allocs/half (gate %d)", avg, routingHalfAllocGate)
 		})
 	}
 }

@@ -95,20 +95,6 @@ func evalAllPairs(alg route.Algorithm, g *graph.Graph, k int, stats *PairStats) 
 	}
 }
 
-// evalSampledPairs routes `pairs` random ordered pairs of g.
-func evalSampledPairs(rng *rand.Rand, alg route.Algorithm, g *graph.Graph, k, pairs int, stats *PairStats) {
-	f := alg.Bind(g, k)
-	vs := g.Vertices()
-	for i := 0; i < pairs; i++ {
-		s := vs[rng.Intn(len(vs))]
-		t := vs[rng.Intn(len(vs))]
-		if s == t {
-			continue
-		}
-		stats.add(g, runPair(g, f, alg, s, t))
-	}
-}
-
 // workloadGraphs is the standard positive-side workload at size n: one
 // graph per structural family plus randomized instances with adversarial
 // relabelling.

@@ -182,7 +182,10 @@ func TestFig17Series(t *testing.T) {
 
 func TestSweepShowsThresholdBehaviour(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
-	res := Sweep(rng, 13, 2, 12)
+	res, err := Sweep(rng, 13, 2, 12, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rate := func(alg string, k int) (delivered, pairs int) {
 		for _, p := range res.Points {
 			if p.Algorithm == alg && p.K == k {

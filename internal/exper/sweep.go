@@ -5,6 +5,8 @@ import (
 	"io"
 	"math/rand"
 
+	"klocal/internal/engine"
+	"klocal/internal/graph"
 	"klocal/internal/route"
 )
 
@@ -25,8 +27,11 @@ type SweepResult struct {
 }
 
 // Sweep runs every algorithm at every k in [1, ⌈n/2⌉] over the standard
-// workload, sampling `pairs` origin-destination pairs per graph.
-func Sweep(rng *rand.Rand, n, randomGraphs, pairs int) *SweepResult {
+// workload, sampling `pairs` origin-destination pairs per graph and
+// routing each cell's pairs through the traffic engine on `workers`
+// lanes (0 = GOMAXPROCS). The walks are deterministic and the samples
+// drawn in a fixed order, so the points do not depend on workers.
+func Sweep(rng *rand.Rand, n, randomGraphs, pairs, workers int) (*SweepResult, error) {
 	res := &SweepResult{N: n}
 	graphs := workloadGraphs(rng, n, randomGraphs)
 	algs := []route.Algorithm{
@@ -39,13 +44,48 @@ func Sweep(rng *rand.Rand, n, randomGraphs, pairs int) *SweepResult {
 		for k := 1; k <= (n+1)/2; k++ {
 			var stats PairStats
 			for _, g := range graphs {
-				evalSampledPairs(rng, alg, g, k, pairs, &stats)
+				if err := evalRequests(alg, g, k, workers, samplePairs(rng, g, pairs), &stats); err != nil {
+					return nil, err
+				}
 			}
 			stats.finish()
 			res.Points = append(res.Points, SweepPoint{Algorithm: alg.Name, K: k, Stats: stats})
 		}
 	}
-	return res
+	return res, nil
+}
+
+// samplePairs draws `pairs` ordered pairs of g uniformly; a pair with
+// s == t is dropped, not redrawn.
+func samplePairs(rng *rand.Rand, g *graph.Graph, pairs int) []engine.Request {
+	vs := g.Vertices()
+	out := make([]engine.Request, 0, pairs)
+	for i := 0; i < pairs; i++ {
+		s := vs[rng.Intn(len(vs))]
+		t := vs[rng.Intn(len(vs))]
+		if s == t {
+			continue
+		}
+		out = append(out, engine.Request{S: s, T: t})
+	}
+	return out
+}
+
+// evalRequests routes reqs over (alg, g, k) on `workers` engine lanes
+// and folds the results into stats in request order.
+func evalRequests(alg route.Algorithm, g *graph.Graph, k, workers int, reqs []engine.Request, stats *PairStats) error {
+	snap, err := engine.NewSnapshotStore(g, k, alg, engine.SnapshotOptions{})
+	if err != nil {
+		return err
+	}
+	resps, _, err := engine.RouteAll(snap, reqs, engine.Config{Workers: workers})
+	if err != nil {
+		return err
+	}
+	for _, r := range resps {
+		stats.add(g, r.Result)
+	}
+	return nil
 }
 
 // Render prints the sweep with the thresholds marked.

@@ -14,7 +14,6 @@ import (
 	"klocal/internal/engine"
 	"klocal/internal/gen"
 	"klocal/internal/graph"
-	"klocal/internal/nbhd"
 	"klocal/internal/netsim"
 	"klocal/internal/prep"
 	"klocal/internal/route"
@@ -81,7 +80,7 @@ func AllProperties() []Property {
 		},
 		{
 			Name:  "csr",
-			Doc:   "CSR store views G_k(u) are vertex-, distance- and edge-identical to nbhd.Extract, and store-backed routing walks the graph-backed walk",
+			Doc:   "views preprocessed over a CSR store equal the reference preprocessing of the graph in every field routing reads, and store-backed routing walks the graph-backed walk",
 			Check: checkCSR,
 		},
 		{
@@ -279,25 +278,18 @@ func checkCluster(sc *Scenario) error {
 
 // checkCSR is the store differential: the same scenario topology held as
 // an int-indexed CSR (internal/bigraph) must produce, at every vertex,
-// exactly the G_k(u) view the map-based extractor computes — both via the
-// zero-alloc scratch fast path and the generic Store BFS — and the
-// store-bound routing function must then walk hop-for-hop the walk the
-// graph-bound one walks. A mismatch means the CSR layout, the scratch
-// epochs, or the Store adapters corrupted the locality model.
+// through the extractor production runs (nbhd.Scratch.Extract behind
+// prep.PreprocessStore), the view the map-shaped reference preprocessing
+// builds from the graph, in every field routing reads (prep.DiffViews) —
+// and the store-bound routing function must then walk hop-for-hop the
+// walk the graph-bound one walks. A mismatch means the CSR layout, the
+// scratch epochs, or the Store adapters corrupted the locality model.
 func checkCSR(sc *Scenario) error {
 	c := bigraph.FromGraph(sc.G)
-	scratch := bigraph.NewScratch()
 	for _, u := range sc.G.Vertices() {
-		want := nbhd.Extract(sc.G, u, sc.K)
-		got, err := nbhd.ExtractCSR(c, u, sc.K, scratch)
-		if err != nil {
-			return fmt.Errorf("ExtractCSR(%d, k=%d): %v", u, sc.K, err)
-		}
-		if err := sameView(got, want); err != nil {
-			return fmt.Errorf("CSR scratch view G_%d(%d): %w", sc.K, u, err)
-		}
-		if err := sameView(nbhd.Extract(c, u, sc.K), want); err != nil {
-			return fmt.Errorf("store BFS view G_%d(%d): %w", sc.K, u, err)
+		want := prep.PreprocessRef(sc.G, u, sc.K, sc.Alg.Policy).Encode()
+		if err := prep.DiffViews(prep.PreprocessStore(c, u, sc.K, sc.Alg.Policy), want); err != nil {
+			return fmt.Errorf("CSR view G_%d(%d): %w", sc.K, u, err)
 		}
 	}
 	f := sc.Alg.Bind(c, sc.K)
@@ -319,30 +311,6 @@ func checkCSR(sc *Scenario) error {
 	for i := range st.Route {
 		if st.Route[i] != mem.Route[i] {
 			return fmt.Errorf("walks diverge at hop %d: graph %d, store %d", i, mem.Route[i], st.Route[i])
-		}
-	}
-	return nil
-}
-
-// sameView compares two G_k(u) views structurally: same vertex set, same
-// per-vertex distances, same edge set.
-func sameView(got, want *nbhd.Neighborhood) error {
-	if got.Center != want.Center || got.K != want.K {
-		return fmt.Errorf("center/k (%d, %d), want (%d, %d)", got.Center, got.K, want.Center, want.K)
-	}
-	if got.G.N() != want.G.N() || got.G.M() != want.G.M() {
-		return fmt.Errorf("size n=%d m=%d, want n=%d m=%d", got.G.N(), got.G.M(), want.G.N(), want.G.M())
-	}
-	for v, d := range want.Dist {
-		if gd, ok := got.Dist[v]; !ok {
-			return fmt.Errorf("vertex %d missing", v)
-		} else if gd != d {
-			return fmt.Errorf("dist(%d) = %d, want %d", v, gd, d)
-		}
-	}
-	for _, e := range want.G.Edges() {
-		if !got.G.HasEdge(e.U, e.V) {
-			return fmt.Errorf("edge {%d, %d} missing", e.U, e.V)
 		}
 	}
 	return nil
@@ -448,7 +416,7 @@ func checkDelta(sc *Scenario) error {
 				return fmt.Errorf("delta %d (%s): derived view of %d differs from the reference preprocessing: %w", i, d, v, err)
 			}
 		}
-		if sc.Alg.Policy != 0 && post.HasVertex(sc.S) && post.HasVertex(sc.T) &&
+		if post.HasVertex(sc.S) && post.HasVertex(sc.T) &&
 			k >= sc.Alg.MinK(post.N()) && post.Connected() {
 			res := sim.Run(post, sim.Func(sc.Alg.Over(p)), sc.S, sc.T, sim.Options{
 				DetectLoops:      !sc.Alg.Randomized,

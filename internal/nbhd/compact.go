@@ -238,8 +238,7 @@ func (sc *Scratch) begin2(nv int) {
 // stores are walked row by row straight into local index space
 // (extractGraph, extractCSR); any other store goes through the
 // label-space Extract first. It reports false when u is absent or k is
-// negative (the empty view). Preprocessing and Algorithm 3 both extract
-// through it.
+// negative (the empty view). Preprocessing extracts through it.
 //
 //klocal:hotpath
 func (sc *Scratch) Extract(st bigraph.Store, u graph.Vertex, k int) bool {

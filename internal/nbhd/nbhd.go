@@ -13,7 +13,10 @@ import (
 	"klocal/internal/graph"
 )
 
-// Neighborhood is G_k(u): everything node u is allowed to know.
+// Neighborhood is G_k(u): everything node u is allowed to know, in
+// label space over maps. It is the reference form: routing decisions
+// read the compact views prep's cache holds (CompactView), and the
+// klocality analyzer flags a decision path that builds a Neighborhood.
 type Neighborhood struct {
 	Center graph.Vertex
 	K      int

@@ -4,7 +4,8 @@ package nbhd_test
 // `make race`: a *graph.Graph and a *bigraph.CSR are immutable after
 // construction and safe for any number of concurrent readers, and the
 // documented per-worker-Scratch discipline is sufficient — concurrent
-// ExtractCSR calls sharing the store but not the scratch are race-free.
+// Scratch.Extract calls sharing the store but not the scratch are
+// race-free.
 
 import (
 	"sync"
@@ -56,19 +57,18 @@ func TestConcurrentExtractCSRPerWorkerScratch(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sc := bigraph.NewScratch() // one scratch per worker, reused across calls
+			sc := nbhd.NewScratch() // one scratch per worker, reused across calls
 			for i := 0; i < 40; i++ {
 				u := verts[(w*29+i*13)%len(verts)]
 				k := 1 + (w+i)%3
-				nb, err := nbhd.ExtractCSR(c, u, k, sc)
-				if err != nil {
-					t.Errorf("ExtractCSR(%d, %d): %v", u, k, err)
+				if !sc.Extract(c, u, k) {
+					t.Errorf("Scratch.Extract(%d, %d) over the CSR found no centre", u, k)
 					return
 				}
 				want := nbhd.Extract(g, u, k)
-				if nb.G.N() != want.G.N() || nb.G.M() != want.G.M() {
-					t.Errorf("ExtractCSR(%d, %d) diverges from Extract: %d/%d vs %d/%d vertices/edges",
-						u, k, nb.G.N(), nb.G.M(), want.G.N(), want.G.M())
+				if sc.View.NV() != want.G.N() || len(sc.View.Adj) != 2*want.G.M() {
+					t.Errorf("Scratch.Extract(%d, %d) diverges from Extract: %d/%d vs %d/%d vertices/edges",
+						u, k, sc.View.NV(), len(sc.View.Adj)/2, want.G.N(), want.G.M())
 					return
 				}
 			}

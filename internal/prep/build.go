@@ -18,7 +18,8 @@ import (
 //     2. encoding: G_k(u) and the next hops copied into flat slices;
 //   - the routing half (RoutingHalf, on the first decision that finds
 //     t outside G_k(u)), from the view's own C.Raw:
-//     3. dormancy: one bounded BFS per edge over rank-filtered arcs;
+//     3. dormancy: one bounded BFS per edge over rank-filtered arcs
+//     (skipped under the zero policy, which has no dormant edges);
 //     4. pruning: one centre BFS over the non-dormant arcs builds G'_k(u);
 //     5. classification: nbhd.Scratch.Classify on the routing view;
 //     6. encoding: the results copied into a few flat slices.
@@ -95,7 +96,9 @@ func buildRoutingHalf(raw *nbhd.CompactView, pol Policy) *RoutingHalf {
 	defer builders.Put(b)
 	b.size(raw.NV())
 	b.sizeArcs(len(raw.Adj))
-	b.classifyDormant(raw, pol == PolicyMaxRank)
+	if pol != 0 {
+		b.classifyDormant(raw, pol == PolicyMaxRank)
+	}
 	b.prune(raw)
 	b.sc.View = b.routing
 	b.sc.Classify()
@@ -120,13 +123,15 @@ func (b *builder) size(nv int) {
 }
 
 // sizeArcs grows and clears the dormant-arc bank for a raw view of
-// arcs arcs.
+// arcs arcs and empties the dormant list, so a pooled builder carries
+// no dormant edge into a half built under the zero policy.
 func (b *builder) sizeArcs(arcs int) {
 	if cap(b.dormArc) < arcs {
 		b.dormArc = make([]bool, arcs)
 	}
 	b.dormArc = b.dormArc[:arcs]
 	clear(b.dormArc)
+	b.dormant = b.dormant[:0]
 }
 
 // nextEpoch opens a fresh BFS over the epoch-marked bank.
@@ -149,7 +154,6 @@ func (b *builder) nextEpoch() {
 //
 //klocal:hotpath
 func (b *builder) classifyDormant(cv *nbhd.CompactView, maxRank bool) {
-	b.dormant = b.dormant[:0]
 	maxLen := 2*cv.K - 1
 	for a := int32(0); a < int32(cv.NV()); a++ {
 		start := cv.AdjStart[a]

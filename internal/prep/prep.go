@@ -31,7 +31,10 @@ import (
 // The paper prescribes the minimum-rank edge; Section 6.1 suggests
 // exploring other selections to reduce Algorithm 1's dilation, which the
 // maximum-rank policy realizes as an ablation. Any globally canonical
-// selection preserves the consistency lemmas.
+// selection preserves the consistency lemmas. The zero Policy, which
+// Algorithm 3 and the baselines carry, classifies no edge dormant, so a
+// view's routing half is G_k(u) itself, classified: what Algorithm 3's
+// Lemma 12 move reads.
 type Policy int
 
 const (
@@ -46,6 +49,8 @@ const (
 // String names the policy for experiment output.
 func (p Policy) String() string {
 	switch p {
+	case 0:
+		return "none"
 	case PolicyMinRank:
 		return "min-rank"
 	case PolicyMaxRank:
@@ -354,6 +359,9 @@ func (p *Preprocessor) Store() bigraph.Store { return p.st }
 
 // Policy returns the dormancy policy.
 func (p *Preprocessor) Policy() Policy { return p.pol }
+
+// Options returns the cache tuning p was built with.
+func (p *Preprocessor) Options() CacheOptions { return CacheOptions{Capacity: p.capacity} }
 
 // Stats returns a snapshot of cache activity, summed over the counter
 // stripes.

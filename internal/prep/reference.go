@@ -77,8 +77,12 @@ func PreprocessRef(st bigraph.Store, u graph.Vertex, k int, pol Policy) *RefView
 // dormantInView reports whether e is the policy-extreme edge of some
 // cycle of length at most 2k inside view: equivalently, whether the view
 // has a path between e's endpoints of length at most 2k−1 using only
-// edges beyond e in the policy's order.
+// edges beyond e in the policy's order. The zero policy has no dormant
+// edges.
 func dormantInView(view *graph.Graph, e graph.Edge, k int, pol Policy) bool {
+	if pol == 0 {
+		return false
+	}
 	allow := func(f graph.Edge) bool { return e.Less(f) }
 	if pol == PolicyMaxRank {
 		allow = func(f graph.Edge) bool { return f.Less(e) }

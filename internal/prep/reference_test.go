@@ -58,7 +58,8 @@ func diffFamilies(t *testing.T) map[string]*graph.Graph {
 // TestPreprocessMatchesRef is the prep-level view-equality differential:
 // the compact-native pipeline must produce, field for field, the view
 // the map-shaped reference preprocessing encodes — on every family,
-// under both dormancy policies, at k ∈ {1, 2, 3} and at each algorithm's
+// under both dormancy policies and the zero policy (no dormant edges,
+// Algorithm 3's), at k ∈ {1, 2, 3} and at each algorithm's
 // threshold T(n), over graph-backed, CSR-backed and opaque stores. The
 // degenerate cases ride along: k = 0, an isolated vertex, and an absent
 // centre. Views of all sizes pass through the same pooled builder, so
@@ -77,7 +78,7 @@ func TestPreprocessMatchesRef(t *testing.T) {
 			{"opaque", opaqueStore{g}},
 		}
 		for k := range ks {
-			for _, pol := range []Policy{PolicyMinRank, PolicyMaxRank} {
+			for _, pol := range []Policy{PolicyMinRank, PolicyMaxRank, 0} {
 				for _, u := range append(g.Vertices(), absent) {
 					want := PreprocessRef(g, u, k, pol).Encode()
 					for _, s := range stores {

@@ -17,45 +17,33 @@ import (
 // k ≥ 1 but is defeated by cycles longer than 2k.
 func TreeRightHand() Algorithm {
 	over := func(p *prep.Preprocessor) Func {
-		st, k := p.Store(), p.K()
+		ports := portViews(p)
 		return func(_, t, u, v graph.Vertex) (graph.Vertex, error) {
-			view := nbhd.Extract(st, u, k)
-			if view.Contains(t) {
-				if hop := view.G.NextHopToward(u, t); hop != graph.NoVertex {
-					return hop, nil
-				}
+			if hop := p.At(u).C.NextHopFromCenter(t); hop != graph.NoVertex {
+				return hop, nil
 			}
-			// G_k(u) carries every edge at u for k ≥ 1, so the view's
-			// adjacency at u is the true port list. A router always
-			// knows its own ports (Section 2), so at k == 0 — where
-			// the view has no edges — take them from G_1(u).
-			adj := view.G.Adj(u)
-			if k < 1 {
-				adj = nbhd.Extract(st, u, 1).G.Adj(u)
-			}
-			if len(adj) == 0 {
+			raw := ports.At(u).C.Raw
+			row := centreRow(raw)
+			if len(row) == 0 {
 				//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
 				return graph.NoVertex, fmt.Errorf("%w: isolated node", ErrNoRoute)
 			}
-			if v == graph.NoVertex {
-				return adj[0], nil
-			}
-			// Hand-rolled binary search: sort.Search's closure would
-			// allocate on every forwarding decision.
-			lo, hi := 0, len(adj)
+			// Hand-rolled binary search for v's port (the row is in
+			// label order): sort.Search's closure would allocate on
+			// every forwarding decision.
+			lo, hi := 0, len(row)
 			for lo < hi {
 				mid := int(uint(lo+hi) >> 1)
-				if adj[mid] < v {
+				if raw.Verts[row[mid]] < v {
 					lo = mid + 1
 				} else {
 					hi = mid
 				}
 			}
-			i := lo
-			if i == len(adj) || adj[i] != v {
-				return adj[0], nil
+			if lo == len(row) || raw.Verts[row[lo]] != v {
+				return raw.Verts[row[0]], nil
 			}
-			return adj[(i+1)%len(adj)], nil
+			return raw.Verts[row[(lo+1)%len(row)]], nil
 		}
 	}
 	return Algorithm{
@@ -65,6 +53,30 @@ func TreeRightHand() Algorithm {
 		MinK:             func(int) int { return 0 },
 		Over:             over,
 	}
+}
+
+// portViews returns the preprocessor whose view at u lists u's ports in
+// its centre row: p itself for k ≥ 1, since G_k(u) carries every edge
+// at u. A router always knows its own ports (Section 2), but G_0(u) has
+// no edges, so at k < 1 it is a second cache of k = 1 views over the
+// same store, bounded like p's.
+func portViews(p *prep.Preprocessor) *prep.Preprocessor {
+	if p.K() >= 1 {
+		return p
+	}
+	return prep.NewPreprocessor(p.Store(), 1, 0, p.Options())
+}
+
+// centreRow returns the centre's neighbours in raw as local indices,
+// ascending (label order), or nil for the empty view of an absent
+// centre.
+//
+//klocal:hotpath
+func centreRow(raw *nbhd.CompactView) []int32 {
+	if raw.NV() == 0 {
+		return nil
+	}
+	return raw.Row(raw.CenterIdx)
 }
 
 // ShortestPathOracle returns the centralized baseline: a router with full
@@ -123,28 +135,22 @@ func RandomWalkRand(rng *rand.Rand) Algorithm {
 func randomWalk(newRNG func() *rand.Rand) Algorithm {
 	var mu sync.Mutex
 	over := func(p *prep.Preprocessor) Func {
-		st, k := p.Store(), p.K()
+		ports := portViews(p)
 		rng := newRNG()
 		return func(_, t, u, _ graph.Vertex) (graph.Vertex, error) {
-			view := nbhd.Extract(st, u, k)
-			if view.Contains(t) {
-				if hop := view.G.NextHopToward(u, t); hop != graph.NoVertex {
-					return hop, nil
-				}
+			if hop := p.At(u).C.NextHopFromCenter(t); hop != graph.NoVertex {
+				return hop, nil
 			}
-			adj := view.G.Adj(u)
-			if k < 1 {
-				// Ports are always known (Section 2): use G_1(u).
-				adj = nbhd.Extract(st, u, 1).G.Adj(u)
-			}
-			if len(adj) == 0 {
+			raw := ports.At(u).C.Raw
+			row := centreRow(raw)
+			if len(row) == 0 {
 				//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
 				return graph.NoVertex, fmt.Errorf("%w: isolated node", ErrNoRoute)
 			}
 			mu.Lock()
-			hop := adj[rng.Intn(len(adj))]
+			i := rng.Intn(len(row))
 			mu.Unlock()
-			return hop, nil
+			return raw.Verts[row[i]], nil
 		}
 	}
 	return Algorithm{

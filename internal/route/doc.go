@@ -9,8 +9,10 @@ package route
 //     underlying bigraph.Store is never mutated (*graph.Graph and
 //     *bigraph.CSR are immutable by construction).
 //
-//   - Algorithms 1, 1B and 2 close over a prep.Preprocessor. The
-//     preprocessor's view cache is sharded and internally synchronized.
+//   - Every algorithm but ShortestPathOracle closes over a
+//     prep.Preprocessor (the baselines at k = 0 over a second one of
+//     k = 1 views, for their ports). The preprocessor's view cache is
+//     lock-free and internally synchronized.
 //     The *prep.View instances it hands out are immutable after
 //     publication except for their routing half, which the first
 //     decision that finds t outside G_k(u) builds from the view's own
@@ -22,8 +24,7 @@ package route
 //     (evicted views stay valid for readers holding them; they are
 //     simply recomputed on the next miss).
 //
-//   - Algorithm 3, TreeRightHand and ShortestPathOracle keep no mutable
-//     state: every call works on freshly extracted neighbourhoods or the
+//   - ShortestPathOracle keeps no mutable state: every call reads the
 //     immutable graph.
 //
 //   - RandomWalk serializes its RNG behind a mutex; concurrent routes
@@ -42,13 +43,14 @@ package route
 // that literal: Over reads the network as a bigraph.Store — a
 // materialized *graph.Graph, an int-indexed CSR array store (possibly an
 // mmap'd on-disk file for graphs too large to materialize), or any other
-// implementation. The contract is that the k-neighbourhoods extracted
-// from every store are vertex-, distance- and edge-identical
-// (nbhd.Scratch.Extract's graph, CSR and generic branches, and
-// nbhd.Extract — held by the klocalcheck "csr" property on every
-// scenario and by the engine's store differential), so a Func walks
-// exactly the same walk over every store holding the same topology; the
-// only thing that changes is what the process holds in memory. A Store
+// implementation. The contract is that the views preprocessed over
+// every store are identical in every field routing reads
+// (nbhd.Scratch.Extract's graph, CSR and generic branches behind
+// prep.PreprocessStore — held against the reference preprocessing by
+// the klocalcheck "csr" property on every scenario, and by the engine's
+// store differential), so a Func walks exactly the same walk over every
+// store holding the same topology; the only thing that changes is what
+// the process holds in memory. A Store
 // must be immutable while bound; the concurrency guarantees above carry
 // over unchanged (the CSR arrays are read-only after load). Over returns
 // nil on a store that is not a *graph.Graph for ShortestPathOracle —
@@ -65,14 +67,18 @@ package route
 // Hot-path contract. Decision paths are additionally held allocation-
 // free by the kalloc analyzer (DESIGN.md §13): routing a message must
 // not touch the heap, because the engine pushes millions of decisions
-// per run and GC pressure would dominate every benchmark. Scratch space
-// is caller-owned (bound at Bind time or reused via bigraph.Scratch)
-// and grown with the exempt self-append idiom. The remaining
-// allocations in this package — alg1b's bounded bounce-simulation
-// state and cold error paths — are enumerated //klocal:allow
-// exceptions; the zero-alloc rewrite of the bounce core is a ROADMAP
-// item, and the allow directives are checked for staleness on every
-// `make lint`, so they retire automatically when it lands.
+// per run and GC pressure would dominate every benchmark. Every
+// algorithm reads G_k(u) from the view cache (p.At) instead of
+// extracting it per hop; a decision path that builds a map-shaped view
+// (nbhd.Extract, prep.PreprocessRef, ...) is a klocality finding, and
+// only the *Ref test references carry an allow for it. Scratch space
+// is caller-owned and grown with the exempt self-append idiom. The
+// remaining allocations in this package — alg1b's bounded
+// bounce-simulation state and cold error paths — are enumerated
+// exceptions, each under a //klocal:allow; the zero-alloc rewrite of
+// the bounce core is a ROADMAP item, and the allow directives are
+// checked for staleness on every `make lint`, so they retire
+// automatically when it lands.
 //
 // The same contracts are also enforced dynamically: internal/fuzz's
 // property registry checks delivery at k >= T(n), the Table 2 dilation

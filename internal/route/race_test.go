@@ -13,9 +13,9 @@ import (
 
 // The race-safety audit for the traffic engine: every algorithm's bound
 // routing function is shared by many concurrent workers routing different
-// (s, t) pairs through one closure — and, for the preprocessed
-// algorithms, one shared view cache. Run with -race (see the
-// Makefile's race target).
+// (s, t) pairs through one closure — and, for every algorithm but the
+// oracle, one shared view cache. Run with -race (see the Makefile's race
+// target).
 
 func raceAlgorithms() []Algorithm {
 	return []Algorithm{
@@ -74,7 +74,9 @@ func TestConcurrentRoutingSharedPreprocessor(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := gen.RandomConnected(rng, 18, 0.1)
 	vs := g.Vertices()
-	for _, alg := range []Algorithm{Algorithm1(), Algorithm1B(), Algorithm2()} {
+	// The right-hand rule binds at its MinK, 0, so it also shares the
+	// second, k = 1 cache its ports come from.
+	for _, alg := range []Algorithm{Algorithm1(), Algorithm1B(), Algorithm2(), Algorithm3(), TreeRightHand()} {
 		alg := alg
 		t.Run(alg.Name, func(t *testing.T) {
 			t.Parallel()
@@ -97,9 +99,9 @@ func TestConcurrentRoutingSharedPreprocessor(t *testing.T) {
 						}
 						res := sim.Run(g, sim.Func(f), s, dst, sim.Options{
 							DetectLoops:      true,
-							PredecessorAware: true,
+							PredecessorAware: alg.PredecessorAware,
 						})
-						if res.Outcome != sim.Delivered {
+						if k > 0 && res.Outcome != sim.Delivered {
 							t.Errorf("%s: %d->%d %v (%v)", alg.Name, s, dst, res.Outcome, res.Err)
 							return
 						}

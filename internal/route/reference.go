@@ -287,6 +287,7 @@ func Algorithm2Ref() Algorithm {
 func Algorithm3Ref() Algorithm {
 	return refTwin(Algorithm3(), "Algorithm3Ref", func(g *graph.Graph, k int) Func {
 		return func(_, t, u, _ graph.Vertex) (graph.Vertex, error) {
+			//klocal:allow reference path: differential pinning only, never routes production traffic
 			return alg3StepRef(nbhd.Extract(g, u, k), t, u)
 		}
 	})

@@ -10,7 +10,6 @@ package route
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"klocal/internal/bigraph"
 	"klocal/internal/graph"
@@ -46,8 +45,8 @@ type Algorithm struct {
 	// the algorithm makes no such guarantee (baselines).
 	MinK func(n int) int
 	// Policy is the dormant-edge policy the algorithm preprocesses with;
-	// zero for algorithms that need no preprocessing (Algorithm 3 and the
-	// baselines).
+	// zero, which classifies no edge dormant, for the algorithms that
+	// remove none (Algorithm 3 and the baselines).
 	Policy prep.Policy
 	// Over binds the routing function over a preprocessor, which carries
 	// the network (p.Store()), the locality (p.K()) and the view cache
@@ -302,9 +301,12 @@ func Algorithm2Policy(pol prep.Policy) Algorithm {
 
 // Algorithm3 returns the paper's Algorithm 3: the ⌊n/2⌋-local,
 // origin-oblivious, predecessor-oblivious routing algorithm of Theorem 8.
-// It needs no preprocessing and always follows a shortest path: if t is
-// not visible, u has exactly one constrained active component
-// (Lemma 12) and the message moves toward its furthest constraint vertex.
+// It removes no edges (its Policy is zero, so a view's routing half is
+// G_k(u) itself, classified) and always follows a shortest path: if t
+// is not visible, u has exactly one constrained active component
+// (Lemma 12) and the message moves toward its furthest constraint
+// vertex. Walk-identical to Algorithm3Ref (TestCompactStepMatchesRef
+// and the klocalcheck "compact" property).
 func Algorithm3() Algorithm {
 	return Algorithm{
 		Name:             "Algorithm3",
@@ -312,47 +314,38 @@ func Algorithm3() Algorithm {
 		PredecessorAware: false,
 		MinK:             MinK3,
 		Over: func(p *prep.Preprocessor) Func {
-			st, k := p.Store(), p.K()
 			return func(_, t, u, _ graph.Vertex) (graph.Vertex, error) {
-				sc := alg3Scratch.Get().(*nbhd.Scratch)
-				defer alg3Scratch.Put(sc)
-				if !sc.Extract(st, u, k) {
-					//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
-					return graph.NoVertex, fmt.Errorf("%w: current node outside network", ErrNoRoute)
-				}
-				return alg3StepCompact(sc, t)
+				return alg3Step(p.At(u), t)
 			}
 		},
 	}
 }
 
-// alg3Scratch pools the compact extraction scratch across Algorithm 3
-// steps (Algorithm 3 has no preprocessor, so its per-hop extraction
-// cannot be cached — but its working memory can).
-var alg3Scratch = sync.Pool{New: func() any { return nbhd.NewScratch() }}
-
-// alg3StepCompact is Algorithm 3's forwarding decision over the compact
-// view already extracted into sc: shortest path when t is visible,
-// otherwise the Lemma 12 move toward the furthest constraint vertex of
-// the unique constrained active component. Walk-identical to alg3StepRef
-// (pinned by TestCompactStepMatchesRef and the fuzz "compact" property).
+// alg3Step is Algorithm 3's forwarding decision at the centre of view:
+// shortest path when t is visible, otherwise the Lemma 12 move toward
+// the furthest constraint vertex of the unique constrained active
+// component of G_k(u).
 //
 //klocal:hotpath
-func alg3StepCompact(sc *nbhd.Scratch, t graph.Vertex) (graph.Vertex, error) {
-	cv := &sc.View
-	if ti, ok := cv.Index(t); ok {
-		hop := sc.NextHopToward(cv.CenterIdx, ti)
-		if hop < 0 {
+func alg3Step(view *prep.View, t graph.Vertex) (graph.Vertex, error) {
+	raw := view.C.Raw
+	if raw.NV() == 0 {
+		//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
+		return graph.NoVertex, fmt.Errorf("%w: current node outside network", ErrNoRoute)
+	}
+	if ti, ok := raw.Index(t); ok {
+		hop := view.C.NextHop[ti]
+		if hop == graph.NoVertex {
 			//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
 			return graph.NoVertex, fmt.Errorf("%w: t unreachable in view", ErrNoRoute)
 		}
-		return cv.Verts[hop], nil
+		return hop, nil
 	}
-	sc.Classify()
+	h := view.RoutingHalf()
 	var constrained *nbhd.CompactComponent
 	active := 0
-	for i := range sc.Comps {
-		c := &sc.Comps[i]
+	for i := range h.Comps {
+		c := &h.Comps[i]
 		if !c.Active {
 			continue
 		}
@@ -366,19 +359,17 @@ func alg3StepCompact(sc *nbhd.Scratch, t graph.Vertex) (graph.Vertex, error) {
 		return graph.NoVertex, fmt.Errorf("%w: Lemma 12 precondition violated (%d active components)", ErrLocalityTooSmall, active)
 	}
 	// The furthest constraint vertex; ties broken by rank (Constraints
-	// is label-sorted, so the first maximum is canonical).
-	target := int32(-1)
-	best := int32(-1)
+	// is label-sorted and non-empty, so the first maximum is canonical).
+	target := constrained.Constraints[0]
 	for _, w := range constrained.Constraints {
-		if d := cv.Dist[w]; d > best {
-			best = d
+		if h.Routing.Dist[w] > h.Routing.Dist[target] {
 			target = w
 		}
 	}
-	hop := sc.NextHopToward(cv.CenterIdx, target)
-	if hop < 0 {
+	hop := view.C.NextHopFromCenter(h.Routing.Verts[target])
+	if hop == graph.NoVertex {
 		//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
 		return graph.NoVertex, fmt.Errorf("%w: constraint vertex unreachable", ErrNoRoute)
 	}
-	return cv.Verts[hop], nil
+	return hop, nil
 }

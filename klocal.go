@@ -500,9 +500,6 @@ var (
 	ZipfSkew = engine.ZipfSkew
 	// AllPairsCount is the number of ordered pairs of a graph.
 	AllPairsCount = engine.PairCount
-	// SweepParallel is the locality sweep routed through the engine —
-	// identical points, concurrent wall clock.
-	SweepParallel = exper.SweepParallel
 	// NewPreprocessor builds a lock-free, size-bounded view cache for
 	// direct use with Algorithm.Over.
 	NewPreprocessor = prep.NewPreprocessor
