@@ -109,7 +109,11 @@ go-fuzz-smoke:
 # machinery, the cluster membership/LSA/forwarding stack (including the
 # 5-member TCP crash e2e), the graph substrate and neighborhood
 # extraction (shared-Scratch misuse shows up here first), and the shared
-# routing closures the engine's lanes route through. Five races that
+# routing closures the engine's lanes route through. The allocation
+# gates of bigraph, prep, engine and cluster run here under -race too:
+# no pool sits on their paths, since every walker owns its scratch.
+# serve's handler gate still skips, because its reply buffers are
+# pooled and the race detector drops pooled objects at random. Five races that
 # need many interleavings to show run ten times over: routing while a
 # cluster member derives new epochs, eight goroutines publishing a
 # view's routing half at once, lookups on the last three epochs of

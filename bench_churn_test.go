@@ -76,7 +76,7 @@ func BenchmarkEngineDeltaIncremental(b *testing.B) {
 		}
 		np := p.Derive(post, dirty)
 		for _, u := range dirty {
-			np.At(u)
+			np.At(u, nil)
 		}
 		dirtyTotal += len(dirty)
 		cur, p = post, np

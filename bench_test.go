@@ -198,7 +198,11 @@ func BenchmarkRouteStepAlgorithm1(b *testing.B) {
 	g := klocal.RandomConnected(klocal.NewRand(5), 48, 0.08)
 	alg := klocal.Algorithm1()
 	k := alg.MinK(48)
-	f := alg.Bind(g, k) // preprocessing is cached across steps
+	snap, err := klocal.NewSnapshotStore(g, k, alg, klocal.SnapshotOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := snap.Func() // preprocessing is cached across steps
 	vs := g.Vertices()
 	// Warm the cache so the bench measures the per-step decision.
 	for _, v := range vs {

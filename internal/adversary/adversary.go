@@ -17,6 +17,8 @@ import (
 
 	"klocal/internal/gen"
 	"klocal/internal/graph"
+	"klocal/internal/prep"
+	"klocal/internal/route"
 	"klocal/internal/sim"
 )
 
@@ -85,13 +87,22 @@ func (h HubStrategy) String() string {
 	return s
 }
 
+// replay walks the transcript f from inst.S to inst.T under Observation
+// 1's loop criterion. A transcript reads the topology by design, so it
+// walks over k = 0 views, which carry only the current node.
+func replay(inst gen.Instance, f route.Func, predecessorAware bool) *sim.Result {
+	p := prep.NewPreprocessor(inst.G, 0, 0, prep.CacheOptions{})
+	return sim.Run(p, f, inst.S, inst.T, sim.Options{DetectLoops: true, PredecessorAware: predecessorAware})
+}
+
 // ReplayHub simulates the strategy walk on an instance: the hub applies
 // the strategy; every other node behaves as Lemma 1 dictates (degree-2
 // nodes pass the message through, degree-1 nodes bounce it back). It
 // reports the walk outcome under Observation 1's loop criterion.
 func ReplayHub(inst gen.Instance, hub graph.Vertex, strat HubStrategy) *sim.Result {
 	g := inst.G
-	f := func(_, _, u, v graph.Vertex) (graph.Vertex, error) {
+	f := func(_, _, v graph.Vertex, view *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
+		u := view.Center
 		if u == hub {
 			if v == graph.NoVertex {
 				if strat.Initial == graph.NoVertex {
@@ -127,7 +138,7 @@ func ReplayHub(inst gen.Instance, hub graph.Vertex, strat HubStrategy) *sim.Resu
 			return graph.NoVertex, fmt.Errorf("adversary: unexpected degree-%d node %d off the hub", len(adj), u)
 		}
 	}
-	return sim.Run(g, f, inst.S, inst.T, sim.Options{DetectLoops: true, PredecessorAware: true})
+	return replay(inst, f, true)
 }
 
 // Theorem1Result is the replay of Theorem 1's proof: the outcome of each
@@ -245,7 +256,8 @@ func ReplayTheorem3(n int) (*Theorem3Result, error) {
 func replayDirectional(inst gen.Instance, dir int) *sim.Result {
 	g := inst.G
 	distS := g.BFS(inst.S)
-	f := func(_, _, u, _ graph.Vertex) (graph.Vertex, error) {
+	f := func(_, _, _ graph.Vertex, view *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
+		u := view.Center
 		//klocal:allow directional replay enacts a fixed adversary transcript over the generator instance, not a k-local algorithm
 		adj := g.Adj(u)
 		if u == inst.S {
@@ -261,7 +273,7 @@ func replayDirectional(inst gen.Instance, dir int) *sim.Result {
 		}
 		return best, nil
 	}
-	return sim.Run(g, f, inst.S, inst.T, sim.Options{DetectLoops: true, PredecessorAware: false})
+	return replay(inst, f, false)
 }
 
 // EveryStrategyDefeated reports Theorem 3's conclusion.

@@ -211,8 +211,7 @@ func TestDilationPathBoundIsAttained(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d k=%d: %v", n, k, err)
 		}
-		res := sim.Run(inst.G, sim.Func(route.Algorithm1().Bind(inst.G, k)), inst.S, inst.T,
-			sim.Options{DetectLoops: true, PredecessorAware: true})
+		res := sim.Bind(route.Algorithm1(), inst.G, k).Run(inst.S, inst.T)
 		if res.Outcome != sim.Delivered {
 			t.Fatalf("n=%d k=%d: %v err=%v", n, k, res.Outcome, res.Err)
 		}
@@ -235,8 +234,7 @@ func TestDilationPathAlgorithm2Tight(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d k=%d: %v", n, k, err)
 		}
-		res := sim.Run(inst.G, sim.Func(route.Algorithm2().Bind(inst.G, k)), inst.S, inst.T,
-			sim.Options{DetectLoops: true, PredecessorAware: true})
+		res := sim.Bind(route.Algorithm2(), inst.G, k).Run(inst.S, inst.T)
 		if res.Outcome != sim.Delivered {
 			t.Fatalf("n=%d k=%d: %v err=%v", n, k, res.Outcome, res.Err)
 		}

@@ -5,6 +5,7 @@ import (
 
 	"klocal/internal/gen"
 	"klocal/internal/graph"
+	"klocal/internal/prep"
 	"klocal/internal/sim"
 )
 
@@ -115,7 +116,8 @@ func replayHubFunction(inst gen.Instance, hub graph.Vertex, roots []graph.Vertex
 		}
 		return -1
 	}
-	f := func(_, _, u, v graph.Vertex) (graph.Vertex, error) {
+	f := func(_, _, v graph.Vertex, view *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
+		u := view.Center
 		if u == hub {
 			if v == graph.NoVertex {
 				if fn.initial < 0 {
@@ -147,7 +149,7 @@ func replayHubFunction(inst gen.Instance, hub graph.Vertex, roots []graph.Vertex
 			return graph.NoVertex, fmt.Errorf("adversary: unexpected degree off the hub")
 		}
 	}
-	return sim.Run(g, f, inst.S, inst.T, sim.Options{DetectLoops: true, PredecessorAware: true}).Outcome
+	return replay(inst, f, true).Outcome
 }
 
 // ExhaustiveTheorem1Result summarizes the full 256-function check.

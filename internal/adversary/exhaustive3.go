@@ -5,6 +5,7 @@ import (
 
 	"klocal/internal/gen"
 	"klocal/internal/graph"
+	"klocal/internal/prep"
 	"klocal/internal/sim"
 )
 
@@ -83,7 +84,8 @@ func ExhaustiveTheorem3(n int) (*ExhaustiveTheorem3Result, error) {
 func deliversWithSomeCompletion(inst gen.Instance, port map[graph.Vertex]int) bool {
 	g := inst.G
 	distT := g.BFS(inst.T)
-	f := func(_, _, u, _ graph.Vertex) (graph.Vertex, error) {
+	f := func(_, _, _ graph.Vertex, view *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
+		u := view.Center
 		//klocal:allow completion search replays committed ports from the exhaustive enumeration (Lemma 1), not a k-local algorithm
 		adj := g.Adj(u)
 		if p, ok := port[u]; ok {
@@ -98,6 +100,6 @@ func deliversWithSomeCompletion(inst gen.Instance, port map[graph.Vertex]int) bo
 		}
 		return best, nil
 	}
-	res := sim.Run(g, f, inst.S, inst.T, sim.Options{DetectLoops: true, PredecessorAware: false})
+	res := replay(inst, f, false)
 	return res.Outcome == sim.Delivered
 }

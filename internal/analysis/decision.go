@@ -67,15 +67,24 @@ func isViewType(t types.Type) bool {
 	return false
 }
 
-// isDecisionSignature reports whether sig is the routing-function shape
-// f(s, t, u, v) → (next, error): four graph.Vertex parameters and a
-// (graph.Vertex, error) result.
+// isDecisionSignature reports whether sig is a routing-function shape
+// with a (graph.Vertex, error) result: the paper's f(s, t, v, G_k(u))
+// as route.Func writes it — three graph.Vertex parameters, then the
+// handed *prep.View and the walker's *prep.Scratch — or the
+// four-vertex f(s, t, u, v) of an adapter that fetches u's view itself.
 func isDecisionSignature(sig *types.Signature) bool {
-	if sig == nil || sig.Params().Len() != 4 || sig.Results().Len() != 2 || sig.Variadic() {
+	if sig == nil || sig.Results().Len() != 2 || sig.Variadic() {
 		return false
 	}
-	for i := 0; i < 4; i++ {
-		if !isGraphVertex(sig.Params().At(i).Type()) {
+	ps := sig.Params()
+	switch {
+	case ps.Len() == 4 && isGraphVertex(ps.At(3).Type()):
+	case ps.Len() == 5 && isPrepPointer(ps.At(3).Type(), "View") && isPrepPointer(ps.At(4).Type(), "Scratch"):
+	default:
+		return false
+	}
+	for i := 0; i < 3; i++ {
+		if !isGraphVertex(ps.At(i).Type()) {
 			return false
 		}
 	}
@@ -84,6 +93,16 @@ func isDecisionSignature(sig *types.Signature) bool {
 	}
 	named, ok := sig.Results().At(1).Type().(*types.Named)
 	return ok && named.Obj() == types.Universe.Lookup("error")
+}
+
+// isPrepPointer reports whether t is *prep.<name>.
+func isPrepPointer(t types.Type, name string) bool {
+	p, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	n, ok := p.Elem().(*types.Named)
+	return ok && n.Obj().Name() == name && fromPkg(n.Obj(), prepPkgSuffix)
 }
 
 // scope is one function body participating in a decision path: either a

@@ -18,12 +18,19 @@ import (
 // function or method is exactly the "reach past the k-neighbourhood"
 // bug that would silently invalidate the theorems, and is flagged.
 //
+// A view cache (prep.Preprocessor, prep.RefPreprocessor) answers for
+// any vertex, so a decision may read one only at the current node: each
+// graph.Vertex argument of a call on a cache must be the Center of the
+// view the walker handed the decision (or, in a four-vertex f(s, t, u,
+// v) adapter that fetches its own view, u). ports.At(view.Center, sc)
+// passes; ports.At(t, sc) is a finding.
+//
 // The map-shaped views (nbhd.Neighborhood, prep.RefView) are k-local
 // but serve only as test references that pin the compact pipeline: a
-// decision path that builds one — nbhd.Extract, nbhd.ExtractView,
-// nbhd.ClassifyView(Ref), prep.PreprocessRef, prep.NewRefPreprocessor —
-// is flagged too, since it rebuilds G_k(u) in maps on every hop instead
-// of reading the view cache (prep.Preprocessor.At).
+// decision path that builds one — nbhd.Extract, nbhd.ClassifyView(Ref),
+// prep.PreprocessRef, prep.NewRefPreprocessor — is flagged too, since it
+// rebuilds G_k(u) in maps on every hop instead of reading the view the
+// walker hands it.
 var AnalyzerLocality = &Analyzer{
 	Name: "klocality",
 	Doc:  "decision paths may traverse the graph only through the nbhd/prep view APIs",
@@ -55,8 +62,11 @@ func checkLocalityScope(pass *Pass, s scope) {
 				}
 			}
 		}
+		if arg := offCentre(pass, s, call); arg != nil {
+			pass.Reportf(arg.Pos(), "decision path reads a view cache at a vertex other than the handed view's Center; a decision sees G_k(u) of its own node only")
+		}
 		if name, ok := mapShaped(pass, call); ok {
-			pass.Reportf(call.Pos(), "decision path builds a map-shaped view with %s; decide over the view cache (prep.Preprocessor.At), map-shaped views are test references", name)
+			pass.Reportf(call.Pos(), "decision path builds a map-shaped view with %s; decide over the view the walker hands you, map-shaped views are test references", name)
 		}
 		// Network passed as an argument: only the preprocessing
 		// boundary (nbhd/prep) may receive it; everything else could
@@ -109,6 +119,72 @@ func closureCallee(pass *Pass, call *ast.CallExpr) bool {
 	return fn != nil && pass.decisionFunc(fn)
 }
 
+// offCentre returns the first graph.Vertex argument of a method call on
+// a view cache that does not name the scope's current node, or nil.
+func offCentre(pass *Pass, s scope, call *ast.CallExpr) ast.Expr {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	if selection := pass.Info.Selections[sel]; selection == nil || selection.Kind() != types.MethodVal || !isViewCache(pass.TypeOf(sel.X)) {
+		return nil
+	}
+	for _, arg := range call.Args {
+		if isGraphVertex(pass.TypeOf(arg)) && !isCentre(pass, s, arg) {
+			return arg
+		}
+	}
+	return nil
+}
+
+// isViewCache reports whether t (possibly behind a pointer) is a view
+// cache: prep.Preprocessor or its reference twin prep.RefPreprocessor.
+func isViewCache(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	return ok && fromPkg(n.Obj(), prepPkgSuffix) && (n.Obj().Name() == "Preprocessor" || n.Obj().Name() == "RefPreprocessor")
+}
+
+// isCentre reports whether e names the scope's current node: the Center
+// of a *prep.View parameter (the handed view), or the u of a
+// four-vertex f(s, t, u, v).
+func isCentre(pass *Pass, s scope, e ast.Expr) bool {
+	var sig *types.Signature
+	switch fn := s.node.(type) {
+	case *ast.FuncDecl:
+		sig, _ = pass.TypeOf(fn.Name).(*types.Signature)
+	case *ast.FuncLit:
+		sig, _ = pass.TypeOf(fn).(*types.Signature)
+	}
+	if sig == nil {
+		return false
+	}
+	param := func(id *ast.Ident) (*types.Var, int) {
+		v, _ := pass.Info.Uses[id].(*types.Var)
+		for i := 0; v != nil && i < sig.Params().Len(); i++ {
+			if sig.Params().At(i) == v {
+				return v, i
+			}
+		}
+		return nil, -1
+	}
+	switch x := ast.Unparen(e).(type) {
+	case *ast.SelectorExpr:
+		id, ok := x.X.(*ast.Ident)
+		if !ok || x.Sel.Name != "Center" {
+			return false
+		}
+		v, _ := param(id)
+		return v != nil && isPrepPointer(v.Type(), "View")
+	case *ast.Ident:
+		_, i := param(x)
+		return i == 2 && sig.Params().Len() == 4 && isDecisionSignature(sig)
+	}
+	return false
+}
+
 // mapShaped reports whether call constructs a map-shaped view, and
 // names the constructor.
 func mapShaped(pass *Pass, call *ast.CallExpr) (string, bool) {
@@ -119,7 +195,7 @@ func mapShaped(pass *Pass, call *ast.CallExpr) (string, bool) {
 	switch {
 	case fromPkg(fn, nbhdPkgSuffix):
 		switch fn.Name() {
-		case "Extract", "ExtractView", "ClassifyView", "ClassifyViewRef":
+		case "Extract", "ClassifyView", "ClassifyViewRef":
 			return "nbhd." + fn.Name(), true
 		}
 	case fromPkg(fn, prepPkgSuffix):
@@ -198,9 +274,10 @@ func viewDerivedVars(pass *Pass, s scope) map[*types.Var]bool {
 
 // viewDerived reports whether e yields a value reached through a
 // sanctioned view: a view-typed value itself, a selector chain rooted
-// in one (view.Raw.G), a call on one (p.At(u)) unless the call hands
-// back the whole network (p.Store()), or a local variable previously
-// assigned such a value.
+// in one (view.Raw.G), a call on one (p.At(view.Center, sc)) unless the
+// call hands back the whole network (p.Store()), or a local variable
+// previously assigned such a value. A cache read off the current node
+// is reported on its own (offCentre).
 func viewDerived(pass *Pass, derived map[*types.Var]bool, e ast.Expr) bool {
 	switch x := e.(type) {
 	case *ast.ParenExpr:

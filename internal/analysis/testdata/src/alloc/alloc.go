@@ -7,6 +7,7 @@ import (
 	"errors"
 
 	"klocal/internal/graph"
+	"klocal/internal/prep"
 )
 
 // Scratch is a caller-owned buffer in the bigraph style.
@@ -60,7 +61,7 @@ var errMiss = errors.New("miss")
 
 // Decide has the routing-function shape, so it is a kalloc scope with
 // no mark needed; its helper joins transitively.
-func Decide(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+func Decide(s, t, v graph.Vertex, view *prep.View, sc *prep.Scratch) (graph.Vertex, error) {
 	hops := make([]graph.Vertex, 0, 4) // want "kalloc: hot path allocates with make"
 	_ = hops
 	return helper(t)

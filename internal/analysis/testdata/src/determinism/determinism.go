@@ -7,11 +7,12 @@ import (
 	"time"
 
 	"klocal/internal/graph"
+	"klocal/internal/prep"
 )
 
 // Bad draws on every nondeterminism source the analyzer knows.
-func Bad(ch1, ch2 chan graph.Vertex, seen map[graph.Vertex]bool) func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
-	return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+func Bad(ch1, ch2 chan graph.Vertex, seen map[graph.Vertex]bool) func(s, t, v graph.Vertex, view *prep.View, sc *prep.Scratch) (graph.Vertex, error) {
+	return func(s, t, v graph.Vertex, view *prep.View, sc *prep.Scratch) (graph.Vertex, error) {
 		for w := range seen { // want "kdeterminism: decision path ranges over a map"
 			_ = w
 		}
@@ -28,9 +29,9 @@ func Bad(ch1, ch2 chan graph.Vertex, seen map[graph.Vertex]bool) func(s, t, u, v
 
 // Good keeps randomness explicit and seeded, iterates slices, and uses
 // single-channel receives: all reproducible.
-func Good(ch chan graph.Vertex, order []graph.Vertex) func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+func Good(ch chan graph.Vertex, order []graph.Vertex) func(s, t, v graph.Vertex, view *prep.View, sc *prep.Scratch) (graph.Vertex, error) {
 	rng := rand.New(rand.NewSource(1))
-	return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+	return func(s, t, v graph.Vertex, view *prep.View, sc *prep.Scratch) (graph.Vertex, error) {
 		for _, w := range order {
 			if w == t {
 				return w, nil

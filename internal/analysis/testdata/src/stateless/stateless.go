@@ -4,6 +4,7 @@ package stateless
 
 import (
 	"klocal/internal/graph"
+	"klocal/internal/prep"
 )
 
 // hits is package-level scratch no decision path may touch.
@@ -18,35 +19,35 @@ type Router struct {
 
 // Route matches the decision signature, so the receiver writes below
 // are after-bind state mutations.
-func (r *Router) Route(s, t, u, v graph.Vertex) (graph.Vertex, error) {
-	hits++        // want "kstateless: decision path writes package-level variable hits"
-	r.count++     // want "kstateless: decision path writes field count of bind-time value r"
-	r.last[u] = v // want "kstateless: decision path writes an element of bind-time value r"
+func (r *Router) Route(s, t, v graph.Vertex, view *prep.View, sc *prep.Scratch) (graph.Vertex, error) {
+	hits++                  // want "kstateless: decision path writes package-level variable hits"
+	r.count++               // want "kstateless: decision path writes field count of bind-time value r"
+	r.last[view.Center] = v // want "kstateless: decision path writes an element of bind-time value r"
 	return t, nil
 }
 
 // Bad closes over bind-time locals and mutates them per call.
-func Bad() func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+func Bad() func(s, t, v graph.Vertex, view *prep.View, sc *prep.Scratch) (graph.Vertex, error) {
 	visits := 0
 	trail := make([]graph.Vertex, 8)
-	return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
-		visits++            // want "kstateless: decision path writes closed-over variable visits"
-		trail[visits%8] = u // want "kstateless: decision path writes an element of bind-time value trail"
+	return func(s, t, v graph.Vertex, view *prep.View, sc *prep.Scratch) (graph.Vertex, error) {
+		visits++                      // want "kstateless: decision path writes closed-over variable visits"
+		trail[visits%8] = view.Center // want "kstateless: decision path writes an element of bind-time value trail"
 		return t, nil
 	}
 }
 
 // Good keeps every write inside the call: locals, including those its
 // own nested literals close over, are per-call state.
-func Good() func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
-	return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+func Good() func(s, t, v graph.Vertex, view *prep.View, sc *prep.Scratch) (graph.Vertex, error) {
+	return func(s, t, v graph.Vertex, view *prep.View, sc *prep.Scratch) (graph.Vertex, error) {
 		best := graph.NoVertex
 		seen := make(map[graph.Vertex]bool)
 		pick := func(w graph.Vertex) {
 			best = w
 			seen[w] = true
 		}
-		pick(u)
+		pick(view.Center)
 		if seen[best] {
 			return best, nil
 		}

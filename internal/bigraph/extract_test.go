@@ -96,9 +96,6 @@ func TestExtractDeterministic(t *testing.T) {
 // once the scratch has warmed up, G_k(u) extraction from CSR performs
 // zero allocations per call.
 func TestExtractAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
 	g := gen.Grid(20, 20)
 	c := bigraph.FromGraph(g)
 	sc := bigraph.NewScratch()

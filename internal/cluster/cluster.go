@@ -25,6 +25,7 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -33,6 +34,7 @@ import (
 	"klocal/internal/fault"
 	"klocal/internal/graph"
 	"klocal/internal/metrics"
+	"klocal/internal/prep"
 	"klocal/internal/route"
 )
 
@@ -270,6 +272,9 @@ type Member struct {
 	tr   Transport
 	met  *metrics.Shard
 	lim  bodyLimits
+	// scratch holds GOMAXPROCS walker scratches; a walk segment takes one
+	// for its owned hops only, never across an RPC.
+	scratch chan *prep.Scratch
 
 	mu       sync.Mutex
 	inc      int64
@@ -336,6 +341,10 @@ func NewMember(cfg Config, asn Assignment, adj map[graph.Vertex][]graph.Vertex, 
 		down:    make([]atomic.Bool, asn.shards),
 		waiters: make(map[uint64]chan *RouteReply),
 		stop:    make(chan struct{}),
+		scratch: make(chan *prep.Scratch, runtime.GOMAXPROCS(0)),
+	}
+	for i := 0; i < cap(m.scratch); i++ {
+		m.scratch <- prep.NewScratch()
 	}
 	for _, s := range cfg.Seeds {
 		if s != "" && s != cfg.SelfAddr {

@@ -9,6 +9,7 @@ import (
 
 	"klocal/internal/graph"
 	"klocal/internal/metrics"
+	"klocal/internal/prep"
 )
 
 // Typed failure modes of the forwarding path. RouteReply.ErrKind
@@ -185,7 +186,9 @@ func (m *Member) finish(msg *WireMessage, delivered bool, err error) {
 // member, so no reply reaches its entry member ahead of its counts.
 func (m *Member) process(msg *WireMessage) {
 	entered := len(msg.Route)
-	owner, err := m.walk(msg)
+	sc := <-m.scratch
+	owner, err := m.walk(msg, sc)
+	m.scratch <- sc
 	if hops := len(msg.Route) - entered; hops > 0 {
 		m.met.Add(mForwards, int64(hops))
 	}
@@ -200,12 +203,12 @@ func (m *Member) process(msg *WireMessage) {
 	}
 }
 
-// walk takes the walk's hops while its head is owned here. It returns
-// the shard that owns the new head, or −1 when the walk ends here:
-// delivered when err is nil, failed with err otherwise. A hop costs one
-// view lookup and one decision; the destination is searched for in the
-// view only when the view is complete, to prove a partition.
-func (m *Member) walk(msg *WireMessage) (int, error) {
+// walk takes the walk's hops on sc while its head is owned here. It
+// returns the shard that owns the new head, or −1 when the walk ends
+// here: delivered when err is nil, failed with err otherwise. A hop
+// costs one view lookup and one decision; the destination is searched
+// for in the view only when the view is complete, to prove a partition.
+func (m *Member) walk(msg *WireMessage, sc *prep.Scratch) (int, error) {
 	ownerT, knownT := m.asn.Owner(msg.T)
 	u := msg.Route[len(msg.Route)-1]
 	row, _ := m.ownAdj(u) // acceptForward admits only owned heads
@@ -225,10 +228,11 @@ func (m *Member) walk(msg *WireMessage) (int, error) {
 			return -1, fmt.Errorf("%w after %d hops", ErrHopBudget, len(msg.Route)-1)
 		}
 		ep := m.current()
-		if raw := ep.pre.At(u).C.Raw; raw.Complete && !raw.Contains(msg.T) {
+		view := ep.pre.At(u, sc)
+		if raw := view.C.Raw; raw.Complete && !raw.Contains(msg.T) {
 			return -1, fmt.Errorf("%w: %d not in the complete view of %d", ErrPartitioned, msg.T, u)
 		}
-		next, err := ep.decide(msg.S, msg.T, u, msg.Prev)
+		next, err := ep.router(msg.S, msg.T, msg.Prev, view, sc)
 		if err != nil {
 			return -1, err
 		}

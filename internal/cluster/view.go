@@ -13,20 +13,13 @@ import (
 // of its link-state store, one preprocessor over it, and the algorithm
 // bound once through Over. All three are immutable once published
 // behind Member.cur, so the per-hop path reads them with one atomic
-// load and no member lock, and a cold owned view is one pre.At(u).
+// load and no member lock, and a cold owned view is one pre.At(u, sc).
+// The router reads the union only through the view it is handed, which
+// the preprocessor trims to G_k(u).
 type epoch struct {
 	union  *graph.Graph
 	pre    *prep.Preprocessor
 	router route.Func
-}
-
-// decide takes one forwarding step for the owned vertex u. This is the
-// cluster's entire decision path: klocalvet seeds it by signature and
-// verifies the closure never escapes to global topology. The bound
-// function reads the union only through the preprocessor, which trims
-// it to G_k(u).
-func (ep *epoch) decide(s, t, u, v graph.Vertex) (graph.Vertex, error) {
-	return ep.router(s, t, u, v)
 }
 
 // bind publishes a generation over union whose view cache is pre.
@@ -144,5 +137,5 @@ func (m *Member) View(u graph.Vertex) *prep.View {
 	if _, owned := m.ownAdj(u); !owned {
 		return nil
 	}
-	return m.current().pre.At(u)
+	return m.current().pre.At(u, nil)
 }

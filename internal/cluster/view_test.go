@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"runtime/debug"
 	"testing"
 
 	"klocal/internal/gen"
@@ -35,9 +34,6 @@ func soloMember(tb testing.TB, g *graph.Graph, k int) *Member {
 // the same count at n = 32² and n = 128². A view path that copies the
 // store or rebuilds the union per view allocates in proportion to n.
 func TestColdViewAllocsIndependentOfN(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
 	const k = 3
 	allocs := func(side int) float64 {
 		m := soloMember(t, gen.Grid(side, side), k)
@@ -49,8 +45,6 @@ func TestColdViewAllocsIndependentOfN(t *testing.T) {
 				cold = append(cold, graph.Vertex(r*side+c))
 			}
 		}
-		// A collection mid-run could empty the pooled builders.
-		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		i := 0
 		return testing.AllocsPerRun(len(cold)-1, func() {
 			if m.View(cold[i]) == nil {

@@ -106,11 +106,9 @@ func TestBatchMatchesSequentialRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := alg.Bind(g, k)
+	f := sim.Bind(alg, g, k)
 	for i, r := range resps {
-		want := sim.Run(g, sim.Func(f), reqs[i].S, reqs[i].T, sim.Options{
-			DetectLoops: true, PredecessorAware: true,
-		})
+		want := f.Run(reqs[i].S, reqs[i].T)
 		if r.Result.Outcome != want.Outcome || r.Result.Len() != want.Len() {
 			t.Fatalf("pair %d: engine %v/%d vs sequential %v/%d",
 				i, r.Result.Outcome, r.Result.Len(), want.Outcome, want.Len())

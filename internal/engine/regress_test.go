@@ -35,7 +35,7 @@ func funcSnapshot(tb testing.TB, st bigraph.Store, decide route.Func) *Snapshot 
 // slowSnapshot builds a snapshot over a 2-path whose routing function
 // sleeps perHop before forwarding: slow routing for the deadline test.
 func slowSnapshot(tb testing.TB, perHop time.Duration) *Snapshot {
-	return funcSnapshot(tb, gen.Path(2), func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+	return funcSnapshot(tb, gen.Path(2), func(s, t, v graph.Vertex, view *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
 		time.Sleep(perHop)
 		return t, nil
 	})
@@ -61,7 +61,7 @@ func newGate() *gate {
 // while it is shut, then forward straight to the destination: a request
 // is delivered when its endpoints are adjacent and errored otherwise.
 func (g *gate) snapshot(tb testing.TB, st bigraph.Store) *Snapshot {
-	return funcSnapshot(tb, st, func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+	return funcSnapshot(tb, st, func(s, t, v graph.Vertex, view *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
 		n := g.inFlight.Add(1)
 		for p := g.peak.Load(); n > p && !g.peak.CompareAndSwap(p, n); p = g.peak.Load() {
 		}

@@ -38,8 +38,8 @@ import (
 // a new Snapshot when the topology changes.
 type Snapshot struct {
 	alg route.Algorithm
-	f   route.Func
 	pre *prep.Preprocessor
+	w   *sim.Walker
 }
 
 // SnapshotOptions tune snapshot construction.
@@ -73,7 +73,7 @@ func NewSnapshotStore(st bigraph.Store, k int, alg route.Algorithm, opts Snapsho
 		return nil, fmt.Errorf("engine: negative locality %d", k)
 	}
 	s := &Snapshot{alg: alg, pre: prep.NewPreprocessor(st, k, alg.Policy, opts.Cache)}
-	if s.f = alg.Over(s.pre); s.f == nil {
+	if s.w = sim.Over(alg, s.pre); s.w == nil {
 		return nil, fmt.Errorf("engine: algorithm %s needs full topology and cannot bind to a graph store", alg.Name)
 	}
 	if opts.Prewarm != 0 {
@@ -98,7 +98,7 @@ func (s *Snapshot) Incremental(next *graph.Graph, dirty []graph.Vertex) (*Snapsh
 		return nil, fmt.Errorf("engine: incremental swap to empty network")
 	}
 	ns := &Snapshot{alg: s.alg, pre: s.pre.Derive(next, dirty)}
-	ns.f = s.alg.Over(ns.pre)
+	ns.w = sim.Over(s.alg, ns.pre)
 	return ns, nil
 }
 
@@ -118,8 +118,15 @@ func (s *Snapshot) K() int { return s.pre.K() }
 // Algorithm returns the bound algorithm descriptor.
 func (s *Snapshot) Algorithm() route.Algorithm { return s.alg }
 
-// Func returns the shared bound routing function.
-func (s *Snapshot) Func() route.Func { return s.f }
+// Func returns the snapshot's decision as f(s, t, u, v), fetching u's
+// view on a scratch private to the returned function: use it from one
+// goroutine, to time single decisions.
+func (s *Snapshot) Func() func(src, dst, u, v graph.Vertex) (graph.Vertex, error) {
+	sc := prep.NewScratch()
+	return func(src, dst, u, v graph.Vertex) (graph.Vertex, error) {
+		return s.w.Decide(src, dst, u, v, sc)
+	}
+}
 
 // CacheStats reports the view-cache activity.
 func (s *Snapshot) CacheStats() prep.CacheStats { return s.pre.Stats() }
@@ -132,16 +139,12 @@ func (s *Snapshot) Route(src, dst graph.Vertex, maxSteps int) *sim.Result {
 }
 
 // RouteScratch is Route allocating only into sc — the engine lanes'
-// per-request body. The returned Result is owned by sc (sim.RunScratch's
+// per-request body, whose views and decisions run on the prep scratch
+// inside sc. The returned Result is owned by sc (sim.Walker.RunScratch's
 // contract): valid until the next route with the same scratch, Clone to
 // retain.
 //
 //klocal:hotpath
 func (s *Snapshot) RouteScratch(src, dst graph.Vertex, maxSteps int, sc *sim.Scratch) *sim.Result {
-	opts := sim.Options{
-		MaxSteps:         maxSteps,
-		DetectLoops:      !s.alg.Randomized,
-		PredecessorAware: s.alg.PredecessorAware,
-	}
-	return sim.RunScratch(s.pre.Store(), sim.Func(s.f), src, dst, opts, sc)
+	return s.w.RunScratch(src, dst, maxSteps, sc)
 }

@@ -123,16 +123,14 @@ func TestSnapshotStoreEngineEndToEnd(t *testing.T) {
 // routeAllocBudget is the engine's per-route allocation regression gate
 // for the fixed scenario below (cycle-24, Algorithm 2 at threshold, warm
 // cache, CSR-backed). Snapshot.Route builds a fresh sim.Scratch per
-// call (its route buffer, loop-detection maps and search banks), so it
+// call (its route buffer, loop-detection maps, search banks and prep
+// scratch), so it
 // cannot reach RouteScratch's zero; the decisions themselves allocate
 // nothing. Measured 10.0; the budget catches anything that reintroduces
 // per-hop view extraction (hundreds of allocs) or O(n) work.
 const routeAllocBudget = 16
 
 func TestRouteAllocsBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
 	g := gen.Cycle(24)
 	c := bigraph.FromGraph(g)
 	snap, err := NewSnapshotStore(c, 0, route.Algorithm2(), SnapshotOptions{Prewarm: -1})

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"runtime/debug"
 	"testing"
 	"time"
 
@@ -26,14 +25,11 @@ const warmRouteAllocGate = 0
 // serving path: Snapshot.RouteScratch with a reused scratch, all views
 // prewarmed, must not allocate at all. Covers the plain compact path
 // (Algorithm 2), the bounce-simulation path (Algorithm 1B), which
-// exercises nbhd.BounceScratch reuse through route's simPool,
+// reuses the bounce banks of the prep scratch inside the lane's scratch,
 // Algorithm 3's Lemma 12 move over the zero-policy routing half, and
 // the right-hand and random-walk baselines, each over the graph itself
 // and over its CSR (bigraph.FromGraph, subtests "/csr").
 func TestWarmRouteAllocsGate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
 	// The paper's algorithms bind at their threshold (k = 0); the
 	// baselines, which guarantee nothing, at ⌊n/2⌋ = 12, where the four
 	// pairs below deliver.
@@ -100,19 +96,14 @@ func TestWarmRouteAllocsGate(t *testing.T) {
 // caps the random walks, so the warm-up grows the scratch to its
 // high-water mark.
 func TestWarmPortsAllocsGate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
 	g := testGraph(24)
 	vs := g.Vertices()
 	for _, alg := range []route.Algorithm{route.TreeRightHand(), route.RandomWalk(3)} {
 		t.Run(alg.Name, func(t *testing.T) {
-			p := prep.NewPreprocessor(g, 0, alg.Policy, prep.CacheOptions{})
-			f := sim.Func(alg.Over(p))
-			opts := sim.Options{MaxSteps: 48, DetectLoops: !alg.Randomized, PredecessorAware: alg.PredecessorAware}
+			w := sim.Over(alg, prep.NewPreprocessor(g, 0, alg.Policy, prep.CacheOptions{}))
 			sc := sim.NewScratch()
 			walk := func(i int) {
-				sim.RunScratch(g, f, vs[i%len(vs)], vs[(7*i+3)%len(vs)], opts, sc)
+				w.RunScratch(vs[i%len(vs)], vs[(7*i+3)%len(vs)], 48, sc)
 			}
 			for i := 0; i < 4*len(vs); i++ {
 				walk(i)
@@ -175,14 +166,11 @@ func gateStores(t *testing.T) []gateStore {
 // a cache miss runs, at or under preprocessAllocGate allocations per
 // view at k = 3.
 func TestPreprocessAllocsGate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
 	const k = 3
 	for _, tc := range gateStores(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			vs := tc.vs
-			for _, u := range vs { // warm: pooled scratch at its high-water mark
+			for _, u := range vs { // warm: the shared scratch at its high-water mark
 				prep.PreprocessStore(tc.st, u, k, prep.PolicyMinRank)
 			}
 			i := 0
@@ -203,16 +191,13 @@ func TestPreprocessAllocsGate(t *testing.T) {
 // k = 3, under the paper's policy and under the zero policy Algorithm 3
 // reads. Each measured call meets a fresh view, built beforehand.
 func TestRoutingHalfAllocsGate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
 	const k, runs = 3, 200
 	for _, tc := range gateStores(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, pol := range []prep.Policy{prep.PolicyMinRank, 0} {
 				t.Run(pol.String(), func(t *testing.T) {
 					vs := tc.vs
-					for _, u := range vs { // warm: pooled scratch at its high-water mark
+					for _, u := range vs { // warm: the shared scratch at its high-water mark
 						prep.PreprocessStore(tc.st, u, k, pol).RoutingHalf()
 					}
 					// AllocsPerRun makes one warm-up call before its runs.
@@ -220,8 +205,6 @@ func TestRoutingHalfAllocsGate(t *testing.T) {
 					for i := range fresh {
 						fresh[i] = prep.PreprocessStore(tc.st, vs[i%len(vs)], k, pol)
 					}
-					// A collection mid-run could empty the pooled builders.
-					defer debug.SetGCPercent(debug.SetGCPercent(-1))
 					i := 0
 					avg := testing.AllocsPerRun(runs, func() {
 						fresh[i].RoutingHalf()
@@ -300,9 +283,6 @@ var sinkResult *sim.Result
 // views and lanes, a Do with a nonzero admission budget allocates
 // exactly what Result.Clone does — no timer, no channel, no handoff.
 func TestDoAllocsGate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
 	g := testGraph(24)
 	snap, err := NewSnapshotStore(g, 0, route.Algorithm2(), SnapshotOptions{Prewarm: -1})
 	if err != nil {

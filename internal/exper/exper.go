@@ -14,14 +14,6 @@ import (
 	"klocal/internal/verify"
 )
 
-// runPair routes one (s,t) pair with a bound function.
-func runPair(g *graph.Graph, f route.Func, alg route.Algorithm, s, t graph.Vertex) *sim.Result {
-	return sim.Run(g, sim.Func(f), s, t, sim.Options{
-		DetectLoops:      !alg.Randomized,
-		PredecessorAware: alg.PredecessorAware,
-	})
-}
-
 // DilationWitness pins the concrete walk behind a measured dilation
 // figure: enough context to re-validate the bound end to end with
 // verify.CheckDilation instead of trusting a float that was computed
@@ -84,13 +76,13 @@ func (ps *PairStats) AllDelivered() bool { return ps.Delivered == ps.Pairs }
 
 // evalAllPairs routes every ordered pair of g with alg at locality k.
 func evalAllPairs(alg route.Algorithm, g *graph.Graph, k int, stats *PairStats) {
-	f := alg.Bind(g, k)
+	w := sim.Bind(alg, g, k)
 	for _, s := range g.Vertices() {
 		for _, t := range g.Vertices() {
 			if s == t {
 				continue
 			}
-			stats.add(g, runPair(g, f, alg, s, t))
+			stats.add(g, w.Run(s, t))
 		}
 	}
 }

@@ -30,27 +30,16 @@ func Fig7(cycleLen, tailLen, k int) (*Fig7Result, error) {
 		return nil, err
 	}
 	alg := route.TreeRightHand()
-	res := runPair(f.G, alg.Bind(f.G, k), alg, f.S, f.T)
+	res := sim.Bind(alg, f.G, k).Run(f.S, f.T)
 	out := &Fig7Result{CycleLen: cycleLen, TailLen: tailLen, K: k, Outcome: res.Outcome}
 	for _, v := range res.Route {
 		if f.G.Dist(v, f.T) <= k {
 			out.SawT = true
 		}
 	}
-	tree := gen.Spider(3, (cycleLen+tailLen)/3)
-	treeOK := true
-	tf := alg.Bind(tree, k)
-	for _, s := range tree.Vertices() {
-		for _, t := range tree.Vertices() {
-			if s == t {
-				continue
-			}
-			if runPair(tree, tf, alg, s, t).Outcome != sim.Delivered {
-				treeOK = false
-			}
-		}
-	}
-	out.TreeDelivered = treeOK
+	var tree PairStats
+	evalAllPairs(alg, gen.Spider(3, (cycleLen+tailLen)/3), k, &tree)
+	out.TreeDelivered = tree.AllDelivered()
 	return out, nil
 }
 
@@ -89,7 +78,7 @@ func Fig13(ks []int) (*Fig13Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := runPair(f.G, alg.Bind(f.G, k), alg, f.S, f.T)
+		r := sim.Bind(alg, f.G, k).Run(f.S, f.T)
 		if r.Outcome != sim.Delivered {
 			return nil, fmt.Errorf("exper: Fig13 n=%d k=%d not delivered: %v", n, k, r.Outcome)
 		}
@@ -139,7 +128,7 @@ func Fig17(ks []int) (*Fig17Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := runPair(f.G, alg1b.Bind(f.G, k), alg1b, f.S, f.T)
+		r := sim.Bind(alg1b, f.G, k).Run(f.S, f.T)
 		if r.Outcome != sim.Delivered {
 			return nil, fmt.Errorf("exper: Fig17 n=%d k=%d not delivered: %v", n, k, r.Outcome)
 		}
@@ -152,7 +141,7 @@ func Fig17(ks []int) (*Fig17Result, error) {
 			Dilation:   r.Dilation(),
 			PaperLimit: 6 - 12/float64(k+1),
 		})
-		r1 := runPair(f.G, alg1.Bind(f.G, k), alg1, f.S, f.T)
+		r1 := sim.Bind(alg1, f.G, k).Run(f.S, f.T)
 		res.Alg1Points = append(res.Alg1Points, FigSeriesPoint{
 			N: n, K: k,
 			RouteLen:  r1.Len(),

@@ -79,9 +79,9 @@ func MemoryDilation(rng *rand.Rand, n, pairs int) (*MemoryResult, error) {
 		return nil, err
 	}
 	addAlgorithm := func(name string, alg route.Algorithm, k, nodeBits, msgBits int, advLabels bool) {
-		f := alg.Bind(g, k)
+		w := sim.Bind(alg, g, k)
 		worst, delivered, total := samplePairs(func(s, t graph.Vertex) (int, bool) {
-			r := runPair(g, f, alg, s, t)
+			r := w.Run(s, t)
 			return r.Len(), r.Outcome == sim.Delivered
 		})
 		res.Rows = append(res.Rows, MemoryRow{

@@ -42,8 +42,7 @@ func RandomWalkQuadratic(rng *rand.Rand, sizes []int, trials int) *RandomWalkRes
 		total := 0
 		for i := 0; i < trials; i++ {
 			alg := route.RandomWalk(rng.Int63())
-			r := sim.Run(g, sim.Func(alg.Bind(g, 1)), 0, gen.Path(n).Vertices()[n-1],
-				sim.Options{MaxSteps: 64 * n * n})
+			r := sim.Bind(alg, g, 1).RunScratch(0, gen.Path(n).Vertices()[n-1], 64*n*n, sim.NewScratch())
 			total += r.Len()
 		}
 		mean := float64(total) / float64(trials)

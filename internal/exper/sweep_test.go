@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"klocal/internal/route"
+	"klocal/internal/sim"
 )
 
 // sweepSequential is the locality sweep one walk at a time, each cell's
@@ -18,7 +19,7 @@ func sweepSequential(rng *rand.Rand, n, randomGraphs, pairs int) *SweepResult {
 		for k := 1; k <= (n+1)/2; k++ {
 			var stats PairStats
 			for _, g := range graphs {
-				f := alg.Bind(g, k)
+				f := sim.Bind(alg, g, k)
 				vs := g.Vertices()
 				for i := 0; i < pairs; i++ {
 					s := vs[rng.Intn(len(vs))]
@@ -26,7 +27,7 @@ func sweepSequential(rng *rand.Rand, n, randomGraphs, pairs int) *SweepResult {
 					if s == t {
 						continue
 					}
-					stats.add(g, runPair(g, f, alg, s, t))
+					stats.add(g, f.Run(s, t))
 				}
 			}
 			stats.finish()

@@ -67,7 +67,7 @@ func Table2(rng *rand.Rand, n, randomGraphs int) (*Table2Result, error) {
 			if err != nil {
 				return err
 			}
-			r := runPair(inst.G, alg.Bind(inst.G, k), alg, inst.S, inst.T)
+			r := sim.Bind(alg, inst.G, k).Run(inst.S, inst.T)
 			if r.Outcome == sim.Delivered {
 				row.AdversaryDilation = r.Dilation()
 				row.AdversaryWitness = &DilationWitness{G: inst.G, S: inst.S, T: inst.T, Walk: r.Route}

@@ -128,15 +128,10 @@ func ResolveProperties(list string) ([]Property, error) {
 	return props, nil
 }
 
-// routeScenario binds the scenario's algorithm fresh and simulates the
-// single message, with the loop-detection criterion matching the
-// algorithm's awareness.
+// routeScenario binds the scenario's algorithm fresh and walks its
+// message.
 func routeScenario(sc *Scenario) *sim.Result {
-	f := sc.Alg.Bind(sc.G, sc.K)
-	return sim.Run(sc.G, sim.Func(f), sc.S, sc.T, sim.Options{
-		DetectLoops:      !sc.Alg.Randomized,
-		PredecessorAware: sc.Alg.PredecessorAware,
-	})
+	return sim.Bind(sc.Alg, sc.G, sc.K).Run(sc.S, sc.T)
 }
 
 func checkDelivery(sc *Scenario) error {
@@ -292,15 +287,12 @@ func checkCSR(sc *Scenario) error {
 			return fmt.Errorf("CSR view G_%d(%d): %w", sc.K, u, err)
 		}
 	}
-	f := sc.Alg.Bind(c, sc.K)
-	if f == nil {
+	w := sim.Bind(sc.Alg, c, sc.K)
+	if w == nil {
 		return nil
 	}
 	mem := routeScenario(sc)
-	st := sim.Run(c, sim.Func(f), sc.S, sc.T, sim.Options{
-		DetectLoops:      !sc.Alg.Randomized,
-		PredecessorAware: sc.Alg.PredecessorAware,
-	})
+	st := w.Run(sc.S, sc.T)
 	if st.Outcome != mem.Outcome {
 		return fmt.Errorf("store-backed outcome %v, graph-backed %v (err %v vs %v)",
 			st.Outcome, mem.Outcome, st.Err, mem.Err)
@@ -390,10 +382,11 @@ func checkDelta(sc *Scenario) error {
 	sched := churn.ScheduleDeltas(sc.G, sc.Seed, DeltaSteps)
 	cur := sc.G
 	p := prep.NewPreprocessor(sc.G, k, sc.Alg.Policy, prep.CacheOptions{})
+	views := prep.NewScratch()
 	for i, d := range sched {
 		old := make(map[graph.Vertex]*prep.View, cur.N())
 		for _, v := range cur.Vertices() {
-			old[v] = p.At(v)
+			old[v] = p.At(v, views)
 		}
 		post, dirty, err := churn.Apply(cur, d, k)
 		if err != nil {
@@ -405,7 +398,7 @@ func checkDelta(sc *Scenario) error {
 			isDirty[v] = true
 		}
 		for _, v := range post.Vertices() {
-			got := p.At(v)
+			got := p.At(v, views)
 			if !isDirty[v] {
 				if ov, ok := old[v]; ok && got != ov {
 					return fmt.Errorf("delta %d (%s): view of clean vertex %d was rebuilt (outside the dirty set)", i, d, v)
@@ -418,10 +411,7 @@ func checkDelta(sc *Scenario) error {
 		}
 		if post.HasVertex(sc.S) && post.HasVertex(sc.T) &&
 			k >= sc.Alg.MinK(post.N()) && post.Connected() {
-			res := sim.Run(post, sim.Func(sc.Alg.Over(p)), sc.S, sc.T, sim.Options{
-				DetectLoops:      !sc.Alg.Randomized,
-				PredecessorAware: sc.Alg.PredecessorAware,
-			})
+			res := sim.Over(sc.Alg, p).Run(sc.S, sc.T)
 			if res.Outcome != sim.Delivered {
 				return fmt.Errorf("delta %d (%s): connected snapshot at k=%d ≥ T(%d) but incremental views failed to deliver: %v (%v)",
 					i, d, k, post.N(), res.Outcome, res.Err)

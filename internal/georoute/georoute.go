@@ -34,7 +34,8 @@ func Greedy(e *geom.Embedding) route.Algorithm {
 		MinK:             func(int) int { return 0 },
 		Over: func(p *prep.Preprocessor) route.Func {
 			st := p.Store()
-			return func(_, t, u, _ graph.Vertex) (graph.Vertex, error) {
+			return func(_, t, _ graph.Vertex, view *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
+				u := view.Center
 				target := e.Pos[t]
 				best := graph.NoVertex
 				bestD := 0.0
@@ -65,7 +66,8 @@ func Compass(e *geom.Embedding) route.Algorithm {
 		MinK:             func(int) int { return 0 },
 		Over: func(p *prep.Preprocessor) route.Func {
 			st := p.Store()
-			return func(_, t, u, _ graph.Vertex) (graph.Vertex, error) {
+			return func(_, t, _ graph.Vertex, view *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
+				u := view.Center
 				pu, pt := e.Pos[u], e.Pos[t]
 				best := graph.NoVertex
 				bestA := 0.0
@@ -99,7 +101,8 @@ func GreedyCompass(e *geom.Embedding) route.Algorithm {
 		MinK:             func(int) int { return 0 },
 		Over: func(p *prep.Preprocessor) route.Func {
 			st := p.Store()
-			return func(_, t, u, _ graph.Vertex) (graph.Vertex, error) {
+			return func(_, t, _ graph.Vertex, view *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
+				u := view.Center
 				//klocal:allow greedy-compass is 1-local; degree of u is part of G_1(u)
 				if st.Deg(u) == 0 {
 					//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
@@ -291,7 +294,8 @@ func FaceRouteAlgorithm(e *geom.Embedding) route.Algorithm {
 			type key struct{ s, t graph.Vertex }
 			walks := make(map[key][]graph.Vertex)
 			positions := make(map[key]int)
-			return func(s, t, u, _ graph.Vertex) (graph.Vertex, error) {
+			return func(s, t, _ graph.Vertex, view *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
+				u := view.Center
 				kk := key{s, t}
 				walk, ok := walks[kk]
 				if !ok {

@@ -20,7 +20,7 @@ func TestGreedyDeliversOnDenseUDG(t *testing.T) {
 		t.Fatal(err)
 	}
 	alg := Greedy(emb)
-	f := alg.Bind(g, 1)
+	f := sim.Bind(alg, g, 1)
 	delivered := 0
 	vs := g.Vertices()
 	for i := 0; i < 60; i++ {
@@ -29,7 +29,7 @@ func TestGreedyDeliversOnDenseUDG(t *testing.T) {
 		if s == dst {
 			continue
 		}
-		res := sim.Run(g, sim.Func(f), s, dst, sim.Options{DetectLoops: true})
+		res := f.Run(s, dst)
 		if res.Outcome == sim.Delivered {
 			delivered++
 		}
@@ -49,12 +49,12 @@ func TestGreedyTrapDefeatsGreedyAndCompass(t *testing.T) {
 		t.Fatal("trap must be a plane embedding")
 	}
 	greedy := Greedy(trap.Emb)
-	res := sim.Run(g, sim.Func(greedy.Bind(g, 1)), trap.S, trap.T, sim.Options{DetectLoops: true})
+	res := sim.Bind(greedy, g, 1).Run(trap.S, trap.T)
 	if res.Outcome != sim.Looped {
 		t.Errorf("greedy on the trap: %v (route %v), want looped", res.Outcome, res.Route)
 	}
 	compass := Compass(trap.Emb)
-	res = sim.Run(g, sim.Func(compass.Bind(g, 1)), trap.S, trap.T, sim.Options{DetectLoops: true})
+	res = sim.Bind(compass, g, 1).Run(trap.S, trap.T)
 	if res.Outcome != sim.Looped {
 		t.Errorf("compass on the trap: %v (route %v), want looped", res.Outcome, res.Route)
 	}
@@ -151,8 +151,7 @@ func TestFaceRouteAllPairsOnPlanarizedUDG(t *testing.T) {
 func TestFaceRouteAlgorithmAdapter(t *testing.T) {
 	trap := GreedyTrap()
 	alg := FaceRouteAlgorithm(trap.Emb)
-	res := sim.Run(trap.Emb.G, sim.Func(alg.Bind(trap.Emb.G, 1)), trap.S, trap.T,
-		sim.Options{DetectLoops: !alg.Randomized, MaxSteps: 1000})
+	res := sim.Bind(alg, trap.Emb.G, 1).RunScratch(trap.S, trap.T, 1000, sim.NewScratch())
 	if res.Outcome != sim.Delivered {
 		t.Fatalf("adapter outcome: %v err=%v", res.Outcome, res.Err)
 	}
@@ -164,8 +163,7 @@ func TestGreedyCompassDeliversOnTrapAndGabriel(t *testing.T) {
 	// universal guarantee there.
 	trap := GreedyTrap()
 	alg := GreedyCompass(trap.Emb)
-	res := sim.Run(trap.Emb.G, sim.Func(alg.Bind(trap.Emb.G, 1)), trap.S, trap.T,
-		sim.Options{DetectLoops: true})
+	res := sim.Bind(alg, trap.Emb.G, 1).Run(trap.S, trap.T)
 	if res.Outcome != sim.Delivered {
 		t.Errorf("greedy-compass on the trap: %v route=%v", res.Outcome, res.Route)
 	}
@@ -175,12 +173,12 @@ func TestCompassAndGreedyDeliverAdjacent(t *testing.T) {
 	trap := GreedyTrap()
 	g := trap.Emb.G
 	greedy := Greedy(trap.Emb)
-	res := sim.Run(g, sim.Func(greedy.Bind(g, 1)), 2, 5, sim.Options{DetectLoops: true})
+	res := sim.Bind(greedy, g, 1).Run(2, 5)
 	if res.Outcome != sim.Delivered || res.Len() != 1 {
 		t.Errorf("greedy adjacent hop: %v len=%d", res.Outcome, res.Len())
 	}
 	compass := Compass(trap.Emb)
-	res = sim.Run(g, sim.Func(compass.Bind(g, 1)), 4, 5, sim.Options{DetectLoops: true})
+	res = sim.Bind(compass, g, 1).Run(4, 5)
 	if res.Outcome != sim.Delivered || res.Len() != 1 {
 		t.Errorf("compass adjacent hop: %v len=%d", res.Outcome, res.Len())
 	}

@@ -5,9 +5,10 @@ package nbhd
 // distance and branch-label banks over a routing view's local index
 // space, grown to a high-water mark and then reused without allocating.
 // It lives here rather than in the route package so the routing decision
-// path itself stays stateless — the scratch is substrate working memory,
-// pooled by the caller, never bind-time state. Not safe for concurrent
-// use; give each simulation its own (route pools them).
+// path itself stays stateless — the scratch is substrate working memory
+// that the walker owns (inside its prep.Scratch) and hands to each
+// decision, never bind-time state. Not safe for concurrent use; give
+// each walker its own.
 type BounceScratch struct {
 	epoch    uint32
 	dmark    []uint32 // distCur[i] valid iff dmark[i] == epoch
@@ -19,9 +20,6 @@ type BounceScratch struct {
 	brHasS   []bool
 	actRoots []int32
 }
-
-// NewBounceScratch returns an empty scratch; the first use sizes it.
-func NewBounceScratch() *BounceScratch { return &BounceScratch{} }
 
 // begin sizes the banks for a view of nv vertices and opens a new epoch.
 //

@@ -7,7 +7,6 @@ package nbhd
 
 import (
 	"sort"
-	"sync"
 
 	"klocal/internal/bigraph"
 	"klocal/internal/graph"
@@ -73,20 +72,6 @@ func Extract(st bigraph.Store, u graph.Vertex, k int) *Neighborhood {
 	return &Neighborhood{Center: u, K: k, G: b.Build(), Dist: dist}
 }
 
-// ExtractView returns G_k(u) as a graph and whether it is complete: no
-// vertex sits on the distance-k horizon, so u's whole component is
-// inside the view and the absence of a destination proves a partition.
-// netsim's discovery protocol trims its link-state unions with it.
-func ExtractView(st bigraph.Store, u graph.Vertex, k int) (*graph.Graph, bool) {
-	nb := Extract(st, u, k)
-	for _, d := range nb.Dist {
-		if d >= k {
-			return nb.G, false
-		}
-	}
-	return nb.G, true
-}
-
 // Contains reports whether v is within u's knowledge.
 func (nb *Neighborhood) Contains(v graph.Vertex) bool {
 	_, ok := nb.Dist[v]
@@ -140,30 +125,20 @@ func (c *Component) Root() graph.Vertex { return c.Roots[0] }
 // Components classifies the local components of the neighbourhood.
 // Components are ordered by their lowest-labelled root.
 func (nb *Neighborhood) Components() []*Component {
-	return classify(nb.G, nb.Center, nb.K)
+	return ClassifyView(nb.G, nb.Center, nb.K)
 }
 
 // ClassifyView classifies the local components of an arbitrary view graph
 // around a centre with knowledge radius k. The view must contain the
-// centre; distances are measured inside the view. The reference
-// preprocessing (prep.PreprocessRef) runs it on the routing subgraph
-// G'_k(u).
+// centre; distances are measured inside the view. It runs the compact
+// classification on a fresh scratch and materializes the result in
+// label space, for the map-shaped reference path only (prep.PreprocessRef
+// runs it on the routing subgraph G'_k(u)). The per-candidate
+// remove-and-re-BFS implementation it replaced survives as
+// ClassifyViewRef; TestClassifyMatchesRef and the klocalcheck "compact"
+// property pin the equivalence.
 func ClassifyView(view *graph.Graph, center graph.Vertex, k int) []*Component {
-	return classify(view, center, k)
-}
-
-// scratchPool recycles compact scratches across classify calls so the
-// label-space API gets the single-pass constraint computation without a
-// per-call working-set allocation.
-var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
-
-// classify runs the compact classification and materializes the result in
-// label space. The per-candidate remove-and-re-BFS implementation it
-// replaced survives as ClassifyViewRef; TestClassifyMatchesRef and the
-// klocalcheck "compact" property pin the equivalence.
-func classify(view *graph.Graph, center graph.Vertex, k int) []*Component {
-	sc := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(sc)
+	sc := NewScratch()
 	if !sc.FromView(view, center, k) {
 		return nil
 	}

@@ -94,8 +94,7 @@ func (nw *Network) InvalidateDiscovery() {
 		nd.pending = make(map[graph.Vertex]map[graph.Vertex]*xfer)
 		nd.deadNbrs = make(map[graph.Vertex]bool)
 		nd.router = nil
-		nd.view = nil
-		nd.viewComplete = false
+		nd.pre = nil
 		// ownSeq is stable storage: it survives so re-announcements
 		// supersede anything still circulating from the previous epoch.
 		nd.mu.Unlock()

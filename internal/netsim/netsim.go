@@ -27,6 +27,7 @@ import (
 	"klocal/internal/fault"
 	"klocal/internal/graph"
 	"klocal/internal/nbhd"
+	"klocal/internal/prep"
 	"klocal/internal/route"
 )
 
@@ -142,15 +143,18 @@ type node struct {
 	id    graph.Vertex
 	inbox chan message
 
-	mu           sync.Mutex
-	neighbors    []graph.Vertex                          // sorted, known a priori
-	ownSeq       uint64                                  // own announcement version (stable storage)
-	learned      map[graph.Vertex]*lsaRec                // origin -> latest record
-	pending      map[graph.Vertex]map[graph.Vertex]*xfer // neighbour -> origin -> unacked transfer
-	deadNbrs     map[graph.Vertex]bool                   // neighbours declared dead
-	router       route.Func                              // built after discovery
-	view         *graph.Graph
-	viewComplete bool // view contains this node's whole component
+	mu        sync.Mutex
+	neighbors []graph.Vertex                          // sorted, known a priori
+	ownSeq    uint64                                  // own announcement version (stable storage)
+	learned   map[graph.Vertex]*lsaRec                // origin -> latest record
+	pending   map[graph.Vertex]map[graph.Vertex]*xfer // neighbour -> origin -> unacked transfer
+	deadNbrs  map[graph.Vertex]bool                   // neighbours declared dead
+	router    route.Func                              // built after discovery
+	pre       *prep.Preprocessor                      // views over the discovered union, built after discovery
+
+	// sc is the scratch the node's goroutine fetches its view and
+	// decides on.
+	sc prep.Scratch
 }
 
 // quiescer tracks undelivered messages. Unlike a WaitGroup it tolerates
@@ -794,8 +798,8 @@ func (nw *Network) Discover() error {
 			continue
 		}
 		nd.mu.Lock()
-		nd.view, nd.viewComplete = buildView(nd, nw.k)
-		nd.router = nw.alg.Bind(nd.view, nw.k)
+		nd.pre = prep.NewPreprocessor(union(nd), nw.k, nw.alg.Policy, prep.CacheOptions{})
+		nd.router = nw.alg.Over(nd.pre)
 		nd.mu.Unlock()
 	}
 	nw.mu.Lock()
@@ -804,41 +808,28 @@ func (nw *Network) Discover() error {
 	return nil
 }
 
-// buildView assembles the node's discovered k-neighbourhood from the
-// learned adjacencies: the union of announced edges — tombstoned origins
-// and edges into them excluded — trimmed to paths of length at most k
-// rooted at the node. The second result reports whether the view is
-// complete: no vertex sits on the distance-k horizon, so the node's
-// whole component is inside the view and absence of a destination proves
-// a partition.
-func buildView(nd *node, k int) (*graph.Graph, bool) {
-	dead := make(map[graph.Vertex]bool)
-	for origin, rec := range nd.learned {
-		if rec.tomb {
-			dead[origin] = true
-		}
-	}
-	b := graph.NewBuilder()
-	b.AddVertex(nd.id)
+// union assembles the node's discovered topology: the union of
+// announced edges, tombstoned origins and edges into them excluded. With
+// the flood TTL at k−1 it holds exactly G_k(u)'s edges; the node's
+// preprocessor trims it to G_k(u) either way.
+func union(nd *node) *graph.Graph {
+	var edges []graph.Edge
 	for origin, rec := range nd.learned {
 		if rec.tomb {
 			continue
 		}
 		for _, w := range rec.adj {
-			if dead[w] {
-				continue
+			if r := nd.learned[w]; r == nil || !r.tomb {
+				edges = append(edges, graph.Edge{U: origin, V: w})
 			}
-			b.AddEdge(origin, w)
 		}
 	}
-	// The union already contains exactly G_k(u)'s edges when the flood
-	// TTL is k−1, but trimming keeps the invariant independent of the
-	// seeding details.
-	return nbhd.ExtractView(b.Build(), nd.id, k)
+	return graph.FromEdges(edges, nd.id)
 }
 
 // View returns the discovered k-neighbourhood of v (nil before
-// discovery). Intended for tests and inspection.
+// discovery): G_k(v) of the union v routes over. Intended for tests and
+// inspection.
 func (nw *Network) View(v graph.Vertex) *graph.Graph {
 	nd, ok := nw.nodes[v]
 	if !ok {
@@ -846,7 +837,10 @@ func (nw *Network) View(v graph.Vertex) *graph.Graph {
 	}
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	return nd.view
+	if nd.pre == nil {
+		return nil
+	}
+	return nbhd.Extract(nd.pre.Store(), v, nw.k).G
 }
 
 // neighborsSnapshot returns the current link list under the node lock.
@@ -867,22 +861,21 @@ func (nw *Network) handleData(nd *node, m *dataMsg) {
 		return
 	}
 	nd.mu.Lock()
-	router := nd.router
-	view := nd.view
-	complete := nd.viewComplete
+	router, pre := nd.router, nd.pre
 	nd.mu.Unlock()
 	if router == nil {
 		m.done <- deliverResult{route: m.route, retries: m.retries, events: m.events, err: ErrNotDiscovered}
 		return
 	}
-	if complete && view != nil && !view.HasVertex(m.t) {
+	view := pre.At(nd.id, &nd.sc)
+	if raw := view.C.Raw; raw.Complete && !raw.Contains(m.t) {
 		// The whole component is inside the view and t is not in it: a
 		// topology fault, not a routing failure.
 		m.done <- deliverResult{route: m.route, retries: m.retries, events: m.events,
 			err: fmt.Errorf("netsim: node %d sees its whole component without %d: %w", nd.id, m.t, ErrPartitioned)}
 		return
 	}
-	next, err := router(m.s, m.t, nd.id, m.prev)
+	next, err := router(m.s, m.t, m.prev, view, &nd.sc)
 	if err != nil {
 		m.done <- deliverResult{route: m.route, retries: m.retries, events: m.events, err: fmt.Errorf("at node %d: %w", nd.id, err)}
 		return

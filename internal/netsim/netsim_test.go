@@ -50,7 +50,7 @@ func TestSendMatchesCentralizedSimulation(t *testing.T) {
 		alg := route.Algorithm1()
 		k := alg.MinK(n)
 		nw := startNetwork(t, g, k, alg)
-		oracle := alg.Bind(g, k)
+		oracle := sim.Bind(alg, g, k)
 		vs := g.Vertices()
 		for i := 0; i < 6; i++ {
 			s := vs[rng.Intn(len(vs))]
@@ -59,8 +59,7 @@ func TestSendMatchesCentralizedSimulation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("send %d->%d: %v (g=%v)", s, dst, err, g)
 			}
-			want := sim.Run(g, sim.Func(oracle), s, dst,
-				sim.Options{DetectLoops: true, PredecessorAware: true})
+			want := oracle.Run(s, dst)
 			if want.Outcome != sim.Delivered {
 				t.Fatalf("oracle failed %d->%d: %v", s, dst, want.Outcome)
 			}

@@ -3,6 +3,7 @@ package prep
 import (
 	"sync"
 
+	"klocal/internal/bigraph"
 	"klocal/internal/graph"
 	"klocal/internal/nbhd"
 )
@@ -27,15 +28,15 @@ import (
 // reference.go holds the map-shaped reference pipeline; DiffViews pins
 // the two field for field.
 
-// builders pools view-build working memory across preprocessing calls.
-var builders = sync.Pool{New: func() any { return &builder{sc: nbhd.NewScratch()} }}
-
-// builder is the working memory of one half build. sc.View holds the
-// raw view G_k(u) after extraction and the routing view G'_k(u) during
-// classification; the banks below are indexed by raw local index or by
-// raw arc position (an index into the raw view's Adj).
-type builder struct {
-	sc *nbhd.Scratch
+// Scratch is a walker's working memory: the view builder its cache
+// misses and routing halves run on, and Algorithm 1B's bounce banks. It
+// grows to the largest store and view it meets, then allocates
+// nothing. Not safe for concurrent use; each walker owns one. sc.View
+// holds G_k(u) after extraction and G'_k(u) during classification; the
+// banks are indexed by raw local index or raw arc position.
+type Scratch struct {
+	sc     nbhd.Scratch
+	bounce nbhd.BounceScratch
 
 	// dormArc marks the raw arcs whose edge is dormant (both directions);
 	// dormant lists the dormant edges as raw local pairs, rank-ordered.
@@ -65,6 +66,36 @@ type builder struct {
 	radj      []int32
 }
 
+// NewScratch returns an empty scratch; the first build sizes it.
+func NewScratch() *Scratch { return &Scratch{} }
+
+// Bounce returns the scratch's bounce-simulation banks.
+func (b *Scratch) Bounce() *nbhd.BounceScratch { return &b.bounce }
+
+// shared serves the callers that hold no scratch (PreprocessStore,
+// RoutingHalf, At with nil); its mutex serializes them, so no routing
+// path may use it.
+var shared struct {
+	sync.Mutex
+	Scratch
+}
+
+// acquire returns sc, or the shared scratch, locked, when sc is nil.
+func acquire(sc *Scratch) *Scratch {
+	if sc == nil {
+		shared.Lock()
+		sc = &shared.Scratch
+	}
+	return sc
+}
+
+// release hands back a scratch acquire returned.
+func release(sc *Scratch) {
+	if sc == &shared.Scratch {
+		shared.Unlock()
+	}
+}
+
 // viewBlock co-allocates a view with its raw encoding.
 type viewBlock struct {
 	view View
@@ -77,23 +108,25 @@ type halfBlock struct {
 	routing nbhd.CompactView
 }
 
-// view builds the Case-1 half over the raw view just extracted into
-// b.sc and returns the heap-owned view.
-func (b *builder) view(pol Policy) *View {
+// view builds the Case-1 half of the view at u for locality k under
+// policy pol, reading topology through st, and returns it heap-owned.
+func (b *Scratch) view(st bigraph.Store, u graph.Vertex, k int, pol Policy) *View {
+	if !b.sc.Extract(st, u, k) {
+		// Absent centre or negative k: the empty view.
+		return emptyView(u, k, pol)
+	}
 	raw := &b.sc.View
 	b.size(raw.NV())
 	b.nextHops(raw)
 	return b.encodeView(raw, pol)
 }
 
-// buildRoutingHalf builds the routing half of the view whose G_k(u) is
-// raw, on pooled scratch. It reads raw alone.
-func buildRoutingHalf(raw *nbhd.CompactView, pol Policy) *RoutingHalf {
+// routingHalf builds the routing half of the view whose G_k(u) is raw
+// on b. It reads raw alone.
+func (b *Scratch) routingHalf(raw *nbhd.CompactView, pol Policy) *RoutingHalf {
 	if raw.NV() == 0 {
 		return emptyHalf(raw.Center, raw.K)
 	}
-	b := builders.Get().(*builder)
-	defer builders.Put(b)
 	b.size(raw.NV())
 	b.sizeArcs(len(raw.Adj))
 	if pol != 0 {
@@ -106,7 +139,7 @@ func buildRoutingHalf(raw *nbhd.CompactView, pol Policy) *RoutingHalf {
 }
 
 // size grows the per-vertex banks to a raw view of nv vertices.
-func (b *builder) size(nv int) {
+func (b *Scratch) size(nv int) {
 	if cap(b.mark) < nv {
 		b.mark = make([]uint32, nv)
 		b.depth = make([]int32, nv)
@@ -123,9 +156,9 @@ func (b *builder) size(nv int) {
 }
 
 // sizeArcs grows and clears the dormant-arc bank for a raw view of
-// arcs arcs and empties the dormant list, so a pooled builder carries
+// arcs arcs and empties the dormant list, so a reused scratch carries
 // no dormant edge into a half built under the zero policy.
-func (b *builder) sizeArcs(arcs int) {
+func (b *Scratch) sizeArcs(arcs int) {
 	if cap(b.dormArc) < arcs {
 		b.dormArc = make([]bool, arcs)
 	}
@@ -137,7 +170,7 @@ func (b *builder) sizeArcs(arcs int) {
 // nextEpoch opens a fresh BFS over the epoch-marked bank.
 //
 //klocal:hotpath
-func (b *builder) nextEpoch() {
+func (b *Scratch) nextEpoch() {
 	b.epoch++
 	if b.epoch == 0 { // uint32 wrap: stale marks could alias the new epoch
 		clear(b.mark[:cap(b.mark)])
@@ -153,7 +186,7 @@ func (b *builder) nextEpoch() {
 // rows ascending), so b.dormant comes out rank-ordered.
 //
 //klocal:hotpath
-func (b *builder) classifyDormant(cv *nbhd.CompactView, maxRank bool) {
+func (b *Scratch) classifyDormant(cv *nbhd.CompactView, maxRank bool) {
 	maxLen := 2*cv.K - 1
 	for a := int32(0); a < int32(cv.NV()); a++ {
 		start := cv.AdjStart[a]
@@ -173,7 +206,7 @@ func (b *builder) classifyDormant(cv *nbhd.CompactView, maxRank bool) {
 // BFS from a, bounded at maxLen, over the rank-filtered arcs.
 //
 //klocal:hotpath
-func (b *builder) pathBeyond(cv *nbhd.CompactView, a, c, maxLen int32, maxRank bool) bool {
+func (b *Scratch) pathBeyond(cv *nbhd.CompactView, a, c, maxLen int32, maxRank bool) bool {
 	b.nextEpoch()
 	b.mark[a] = b.epoch
 	b.depth[a] = 0
@@ -240,7 +273,7 @@ func arcOf(cv *nbhd.CompactView, x, y int32) int32 {
 // final before it hands it on.
 //
 //klocal:hotpath
-func (b *builder) nextHops(cv *nbhd.CompactView) {
+func (b *Scratch) nextHops(cv *nbhd.CompactView) {
 	for i := range b.hop {
 		b.hop[i] = -1
 	}
@@ -273,7 +306,7 @@ func (b *builder) nextHops(cv *nbhd.CompactView) {
 // so the routing encoding is label-ordered too.
 //
 //klocal:hotpath
-func (b *builder) prune(cv *nbhd.CompactView) {
+func (b *Scratch) prune(cv *nbhd.CompactView) {
 	k := cv.K
 	for i := range b.rdist {
 		b.rdist[i] = -1
@@ -336,7 +369,7 @@ func (b *builder) prune(cv *nbhd.CompactView) {
 // encodeView copies the raw view and the next hops into a heap-owned
 // view: one block for the view and its raw encoding, one int32 arena
 // and one vertex arena.
-func (b *builder) encodeView(raw *nbhd.CompactView, pol Policy) *View {
+func (b *Scratch) encodeView(raw *nbhd.CompactView, pol Policy) *View {
 	nv := raw.NV()
 	ints := make([]int32, 0, 2*nv+1+len(raw.Adj))
 	verts := make([]graph.Vertex, 0, 2*nv)
@@ -371,7 +404,7 @@ func (b *builder) encodeView(raw *nbhd.CompactView, pol Policy) *View {
 // (b.sc.Comps) and the dormant edges of raw into a heap-owned routing
 // half: one block for the half and its routing encoding, one int32
 // arena, one vertex arena, the component list and the dormant edges.
-func (b *builder) encodeHalf(raw *nbhd.CompactView) *RoutingHalf {
+func (b *Scratch) encodeHalf(raw *nbhd.CompactView) *RoutingHalf {
 	rt := &b.sc.View
 	comps := b.sc.Comps
 	rnv := rt.NV()

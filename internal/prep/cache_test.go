@@ -11,8 +11,8 @@ import (
 func TestCacheHitsAndSharing(t *testing.T) {
 	g := gen.Cycle(16)
 	p := NewPreprocessor(g, 4, PolicyMinRank, CacheOptions{})
-	v1 := p.At(3)
-	v2 := p.At(3)
+	v1 := p.At(3, nil)
+	v2 := p.At(3, nil)
 	if v1 != v2 {
 		t.Fatal("repeated At must return the shared cached view")
 	}
@@ -29,7 +29,7 @@ func TestCacheCapacityEviction(t *testing.T) {
 	g := gen.Cycle(32)
 	p := NewPreprocessor(g, 3, PolicyMinRank, CacheOptions{Capacity: 4})
 	for _, v := range g.Vertices() {
-		p.At(v)
+		p.At(v, nil)
 	}
 	st := p.Stats()
 	if st.Size > 4 {
@@ -39,7 +39,7 @@ func TestCacheCapacityEviction(t *testing.T) {
 		t.Fatalf("evictions = %d, want %d", st.Evictions, g.N()-4)
 	}
 	// Evicted views must be recomputed correctly, not lost.
-	v := p.At(0)
+	v := p.At(0, nil)
 	if v.Center != 0 || v.K != 3 {
 		t.Fatalf("recomputed view wrong: center=%d k=%d", v.Center, v.K)
 	}
@@ -55,7 +55,7 @@ func TestCacheCapacityDefaultShards(t *testing.T) {
 	for _, capacity := range []int{1, 3, 4, 7, 13} {
 		p := NewPreprocessor(g, 2, PolicyMinRank, CacheOptions{Capacity: capacity})
 		for i, v := range vs {
-			p.At(v)
+			p.At(v, nil)
 			if st := p.Stats(); st.Size > int64(capacity) {
 				t.Fatalf("capacity %d: %d views resident after %d inserts", capacity, st.Size, i+1)
 			}
@@ -67,7 +67,7 @@ func TestCacheCapacityDefaultShards(t *testing.T) {
 		}
 		// The view just built is never its own eviction victim.
 		last := vs[len(vs)-1]
-		p.At(last)
+		p.At(last, nil)
 		if hits := p.Stats().Hits; hits != st.Hits+1 {
 			t.Fatalf("capacity %d: the most recent view was evicted", capacity)
 		}
@@ -86,9 +86,10 @@ func TestCacheConcurrentSameResults(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			sc := NewScratch()
 			views[w] = make([]*View, g.N())
 			for i, u := range g.Vertices() {
-				views[w][i] = p.At(u)
+				views[w][i] = p.At(u, sc)
 			}
 		}(w)
 	}
@@ -103,7 +104,7 @@ func TestCacheConcurrentSameResults(t *testing.T) {
 			if err := DiffViews(got, want); err != nil {
 				t.Fatalf("worker %d vertex %d: view differs from sequential preprocessing: %v", w, u, err)
 			}
-			if p.At(u) != p.At(u) {
+			if p.At(u, nil) != p.At(u, nil) {
 				t.Fatalf("vertex %d: cache returns distinct instances after settling", u)
 			}
 		}
@@ -122,7 +123,7 @@ func TestPrewarm(t *testing.T) {
 	}
 	before := p.Stats().Misses
 	for _, v := range g.Vertices() {
-		p.At(v)
+		p.At(v, nil)
 	}
 	if after := p.Stats().Misses; after != before {
 		t.Fatalf("post-prewarm lookups missed: %d -> %d", before, after)

@@ -30,7 +30,7 @@ func TestDeriveExact(t *testing.T) {
 	}
 	before := make(map[graph.Vertex]*View)
 	g.EachVertex(func(u graph.Vertex) bool {
-		before[u] = p.At(u)
+		before[u] = p.At(u, nil)
 		return true
 	})
 
@@ -52,7 +52,7 @@ func TestDeriveExact(t *testing.T) {
 		isDirty[u] = true
 	}
 	g.EachVertex(func(u graph.Vertex) bool {
-		v := np.At(u)
+		v := np.At(u, nil)
 		if isDirty[u] {
 			if v == before[u] {
 				t.Fatalf("dirty vertex %d still served its old view", u)
@@ -60,7 +60,7 @@ func TestDeriveExact(t *testing.T) {
 		} else if v != before[u] {
 			t.Fatalf("clean vertex %d lost its cached view", u)
 		}
-		if p.At(u) != before[u] {
+		if p.At(u, nil) != before[u] {
 			t.Fatalf("parent lost its view at %d", u)
 		}
 		return true
@@ -89,10 +89,10 @@ func TestDeriveKeepsRoutingHalf(t *testing.T) {
 	p.Prewarm(2)
 	halves := make(map[graph.Vertex]*RoutingHalf)
 	g.EachVertex(func(u graph.Vertex) bool {
-		if HasRoutingHalf(p.At(u)) {
+		if HasRoutingHalf(p.At(u, nil)) {
 			t.Fatalf("Prewarm built the routing half at %d", u)
 		}
-		halves[u] = p.At(u).RoutingHalf()
+		halves[u] = p.At(u, nil).RoutingHalf()
 		return true
 	})
 
@@ -107,7 +107,7 @@ func TestDeriveKeepsRoutingHalf(t *testing.T) {
 		isDirty[u] = true
 	}
 	g.EachVertex(func(u graph.Vertex) bool {
-		v := np.At(u)
+		v := np.At(u, nil)
 		if !isDirty[u] {
 			if !HasRoutingHalf(v) || v.RoutingHalf() != halves[u] {
 				t.Fatalf("clean vertex %d lost its routing half", u)
@@ -154,15 +154,15 @@ func TestDeriveEpochIsolation(t *testing.T) {
 		isDirty[u] = true
 	}
 	post.EachVertex(func(u graph.Vertex) bool {
-		nv := np.At(u)
+		nv := np.At(u, nil)
 		if isDirty[u] {
-			if nv == p.At(u) {
+			if nv == p.At(u, nil) {
 				t.Fatalf("dirty vertex %d shares a view across epochs", u)
 			}
 			if want := PreprocessStore(post, u, k, p.Policy()); !sameViewData(nv, want) {
 				t.Fatalf("derived view at dirty vertex %d differs from from-scratch view", u)
 			}
-		} else if nv != p.At(u) {
+		} else if nv != p.At(u, nil) {
 			t.Fatalf("clean vertex %d did not adopt the old epoch's view", u)
 		}
 		return true
@@ -171,7 +171,7 @@ func TestDeriveEpochIsolation(t *testing.T) {
 	// The old epoch is untouched: every old view still matches a fresh
 	// computation over the OLD graph.
 	g.EachVertex(func(u graph.Vertex) bool {
-		if !sameViewData(p.At(u), PreprocessStore(g, u, k, p.Policy())) {
+		if !sameViewData(p.At(u, nil), PreprocessStore(g, u, k, p.Policy())) {
 			t.Fatalf("old epoch view at %d corrupted by Derive", u)
 		}
 		return true
@@ -193,7 +193,7 @@ func TestDeriveBoundedCache(t *testing.T) {
 	}
 	// Filling the derived cache keeps it within capacity exactly.
 	post.EachVertex(func(u graph.Vertex) bool {
-		np.At(u)
+		np.At(u, nil)
 		if got := np.Stats().Size; got > 10 {
 			t.Fatalf("bounded cache grew to %d views after adoption", got)
 		}
@@ -221,6 +221,7 @@ func TestConcurrentRoutingDuringDerive(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
+			sc := NewScratch()
 			for {
 				select {
 				case <-stop:
@@ -228,7 +229,7 @@ func TestConcurrentRoutingDuringDerive(t *testing.T) {
 				default:
 				}
 				u := vs[rng.Intn(len(vs))]
-				v := p.At(u)
+				v := p.At(u, sc)
 				if v == nil || v.Center != u || v.K != k {
 					t.Errorf("At(%d) returned inconsistent view", u)
 					return
@@ -248,7 +249,7 @@ func TestConcurrentRoutingDuringDerive(t *testing.T) {
 			t.Fatalf("derived cache holds %d views, more than the %d clean vertices", got, g.N()-len(dirty))
 		}
 		u := dirty[rng.Intn(len(dirty))]
-		if v := np.At(u); v.Center != u || v.K != k {
+		if v := np.At(u, nil); v.Center != u || v.K != k {
 			t.Fatalf("derived At(%d) returned inconsistent view", u)
 		}
 	}
@@ -280,9 +281,6 @@ func chordFlap(tb testing.TB, side int) (*Preprocessor, *graph.Graph, []graph.Ve
 // slots, under 32 KiB at n = 10⁴ and at n = 4·10⁴ alike, where cloning
 // a label map per shard cost hundreds of KB and grew with n.
 func TestDeriveAllocsIndependentOfN(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
 	const gate = 32 << 10
 	for _, side := range []int{100, 200} {
 		p, post, dirty := chordFlap(t, side)
@@ -323,7 +321,7 @@ func BenchmarkDeriveIncreasingN(b *testing.B) {
 				p = p.Derive(gs[(i+1)%2], dirty)
 				b.StopTimer()
 				for _, u := range dirty {
-					p.At(u)
+					p.At(u, nil)
 				}
 				b.StartTimer()
 			}

@@ -30,8 +30,9 @@ func TestConcurrentRoutingHalfFirstUse(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				sc := prep.NewScratch()
 				<-start
-				got[w] = v.RoutingHalf()
+				got[w] = v.RoutingHalfScratch(sc)
 			}()
 		}
 		close(start)
@@ -50,19 +51,21 @@ func TestConcurrentRoutingHalfFirstUse(t *testing.T) {
 	}
 }
 
-// walk routes s→t with f, calling at before every decision, and
-// reports the hop count once it delivers; it fails the test on a
-// routing error or after limit hops.
-func walk(tb testing.TB, f route.Func, s, t graph.Vertex, limit int, at func(u graph.Vertex)) int {
+// walk routes s→t with f over p's views, calling at with every view it
+// hands a decision, and reports the hop count once it delivers; it
+// fails the test on a routing error or after limit hops.
+func walk(tb testing.TB, p *prep.Preprocessor, f route.Func, s, t graph.Vertex, limit int, at func(view *prep.View)) int {
 	tb.Helper()
+	sc := prep.NewScratch()
 	u, v := s, graph.NoVertex
 	hops := 0
 	for ; u != t; hops++ {
 		if hops == limit {
 			tb.Fatalf("%d→%d undelivered after %d hops", s, t, limit)
 		}
-		at(u)
-		next, err := f(s, t, u, v)
+		view := p.At(u, sc)
+		at(view)
+		next, err := f(s, t, v, view, sc)
 		if err != nil {
 			tb.Fatalf("%d→%d at %d: %v", s, t, u, err)
 		}
@@ -97,7 +100,7 @@ func TestCaseOneBuildsNoHalf(t *testing.T) {
 						continue
 					}
 					s, dst := at(sr, sc), at(tr, tc)
-					if hops := walk(t, f, s, dst, 2*k, func(graph.Vertex) {}); hops != d {
+					if hops := walk(t, p, f, s, dst, 2*k, func(*prep.View) {}); hops != d {
 						t.Fatalf("%d→%d took %d hops, want the distance %d", s, dst, hops, d)
 					}
 					pairs++
@@ -120,11 +123,11 @@ func TestCaseOneBuildsNoHalf(t *testing.T) {
 	s, dst := at(0, 0), at(4, 3)
 	outside := make(map[graph.Vertex]bool)
 	inside := 0
-	walk(t, f, s, dst, 4*side, func(u graph.Vertex) {
-		if p.At(u).C.Raw.Contains(dst) {
+	walk(t, p, f, s, dst, 4*side, func(view *prep.View) {
+		if view.C.Raw.Contains(dst) {
 			inside++
 		} else {
-			outside[u] = true
+			outside[view.Center] = true
 		}
 	})
 	if len(outside) == 0 || inside == 0 {

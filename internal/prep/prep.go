@@ -143,18 +143,24 @@ func (c *Compact) NextHopFromCenter(t graph.Vertex) graph.Vertex {
 //klocal:hotpath
 func (h *RoutingHalf) CompIdxOf(li int32) int32 { return h.CompID[li] }
 
-// RoutingHalf returns the view's routing half. The first call builds it
-// from C.Raw alone — never from the store, so the decision that needs it
-// stays k-local — and publishes it through an atomic pointer; a caller
-// that loses a concurrent first build returns the winner's half, so
-// every caller sees the same pointer. Later calls are one atomic load.
+// RoutingHalf is RoutingHalfScratch on the shared scratch, for callers
+// off the routing path.
+func (v *View) RoutingHalf() *RoutingHalf { return v.RoutingHalfScratch(nil) }
+
+// RoutingHalfScratch returns the view's routing half. The first call
+// builds it on sc from C.Raw alone — never from the store, so the
+// decision that needs it stays k-local — and publishes it through an
+// atomic pointer; a caller that loses a concurrent first build returns
+// the winner's half. Later calls are one atomic load.
 //
 //klocal:hotpath
-func (v *View) RoutingHalf() *RoutingHalf {
+func (v *View) RoutingHalfScratch(sc *Scratch) *RoutingHalf {
 	if h := v.half.Load(); h != nil {
 		return h
 	}
-	h := buildRoutingHalf(v.C.Raw, v.pol)
+	b := acquire(sc)
+	h := b.routingHalf(v.C.Raw, v.pol)
+	release(b)
 	if v.half.CompareAndSwap(nil, h) {
 		return h
 	}
@@ -164,16 +170,14 @@ func (v *View) RoutingHalf() *RoutingHalf {
 // PreprocessStore computes the Case-1 half of the view at u for
 // locality k under policy pol, reading topology through st:
 // nbhd.Scratch.Extract lands G_k(u) in local index space, one centre
-// BFS on pooled scratch finds the next hops, and the result is copied
-// into a few flat slices. The routing half waits for RoutingHalf.
+// BFS finds the next hops, and the result is copied into a few flat
+// slices. The routing half waits for RoutingHalf. It builds on the
+// shared scratch, so concurrent callers serialize; walkers build
+// through Preprocessor.At on their own.
 func PreprocessStore(st bigraph.Store, u graph.Vertex, k int, pol Policy) *View {
-	b := builders.Get().(*builder)
-	defer builders.Put(b)
-	if !b.sc.Extract(st, u, k) {
-		// Absent centre or negative k: the empty view.
-		return emptyView(u, k, pol)
-	}
-	return b.view(pol)
+	b := acquire(nil)
+	defer release(b)
+	return b.view(st, u, k, pol)
 }
 
 // IsDormant reports whether the view classified e as dormant, by binary
@@ -389,11 +393,12 @@ func (p *Preprocessor) slot(i int32) uint32 {
 	return s
 }
 
-// At returns the (cached) view at u. A label absent from the store gets
-// its empty view, which is not cached.
+// At returns the (cached) view at u, building it on sc on a miss (on the
+// shared scratch when sc is nil, for callers off the routing path). A
+// label absent from the store gets its empty view, which is not cached.
 //
 //klocal:hotpath
-func (p *Preprocessor) At(u graph.Vertex) *View {
+func (p *Preprocessor) At(u graph.Vertex, sc *Scratch) *View {
 	i, ok := p.st.Index(u)
 	if !ok {
 		p.stats[0].misses.Add(1)
@@ -406,7 +411,10 @@ func (p *Preprocessor) At(u graph.Vertex) *View {
 		return v
 	}
 	c.misses.Add(1)
-	return p.publish(s, PreprocessStore(p.st, u, p.k, p.pol))
+	b := acquire(sc)
+	v := b.view(p.st, u, p.k, p.pol)
+	release(b)
+	return p.publish(s, v)
 }
 
 // publish installs v in slot s unless a concurrent miss on the same
@@ -433,8 +441,9 @@ func (p *Preprocessor) publish(s uint32, v *View) *View {
 }
 
 // Prewarm computes and caches the view of every vertex using `workers`
-// goroutines (GOMAXPROCS when ≤ 0), so later routing never pays the
-// extraction and next-hop latency. It builds Case-1 halves only: a
+// goroutines (GOMAXPROCS when ≤ 0), each on a scratch of its own, so
+// later routing never pays the extraction and next-hop latency. It
+// builds Case-1 halves only: a
 // view's routing half costs one build, on the first decision that finds
 // its destination outside G_k(u). With a bounded cache smaller than the
 // vertex count, prewarming fills every slot with the lowest-labelled
@@ -458,12 +467,13 @@ func (p *Preprocessor) Prewarm(workers int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			sc := NewScratch()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(vs) {
 					return
 				}
-				p.At(vs[i])
+				p.At(vs[i], sc)
 			}
 		}()
 	}

@@ -301,20 +301,21 @@ func TestPreprocessorCachesAndIsConcurrencySafe(t *testing.T) {
 	if p.K() != 5 || p.Store() != g {
 		t.Error("accessors wrong")
 	}
-	a := p.At(0)
-	b := p.At(0)
+	a := p.At(0, nil)
+	b := p.At(0, nil)
 	if a != b {
 		t.Error("views must be cached")
 	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		sc := NewScratch()
 		for i := 0; i < 12; i++ {
-			p.At(graph.Vertex(i))
+			p.At(graph.Vertex(i), sc)
 		}
 	}()
 	for i := 11; i >= 0; i-- {
-		p.At(graph.Vertex(i))
+		p.At(graph.Vertex(i), nil)
 	}
 	<-done
 }

@@ -13,13 +13,25 @@ import (
 // onto its generic label-space extraction path.
 type opaqueStore struct{ bigraph.Store }
 
+// diffFamiliesSeed seeds diffFamilies; a failure prints it, so its
+// labelling can be replayed.
+const diffFamiliesSeed = 41
+
+// family is one named test topology.
+type family struct {
+	name string
+	g    *graph.Graph
+}
+
 // diffFamilies is every generator family the repo ships plus the paper's
 // Fig 13 and Fig 17 constructions, each relabelled adversarially: the
 // paper's tie-breaks are rank-based, so the generators' tidy labels
-// would hide index-order bugs.
-func diffFamilies(t *testing.T) map[string]*graph.Graph {
+// would hide index-order bugs. The families come in name order, and the
+// i-th is relabelled from seed+i, so one printed seed replays every
+// labelling.
+func diffFamilies(t *testing.T, seed int64) []family {
 	t.Helper()
-	rng := rand.New(rand.NewSource(41))
+	rng := rand.New(rand.NewSource(seed))
 	fig13, err := gen.NewFig13(16, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -28,31 +40,32 @@ func diffFamilies(t *testing.T) map[string]*graph.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := map[string]*graph.Graph{
-		"random":      gen.RandomConnected(rng, 22, 0.2),
-		"tree":        gen.RandomTree(rng, 18),
-		"path":        gen.Path(12),
-		"cycle":       gen.Cycle(13),
-		"star":        gen.Star(9),
-		"spider":      gen.Spider(3, 4),
-		"lollipop":    gen.Lollipop(9, 6),
-		"theta":       gen.Theta(2, 3, 4),
-		"grid":        gen.Grid(4, 5),
-		"wheel":       gen.Wheel(10),
-		"barbell":     gen.Barbell(4, 3),
-		"complete":    gen.Complete(7),
-		"caterpillar": gen.Caterpillar(5, 2),
-		"hypercube":   gen.Hypercube(4),
-		"binarytree":  gen.BinaryTree(4),
-		"isolated":    graph.NewBuilder().AddCycle(0, 1, 2).AddVertex(7).Build(),
-		"fig13":       fig13.G,
-		"fig17":       fig17.G,
+	fams := []family{
+		{"barbell", gen.Barbell(4, 3)},
+		{"binarytree", gen.BinaryTree(4)},
+		{"caterpillar", gen.Caterpillar(5, 2)},
+		{"complete", gen.Complete(7)},
+		{"cycle", gen.Cycle(13)},
+		{"fig13", fig13.G},
+		{"fig17", fig17.G},
+		{"grid", gen.Grid(4, 5)},
+		{"hypercube", gen.Hypercube(4)},
+		{"isolated", graph.NewBuilder().AddCycle(0, 1, 2).AddVertex(7).Build()},
+		{"lollipop", gen.Lollipop(9, 6)},
+		{"path", gen.Path(12)},
+		{"random", gen.RandomConnected(rng, 22, 0.2)},
+		{"spider", gen.Spider(3, 4)},
+		{"star", gen.Star(9)},
+		{"theta", gen.Theta(2, 3, 4)},
+		{"tree", gen.RandomTree(rng, 18)},
+		{"wheel", gen.Wheel(10)},
 	}
-	out := make(map[string]*graph.Graph, len(raw))
-	for name, g := range raw {
-		out[name] = g.PermuteLabels(gen.RandomLabelPermutation(rng, g))
+	for i := range fams {
+		g := fams[i].g
+		perm := gen.RandomLabelPermutation(rand.New(rand.NewSource(seed+int64(i))), g)
+		fams[i].g = g.PermuteLabels(perm)
 	}
-	return out
+	return fams
 }
 
 // TestPreprocessMatchesRef is the prep-level view-equality differential:
@@ -62,10 +75,11 @@ func diffFamilies(t *testing.T) map[string]*graph.Graph {
 // Algorithm 3's), at k ∈ {1, 2, 3} and at each algorithm's
 // threshold T(n), over graph-backed, CSR-backed and opaque stores. The
 // degenerate cases ride along: k = 0, an isolated vertex, and an absent
-// centre. Views of all sizes pass through the same pooled builder, so
+// centre. Views of all sizes pass through the same shared scratch, so
 // state leaking from one build into the next shows up too.
 func TestPreprocessMatchesRef(t *testing.T) {
-	for name, g := range diffFamilies(t) {
+	for _, fam := range diffFamilies(t, diffFamiliesSeed) {
+		name, g := fam.name, fam.g
 		n := g.N()
 		ks := map[int]bool{0: true, 1: true, 2: true, 3: true, (n + 3) / 4: true, (n + 2) / 3: true, n / 2: true}
 		absent := g.Vertices()[n-1] + 1
@@ -84,7 +98,7 @@ func TestPreprocessMatchesRef(t *testing.T) {
 					for _, s := range stores {
 						got := PreprocessStore(s.st, u, k, pol)
 						if err := DiffViews(got, want); err != nil {
-							t.Fatalf("%s (n=%d) %s store, %s, k=%d, u=%d: %v", name, n, s.name, pol, k, u, err)
+							t.Fatalf("%s (n=%d, seed %d) %s store, %s, k=%d, u=%d: %v", name, n, diffFamiliesSeed, s.name, pol, k, u, err)
 						}
 					}
 				}

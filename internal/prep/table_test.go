@@ -68,7 +68,7 @@ func bandGraph(rng *rand.Rand, n int) *graph.Graph {
 func checkEpoch(t *testing.T, what string, g *graph.Graph, p *Preprocessor, capacity int, vs []graph.Vertex) {
 	t.Helper()
 	for _, u := range vs {
-		if err := DiffViews(p.At(u), PreprocessStore(g, u, p.K(), p.Policy())); err != nil {
+		if err := DiffViews(p.At(u, nil), PreprocessStore(g, u, p.K(), p.Policy())); err != nil {
 			t.Fatalf("%s: view at %d differs from a rebuild on its own store: %v", what, u, err)
 		}
 	}
@@ -108,7 +108,7 @@ func TestDeriveMatchesRebuild(t *testing.T) {
 					g, p := gs[len(gs)-1], ps[len(ps)-1]
 					for _, u := range g.Vertices() {
 						if rng.Intn(3) > 0 {
-							p.At(u)
+							p.At(u, nil)
 						}
 					}
 					held := make(map[graph.Vertex]*View)
@@ -129,7 +129,7 @@ func TestDeriveMatchesRebuild(t *testing.T) {
 							isDirty[u] = true
 						}
 						for _, u := range post.Vertices() {
-							if was := held[u]; was != nil && (np.At(u) == was) == isDirty[u] {
+							if was := held[u]; was != nil && (np.At(u, nil) == was) == isDirty[u] {
 								t.Fatalf("step %d: vertex %d (dirty %v) kept its pointer %v", step, u, isDirty[u], !isDirty[u])
 							}
 						}
@@ -176,6 +176,7 @@ func TestConcurrentAtAcrossEpochs(t *testing.T) {
 				go func(seed int64) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(seed))
+					sc := NewScratch()
 					for {
 						select {
 						case <-stop:
@@ -185,7 +186,7 @@ func TestConcurrentAtAcrossEpochs(t *testing.T) {
 						e := last.Load()[rng.Intn(3)]
 						vs := e.g.Vertices()
 						u := vs[rng.Intn(len(vs))]
-						if err := DiffViews(e.p.At(u), PreprocessStore(e.g, u, k, PolicyMinRank)); err != nil {
+						if err := DiffViews(e.p.At(u, sc), PreprocessStore(e.g, u, k, PolicyMinRank)); err != nil {
 							t.Errorf("view at %d differs from a rebuild on its epoch's store: %v", u, err)
 							return
 						}

@@ -1,8 +1,6 @@
 package route
 
 import (
-	"sync"
-
 	"klocal/internal/graph"
 	"klocal/internal/nbhd"
 	"klocal/internal/prep"
@@ -42,12 +40,13 @@ func Algorithm1BPolicy(pol prep.Policy) Algorithm {
 		PredecessorAware: true,
 		MinK:             MinK1,
 		Policy:           pol,
-		Over: func(p *prep.Preprocessor) Func {
-			return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
-				return stepAware(p, s, t, u, v, anticipateU2)
-			}
-		},
+		Over:             func(*prep.Preprocessor) Func { return algorithm1B },
 	}
+}
+
+// algorithm1B is Algorithm 1B's decision.
+func algorithm1B(s, t, v graph.Vertex, view *prep.View, sc *prep.Scratch) (graph.Vertex, error) {
+	return stepAware(s, t, v, view, sc, anticipateU2)
 }
 
 // anticipateU2 implements Rules U2b–U2f. Called at u in Case 3 with
@@ -60,7 +59,7 @@ func Algorithm1BPolicy(pol prep.Policy) Algorithm {
 // TestCompactStepMatchesRef).
 //
 //klocal:hotpath
-func anticipateU2(h *prep.RoutingHalf, s, _, u, v graph.Vertex, roots []graph.Vertex, activeIdx int) graph.Vertex {
+func anticipateU2(h *prep.RoutingHalf, s, _, u, v graph.Vertex, roots []graph.Vertex, activeIdx int, sc *prep.Scratch) graph.Vertex {
 	// Case U2a: the origin is not on u's routing horizon chart, or sits
 	// exactly at the horizon — no anticipation is possible.
 	rcv := h.Routing
@@ -78,16 +77,11 @@ func anticipateU2(h *prep.RoutingHalf, s, _, u, v graph.Vertex, roots []graph.Ve
 		// imminent on this side.
 		return graph.NoVertex
 	}
-	if simulatesBounce(rcv, sLi, tLi) {
+	if simulatesBounce(rcv, sLi, tLi, sc.Bounce()) {
 		return v
 	}
 	return graph.NoVertex
 }
-
-// simPool shares bounce-simulation scratches across calls; the scratch
-// type lives in nbhd (substrate working memory), keeping the decision
-// path itself stateless.
-var simPool = sync.Pool{New: func() any { return nbhd.NewBounceScratch() }}
 
 // simulatesBounce walks the anticipated trajectory inside u's routing
 // view rcv, starting with the hop u→first (all positions are local indices
@@ -96,7 +90,9 @@ var simPool = sync.Pool{New: func() any { return nbhd.NewBounceScratch() }}
 // steps (exactly two active branches) and reports whether the walk
 // provably terminates in an S2/US2 reversal back along its own
 // footsteps; any unprovable or diverging situation aborts with false,
-// leaving Rule U2 unchanged (Rules U2b/U2d/U2f).
+// leaving Rule U2 unchanged (Rules U2b/U2d/U2f). The branch banks are
+// the walker's (bs, from its prep.Scratch), so the decision path stays
+// stateless.
 //
 // Branch activity is judged from u's chart: a branch is active for the
 // simulated node if it reaches u's knowledge horizon or has visible depth
@@ -105,15 +101,13 @@ var simPool = sync.Pool{New: func() any { return nbhd.NewBounceScratch() }}
 // horizon-reaching branch extends at least k from every chain vertex.
 //
 //klocal:hotpath
-func simulatesBounce(rcv *nbhd.CompactView, sLi, firstLi int32) bool {
-	sc := simPool.Get().(*nbhd.BounceScratch)
-	defer simPool.Put(sc)
+func simulatesBounce(rcv *nbhd.CompactView, sLi, firstLi int32, bs *nbhd.BounceScratch) bool {
 	prev, cur := rcv.CenterIdx, firstLi
 	for step := int32(0); step < 4*rcv.K+4; step++ {
 		if rcv.Dist[cur] >= rcv.K {
 			return false // cannot see past the horizon
 		}
-		actRoots, sPassive := sc.Branches(rcv, cur, sLi)
+		actRoots, sPassive := bs.Branches(rcv, cur, sLi)
 		if cur == sLi || sPassive {
 			// Terminal: Rule S2 (cur == s) or US2 (s hangs in a passive
 			// branch of cur) is anticipated. Either bounces exactly when

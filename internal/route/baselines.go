@@ -18,12 +18,11 @@ import (
 func TreeRightHand() Algorithm {
 	over := func(p *prep.Preprocessor) Func {
 		ports := portViews(p)
-		return func(_, t, u, v graph.Vertex) (graph.Vertex, error) {
-			if hop := p.At(u).C.NextHopFromCenter(t); hop != graph.NoVertex {
+		return func(_, t, v graph.Vertex, view *prep.View, sc *prep.Scratch) (graph.Vertex, error) {
+			if hop := view.C.NextHopFromCenter(t); hop != graph.NoVertex {
 				return hop, nil
 			}
-			raw := ports.At(u).C.Raw
-			row := centreRow(raw)
+			raw, row := centreRow(view, ports, sc)
 			if len(row) == 0 {
 				//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
 				return graph.NoVertex, fmt.Errorf("%w: isolated node", ErrNoRoute)
@@ -55,28 +54,32 @@ func TreeRightHand() Algorithm {
 	}
 }
 
-// portViews returns the preprocessor whose view at u lists u's ports in
-// its centre row: p itself for k ≥ 1, since G_k(u) carries every edge
-// at u. A router always knows its own ports (Section 2), but G_0(u) has
-// no edges, so at k < 1 it is a second cache of k = 1 views over the
-// same store, bounded like p's.
+// portViews returns nil for k ≥ 1, where G_k(u) carries every edge at
+// u. A router always knows its own ports (Section 2), but G_0(u) has no
+// edges, so at k < 1 it returns a second cache of k = 1 views over the
+// same store, bounded like p's, read only at the handed view's centre.
 func portViews(p *prep.Preprocessor) *prep.Preprocessor {
 	if p.K() >= 1 {
-		return p
+		return nil
 	}
 	return prep.NewPreprocessor(p.Store(), 1, 0, p.Options())
 }
 
-// centreRow returns the centre's neighbours in raw as local indices,
-// ascending (label order), or nil for the empty view of an absent
-// centre.
+// centreRow returns the view that lists the centre's ports — view
+// itself, or at k < 1 the ports cache's k = 1 view at its centre — and
+// the centre's row there as local indices, ascending (label order); the
+// row is nil for the empty view of an absent centre.
 //
 //klocal:hotpath
-func centreRow(raw *nbhd.CompactView) []int32 {
-	if raw.NV() == 0 {
-		return nil
+func centreRow(view *prep.View, ports *prep.Preprocessor, sc *prep.Scratch) (*nbhd.CompactView, []int32) {
+	raw := view.C.Raw
+	if ports != nil {
+		raw = ports.At(view.Center, sc).C.Raw
 	}
-	return raw.Row(raw.CenterIdx)
+	if raw.NV() == 0 {
+		return raw, nil
+	}
+	return raw, raw.Row(raw.CenterIdx)
 }
 
 // ShortestPathOracle returns the centralized baseline: a router with full
@@ -93,9 +96,9 @@ func ShortestPathOracle() Algorithm {
 			if !ok {
 				return nil
 			}
-			return func(_, t, u, _ graph.Vertex) (graph.Vertex, error) {
+			return func(_, t, _ graph.Vertex, view *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
 				//klocal:allow the oracle baseline has full topology knowledge by design (the comparator the paper's model forbids)
-				hop := g.NextHopToward(u, t)
+				hop := g.NextHopToward(view.Center, t)
 				if hop == graph.NoVertex {
 					//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
 					return graph.NoVertex, fmt.Errorf("%w: destination unreachable", ErrNoRoute)
@@ -116,7 +119,7 @@ func RandomWalk(seed int64) Algorithm {
 }
 
 // RandomWalkRand is RandomWalk drawing from an explicit caller-owned
-// generator, shared (and serialized) across every Bind of the returned
+// generator, shared (and serialized) across every binding of the returned
 // Algorithm. Randomness enters routing only through such an explicit
 // seeded *rand.Rand — never through math/rand's ambient global
 // functions — which is what lets the kdeterminism analyzer whitelist
@@ -137,12 +140,11 @@ func randomWalk(newRNG func() *rand.Rand) Algorithm {
 	over := func(p *prep.Preprocessor) Func {
 		ports := portViews(p)
 		rng := newRNG()
-		return func(_, t, u, _ graph.Vertex) (graph.Vertex, error) {
-			if hop := p.At(u).C.NextHopFromCenter(t); hop != graph.NoVertex {
+		return func(_, t, _ graph.Vertex, view *prep.View, sc *prep.Scratch) (graph.Vertex, error) {
+			if hop := view.C.NextHopFromCenter(t); hop != graph.NoVertex {
 				return hop, nil
 			}
-			raw := ports.At(u).C.Raw
-			row := centreRow(raw)
+			raw, row := centreRow(view, ports, sc)
 			if len(row) == 0 {
 				//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
 				return graph.NoVertex, fmt.Errorf("%w: isolated node", ErrNoRoute)

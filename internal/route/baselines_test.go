@@ -1,4 +1,4 @@
-package route
+package route_test
 
 import (
 	"fmt"
@@ -11,6 +11,7 @@ import (
 	"klocal/internal/graph"
 	"klocal/internal/nbhd"
 	"klocal/internal/prep"
+	. "klocal/internal/route"
 	"klocal/internal/sim"
 )
 
@@ -24,7 +25,8 @@ func treeRightHandRef() Algorithm {
 	a.Name = "RightHandRuleRef"
 	a.Over = func(p *prep.Preprocessor) Func {
 		st, k := p.Store(), p.K()
-		return func(_, t, u, v graph.Vertex) (graph.Vertex, error) {
+		return func(_, t, v graph.Vertex, cv *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
+			u := cv.Center
 			view := nbhd.Extract(st, u, k)
 			if view.Contains(t) {
 				if hop := view.G.NextHopToward(u, t); hop != graph.NoVertex {
@@ -66,7 +68,8 @@ func randomWalkRef(seed int64) Algorithm {
 	a.Over = func(p *prep.Preprocessor) Func {
 		st, k := p.Store(), p.K()
 		rng := rand.New(rand.NewSource(seed))
-		return func(_, t, u, _ graph.Vertex) (graph.Vertex, error) {
+		return func(_, t, _ graph.Vertex, cv *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
+			u := cv.Center
 			view := nbhd.Extract(st, u, k)
 			if view.Contains(t) {
 				if hop := view.G.NextHopToward(u, t); hop != graph.NoVertex {
@@ -149,19 +152,15 @@ func TestBaselinesMatchRef(t *testing.T) {
 		}{{"graph", g}, {"csr", bigraph.FromGraph(g)}}
 		for _, k := range []int{0, 1, 2, 3, n / 2} {
 			for _, a := range algs {
-				opts := sim.Options{
-					DetectLoops:      !a.prod.Randomized,
-					PredecessorAware: a.prod.PredecessorAware,
-				}
 				for _, s := range stores {
-					fProd, fRef := a.prod.Bind(s.st, k), a.ref.Bind(g, k)
+					fProd, fRef := sim.Bind(a.prod, s.st, k), sim.Bind(a.ref, g, k)
 					for _, src := range g.Vertices() {
 						for _, dst := range g.Vertices() {
 							if src == dst {
 								continue
 							}
-							got := sim.Run(s.st, sim.Func(fProd), src, dst, opts)
-							want := sim.Run(g, sim.Func(fRef), src, dst, opts)
+							got := fProd.Run(src, dst)
+							want := fRef.Run(src, dst)
 							walks++
 							if got.Outcome != want.Outcome || !slicesEqual(got.Route, want.Route) {
 								t.Fatalf("%s on %s (%s store), k=%d, %d→%d: %v %v, want %v %v",

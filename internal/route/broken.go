@@ -27,23 +27,23 @@ func Algorithm2Broken() Algorithm {
 		PredecessorAware: true,
 		MinK:             MinK2,
 		Policy:           prep.PolicyMinRank,
-		Over: func(p *prep.Preprocessor) Func {
-			return func(_, t, u, v graph.Vertex) (graph.Vertex, error) {
-				view := p.At(u)
-				if hop := caseOneHop(view, t); hop != graph.NoVertex {
-					return hop, nil
-				}
-				roots := view.RoutingHalf().ActiveRoots
-				if len(roots) > 2 {
-					//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
-					return graph.NoVertex, fmt.Errorf("%w: active degree %d > 2", ErrLocalityTooSmall, len(roots))
-				}
-				// BROKEN: the arrival classification is discarded, so the
-				// circular-advance rule never fires and the predecessor is
-				// effectively ignored.
-				_ = v
-				return decideActive(rulesU, roots, arrivalPassive, -1)
-			}
-		},
+		Over:             func(*prep.Preprocessor) Func { return algorithm2Broken },
 	}
+}
+
+// algorithm2Broken is Algorithm2Broken's decision.
+func algorithm2Broken(_, t, v graph.Vertex, view *prep.View, sc *prep.Scratch) (graph.Vertex, error) {
+	if hop := view.C.NextHopFromCenter(t); hop != graph.NoVertex {
+		return hop, nil
+	}
+	roots := view.RoutingHalfScratch(sc).ActiveRoots
+	if len(roots) > 2 {
+		//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
+		return graph.NoVertex, fmt.Errorf("%w: active degree %d > 2", ErrLocalityTooSmall, len(roots))
+	}
+	// BROKEN: the arrival classification is discarded, so the
+	// circular-advance rule never fires and the predecessor is
+	// effectively ignored.
+	_ = v
+	return decideActive(rulesU, roots, arrivalPassive, -1)
 }

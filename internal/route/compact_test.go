@@ -1,4 +1,4 @@
-package route
+package route_test
 
 import (
 	"math/rand"
@@ -6,6 +6,7 @@ import (
 
 	"klocal/internal/gen"
 	"klocal/internal/graph"
+	. "klocal/internal/route"
 	"klocal/internal/sim"
 )
 
@@ -36,8 +37,8 @@ func TestCompactStepMatchesRef(t *testing.T) {
 			// Also exercise one k above threshold: the component
 			// structure (and therefore the rule traffic) changes with k.
 			for _, k := range []int{p.prod.MinK(n), p.prod.MinK(n) + 1} {
-				fProd := p.prod.Bind(g, k)
-				fRef := p.ref.Bind(g, k)
+				fProd := sim.Bind(p.prod, g, k)
+				fRef := sim.Bind(p.ref, g, k)
 				vs := g.Vertices()
 				for trial := 0; trial < 6; trial++ {
 					s := vs[rng.Intn(len(vs))]
@@ -45,12 +46,8 @@ func TestCompactStepMatchesRef(t *testing.T) {
 					if s == dst {
 						continue
 					}
-					opts := sim.Options{
-						DetectLoops:      true,
-						PredecessorAware: p.prod.PredecessorAware,
-					}
-					got := sim.Run(g, sim.Func(fProd), s, dst, opts)
-					want := sim.Run(g, sim.Func(fRef), s, dst, opts)
+					got := fProd.Run(s, dst)
+					want := fRef.Run(s, dst)
 					if got.Outcome != want.Outcome {
 						t.Fatalf("%s k=%d s=%d t=%d: outcome %v want %v (g=%v)",
 							p.name, k, s, dst, got.Outcome, want.Outcome, g)
@@ -91,19 +88,15 @@ func TestCompactStepMatchesRefExhaustively(t *testing.T) {
 		gen.ConnectedGraphs(n, func(g *graph.Graph) bool {
 			for _, p := range pairs {
 				k := p.prod.MinK(n)
-				fProd := p.prod.Bind(g, k)
-				fRef := p.ref.Bind(g, k)
+				fProd := sim.Bind(p.prod, g, k)
+				fRef := sim.Bind(p.ref, g, k)
 				for _, s := range g.Vertices() {
 					for _, dst := range g.Vertices() {
 						if s == dst {
 							continue
 						}
-						opts := sim.Options{
-							DetectLoops:      true,
-							PredecessorAware: p.prod.PredecessorAware,
-						}
-						got := sim.Run(g, sim.Func(fProd), s, dst, opts)
-						want := sim.Run(g, sim.Func(fRef), s, dst, opts)
+						got := fProd.Run(s, dst)
+						want := fRef.Run(s, dst)
 						if got.Outcome != want.Outcome || len(got.Route) != len(want.Route) {
 							t.Fatalf("%s k=%d s=%d t=%d: (%v, %v) want (%v, %v) g=%v",
 								p.name, k, s, dst, got.Outcome, got.Route, want.Outcome, want.Route, g)

@@ -1,61 +1,47 @@
 package route
 
-// Goroutine-safety contracts (the traffic engine routes batches of
-// messages concurrently through shared routing functions; these are the
-// guarantees that make that sound, audited under -race by race_test.go):
+// Goroutine-safety contracts (the traffic engine routes messages
+// concurrently through shared routing functions; race_test.go audits
+// these under -race):
 //
 //   - A bound Func is safe for concurrent use by any number of
-//     goroutines routing arbitrary (s, t, u, v) arguments, provided the
+//     goroutines, each handing it its own scratch, provided the
 //     underlying bigraph.Store is never mutated (*graph.Graph and
 //     *bigraph.CSR are immutable by construction).
 //
-//   - Every algorithm but ShortestPathOracle closes over a
-//     prep.Preprocessor (the baselines at k = 0 over a second one of
-//     k = 1 views, for their ports). The preprocessor's view cache is
-//     lock-free and internally synchronized.
-//     The *prep.View instances it hands out are immutable after
-//     publication except for their routing half, which the first
-//     decision that finds t outside G_k(u) builds from the view's own
-//     G_k(u) and publishes once through an atomic pointer: concurrent
-//     first callers all get the winner's half, so readers never observe
-//     a partial view or two different halves.
-//     Funcs bound through Over share one externally owned preprocessor
-//     across closures — also safe, including under cache eviction
-//     (evicted views stay valid for readers holding them; they are
-//     simply recomputed on the next miss).
+//   - A Func reads the view the walker hands it, fetched from a
+//     prep.Preprocessor whose view cache is lock-free (the baselines at
+//     k = 0 also read a second cache of k = 1 views, for their ports, at
+//     the handed view's centre). A *prep.View is immutable after
+//     publication except for its routing half, which the first decision
+//     that finds t outside G_k(u) builds from the view's own G_k(u) and
+//     publishes once through an atomic pointer, so readers never observe
+//     a partial view or two different halves. Evicted views stay valid
+//     for readers holding them.
 //
-//   - ShortestPathOracle keeps no mutable state: every call reads the
-//     immutable graph.
+//   - ShortestPathOracle keeps no mutable state. RandomWalk serializes
+//     its RNG behind a mutex; concurrent routes interleave draws
+//     nondeterministically but never race (bind one RandomWalk per
+//     worker with distinct seeds for reproducible concurrent runs).
 //
-//   - RandomWalk serializes its RNG behind a mutex; concurrent routes
-//     interleave draws nondeterministically but never race. For
-//     reproducible concurrent randomized runs, bind one RandomWalk per
-//     worker with distinct seeds.
-//
-//   - Algorithm values themselves are plain data; copying them or
-//     binding them concurrently is safe. Each Bind call builds an
-//     independent preprocessor (memory-heavy); the engine's Snapshot
-//     exists precisely to bind once through Over and share.
+//   - Algorithm values are plain data; copying or binding them
+//     concurrently is safe. Each sim.Bind builds an independent
+//     preprocessor (memory-heavy); the engine's Snapshot binds once
+//     through Over and shares it.
 //
 // Store contract. The paper's model never lets a routing decision at u
-// see more than G_k(u); the representation of the rest of the graph is
-// therefore irrelevant to the algorithm, and the single binding makes
-// that literal: Over reads the network as a bigraph.Store — a
-// materialized *graph.Graph, an int-indexed CSR array store (possibly an
-// mmap'd on-disk file for graphs too large to materialize), or any other
-// implementation. The contract is that the views preprocessed over
-// every store are identical in every field routing reads
-// (nbhd.Scratch.Extract's graph, CSR and generic branches behind
-// prep.PreprocessStore — held against the reference preprocessing by
-// the klocalcheck "csr" property on every scenario, and by the engine's
-// store differential), so a Func walks exactly the same walk over every
-// store holding the same topology; the only thing that changes is what
-// the process holds in memory. A Store
-// must be immutable while bound; the concurrency guarantees above carry
-// over unchanged (the CSR arrays are read-only after load). Over returns
-// nil on a store that is not a *graph.Graph for ShortestPathOracle —
-// defined by whole-graph knowledge, which a bounded store view cannot
-// provide — and for the map-shaped *Ref test references.
+// see more than G_k(u), so the representation of the rest of the graph
+// is irrelevant to the algorithm: a walker's preprocessor reads any
+// bigraph.Store — a materialized *graph.Graph, an int-indexed CSR array
+// store (possibly an mmap'd file too large to materialize), or any other
+// implementation — and the views preprocessed over every store are
+// identical in every field routing reads (held against the reference
+// preprocessing by the klocalcheck "csr" property and the engine's store
+// differential). So a Func walks the same walk over every store holding
+// the same topology; only what the process holds in memory changes. A
+// Store must be immutable while bound. Over returns nil on a store that
+// is not a *graph.Graph for ShortestPathOracle, defined by whole-graph
+// knowledge, and for the map-shaped *Ref test references.
 //
 // Model contracts (k-locality, determinism, statelessness) are enforced
 // mechanically on every decision path in this package by the klocalvet
@@ -68,17 +54,15 @@ package route
 // free by the kalloc analyzer (DESIGN.md §13): routing a message must
 // not touch the heap, because the engine pushes millions of decisions
 // per run and GC pressure would dominate every benchmark. Every
-// algorithm reads G_k(u) from the view cache (p.At) instead of
-// extracting it per hop; a decision path that builds a map-shaped view
-// (nbhd.Extract, prep.PreprocessRef, ...) is a klocality finding, and
-// only the *Ref test references carry an allow for it. Scratch space
-// is caller-owned and grown with the exempt self-append idiom. The
-// remaining allocations in this package — alg1b's bounded
-// bounce-simulation state and cold error paths — are enumerated
-// exceptions, each under a //klocal:allow; the zero-alloc rewrite of
-// the bounce core is a ROADMAP item, and the allow directives are
-// checked for staleness on every `make lint`, so they retire
-// automatically when it lands.
+// algorithm reads the view it is handed: the walker fetches G_k(u) from
+// the view cache once per hop instead of extracting it, and a decision
+// path that builds a map-shaped view (nbhd.Extract, prep.PreprocessRef,
+// ...) is a klocality finding, which only the *Ref test references
+// carry an allow for. Scratch space is the walker's: a decision builds
+// a routing half and runs Algorithm 1B's bounce simulation on the
+// prep.Scratch it is handed. The remaining allocations in this package
+// are cold error paths, each under a //klocal:allow, and the allow
+// directives are checked for staleness on every `make lint`.
 //
 // The same contracts are also enforced dynamically: internal/fuzz's
 // property registry checks delivery at k >= T(n), the Table 2 dilation

@@ -1,4 +1,4 @@
-package route
+package route_test
 
 import (
 	"math/rand"
@@ -6,6 +6,7 @@ import (
 
 	"klocal/internal/graph"
 	"klocal/internal/prep"
+	. "klocal/internal/route"
 	"klocal/internal/sim"
 )
 
@@ -21,7 +22,8 @@ func TestObservation1DirectedEdgesOnce(t *testing.T) {
 	randomFamily(rng, 30, 22, func(g *graph.Graph) {
 		for _, alg := range algs {
 			k := alg.MinK(g.N())
-			f := alg.Bind(g, k)
+			p := prep.NewPreprocessor(g, k, alg.Policy, prep.CacheOptions{})
+			f := alg.Over(p)
 			vs := g.Vertices()
 			for trial := 0; trial < 4; trial++ {
 				s := vs[rng.Intn(len(vs))]
@@ -29,8 +31,7 @@ func TestObservation1DirectedEdgesOnce(t *testing.T) {
 				if s == dst {
 					continue
 				}
-				res := sim.Run(g, sim.Func(f), s, dst,
-					sim.Options{DetectLoops: false, PredecessorAware: true})
+				res := sim.Run(p, f, s, dst, sim.Options{DetectLoops: false, PredecessorAware: true})
 				if res.Outcome != sim.Delivered {
 					t.Fatalf("%s failed %d->%d on %v", alg.Name, s, dst, g)
 				}
@@ -62,7 +63,7 @@ func TestCorollary3ConsistentEdgesOnly(t *testing.T) {
 			for _, e := range prep.ConsistentEdges(g, k) {
 				consistent[e] = true
 			}
-			f := alg.Bind(g, k)
+			f := sim.Bind(alg, g, k)
 			vs := g.Vertices()
 			for trial := 0; trial < 4; trial++ {
 				s := vs[rng.Intn(len(vs))]
@@ -70,8 +71,7 @@ func TestCorollary3ConsistentEdgesOnly(t *testing.T) {
 				if s == dst {
 					continue
 				}
-				res := sim.Run(g, sim.Func(f), s, dst,
-					sim.Options{DetectLoops: true, PredecessorAware: true})
+				res := f.Run(s, dst)
 				if res.Outcome != sim.Delivered {
 					t.Fatalf("%s failed %d->%d", alg.Name, s, dst)
 				}
@@ -101,7 +101,7 @@ func TestCorollary4PassiveEntryOnlyForT(t *testing.T) {
 	randomFamily(rng, 20, 18, func(g *graph.Graph) {
 		k := alg.MinK(g.N())
 		p := prep.NewPreprocessor(g, k, prep.PolicyMinRank, prep.CacheOptions{})
-		f := alg.Bind(g, k)
+		f := sim.Bind(alg, g, k)
 		vs := g.Vertices()
 		for trial := 0; trial < 4; trial++ {
 			s := vs[rng.Intn(len(vs))]
@@ -109,14 +109,13 @@ func TestCorollary4PassiveEntryOnlyForT(t *testing.T) {
 			if s == dst {
 				continue
 			}
-			res := sim.Run(g, sim.Func(f), s, dst,
-				sim.Options{DetectLoops: true, PredecessorAware: true})
+			res := f.Run(s, dst)
 			if res.Outcome != sim.Delivered {
 				t.Fatalf("failed %d->%d", s, dst)
 			}
 			for i := 1; i < len(res.Route); i++ {
 				u, hop := res.Route[i-1], res.Route[i]
-				view := p.At(u)
+				view := p.At(u, nil)
 				if view.C.Raw.Contains(dst) {
 					continue // Case 1: shortest-path endgame
 				}
@@ -144,7 +143,7 @@ func TestCase1ShortestEndgame(t *testing.T) {
 	randomFamily(rng, 15, 18, func(g *graph.Graph) {
 		for _, alg := range algs {
 			k := alg.MinK(g.N())
-			f := alg.Bind(g, k)
+			f := sim.Bind(alg, g, k)
 			vs := g.Vertices()
 			for trial := 0; trial < 3; trial++ {
 				s := vs[rng.Intn(len(vs))]
@@ -152,8 +151,7 @@ func TestCase1ShortestEndgame(t *testing.T) {
 				if s == dst {
 					continue
 				}
-				res := sim.Run(g, sim.Func(f), s, dst,
-					sim.Options{DetectLoops: true, PredecessorAware: true})
+				res := f.Run(s, dst)
 				if res.Outcome != sim.Delivered {
 					t.Fatalf("%s failed %d->%d", alg.Name, s, dst)
 				}
@@ -184,7 +182,7 @@ func TestRouteLengthWithinPaperBound(t *testing.T) {
 	randomFamily(rng, 20, 20, func(g *graph.Graph) {
 		for _, alg := range algs {
 			k := alg.MinK(g.N())
-			f := alg.Bind(g, k)
+			f := sim.Bind(alg, g, k)
 			vs := g.Vertices()
 			for trial := 0; trial < 3; trial++ {
 				s := vs[rng.Intn(len(vs))]
@@ -192,8 +190,7 @@ func TestRouteLengthWithinPaperBound(t *testing.T) {
 				if s == dst {
 					continue
 				}
-				res := sim.Run(g, sim.Func(f), s, dst,
-					sim.Options{DetectLoops: true, PredecessorAware: true})
+				res := f.Run(s, dst)
 				if res.Outcome != sim.Delivered {
 					t.Fatalf("%s failed", alg.Name)
 				}

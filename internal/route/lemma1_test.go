@@ -5,6 +5,7 @@ import (
 
 	"klocal/internal/gen"
 	"klocal/internal/graph"
+	"klocal/internal/prep"
 )
 
 // TestLemma1CircularPermutation checks the forcing lemma directly
@@ -41,11 +42,13 @@ func TestLemma1CircularPermutation(t *testing.T) {
 			algs = append(algs, Algorithm2())
 		}
 		for _, alg := range algs {
-			f := alg.Bind(g, k)
+			p := prep.NewPreprocessor(g, k, alg.Policy, prep.CacheOptions{})
+			f, sc := alg.Over(p), prep.NewScratch()
+			view := p.At(hub, sc)
 			adj := g.Adj(hub)
 			succ := make(map[graph.Vertex]graph.Vertex, len(adj))
 			for _, v := range adj {
-				next, err := f(s, dst, hub, v)
+				next, err := f(s, dst, v, view, sc)
 				if err != nil {
 					t.Fatalf("%s arms=%d: f(hub, from %d): %v", alg.Name, arms, v, err)
 				}

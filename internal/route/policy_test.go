@@ -1,4 +1,4 @@
-package route
+package route_test
 
 import (
 	"math/rand"
@@ -7,6 +7,7 @@ import (
 	"klocal/internal/gen"
 	"klocal/internal/graph"
 	"klocal/internal/prep"
+	. "klocal/internal/route"
 )
 
 func TestPolicyVariantsDeliverExhaustively(t *testing.T) {

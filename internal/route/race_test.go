@@ -1,4 +1,4 @@
-package route
+package route_test
 
 import (
 	"math/rand"
@@ -8,14 +8,15 @@ import (
 	"klocal/internal/gen"
 	"klocal/internal/graph"
 	"klocal/internal/prep"
+	. "klocal/internal/route"
 	"klocal/internal/sim"
 )
 
 // The race-safety audit for the traffic engine: every algorithm's bound
 // routing function is shared by many concurrent workers routing different
-// (s, t) pairs through one closure — and, for every algorithm but the
-// oracle, one shared view cache. Run with -race (see the Makefile's race
-// target).
+// (s, t) pairs through one closure and one shared view cache, each
+// worker on a scratch of its own. Run with -race (see the Makefile's
+// race target).
 
 func raceAlgorithms() []Algorithm {
 	return []Algorithm{
@@ -41,23 +42,21 @@ func TestConcurrentRoutingSharedClosure(t *testing.T) {
 			if k == 0 {
 				k = 5
 			}
-			f := alg.Bind(g, k) // one closure shared by all workers
+			f := sim.Bind(alg, g, k) // one binding shared by all workers
 			var wg sync.WaitGroup
 			for w := 0; w < 8; w++ {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
 					r := rand.New(rand.NewSource(int64(w)))
+					sc := sim.NewScratch()
 					for i := 0; i < 30; i++ {
 						s := vs[r.Intn(len(vs))]
 						dst := vs[r.Intn(len(vs))]
 						if s == dst {
 							continue
 						}
-						res := sim.Run(g, sim.Func(f), s, dst, sim.Options{
-							DetectLoops:      !alg.Randomized,
-							PredecessorAware: alg.PredecessorAware,
-						})
+						res := f.RunScratch(s, dst, 0, sc)
 						if alg.MinK(g.N()) > 0 && res.Outcome != sim.Delivered {
 							t.Errorf("%s above threshold: %d->%d %v (%v)", alg.Name, s, dst, res.Outcome, res.Err)
 							return
@@ -84,23 +83,21 @@ func TestConcurrentRoutingSharedPreprocessor(t *testing.T) {
 			// One externally owned cache shared across workers, bounded
 			// below the vertex count so eviction races with reads.
 			p := prep.NewPreprocessor(g, k, alg.Policy, prep.CacheOptions{Capacity: g.N() / 2})
-			f := alg.Over(p)
+			f := sim.Over(alg, p)
 			var wg sync.WaitGroup
 			for w := 0; w < 8; w++ {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
 					r := rand.New(rand.NewSource(int64(100 + w)))
+					sc := sim.NewScratch() // one scratch per worker
 					for i := 0; i < 20; i++ {
 						s := vs[r.Intn(len(vs))]
 						dst := vs[r.Intn(len(vs))]
 						if s == dst {
 							continue
 						}
-						res := sim.Run(g, sim.Func(f), s, dst, sim.Options{
-							DetectLoops:      true,
-							PredecessorAware: alg.PredecessorAware,
-						})
+						res := f.RunScratch(s, dst, 0, sc)
 						if k > 0 && res.Outcome != sim.Delivered {
 							t.Errorf("%s: %d->%d %v (%v)", alg.Name, s, dst, res.Outcome, res.Err)
 							return
@@ -127,7 +124,7 @@ func TestConcurrentViewReads(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, u := range g.Vertices() {
-				v := p.At(u)
+				v := p.At(u, nil)
 				_ = v.ActiveDegree()
 				h := v.RoutingHalf()
 				for _, x := range g.Vertices() {

@@ -59,9 +59,10 @@ func kindAtRef(view *prep.RefView, s, u graph.Vertex) ruleKind {
 // refineU2Ref is refineU2 over a reference view.
 type refineU2Ref func(view *prep.RefView, s, t, u, v graph.Vertex, roots []graph.Vertex, activeIdx int) graph.Vertex
 
-// stepAwareRef is the reference body of Algorithms 1 and 1B.
-func stepAwareRef(p *prep.RefPreprocessor, s, t, u, v graph.Vertex, refine refineU2Ref) (graph.Vertex, error) {
-	view := p.At(u)
+// stepAwareRef is the reference body of Algorithms 1 and 1B at the
+// centre of view.
+func stepAwareRef(view *prep.RefView, s, t, v graph.Vertex, refine refineU2Ref) (graph.Vertex, error) {
+	u := view.Center
 	if hop := caseOneHopRef(view, t, u); hop != graph.NoVertex {
 		return hop, nil
 	}
@@ -226,7 +227,8 @@ func alg3StepRef(view *nbhd.Neighborhood, t, u graph.Vertex) (graph.Vertex, erro
 
 // refTwin turns a production algorithm into its reference build: same
 // metadata, the map-based step bound over materialized graphs only (Over
-// returns nil on any other store).
+// returns nil on any other store), reading its own map-shaped view at
+// the handed view's centre.
 func refTwin(a Algorithm, name string, bind func(g *graph.Graph, k int) Func) Algorithm {
 	a.Name = name
 	a.Over = func(p *prep.Preprocessor) Func {
@@ -245,8 +247,8 @@ func Algorithm1Ref() Algorithm {
 	a := Algorithm1()
 	return refTwin(a, "Algorithm1Ref", func(g *graph.Graph, k int) Func {
 		p := prep.NewRefPreprocessor(g, k, a.Policy)
-		return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
-			return stepAwareRef(p, s, t, u, v, nil)
+		return func(s, t, v graph.Vertex, view *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
+			return stepAwareRef(p.At(view.Center), s, t, v, nil)
 		}
 	})
 }
@@ -256,8 +258,8 @@ func Algorithm1BRef() Algorithm {
 	a := Algorithm1B()
 	return refTwin(a, "Algorithm1BRef", func(g *graph.Graph, k int) Func {
 		p := prep.NewRefPreprocessor(g, k, a.Policy)
-		return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
-			return stepAwareRef(p, s, t, u, v, anticipateU2Ref)
+		return func(s, t, v graph.Vertex, view *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
+			return stepAwareRef(p.At(view.Center), s, t, v, anticipateU2Ref)
 		}
 	})
 }
@@ -267,9 +269,9 @@ func Algorithm2Ref() Algorithm {
 	a := Algorithm2()
 	return refTwin(a, "Algorithm2Ref", func(g *graph.Graph, k int) Func {
 		p := prep.NewRefPreprocessor(g, k, a.Policy)
-		return func(_, t, u, v graph.Vertex) (graph.Vertex, error) {
-			view := p.At(u)
-			if hop := caseOneHopRef(view, t, u); hop != graph.NoVertex {
+		return func(_, t, v graph.Vertex, cv *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
+			view := p.At(cv.Center)
+			if hop := caseOneHopRef(view, t, cv.Center); hop != graph.NoVertex {
 				return hop, nil
 			}
 			roots := view.ActiveRoots
@@ -286,9 +288,9 @@ func Algorithm2Ref() Algorithm {
 // Algorithm3Ref is the reference build of Algorithm 3.
 func Algorithm3Ref() Algorithm {
 	return refTwin(Algorithm3(), "Algorithm3Ref", func(g *graph.Graph, k int) Func {
-		return func(_, t, u, _ graph.Vertex) (graph.Vertex, error) {
+		return func(_, t, _ graph.Vertex, view *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
 			//klocal:allow reference path: differential pinning only, never routes production traffic
-			return alg3StepRef(nbhd.Extract(g, u, k), t, u)
+			return alg3StepRef(nbhd.Extract(g, view.Center, k), t, view.Center)
 		}
 	})
 }

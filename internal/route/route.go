@@ -11,22 +11,23 @@ import (
 	"errors"
 	"fmt"
 
-	"klocal/internal/bigraph"
 	"klocal/internal/graph"
 	"klocal/internal/nbhd"
 	"klocal/internal/prep"
 )
 
-// Func is the paper's routing function f(s, t, u, v, G_k(u)): given the
-// origin s, destination t, current node u and predecessor v (graph.NoVertex
-// before the first hop), it returns the neighbour of u to forward to. The
-// k-neighbourhood is implicit: a Func is bound to a fixed network and
-// locality by Algorithm.Over (or Bind) and consults only the local view
-// of u.
+// Func is the paper's routing function f(s, t, u, v, G_k(u)). Given the
+// origin s, the destination t, the predecessor v (graph.NoVertex before
+// the first hop) and the walker's view of the current node u — u is
+// view.Center and G_k(u) is view.C.Raw — it returns the neighbour of u
+// to forward to. The walker fetches the view once per hop
+// (prep.Preprocessor.At) on its scratch sc and hands both over; a
+// decision builds the view's routing half and runs Algorithm 1B's
+// bounce simulation on sc, and touches sc only through prep and nbhd.
 //
 // Origin-oblivious algorithms ignore s; predecessor-oblivious algorithms
 // ignore v.
-type Func func(s, t, u, v graph.Vertex) (graph.Vertex, error)
+type Func func(s, t, v graph.Vertex, view *prep.View, sc *prep.Scratch) (graph.Vertex, error)
 
 // Algorithm describes a routing algorithm and binds it to networks.
 type Algorithm struct {
@@ -48,23 +49,15 @@ type Algorithm struct {
 	// zero, which classifies no edge dormant, for the algorithms that
 	// remove none (Algorithm 3 and the baselines).
 	Policy prep.Policy
-	// Over binds the routing function over a preprocessor, which carries
-	// the network (p.Store()), the locality (p.K()) and the view cache
-	// (p.At, built for Policy). The traffic engine hands every message
-	// of a snapshot the same preprocessor, so they share one sharded
-	// cache. Over returns nil when the algorithm cannot run on
-	// p.Store(): the baselines that need full topology knowledge (the
-	// oracle) bind only to a materialized *graph.Graph, which a k-local
-	// store deliberately cannot provide.
+	// Over binds the routing function over the preprocessor whose views
+	// (built for Policy) the walker will hand it. The paper's algorithms
+	// read nothing but their arguments and return a fixed Func. The
+	// baselines that need more bind it here: the right-hand rule and the
+	// random walk their ports at k < 1, the oracle the whole graph. Over
+	// returns nil when the algorithm cannot run on p.Store(): the oracle
+	// binds only to a materialized *graph.Graph, which a k-local store
+	// deliberately cannot provide.
 	Over func(p *prep.Preprocessor) Func
-}
-
-// Bind fixes the network and locality, returning the routing function
-// over a private preprocessor built with the algorithm's Policy (nil
-// when Over rejects the store). Each call builds its own view cache;
-// bind through Over to share one.
-func (a Algorithm) Bind(st bigraph.Store, k int) Func {
-	return a.Over(prep.NewPreprocessor(st, k, a.Policy, prep.CacheOptions{}))
 }
 
 // Errors reported by routing functions. A routing error means the
@@ -196,41 +189,35 @@ func kindAt(h *prep.RoutingHalf, s, u graph.Vertex) ruleKind {
 	return rulesU
 }
 
-// caseOneHop returns the Case 1 forwarding decision (t visible in the raw
-// k-neighbourhood: follow a shortest path) or NoVertex if Case 1 does not
-// apply. The routing function always evaluates at the view's centre, so
-// the precomputed next-hop table answers in one binary search — this
-// deletes the per-hop BFS that dominated the old profile. It reads the
-// view's Case-1 half only; the other cases read view.RoutingHalf().
-//
-//klocal:hotpath
-func caseOneHop(view *prep.View, t graph.Vertex) graph.Vertex {
-	return view.C.NextHopFromCenter(t)
-}
-
 // refineU2 is the Algorithm 1B hook: called in Case 3 with active degree
 // 2 on an arrival from an active root, it may override the default U2
 // decision with a pre-emptive reversal (Rules U2b–U2f). Returning
 // NoVertex keeps the default.
-type refineU2 func(h *prep.RoutingHalf, s, t, u, v graph.Vertex, roots []graph.Vertex, activeIdx int) graph.Vertex
+type refineU2 func(h *prep.RoutingHalf, s, t, u, v graph.Vertex, roots []graph.Vertex, activeIdx int, sc *prep.Scratch) graph.Vertex
 
 // stepAware is the shared body of Algorithms 1 and 1B.
 //
 //klocal:hotpath
-func stepAware(p *prep.Preprocessor, s, t, u, v graph.Vertex, refine refineU2) (graph.Vertex, error) {
-	view := p.At(u)
-	if hop := caseOneHop(view, t); hop != graph.NoVertex {
+func stepAware(s, t, v graph.Vertex, view *prep.View, sc *prep.Scratch, refine refineU2) (graph.Vertex, error) {
+	// Case 1: t lies inside G_k(u), so follow a shortest path.
+	if hop := view.C.NextHopFromCenter(t); hop != graph.NoVertex {
 		return hop, nil
 	}
-	h := view.RoutingHalf()
+	u := view.Center
+	h := view.RoutingHalfScratch(sc)
 	kind := kindAt(h, s, u)
 	from, idx := classifyArrival(h, s, v, true)
 	if kind == rulesU && from == arrivalActive && len(h.ActiveRoots) == 2 && refine != nil {
-		if hop := refine(h, s, t, u, v, h.ActiveRoots, idx); hop != graph.NoVertex {
+		if hop := refine(h, s, t, u, v, h.ActiveRoots, idx, sc); hop != graph.NoVertex {
 			return hop, nil
 		}
 	}
 	return decideActive(kind, h.ActiveRoots, from, idx)
+}
+
+// algorithm1 is Algorithm 1's decision.
+func algorithm1(s, t, v graph.Vertex, view *prep.View, sc *prep.Scratch) (graph.Vertex, error) {
+	return stepAware(s, t, v, view, sc, nil)
 }
 
 // Algorithm1 returns the paper's Algorithm 1: the (n/4)-local,
@@ -253,11 +240,7 @@ func Algorithm1Policy(pol prep.Policy) Algorithm {
 		PredecessorAware: true,
 		MinK:             MinK1,
 		Policy:           pol,
-		Over: func(p *prep.Preprocessor) Func {
-			return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
-				return stepAware(p, s, t, u, v, nil)
-			}
-		},
+		Over:             func(*prep.Preprocessor) Func { return algorithm1 },
 	}
 }
 
@@ -280,23 +263,25 @@ func Algorithm2Policy(pol prep.Policy) Algorithm {
 		PredecessorAware: true,
 		MinK:             MinK2,
 		Policy:           pol,
-		Over: func(p *prep.Preprocessor) Func {
-			return func(_, t, u, v graph.Vertex) (graph.Vertex, error) {
-				view := p.At(u)
-				if hop := caseOneHop(view, t); hop != graph.NoVertex {
-					return hop, nil
-				}
-				h := view.RoutingHalf()
-				roots := h.ActiveRoots
-				if len(roots) > 2 {
-					//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
-					return graph.NoVertex, fmt.Errorf("%w: active degree %d > 2", ErrLocalityTooSmall, len(roots))
-				}
-				from, idx := classifyArrival(h, graph.NoVertex, v, false)
-				return decideActive(rulesU, roots, from, idx)
-			}
-		},
+		Over:             func(*prep.Preprocessor) Func { return algorithm2 },
 	}
+}
+
+// algorithm2 is Algorithm 2's decision.
+//
+//klocal:hotpath
+func algorithm2(_, t, v graph.Vertex, view *prep.View, sc *prep.Scratch) (graph.Vertex, error) {
+	if hop := view.C.NextHopFromCenter(t); hop != graph.NoVertex {
+		return hop, nil
+	}
+	h := view.RoutingHalfScratch(sc)
+	roots := h.ActiveRoots
+	if len(roots) > 2 {
+		//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
+		return graph.NoVertex, fmt.Errorf("%w: active degree %d > 2", ErrLocalityTooSmall, len(roots))
+	}
+	from, idx := classifyArrival(h, graph.NoVertex, v, false)
+	return decideActive(rulesU, roots, from, idx)
 }
 
 // Algorithm3 returns the paper's Algorithm 3: the ⌊n/2⌋-local,
@@ -313,21 +298,17 @@ func Algorithm3() Algorithm {
 		OriginAware:      false,
 		PredecessorAware: false,
 		MinK:             MinK3,
-		Over: func(p *prep.Preprocessor) Func {
-			return func(_, t, u, _ graph.Vertex) (graph.Vertex, error) {
-				return alg3Step(p.At(u), t)
-			}
-		},
+		Over:             func(*prep.Preprocessor) Func { return algorithm3 },
 	}
 }
 
-// alg3Step is Algorithm 3's forwarding decision at the centre of view:
+// algorithm3 is Algorithm 3's forwarding decision at the centre of view:
 // shortest path when t is visible, otherwise the Lemma 12 move toward
 // the furthest constraint vertex of the unique constrained active
 // component of G_k(u).
 //
 //klocal:hotpath
-func alg3Step(view *prep.View, t graph.Vertex) (graph.Vertex, error) {
+func algorithm3(_, t, _ graph.Vertex, view *prep.View, sc *prep.Scratch) (graph.Vertex, error) {
 	raw := view.C.Raw
 	if raw.NV() == 0 {
 		//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
@@ -341,7 +322,7 @@ func alg3Step(view *prep.View, t graph.Vertex) (graph.Vertex, error) {
 		}
 		return hop, nil
 	}
-	h := view.RoutingHalf()
+	h := view.RoutingHalfScratch(sc)
 	var constrained *nbhd.CompactComponent
 	active := 0
 	for i := range h.Comps {

@@ -1,4 +1,4 @@
-package route
+package route_test
 
 import (
 	"math/rand"
@@ -6,6 +6,8 @@ import (
 
 	"klocal/internal/gen"
 	"klocal/internal/graph"
+	"klocal/internal/prep"
+	. "klocal/internal/route"
 	"klocal/internal/sim"
 )
 
@@ -16,17 +18,14 @@ func deliverEverywhere(t *testing.T, alg Algorithm, g *graph.Graph) float64 {
 	t.Helper()
 	n := g.N()
 	k := alg.MinK(n)
-	f := alg.Bind(g, k)
+	f := sim.Bind(alg, g, k)
 	worst := 0.0
 	for _, s := range g.Vertices() {
 		for _, dst := range g.Vertices() {
 			if s == dst {
 				continue
 			}
-			res := sim.Run(g, sim.Func(f), s, dst, sim.Options{
-				DetectLoops:      true,
-				PredecessorAware: alg.PredecessorAware,
-			})
+			res := f.Run(s, dst)
 			if res.Outcome != sim.Delivered {
 				t.Fatalf("%s failed (%v, err=%v) on s=%d t=%d k=%d n=%d g=%v route=%v",
 					alg.Name, res.Outcome, res.Err, s, dst, k, n, g, res.Route)
@@ -95,13 +94,13 @@ func TestAlgorithm3DeliversShortestExhaustively(t *testing.T) {
 	for n := 2; n <= exhaustiveMaxN(t); n++ {
 		gen.ConnectedGraphs(n, func(g *graph.Graph) bool {
 			k := MinK3(n)
-			f := Algorithm3().Bind(g, k)
+			f := sim.Bind(Algorithm3(), g, k)
 			for _, s := range g.Vertices() {
 				for _, dst := range g.Vertices() {
 					if s == dst {
 						continue
 					}
-					res := sim.Run(g, sim.Func(f), s, dst, sim.Options{DetectLoops: true})
+					res := f.Run(s, dst)
 					if res.Outcome != sim.Delivered {
 						t.Fatalf("Algorithm 3 failed (%v, err=%v) on s=%d t=%d n=%d g=%v",
 							res.Outcome, res.Err, s, dst, n, g)
@@ -172,7 +171,7 @@ func TestAlgorithm3ShortestRandomized(t *testing.T) {
 	randomFamily(rng, 40, 30, func(g *graph.Graph) {
 		n := g.N()
 		k := MinK3(n)
-		f := Algorithm3().Bind(g, k)
+		f := sim.Bind(Algorithm3(), g, k)
 		vs := g.Vertices()
 		for trial := 0; trial < 10; trial++ {
 			s := vs[rng.Intn(len(vs))]
@@ -180,7 +179,7 @@ func TestAlgorithm3ShortestRandomized(t *testing.T) {
 			if s == dst {
 				continue
 			}
-			res := sim.Run(g, sim.Func(f), s, dst, sim.Options{DetectLoops: true})
+			res := f.Run(s, dst)
 			if res.Outcome != sim.Delivered || res.Len() != res.Dist {
 				t.Fatalf("Algorithm 3: outcome=%v len=%d dist=%d s=%d t=%d g=%v",
 					res.Outcome, res.Len(), res.Dist, s, dst, g)
@@ -228,8 +227,8 @@ func TestLemma14Algorithm1BNeverLonger(t *testing.T) {
 	randomFamily(rng, 40, 22, func(g *graph.Graph) {
 		n := g.N()
 		k := MinK1(n)
-		f1 := Algorithm1().Bind(g, k)
-		f1b := Algorithm1B().Bind(g, k)
+		f1 := sim.Bind(Algorithm1(), g, k)
+		f1b := sim.Bind(Algorithm1B(), g, k)
 		vs := g.Vertices()
 		for trial := 0; trial < 8; trial++ {
 			s := vs[rng.Intn(len(vs))]
@@ -237,9 +236,8 @@ func TestLemma14Algorithm1BNeverLonger(t *testing.T) {
 			if s == dst {
 				continue
 			}
-			opts := sim.Options{DetectLoops: true, PredecessorAware: true}
-			r1 := sim.Run(g, sim.Func(f1), s, dst, opts)
-			r1b := sim.Run(g, sim.Func(f1b), s, dst, opts)
+			r1 := f1.Run(s, dst)
+			r1b := f1b.Run(s, dst)
 			if r1.Outcome != sim.Delivered || r1b.Outcome != sim.Delivered {
 				t.Fatalf("delivery failed: alg1=%v alg1b=%v s=%d t=%d g=%v", r1.Outcome, r1b.Outcome, s, dst, g)
 			}
@@ -257,8 +255,7 @@ func TestFig13Algorithm1ExactRoute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := sim.Run(f.G, sim.Func(Algorithm1().Bind(f.G, tc.k)), f.S, f.T,
-			sim.Options{DetectLoops: true, PredecessorAware: true})
+		res := sim.Bind(Algorithm1(), f.G, tc.k).Run(f.S, f.T)
 		if res.Outcome != sim.Delivered {
 			t.Fatalf("n=%d k=%d: %v err=%v route=%v", tc.n, tc.k, res.Outcome, res.Err, res.Route)
 		}
@@ -278,8 +275,7 @@ func TestFig13DilationApproaches7(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sim.Run(f.G, sim.Func(Algorithm1().Bind(f.G, 24)), f.S, f.T,
-		sim.Options{DetectLoops: true, PredecessorAware: true})
+	res := sim.Bind(Algorithm1(), f.G, 24).Run(f.S, f.T)
 	want := 7.0 - 96.0/float64(96+12)
 	if got := res.Dilation(); got < want-1e-9 || got > want+1e-9 {
 		t.Errorf("dilation = %v, want %v", got, want)
@@ -292,8 +288,7 @@ func TestFig17Algorithm1BExactRoute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := sim.Options{DetectLoops: true, PredecessorAware: true}
-		res := sim.Run(f.G, sim.Func(Algorithm1B().Bind(f.G, tc.k)), f.S, f.T, opts)
+		res := sim.Bind(Algorithm1B(), f.G, tc.k).Run(f.S, f.T)
 		if res.Outcome != sim.Delivered {
 			t.Fatalf("n=%d k=%d: 1B %v err=%v route=%v", tc.n, tc.k, res.Outcome, res.Err, res.Route)
 		}
@@ -301,7 +296,7 @@ func TestFig17Algorithm1BExactRoute(t *testing.T) {
 			t.Errorf("n=%d k=%d: 1B route %d, paper says n+2k-6 = %d (route=%v)",
 				tc.n, tc.k, res.Len(), f.ExpectedRouteLen(), res.Route)
 		}
-		r1 := sim.Run(f.G, sim.Func(Algorithm1().Bind(f.G, tc.k)), f.S, f.T, opts)
+		r1 := sim.Bind(Algorithm1(), f.G, tc.k).Run(f.S, f.T)
 		if r1.Outcome != sim.Delivered {
 			t.Fatalf("n=%d k=%d: Alg1 %v err=%v", tc.n, tc.k, r1.Outcome, r1.Err)
 		}
@@ -325,8 +320,7 @@ func TestFig17DilationMatchesFormula(t *testing.T) {
 	if f.ExpectedRouteLen() != f.PaperRouteLen() {
 		t.Fatalf("δ*=0 must reproduce the paper's route length")
 	}
-	res := sim.Run(f.G, sim.Func(Algorithm1B().Bind(f.G, 8)), f.S, f.T,
-		sim.Options{DetectLoops: true, PredecessorAware: true})
+	res := sim.Bind(Algorithm1B(), f.G, 8).Run(f.S, f.T)
 	want := 6.0 - 12.0/9.0
 	if got := res.Dilation(); got < want-1e-9 || got > want+1e-9 {
 		t.Errorf("dilation = %v, want %v", got, want)
@@ -349,8 +343,7 @@ func TestRightHandRuleDefeatedByFig7(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := 4
-	res := sim.Run(f.G, sim.Func(TreeRightHand().Bind(f.G, k)), f.S, f.T,
-		sim.Options{DetectLoops: true, PredecessorAware: true})
+	res := sim.Bind(TreeRightHand(), f.G, k).Run(f.S, f.T)
 	if res.Outcome != sim.Looped {
 		t.Errorf("Fig 7 should defeat the right-hand rule at k=4: got %v (route=%v)", res.Outcome, res.Route)
 	}
@@ -364,8 +357,8 @@ func TestRightHandRuleDefeatedByFig7(t *testing.T) {
 
 func TestShortestPathOracle(t *testing.T) {
 	g := gen.Grid(4, 4)
-	f := ShortestPathOracle().Bind(g, 1)
-	res := sim.Run(g, sim.Func(f), 0, 15, sim.Options{DetectLoops: true})
+	f := sim.Bind(ShortestPathOracle(), g, 1)
+	res := f.Run(0, 15)
 	if res.Outcome != sim.Delivered || res.Len() != res.Dist {
 		t.Errorf("oracle: outcome=%v len=%d dist=%d", res.Outcome, res.Len(), res.Dist)
 	}
@@ -374,8 +367,8 @@ func TestShortestPathOracle(t *testing.T) {
 func TestRandomWalkEventuallyDelivers(t *testing.T) {
 	g := gen.Cycle(10)
 	alg := RandomWalk(7)
-	f := alg.Bind(g, 2)
-	res := sim.Run(g, sim.Func(f), 0, 5, sim.Options{MaxSteps: 100000})
+	f := sim.Bind(alg, g, 2)
+	res := f.RunScratch(0, 5, 100000, sim.NewScratch())
 	if res.Outcome != sim.Delivered {
 		t.Errorf("random walk on C10 should deliver within the budget: %v", res.Outcome)
 	}
@@ -386,11 +379,11 @@ func TestRandomWalkEventuallyDelivers(t *testing.T) {
 // each Bind continues the shared stream instead of restarting it.
 func TestRandomWalkRandMatchesSeeded(t *testing.T) {
 	g := gen.Cycle(10)
-	run := func(f Func) []graph.Vertex {
-		return sim.Run(g, sim.Func(f), 0, 5, sim.Options{MaxSteps: 100000}).Route
+	run := func(f *sim.Walker) []graph.Vertex {
+		return f.RunScratch(0, 5, 100000, sim.NewScratch()).Route
 	}
-	seeded := run(RandomWalk(7).Bind(g, 2))
-	explicit := run(RandomWalkRand(rand.New(rand.NewSource(7))).Bind(g, 2))
+	seeded := run(sim.Bind(RandomWalk(7), g, 2))
+	explicit := run(sim.Bind(RandomWalkRand(rand.New(rand.NewSource(7))), g, 2))
 	if !slicesEqual(seeded, explicit) {
 		t.Errorf("RandomWalkRand with a fresh seed-7 generator diverged from RandomWalk(7):\n%v\n%v", seeded, explicit)
 	}
@@ -398,8 +391,8 @@ func TestRandomWalkRandMatchesSeeded(t *testing.T) {
 	// A rebind of the seeded variant restarts the stream; a rebind of
 	// the explicit variant continues the caller's generator.
 	alg := RandomWalkRand(rand.New(rand.NewSource(7)))
-	first := run(alg.Bind(g, 2))
-	second := run(alg.Bind(g, 2))
+	first := run(sim.Bind(alg, g, 2))
+	second := run(sim.Bind(alg, g, 2))
 	if !slicesEqual(first, seeded) {
 		t.Errorf("first explicit walk should equal the seeded walk")
 	}
@@ -450,11 +443,11 @@ func TestOriginObliviousIgnoresS(t *testing.T) {
 		if alg.OriginAware {
 			t.Errorf("%s must be origin-oblivious", alg.Name)
 		}
-		f := alg.Bind(g, alg.MinK(12))
+		f, sc := sim.Bind(alg, g, alg.MinK(12)), prep.NewScratch()
 		for _, u := range g.Vertices() {
 			for _, v := range append(g.Adj(u), graph.NoVertex) {
-				h1, e1 := f(0, 6, u, v)
-				h2, e2 := f(3, 6, u, v)
+				h1, e1 := f.Decide(0, 6, u, v, sc)
+				h2, e2 := f.Decide(3, 6, u, v, sc)
 				if h1 != h2 || (e1 == nil) != (e2 == nil) {
 					t.Errorf("%s reads s: u=%d v=%d: %v/%v", alg.Name, u, v, h1, h2)
 				}
@@ -469,17 +462,17 @@ func TestPredecessorObliviousIgnoresV(t *testing.T) {
 	if alg.PredecessorAware {
 		t.Error("Algorithm 3 must be predecessor-oblivious")
 	}
-	f := alg.Bind(g, alg.MinK(12))
+	f, sc := sim.Bind(alg, g, alg.MinK(12)), prep.NewScratch()
 	for _, u := range g.Vertices() {
 		if u == 6 {
 			continue // routing functions are never invoked at u == t
 		}
-		base, err := f(0, 6, u, graph.NoVertex)
+		base, err := f.Decide(0, 6, u, graph.NoVertex, sc)
 		if err != nil {
 			t.Fatalf("u=%d: %v", u, err)
 		}
 		for _, v := range g.Adj(u) {
-			got, err := f(0, 6, u, v)
+			got, err := f.Decide(0, 6, u, v, sc)
 			if err != nil || got != base {
 				t.Errorf("Algorithm 3 reads v at u=%d: %v vs %v (err=%v)", u, got, base, err)
 			}
@@ -498,8 +491,7 @@ func TestAlgorithm1ErrorsBelowThreshold(t *testing.T) {
 	k := fam.R // below threshold ⌊(n+1)/4⌋ = r+1
 	failed := false
 	for _, inst := range fam.Variants {
-		res := sim.Run(inst.G, sim.Func(Algorithm1().Bind(inst.G, k)), inst.S, inst.T,
-			sim.Options{DetectLoops: true, PredecessorAware: true})
+		res := sim.Bind(Algorithm1(), inst.G, k).Run(inst.S, inst.T)
 		if res.Outcome != sim.Delivered {
 			failed = true
 		}

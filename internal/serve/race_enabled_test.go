@@ -2,6 +2,7 @@
 
 package serve
 
-// raceEnabled lets allocation-count gates skip under -race, where the
-// instrumentation allocates and sync.Pool drops pooled objects.
+// raceEnabled lets the allocation-count gates that read the pooled
+// reply buffers (replyBufs) skip under -race, where sync.Pool drops
+// pooled objects at random.
 const raceEnabled = true

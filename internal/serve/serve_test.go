@@ -247,7 +247,7 @@ func TestAdmissionControl429(t *testing.T) {
 		Name: "gated",
 		MinK: func(int) int { return 1 },
 		Over: func(*prep.Preprocessor) route.Func {
-			return func(s, t, u, v graph.Vertex) (graph.Vertex, error) {
+			return func(s, t, v graph.Vertex, view *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
 				entered <- struct{}{}
 				<-open
 				return t, nil

@@ -1,20 +1,19 @@
-// Package sim drives routing functions over networks: it executes the
-// sequence of forwarding decisions for a single message, detects
-// livelock using the paper's own criteria, and computes route metrics
-// (length, dilation).
+// Package sim walks messages through routing functions: it executes the
+// sequence of forwarding decisions for a single message, fetching each
+// hop's view G_k(u) from a preprocessor and handing it to the decision,
+// detects livelock using the paper's own criteria, and computes route
+// metrics (length, dilation).
 package sim
 
 import (
 	"errors"
 	"fmt"
 
+	"klocal/internal/bigraph"
 	"klocal/internal/graph"
+	"klocal/internal/prep"
+	"klocal/internal/route"
 )
-
-// Func is the routing-function signature sim drives; it is structurally
-// identical to route.Func, kept separate so sim stays independent of the
-// algorithm implementations.
-type Func func(s, t, u, v graph.Vertex) (graph.Vertex, error)
 
 // Outcome classifies the end of a simulated route.
 type Outcome int
@@ -97,27 +96,43 @@ const MaxDilation = 1e18
 // forwards to a non-neighbour.
 var ErrIllegalHop = errors.New("sim: routing function returned a non-neighbour")
 
-// Options tune a simulation run.
+// Options select a walk's livelock detection (Observation 1): a
+// deterministic decision at u depends only on (u, v) when
+// predecessor-aware and only on u when oblivious, so a repeated
+// directed edge, or node, repeats forever.
 type Options struct {
-	// MaxSteps bounds the walk; 0 means the default 4·n·deg budget (far
-	// above any deterministic non-looping walk, which Observation 1
-	// bounds by 2·m).
-	MaxSteps int
-	// DetectLoops enables decision-state repetition detection. It must
-	// be disabled for randomized algorithms. Default on (see Run).
+	// DetectLoops enables decision-state repetition detection; it must
+	// be off for randomized algorithms.
 	DetectLoops bool
-	// PredecessorAware selects the loop-detection state space: directed
-	// edges for predecessor-aware functions, nodes for oblivious ones.
+	// PredecessorAware selects the state space: directed edges for
+	// predecessor-aware decisions, nodes for oblivious ones.
 	PredecessorAware bool
 }
 
-// Network is the minimal topology surface the simulator needs: sizes for
-// the default step budget and edge membership for hop legality. Both
-// *graph.Graph and the bigraph stores satisfy it.
-type Network interface {
-	N() int
-	M() int
-	HasEdge(u, v graph.Vertex) bool
+// Walker is an algorithm bound over the preprocessor its walks fetch
+// each hop's view from, with the loop detection the algorithm's flags
+// call for: the one place a walk's options are derived. It is safe for
+// concurrent use given one Scratch per goroutine.
+type Walker struct {
+	pre  *prep.Preprocessor
+	f    route.Func
+	opts Options
+}
+
+// Bind binds alg over a private preprocessor of st at locality k, built
+// with the algorithm's Policy. It returns nil when alg cannot run on st.
+func Bind(alg route.Algorithm, st bigraph.Store, k int) *Walker {
+	return Over(alg, prep.NewPreprocessor(st, k, alg.Policy, prep.CacheOptions{}))
+}
+
+// Over binds alg over p, sharing p's view cache. It returns nil when
+// alg cannot run on p's store (see route.Algorithm.Over).
+func Over(alg route.Algorithm, p *prep.Preprocessor) *Walker {
+	f := alg.Over(p)
+	if f == nil {
+		return nil
+	}
+	return &Walker{pre: p, f: f, opts: Options{DetectLoops: !alg.Randomized, PredecessorAware: alg.PredecessorAware}}
 }
 
 // dirEdge is the loop-detection state for predecessor-aware walks.
@@ -125,8 +140,9 @@ type dirEdge struct{ from, to graph.Vertex }
 
 // Scratch is caller-owned working memory for RunScratch:
 // the route buffer, the loop-detection sets (cleared, not reallocated,
-// per run) and the distance search's banks, all grown to a high-water
-// mark and then reused without allocating. The Result returned by the
+// per run), the distance search's banks and the prep scratch each hop's
+// view and decision run on, all grown to a high-water mark and then
+// reused without allocating. The Result returned by the
 // scratch-taking entry points is owned by the scratch — its Route
 // aliases the internal buffer and the next run overwrites both; Clone it
 // to retain it. Not safe for concurrent use; give each worker its own.
@@ -135,6 +151,7 @@ type Scratch struct {
 	seenEdges map[dirEdge]bool
 	seenNodes map[graph.Vertex]bool
 	search    *graph.SearchScratch
+	views     prep.Scratch
 	res       Result
 }
 
@@ -147,42 +164,52 @@ func NewScratch() *Scratch {
 	}
 }
 
-// distNetwork is a Network that answers exact distances with
+// distNetwork is a store that answers exact distances with
 // caller-owned search scratch, as *graph.Graph does.
 type distNetwork interface {
 	DistScratch(u, v graph.Vertex, sc *graph.SearchScratch) int
 }
 
-// Run simulates routing a message from s to t on net with the bound
-// routing function f. The predecessor-awareness of the algorithm
-// determines the livelock criterion:
-//
-//   - predecessor-aware: the decision at u depends only on (u, v) (plus
-//     the fixed s, t), so revisiting a directed edge repeats forever;
-//   - predecessor-oblivious: the decision depends only on u, so
-//     revisiting any node repeats forever.
-//
-// Result.Dist is dist(s, t) when net can answer exact distances (a
+// Run walks a message from s to t over p's store on a fresh scratch
+// within the default step budget, with a decision that is no
+// algorithm's (an adversary's transcript) and explicit options. Each
+// hop fetches the current node's view from p and hands it to f.
+// Result.Dist is dist(s, t) when the store can answer exact distances (a
 // *graph.Graph); on other stores, too large to pay for global topology
 // knowledge, it stays 0 ("unknown"), and consumers guard
 // dilation-derived metrics with Dist > 0.
-func Run(net Network, f Func, s, t graph.Vertex, opts Options) *Result {
-	return RunScratch(net, f, s, t, opts, NewScratch())
+func Run(p *prep.Preprocessor, f route.Func, s, t graph.Vertex, opts Options) *Result {
+	w := Walker{pre: p, f: f, opts: opts}
+	return w.Run(s, t)
 }
 
-// RunScratch is Run allocating only into sc (plus the Result's error on
-// failure paths). The returned Result is owned by sc: it is valid until
-// the next run with the same scratch; Clone it to retain it.
-func RunScratch(net Network, f Func, s, t graph.Vertex, opts Options, sc *Scratch) *Result {
-	res := run(net, f, s, t, opts, sc)
-	if d, ok := net.(distNetwork); ok {
+// Run walks one message from s to t on a fresh scratch within the
+// default step budget.
+func (w *Walker) Run(s, t graph.Vertex) *Result { return w.RunScratch(s, t, 0, NewScratch()) }
+
+// RunScratch walks one message from s to t on sc within maxSteps hops
+// (0: 4·n·deg, far above any deterministic non-looping walk, which
+// Observation 1 bounds by 2·m). It allocates only into sc (plus the
+// Result's error on failure paths, and the views a cache miss builds).
+// The Result is owned by sc until its next run; Clone it to retain it.
+//
+//klocal:hotpath
+func (w *Walker) RunScratch(s, t graph.Vertex, maxSteps int, sc *Scratch) *Result {
+	res := w.walk(s, t, maxSteps, sc)
+	if d, ok := w.pre.Store().(distNetwork); ok {
 		res.Dist = d.DistScratch(s, t, sc.search)
 	}
 	return res
 }
 
+// Decide takes the one decision a walk takes at u with predecessor v,
+// fetching u's view on sc: for callers that time single decisions.
+func (w *Walker) Decide(s, t, u, v graph.Vertex, sc *prep.Scratch) (graph.Vertex, error) {
+	return w.f(s, t, v, w.pre.At(u, sc), sc)
+}
+
 //klocal:hotpath
-func run(g Network, f Func, s, t graph.Vertex, opts Options, sc *Scratch) *Result {
+func (w *Walker) walk(s, t graph.Vertex, maxSteps int, sc *Scratch) *Result {
 	res := &sc.res
 	*res = Result{}
 	sc.route = append(sc.route[:0], s)
@@ -191,15 +218,15 @@ func run(g Network, f Func, s, t graph.Vertex, opts Options, sc *Scratch) *Resul
 		res.Outcome = Delivered
 		return res
 	}
-	maxSteps := opts.MaxSteps
+	st := w.pre.Store()
 	if maxSteps == 0 {
-		maxSteps = 4 * (g.N() + 1) * (g.M() + 1)
+		maxSteps = 4 * (st.N() + 1) * (st.M() + 1)
 		if maxSteps < 0 { // overflow on huge stores: effectively unbounded
 			maxSteps = int(^uint(0) >> 1)
 		}
 	}
-	if opts.DetectLoops {
-		if opts.PredecessorAware {
+	if w.opts.DetectLoops {
+		if w.opts.PredecessorAware {
 			clear(sc.seenEdges)
 		} else {
 			clear(sc.seenNodes)
@@ -208,20 +235,20 @@ func run(g Network, f Func, s, t graph.Vertex, opts Options, sc *Scratch) *Resul
 
 	u, v := s, graph.NoVertex
 	for step := 0; step < maxSteps; step++ {
-		next, err := f(s, t, u, v)
+		next, err := w.f(s, t, v, w.pre.At(u, &sc.views), &sc.views)
 		if err != nil {
 			res.Outcome = Errored
 			res.Err = err
 			return res
 		}
-		if !g.HasEdge(u, next) {
+		if !st.HasEdge(u, next) {
 			res.Outcome = Errored
 			//klocal:allow cold error path: an illegal hop aborts the walk
 			res.Err = fmt.Errorf("%w: %d -> %d", ErrIllegalHop, u, next)
 			return res
 		}
-		if opts.DetectLoops {
-			if opts.PredecessorAware {
+		if w.opts.DetectLoops {
+			if w.opts.PredecessorAware {
 				e := dirEdge{from: u, to: next}
 				if sc.seenEdges[e] {
 					res.Outcome = Looped

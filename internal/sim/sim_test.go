@@ -6,14 +6,23 @@ import (
 
 	"klocal/internal/gen"
 	"klocal/internal/graph"
+	"klocal/internal/prep"
+	"klocal/internal/route"
 )
+
+// over returns a k = 0 preprocessor of g: the test decisions read only
+// their views' centres.
+func over(g *graph.Graph) *prep.Preprocessor {
+	return prep.NewPreprocessor(g, 0, 0, prep.CacheOptions{})
+}
 
 // follow returns a Func that forwards according to a fixed next-hop map
 // keyed by (u, v).
 type hop struct{ u, v graph.Vertex }
 
-func follow(m map[hop]graph.Vertex) Func {
-	return func(_, _, u, v graph.Vertex) (graph.Vertex, error) {
+func follow(m map[hop]graph.Vertex) route.Func {
+	return func(_, _, v graph.Vertex, view *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
+		u := view.Center
 		next, ok := m[hop{u, v}]
 		if !ok {
 			return graph.NoVertex, errors.New("no decision")
@@ -24,8 +33,10 @@ func follow(m map[hop]graph.Vertex) Func {
 
 func TestRunDeliversStraightLine(t *testing.T) {
 	g := gen.Path(4)
-	f := func(_, _, u, _ graph.Vertex) (graph.Vertex, error) { return u + 1, nil }
-	res := Run(g, f, 0, 3, Options{DetectLoops: true, PredecessorAware: true})
+	f := func(_, _, _ graph.Vertex, view *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
+		return view.Center + 1, nil
+	}
+	res := Run(over(g), f, 0, 3, Options{DetectLoops: true, PredecessorAware: true})
 	if res.Outcome != Delivered || res.Len() != 3 || res.Dist != 3 {
 		t.Errorf("result = %+v", res)
 	}
@@ -34,14 +45,36 @@ func TestRunDeliversStraightLine(t *testing.T) {
 	}
 }
 
+func TestRunHandsEachHopItsView(t *testing.T) {
+	g := gen.Path(5)
+	p := prep.NewPreprocessor(g, 4, 0, prep.CacheOptions{})
+	var centres []graph.Vertex
+	f := func(_, _, _ graph.Vertex, view *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
+		if view != p.At(view.Center, nil) {
+			return graph.NoVertex, errors.New("view is not the cached one")
+		}
+		centres = append(centres, view.Center)
+		return view.C.NextHopFromCenter(4), nil
+	}
+	res := Run(p, f, 0, 4, Options{DetectLoops: true})
+	if res.Outcome != Delivered || len(centres) != 4 {
+		t.Fatalf("result = %+v, decided at %v", res, centres)
+	}
+	for i, c := range centres {
+		if c != res.Route[i] {
+			t.Errorf("hop %d decided at %d, walk was at %d", i, c, res.Route[i])
+		}
+	}
+}
+
 func TestRunSelfDelivery(t *testing.T) {
 	g := gen.Path(3)
 	called := false
-	f := func(_, _, _, _ graph.Vertex) (graph.Vertex, error) {
+	f := func(_, _, _ graph.Vertex, view *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
 		called = true
 		return 0, nil
 	}
-	res := Run(g, f, 1, 1, Options{})
+	res := Run(over(g), f, 1, 1, Options{})
 	if res.Outcome != Delivered || res.Len() != 0 || called {
 		t.Errorf("s == t must deliver immediately without invoking f: %+v", res)
 	}
@@ -53,10 +86,11 @@ func TestRunSelfDelivery(t *testing.T) {
 func TestRunDetectsDirectedEdgeLoop(t *testing.T) {
 	g := gen.Cycle(4)
 	// Always go clockwise: revisits directed edges after one lap.
-	f := func(_, _, u, _ graph.Vertex) (graph.Vertex, error) {
+	f := func(_, _, _ graph.Vertex, view *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
+		u := view.Center
 		return (u + 1) % 4, nil
 	}
-	res := Run(g, f, 0, 99, Options{DetectLoops: true, PredecessorAware: true})
+	res := Run(over(g), f, 0, 99, Options{DetectLoops: true, PredecessorAware: true})
 	// t=99 is absent, but Run only errors through f; here the walk loops.
 	if res.Outcome != Looped {
 		t.Errorf("outcome = %v, want Looped", res.Outcome)
@@ -68,10 +102,11 @@ func TestRunDetectsDirectedEdgeLoop(t *testing.T) {
 
 func TestRunNodeLoopForObliviousAlgorithms(t *testing.T) {
 	g := gen.Cycle(4)
-	f := func(_, _, u, _ graph.Vertex) (graph.Vertex, error) {
+	f := func(_, _, _ graph.Vertex, view *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
+		u := view.Center
 		return (u + 1) % 4, nil
 	}
-	res := Run(g, f, 0, 99, Options{DetectLoops: true, PredecessorAware: false})
+	res := Run(over(g), f, 0, 99, Options{DetectLoops: true, PredecessorAware: false})
 	if res.Outcome != Looped || res.Len() > 4 {
 		t.Errorf("node-level loop detection failed: %+v", res)
 	}
@@ -86,7 +121,7 @@ func TestRunBouncingIsNotALoopUntilStateRepeats(t *testing.T) {
 		{0, 1}:              1, // bounce at the end
 		{1, 0}:              2, // then to t
 	}
-	res := Run(g, follow(m), 1, 2, Options{DetectLoops: true, PredecessorAware: true})
+	res := Run(over(g), follow(m), 1, 2, Options{DetectLoops: true, PredecessorAware: true})
 	if res.Outcome != Delivered || res.Len() != 3 {
 		t.Errorf("result = %+v route=%v", res, res.Route)
 	}
@@ -97,8 +132,8 @@ func TestRunBouncingIsNotALoopUntilStateRepeats(t *testing.T) {
 
 func TestRunErrorsOnIllegalHop(t *testing.T) {
 	g := gen.Path(3)
-	f := func(_, _, _, _ graph.Vertex) (graph.Vertex, error) { return 99, nil }
-	res := Run(g, f, 0, 2, Options{})
+	f := func(_, _, _ graph.Vertex, _ *prep.View, _ *prep.Scratch) (graph.Vertex, error) { return 99, nil }
+	res := Run(over(g), f, 0, 2, Options{})
 	if res.Outcome != Errored || !errors.Is(res.Err, ErrIllegalHop) {
 		t.Errorf("result = %+v", res)
 	}
@@ -107,8 +142,10 @@ func TestRunErrorsOnIllegalHop(t *testing.T) {
 func TestRunPropagatesFunctionError(t *testing.T) {
 	g := gen.Path(3)
 	sentinel := errors.New("boom")
-	f := func(_, _, _, _ graph.Vertex) (graph.Vertex, error) { return graph.NoVertex, sentinel }
-	res := Run(g, f, 0, 2, Options{})
+	f := func(_, _, _ graph.Vertex, _ *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
+		return graph.NoVertex, sentinel
+	}
+	res := Run(over(g), f, 0, 2, Options{})
 	if res.Outcome != Errored || !errors.Is(res.Err, sentinel) {
 		t.Errorf("result = %+v", res)
 	}
@@ -116,10 +153,11 @@ func TestRunPropagatesFunctionError(t *testing.T) {
 
 func TestRunExhaustsBudget(t *testing.T) {
 	g := gen.Cycle(6)
-	f := func(_, _, u, _ graph.Vertex) (graph.Vertex, error) {
+	f := func(_, _, _ graph.Vertex, view *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
+		u := view.Center
 		return graph.Vertex((int(u) + 1) % 6), nil
 	}
-	res := Run(g, f, 0, 3, Options{MaxSteps: 2})
+	res := (&Walker{pre: over(g), f: f}).RunScratch(0, 3, 2, NewScratch())
 	if res.Outcome != Exhausted {
 		t.Errorf("outcome = %v, want Exhausted", res.Outcome)
 	}
@@ -127,10 +165,11 @@ func TestRunExhaustsBudget(t *testing.T) {
 
 func TestUndeliveredDilationIsMax(t *testing.T) {
 	g := gen.Cycle(6)
-	f := func(_, _, u, _ graph.Vertex) (graph.Vertex, error) {
+	f := func(_, _, _ graph.Vertex, view *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
+		u := view.Center
 		return graph.Vertex((int(u) + 1) % 6), nil
 	}
-	res := Run(g, f, 0, 3, Options{MaxSteps: 1})
+	res := (&Walker{pre: over(g), f: f}).RunScratch(0, 3, 1, NewScratch())
 	if res.Dilation() != MaxDilation {
 		t.Errorf("dilation = %v, want MaxDilation", res.Dilation())
 	}

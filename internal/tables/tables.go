@@ -99,7 +99,8 @@ func (ft *FullTables) Algorithm() route.Algorithm {
 		PredecessorAware: false,
 		MinK:             func(int) int { return 0 },
 		Over: func(*prep.Preprocessor) route.Func {
-			return func(_, t, u, _ graph.Vertex) (graph.Vertex, error) {
+			return func(_, t, _ graph.Vertex, view *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
+				u := view.Center
 				hop, ok := ft.next[u][t]
 				if !ok || hop == graph.NoVertex {
 					//klocal:allow cold error path: fires only on a model-contract violation, never on the measured route
@@ -242,8 +243,8 @@ func (ti *TreeInterval) Algorithm() route.Algorithm {
 		PredecessorAware: false,
 		MinK:             func(int) int { return 0 },
 		Over: func(*prep.Preprocessor) route.Func {
-			return func(_, t, u, _ graph.Vertex) (graph.Vertex, error) {
-				return ti.NextHop(u, t)
+			return func(_, t, _ graph.Vertex, view *prep.View, _ *prep.Scratch) (graph.Vertex, error) {
+				return ti.NextHop(view.Center, t)
 			}
 		},
 	}

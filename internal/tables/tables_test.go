@@ -18,13 +18,13 @@ func TestFullTablesShortestEverywhere(t *testing.T) {
 			t.Fatal(err)
 		}
 		alg := ft.Algorithm()
-		f := alg.Bind(g, 0)
+		f := sim.Bind(alg, g, 0)
 		for _, s := range g.Vertices() {
 			for _, dst := range g.Vertices() {
 				if s == dst {
 					continue
 				}
-				res := sim.Run(g, sim.Func(f), s, dst, sim.Options{DetectLoops: true})
+				res := f.Run(s, dst)
 				if res.Outcome != sim.Delivered || res.Len() != res.Dist {
 					t.Fatalf("full tables %d->%d: %v len=%d dist=%d", s, dst, res.Outcome, res.Len(), res.Dist)
 				}
@@ -61,13 +61,13 @@ func TestTreeIntervalDeliversEverywhere(t *testing.T) {
 			t.Fatal(err)
 		}
 		alg := ti.Algorithm()
-		f := alg.Bind(g, 0)
+		f := sim.Bind(alg, g, 0)
 		for _, s := range g.Vertices() {
 			for _, dst := range g.Vertices() {
 				if s == dst {
 					continue
 				}
-				res := sim.Run(g, sim.Func(f), s, dst, sim.Options{DetectLoops: true})
+				res := f.Run(s, dst)
 				if res.Outcome != sim.Delivered {
 					t.Fatalf("interval routing %d->%d: %v err=%v", s, dst, res.Outcome, res.Err)
 				}

@@ -71,7 +71,7 @@ func checkGraph(cfg Config, g *graph.Graph, rep *Report, mu *sync.Mutex) {
 			k = 1
 		}
 	}
-	f := cfg.Algorithm.Bind(g, k)
+	w := sim.Bind(cfg.Algorithm, g, k)
 	local := Report{Graphs: 1}
 	for _, s := range g.Vertices() {
 		for _, t := range g.Vertices() {
@@ -79,10 +79,7 @@ func checkGraph(cfg Config, g *graph.Graph, rep *Report, mu *sync.Mutex) {
 				continue
 			}
 			local.Pairs++
-			res := sim.Run(g, sim.Func(f), s, t, sim.Options{
-				DetectLoops:      !cfg.Algorithm.Randomized,
-				PredecessorAware: cfg.Algorithm.PredecessorAware,
-			})
+			res := w.Run(s, t)
 			bad := res.Outcome != sim.Delivered ||
 				(cfg.RequireShortest && res.Len() != res.Dist)
 			if bad {

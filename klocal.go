@@ -85,11 +85,12 @@ func FromEdges(edges []Edge, isolated ...Vertex) *Graph { return graph.FromEdges
 
 // Routing types.
 type (
-	// Algorithm is a routing algorithm; bind it to a network and locality
-	// with Bind, or use Route.
+	// Algorithm is a routing algorithm; route one message with Route, or
+	// bind it to a network and locality with NewSnapshotStore.
 	Algorithm = route.Algorithm
-	// RoutingFunc is the paper's routing function f(s, t, u, v, G_k(u)),
-	// bound to a fixed network and locality.
+	// RoutingFunc is the paper's routing function f(s, t, u, v, G_k(u)):
+	// the walker hands it the current node's view (u is its Center) and
+	// a scratch to decide on, and it returns the next hop.
 	RoutingFunc = route.Func
 	// Result describes one simulated route.
 	Result = sim.Result
@@ -187,10 +188,7 @@ var (
 // Route binds alg to (g, k) and simulates a single message from s to t,
 // using the loop-detection criterion matching the algorithm's awareness.
 func Route(alg Algorithm, g *Graph, k int, s, t Vertex) *Result {
-	return sim.Run(g, sim.Func(alg.Bind(g, k)), s, t, sim.Options{
-		DetectLoops:      !alg.Randomized,
-		PredecessorAware: alg.PredecessorAware,
-	})
+	return sim.Bind(alg, g, k).Run(s, t)
 }
 
 // ExtractNeighborhood computes G_k(u), everything node u may know.
