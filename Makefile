@@ -105,22 +105,25 @@ go-fuzz-smoke:
 
 # The concurrency-heavy code paths: the fault-tolerant discovery
 # protocol and injector, the traffic engine and its metric shards, the
-# lock-free preprocessing cache, the routing daemon's hot-swap/drain
-# machinery, the cluster membership/LSA/forwarding stack (including the
+# lock-free preprocessing cache, the routing daemon's snapshot swaps
+# into its long-lived engines, the cluster membership/LSA/forwarding stack (including the
 # 5-member TCP crash e2e), the graph substrate and neighborhood
 # extraction (shared-Scratch misuse shows up here first), and the shared
 # routing closures the engine's lanes route through. The allocation
 # gates of bigraph, prep, engine and cluster run here under -race too:
 # no pool sits on their paths, since every walker owns its scratch.
 # serve's handler gate still skips, because its reply buffers are
-# pooled and the race detector drops pooled objects at random. Five races that
+# pooled and the race detector drops pooled objects at random. Seven races that
 # need many interleavings to show run ten times over: routing while a
 # cluster member derives new epochs, eight goroutines publishing a
 # view's routing half at once, lookups on the last three epochs of
 # a view cache publishing into the table pages they share while new
 # epochs are derived, four goroutines recording into one metrics
-# shard while another live-merges it, and eight goroutines routing on
-# an engine's four lanes while its snapshot is swapped and it closes.
+# shard while another live-merges it, eight goroutines routing on
+# an engine's four lanes while its snapshot is swapped and it closes,
+# a Quiesce (alone, and under a Close) waiting for a route on a
+# swapped-out snapshot, and the daemon routing, PUTting, PATCHing and
+# scraping at once with exact counter reconciliation.
 race:
 	$(GO) test -race -count=1 \
 		./internal/netsim/... ./internal/fault/... \
@@ -129,8 +132,8 @@ race:
 		./internal/nbhd/... ./internal/graph/...
 	$(GO) test -race -count=1 -run Concurrent ./internal/route/...
 	$(GO) test -race -count=10 \
-		-run '^(TestConcurrentRouteWhileDeriving|TestConcurrentRoutingHalfFirstUse|TestConcurrentAtAcrossEpochs|TestShardConcurrentWriters|TestLanesSwapAndClose)$$' \
-		./internal/cluster/ ./internal/prep/ ./internal/metrics/ ./internal/engine/
+		-run '^(TestConcurrentRouteWhileDeriving|TestConcurrentRoutingHalfFirstUse|TestConcurrentAtAcrossEpochs|TestShardConcurrentWriters|TestLanesSwapAndClose|TestQuiesceWaitsForSwappedOutRoutes|TestRetireSwapRace)$$' \
+		./internal/cluster/ ./internal/prep/ ./internal/metrics/ ./internal/engine/ ./internal/serve/
 	$(MAKE) go-fuzz-smoke
 
 # Traffic-engine benchmarks (throughput vs workers, cache cold vs warm,

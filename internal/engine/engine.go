@@ -25,6 +25,10 @@ type Response struct {
 	Index int
 	// Worker identifies the lane that routed the request.
 	Worker int
+	// Snapshot is the snapshot the walk ran on, and Epoch its number in
+	// the engine: 1 for the snapshot New got, one more per SwapSnapshot.
+	Snapshot *Snapshot
+	Epoch    int64
 	// Result is the full simulation result.
 	Result *sim.Result
 	// Latency is the wall time spent routing the request.
@@ -56,6 +60,12 @@ var ErrClosed = errors.New("engine: closed")
 // into HTTP 429.
 var ErrSaturated = errors.New("engine: every lane busy past admission budget")
 
+// ErrNoVertex is returned, wrapped, by Do and DoBatch when a request
+// names a vertex absent from the snapshot the call loaded. The call
+// routes nothing then: a walk toward an absent t would run until loop
+// detection stopped it.
+var ErrNoVertex = errors.New("engine: vertex not in graph")
+
 // lane is one routing slot. The caller holding it routes on its own
 // goroutine into the lane's scratch and records into the lane's shard.
 type lane struct {
@@ -64,20 +74,21 @@ type lane struct {
 	sh *metrics.Shard
 }
 
-// Engine routes requests concurrently over one Snapshot through a fixed
+// Engine routes requests concurrently over a Snapshot through a fixed
 // set of lanes. A caller checks a lane out, routes on its own goroutine
 // and hands the lane back; a caller that finds every lane busy waits for
 // one, within its admission budget. Each lane records into its own
 // metrics shard and the snapshot's view cache is lock-free, so routing
-// takes no shared lock. An Engine is a single session: use it, Close it,
-// read Report.
+// takes no shared lock. SwapSnapshot moves the lanes to a new topology
+// epoch while they route, and the shards count across epochs; Close
+// ends the engine, and Report reads its totals.
 type Engine struct {
-	// snap is the snapshot the lanes route over, behind an atomic
-	// pointer so SwapSnapshot can hot-swap topology epochs mid-traffic:
-	// each route loads the pointer once and routes entirely on that
-	// epoch's consistent (graph, views) pair.
-	snap atomic.Pointer[Snapshot]
-	cfg  Config
+	// cur is the snapshot the lanes route over and its epoch, behind an
+	// atomic pointer so SwapSnapshot can hot-swap topology epochs
+	// mid-traffic: a call loads it once, with its lane held, and routes
+	// entirely on that epoch's consistent (graph, views) pair.
+	cur atomic.Pointer[epochSnap]
+	cfg Config
 
 	// lanes holds the idle lanes. Its capacity is the lane count, so
 	// handing a lane back never blocks.
@@ -111,7 +122,7 @@ func New(snap *Snapshot, cfg Config) *Engine {
 		closing: make(chan struct{}),
 		started: time.Now(),
 	}
-	e.snap.Store(snap)
+	e.cur.Store(&epochSnap{snap: snap, epoch: 1})
 	for i := range e.shards {
 		e.shards[i] = metrics.NewShard(workerMetrics)
 		e.lanes <- &lane{id: i, sc: sim.NewScratch(), sh: e.shards[i]}
@@ -123,16 +134,59 @@ func New(snap *Snapshot, cfg Config) *Engine {
 func (e *Engine) Config() Config { return e.cfg }
 
 // Snapshot returns the snapshot the engine currently routes over.
-func (e *Engine) Snapshot() *Snapshot { return e.snap.Load() }
+func (e *Engine) Snapshot() *Snapshot { return e.cur.Load().snap }
+
+// epochSnap is a snapshot the engine routes on and its epoch.
+type epochSnap struct {
+	snap  *Snapshot
+	epoch int64
+}
+
+// check fails with ErrNoVertex when an endpoint of req, the i-th request
+// of its call, is not a vertex of the snapshot.
+func (es *epochSnap) check(i int, req Request) error {
+	if st := es.snap.Store(); !st.HasVertex(req.S) || !st.HasVertex(req.T) {
+		return fmt.Errorf("request %d: (%d, %d) at epoch %d: %w", i, req.S, req.T, es.epoch, ErrNoVertex)
+	}
+	return nil
+}
 
 // SwapSnapshot atomically replaces the snapshot the lanes route over
-// and returns the previous one. In-flight requests finish on the
-// snapshot they loaded; requests that start after the swap route on
-// next. The caller is responsible for next being a binding of the same
-// algorithm family it wants reported (the report reads the current
-// snapshot's descriptor).
-func (e *Engine) SwapSnapshot(next *Snapshot) *Snapshot {
-	return e.snap.Swap(next)
+// and returns next's epoch. It never waits: calls in flight finish on
+// the snapshot they loaded, and calls that take a lane after the swap
+// route on next (Quiesce waits for the former). The caller is
+// responsible for next being a binding of the same algorithm family it
+// wants reported (the report reads the current snapshot's descriptor).
+func (e *Engine) SwapSnapshot(next *Snapshot) int64 {
+	for {
+		prev := e.cur.Load()
+		if e.cur.CompareAndSwap(prev, &epochSnap{snap: next, epoch: prev.epoch + 1}) {
+			return prev.epoch + 1
+		}
+	}
+}
+
+// Quiesce returns once no route is in flight on a snapshot swapped out
+// before the call: it takes every lane once, then hands them all back,
+// so a caller arriving meanwhile waits at most for the routes in flight.
+// If Close begins meanwhile, Quiesce returns once Close has.
+func (e *Engine) Quiesce() {
+	held := make([]*lane, 0, e.cfg.Workers)
+	closing := false
+	for len(held) < e.cfg.Workers && !closing {
+		select {
+		case l := <-e.lanes:
+			held = append(held, l)
+		case <-e.closing:
+			closing = true
+		}
+	}
+	for _, l := range held {
+		e.release(l)
+	}
+	if closing {
+		e.Close() // waits for the Close under way, which collects every lane
+	}
 }
 
 // The lane metrics, registered once for every lane's shard.
@@ -197,12 +251,12 @@ func (e *Engine) wait(budget time.Duration) (*lane, error) {
 // release hands a checked-out lane back.
 func (e *Engine) release(l *lane) { e.lanes <- l }
 
-// route routes req on l and records the outcome into l's shard. The
-// result is owned by l's scratch: valid until l's next route, Clone to
-// retain.
-func (e *Engine) route(l *lane, req Request) (*sim.Result, time.Duration) {
+// route routes req over snap on l and records the outcome into l's
+// shard. The result is owned by l's scratch: valid until l's next route,
+// Clone to retain.
+func (e *Engine) route(l *lane, snap *Snapshot, req Request) (*sim.Result, time.Duration) {
 	start := time.Now()
-	res := e.snap.Load().RouteScratch(req.S, req.T, e.cfg.MaxSteps, l.sc)
+	res := snap.RouteScratch(req.S, req.T, e.cfg.MaxSteps, l.sc)
 	lat := time.Since(start)
 
 	sh := l.sh
@@ -227,36 +281,41 @@ func (e *Engine) route(l *lane, req Request) (*sim.Result, time.Duration) {
 	return res, lat
 }
 
-// routeBatch routes reqs in order on l into out, which has their
-// length. Response i carries Index base+i and a Result cloned out of
-// the lane's scratch.
-func (e *Engine) routeBatch(l *lane, reqs []Request, out []Response, base int) {
+// routeBatch routes reqs in order over cur on l into out, which has
+// their length. Response i carries Index base+i and a Result cloned out
+// of the lane's scratch.
+func (e *Engine) routeBatch(l *lane, cur *epochSnap, reqs []Request, out []Response, base int) {
 	for i, req := range reqs {
-		res, lat := e.route(l, req)
-		out[i] = Response{Request: req, Index: base + i, Worker: l.id, Result: res.Clone(), Latency: lat}
+		res, lat := e.route(l, cur.snap, req)
+		out[i] = Response{Request: req, Index: base + i, Worker: l.id, Snapshot: cur.snap, Epoch: cur.epoch, Result: res.Clone(), Latency: lat}
 	}
 }
 
 // Do routes one request on the caller's goroutine. It takes an idle
 // lane, or waits for one at most budget (0 = until a lane frees):
-// ErrSaturated past it is the admission-control signal. Safe for
-// concurrent callers.
+// ErrSaturated past it is the admission-control signal. It fails with
+// ErrNoVertex when an endpoint is not in the snapshot it routes on.
+// Safe for concurrent callers.
 func (e *Engine) Do(req Request, budget time.Duration) (Response, error) {
 	l, err := e.acquire(budget)
 	if err != nil {
 		return Response{}, err
 	}
-	res, lat := e.route(l, req)
-	resp := Response{Request: req, Worker: l.id, Result: res.Clone(), Latency: lat}
-	e.release(l)
-	return resp, nil
+	defer e.release(l)
+	cur := e.cur.Load()
+	if err := cur.check(0, req); err != nil {
+		return Response{}, err
+	}
+	res, lat := e.route(l, cur.snap, req)
+	return Response{Request: req, Worker: l.id, Snapshot: cur.snap, Epoch: cur.epoch, Result: res.Clone(), Latency: lat}, nil
 }
 
-// DoBatch routes reqs in order on one lane, on the caller's goroutine,
-// and returns their responses in request order. It acquires the lane as
-// Do does, so budget bounds the whole wait before routing starts; a
-// saturated batch routes nothing. Safe for concurrent callers, which
-// route on separate lanes.
+// DoBatch routes reqs in order on one lane and one snapshot, on the
+// caller's goroutine, and returns their responses in request order. It
+// acquires the lane as Do does, so budget bounds the whole wait before
+// routing starts. A batch is all-or-nothing: saturated, or with an
+// endpoint not in the snapshot (ErrNoVertex), it routes nothing. Safe
+// for concurrent callers, which route on separate lanes.
 func (e *Engine) DoBatch(reqs []Request, budget time.Duration) ([]Response, error) {
 	if len(reqs) == 0 {
 		return nil, nil
@@ -265,9 +324,15 @@ func (e *Engine) DoBatch(reqs []Request, budget time.Duration) ([]Response, erro
 	if err != nil {
 		return nil, err
 	}
+	defer e.release(l)
+	cur := e.cur.Load()
+	for i, req := range reqs {
+		if err := cur.check(i, req); err != nil {
+			return nil, err
+		}
+	}
 	out := make([]Response, len(reqs))
-	e.routeBatch(l, reqs, out, 0)
-	e.release(l)
+	e.routeBatch(l, cur, reqs, out, 0)
 	return out, nil
 }
 
@@ -343,7 +408,7 @@ func (e *Engine) RunWorkload(w Workload, n int, d time.Duration) error {
 		go func() {
 			defer wg.Done()
 			for req, ok := draw(); ok; req, ok = draw() {
-				e.route(l, req)
+				e.route(l, e.Snapshot(), req)
 			}
 			e.release(l)
 		}()
@@ -379,7 +444,7 @@ func (e *Engine) LiveShard() *metrics.Shard {
 // report derives the gauge set over an already-merged shard.
 func (e *Engine) report(merged *metrics.Shard) *metrics.Report {
 	rep := merged.Snapshot()
-	snap := e.snap.Load()
+	snap := e.Snapshot()
 	rep.Name = fmt.Sprintf("%s k=%d n=%d workers=%d",
 		snap.alg.Name, snap.K(), snap.Store().N(), e.cfg.Workers)
 
@@ -415,6 +480,7 @@ func (e *Engine) report(merged *metrics.Shard) *metrics.Report {
 // DoBatch uses. The error is always nil.
 func RouteAll(snap *Snapshot, reqs []Request, cfg Config) ([]Response, *metrics.Report, error) {
 	e := New(snap, cfg)
+	cur := e.cur.Load()
 	out := make([]Response, len(reqs))
 	share := (len(reqs) + e.cfg.Workers - 1) / e.cfg.Workers
 	var wg sync.WaitGroup
@@ -425,7 +491,7 @@ func RouteAll(snap *Snapshot, reqs []Request, cfg Config) ([]Response, *metrics.
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e.routeBatch(l, reqs[lo:hi], out[lo:hi], lo)
+			e.routeBatch(l, cur, reqs[lo:hi], out[lo:hi], lo)
 			e.release(l)
 		}()
 	}

@@ -414,6 +414,113 @@ func TestLanesSwapAndClose(t *testing.T) {
 	}
 }
 
+// TestResponsesNameTheirEpoch: each response names the snapshot it ran
+// on and that snapshot's epoch (1 for New's, one more per swap), a
+// batch runs on one snapshot, and a request naming a vertex the
+// snapshot lacks fails with ErrNoVertex and routes nothing — a batch
+// holding one routes none of its requests.
+func TestResponsesNameTheirEpoch(t *testing.T) {
+	g := testGraph(12)
+	snapA, _ := NewSnapshotStore(g, 0, route.Algorithm2(), SnapshotOptions{})
+	snapB, _ := NewSnapshotStore(g, 0, route.Algorithm3(), SnapshotOptions{})
+	e := New(snapA, Config{Workers: 2})
+	defer e.Close()
+	ok := Request{S: 0, T: 5}
+	if resp, err := e.Do(ok, 0); err != nil || resp.Snapshot != snapA || resp.Epoch != 1 {
+		t.Fatalf("Do on New's snapshot: epoch %d (%v)", resp.Epoch, err)
+	}
+	if epoch := e.SwapSnapshot(snapB); epoch != 2 {
+		t.Fatalf("first swap numbered epoch %d, want 2", epoch)
+	}
+	out, err := e.DoBatch([]Request{ok, {S: 3, T: 1}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, resp := range out {
+		if resp.Snapshot != snapB || resp.Epoch != 2 {
+			t.Fatalf("batch response %d: epoch %d, want the swapped-in snapshot at 2", i, resp.Epoch)
+		}
+	}
+	for _, bad := range []Request{{S: 0, T: 99}, {S: -7, T: 0}} {
+		if _, err := e.Do(bad, 0); !errors.Is(err, ErrNoVertex) {
+			t.Fatalf("Do(%v) = %v, want ErrNoVertex", bad, err)
+		}
+		if out, err := e.DoBatch([]Request{ok, bad, ok}, 0); !errors.Is(err, ErrNoVertex) || out != nil {
+			t.Fatalf("DoBatch holding %v = %d responses, %v; want none and ErrNoVertex", bad, len(out), err)
+		}
+	}
+	if got := e.LiveShard().Counter(mRequests); got != 3 {
+		t.Fatalf("requests = %d, want the 3 valid ones", got)
+	}
+}
+
+// TestQuiesceWaitsForSwappedOutRoutes holds a route at a gated decision
+// on one snapshot, swaps another in, and quiesces. Quiesce must wait
+// for the held route, a caller arriving meanwhile must route on the new
+// snapshot once it returns, and a Close begun during a Quiesce must let
+// both return once the held route finishes. make race runs it ten
+// times.
+func TestQuiesceWaitsForSwappedOutRoutes(t *testing.T) {
+	const lanes = 2
+	g := gen.Path(2)
+	snapB, err := NewSnapshotStore(g, 0, route.Algorithm2(), SnapshotOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, closeToo := range []bool{false, true} {
+		gt := newGate()
+		e := New(gt.snapshot(t, g), Config{Workers: lanes})
+		held := hold(e)
+		gt.await(1)
+		e.SwapSnapshot(snapB)
+
+		quiesced := make(chan struct{})
+		go func() {
+			e.Quiesce()
+			close(quiesced)
+		}()
+		for len(e.lanes) > 0 { // until Quiesce has taken the idle lane
+			select {
+			case <-quiesced:
+				t.Fatal("Quiesce returned while a route on the swapped-out snapshot held its lane")
+			default:
+				runtime.Gosched()
+			}
+		}
+		late := make(chan Response, 1)
+		go func() {
+			resp, err := e.Do(Request{S: 0, T: 1}, 0)
+			if err != nil && !(closeToo && errors.Is(err, ErrClosed)) {
+				t.Error(err)
+			}
+			late <- resp
+		}()
+		if closeToo {
+			go e.Close()
+		}
+		select {
+		case <-quiesced:
+			t.Fatal("Quiesce returned while a route on the swapped-out snapshot held its lane")
+		case <-time.After(20 * time.Millisecond):
+		}
+		gt.release()
+		<-quiesced
+		if n := gt.inFlight.Load(); n != 0 {
+			t.Fatalf("Quiesce returned with %d decisions on the old snapshot in flight", n)
+		}
+		if err := <-held; err != nil {
+			t.Fatal(err)
+		}
+		if resp := <-late; !closeToo && (resp.Snapshot != snapB || resp.Epoch != 2) {
+			t.Fatalf("a caller arriving during Quiesce routed on epoch %d, want 2", resp.Epoch)
+		}
+		if closeToo && e.closedNano.Load() == 0 {
+			t.Fatal("Quiesce returned before the Close under way")
+		}
+		e.Close()
+	}
+}
+
 func TestAdversarialStretchMatchesTheorem4(t *testing.T) {
 	// On the DilationPath instance the engine must report exactly the
 	// paper's worst-case route length 2n−3k−1 for Algorithm 1.

@@ -12,8 +12,11 @@
 //   - Engine: W lanes, each one sim.Scratch and one metrics shard. A
 //     caller checks a lane out, routes on its own goroutine and hands
 //     it back, so at most W requests route at once and a caller that
-//     finds every lane busy waits within its admission budget. The
-//     per-lane shards merge into a metrics.Report.
+//     finds every lane busy waits within its admission budget.
+//     SwapSnapshot moves the lanes to the next topology epoch without
+//     waiting, and each response names the snapshot and epoch it
+//     routed on. The per-lane shards, cumulative across swaps, merge
+//     into a metrics.Report.
 //
 //   - Workload: pluggable deterministic request generators — uniform
 //     random pairs, Zipf-skewed destinations, all-pairs, and the paper's

@@ -6,10 +6,14 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
+	"klocal/internal/churn"
+	"klocal/internal/engine"
 	"klocal/internal/graph"
+	"klocal/internal/sim"
 )
 
 // Allocation gates of one warm request through the daemon's handler, on
@@ -90,6 +94,58 @@ func TestHandlerAllocsGate(t *testing.T) {
 			t.Errorf("%s allocates %.0f times per request beyond the harness's %.0f, gate %.0f", tc.path, got, harness, tc.gate)
 		}
 		t.Logf("%s: %.0f allocs/request beyond the harness's %.0f (gate %.0f)", tc.path, got, harness, tc.gate)
+	}
+}
+
+// sinkResult keeps measured results on the heap.
+var sinkResult *sim.Result
+
+// TestPatchKeepsLanesWarm pins that a PATCH builds no engine. On
+// churn-patch's deployment (a prewarmed 100×100 grid at k = 3) the
+// first Do on each lane after a chord flap, for a pair whose walk reads
+// only views the flap left clean, allocates exactly what Result.Clone
+// does: the lanes keep their grown scratches across the swap.
+func TestPatchKeepsLanesWarm(t *testing.T) {
+	s, err := New(Config{Graph: GraphSpec{Kind: "grid", Size: 100 * 100}, Algorithms: []string{"alg2"}, K: 3, Prewarm: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	eng := s.engines["alg2"]
+	lanes := eng.Config().Workers
+	// (99,97) → (99,99), within k: two Case-1 views in the corner far
+	// from the chord (10,10)–(10,20) and its dirty k-balls.
+	req := engine.Request{S: 9997, T: 9999}
+	var epoch int64
+	do := func() {
+		resp, err := eng.Do(req, 0)
+		if err != nil || resp.Result.Outcome != sim.Delivered {
+			t.Fatalf("Do: %v (%v)", err, resp.Result)
+		}
+		sinkResult, epoch = resp.Result, resp.Epoch
+	}
+	// One goroutine takes the idle lanes in turn, so every lane's
+	// scratch reaches its high-water mark for req here.
+	for range 4 * lanes {
+		do()
+	}
+	if _, _, _, err := s.ApplyDeltas([]churn.Delta{{Op: churn.AddEdge, U: 1010, V: 1020}}); err != nil {
+		t.Fatal(err)
+	}
+	eng = s.engines["alg2"] // the engine serving after the PATCH
+	clone := testing.AllocsPerRun(10, func() { sinkResult = sinkResult.Clone() })
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range lanes {
+		do()
+	}
+	runtime.ReadMemStats(&after)
+	if epoch != 2 {
+		t.Fatalf("routed on epoch %d after the PATCH, want 2", epoch)
+	}
+	if got := float64(after.Mallocs-before.Mallocs) / float64(lanes); got != clone {
+		t.Fatalf("the first Do on each of %d lanes after a PATCH allocates %.2f times, Result.Clone %.0f", lanes, got, clone)
 	}
 }
 

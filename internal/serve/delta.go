@@ -16,11 +16,11 @@ import (
 // derives the next generation from the current one — every algorithm's
 // snapshot adopts the cached views outside the dirty k-ball of the
 // touched endpoints (engine.Snapshot.Incremental → prep.Derive) and
-// recomputes only the dirty ones, lazily. The new generation is
-// published through the same refcounted pointer swap as PUT, so there is
-// no drain in front of new traffic: requests that already acquired the
-// old generation finish on its consistent (graph, views) pair while new
-// requests route on the new epoch immediately.
+// recomputes only the dirty ones, lazily. The derived snapshots go to
+// the same engines through the same Engine.SwapSnapshot as PUT's, so
+// nothing waits: routes in flight finish on the old epoch's consistent
+// (graph, views) pair while new requests route on the new epoch, on the
+// same warm lanes.
 
 // DeltaSpec is one topology mutation in the PATCH /graph wire format.
 type DeltaSpec struct {
@@ -63,39 +63,32 @@ type DeltaReply struct {
 	// their cached views invalidated. Everything else survived the swap.
 	Dirty int `json:"dirty"`
 	// ApplyNS is the wall time to apply the batch and publish the new
-	// generation. It excludes retiring the old one (its drain, engine
-	// close and metrics fold), which the reply still waits for.
+	// generation.
 	ApplyNS int64 `json:"apply_ns"`
 }
 
-// ApplyDeltas applies a validated churn batch to the current topology
-// and publishes the derived generation. It returns the new deployment,
-// the dirty-set size, and the wall time from its call to the publish;
-// it returns only after the old generation is retired. The batch is
-// all-or-nothing: any invalid delta rejects the whole request and the
-// current generation is untouched.
-func (s *Server) ApplyDeltas(deltas []churn.Delta) (*deployment, int, time.Duration, error) {
+// ApplyDeltas applies a validated churn batch to the current topology,
+// swaps the derived snapshots into the engines and publishes the new
+// generation. It returns the new generation, the dirty-set size, and
+// its own wall time. The batch is all-or-nothing: any invalid delta
+// rejects the whole request and the current generation is untouched.
+func (s *Server) ApplyDeltas(deltas []churn.Delta) (*generation, int, time.Duration, error) {
 	start := time.Now()
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	if s.stopped.Load() {
 		return nil, 0, 0, fmt.Errorf("server stopping")
 	}
-	cur := s.cur.Load()
-	if cur == nil {
-		return nil, 0, 0, fmt.Errorf("no deployment")
-	}
+	cur := s.gen.Load()
 	if cur.g == nil {
-		return nil, 0, 0, fmt.Errorf("incremental deltas need a materialized graph; generation rev %d is store-backed", cur.rev)
+		return nil, 0, 0, fmt.Errorf("incremental deltas need a materialized graph; generation epoch %d is store-backed", cur.epoch)
 	}
 	// One dirty set at the largest deployed locality: algorithms bound at
 	// smaller k re-derive a few views they could have kept, which is
 	// over-invalidation (safe), never under.
 	kmax := 1
-	for _, ae := range cur.byAlg {
-		if k := ae.snap.K(); k > kmax {
-			kmax = k
-		}
+	for _, e := range s.engines {
+		kmax = max(kmax, e.Snapshot().K())
 	}
 	post, dirty, err := churn.ApplyAll(cur.g, deltas, kmax)
 	if err != nil {
@@ -104,35 +97,14 @@ func (s *Server) ApplyDeltas(deltas []churn.Delta) (*deployment, int, time.Durat
 	if post.N() == 0 {
 		return nil, 0, 0, fmt.Errorf("delta batch would empty the graph")
 	}
-	nd := &deployment{
-		rev:     s.nextRev.Add(1),
-		epoch:   s.epoch.Add(1),
-		spec:    cur.spec, // provenance only; N/M are read from the store
-		st:      post,
-		g:       post,
-		built:   time.Now(),
-		byAlg:   make(map[string]*algEngine),
-		drained: make(chan struct{}),
-	}
-	for _, name := range cur.algs {
-		ae := cur.byAlg[name]
-		snap, err := ae.snap.Incremental(post, dirty)
-		if err != nil {
+	snaps := make([]*engine.Snapshot, len(s.cfg.Algorithms))
+	for i, name := range s.cfg.Algorithms {
+		if snaps[i], err = s.engines[name].Snapshot().Incremental(post, dirty); err != nil {
 			return nil, 0, 0, err
 		}
-		eng := engine.New(snap, engine.Config{Workers: s.cfg.Workers, MaxSteps: s.cfg.MaxSteps})
-		nd.algs = append(nd.algs, name)
-		nd.byAlg[name] = &algEngine{name: name, snap: snap, eng: eng}
 	}
-	s.mu.Lock()
-	s.live[nd.rev] = nd
-	s.mu.Unlock()
-	old := s.cur.Swap(nd)
-	applied := time.Since(start)
-	if old != nil {
-		s.retire(old)
-	}
-	return nd, len(dirty), applied, nil
+	nd := s.swap(cur.spec, post, snaps)
+	return nd, len(dirty), time.Since(start), nil
 }
 
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {

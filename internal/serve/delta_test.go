@@ -6,10 +6,10 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"klocal/internal/churn"
 	"klocal/internal/graph"
+	"klocal/internal/verify"
 )
 
 func TestPatchGraphDeltas(t *testing.T) {
@@ -108,7 +108,8 @@ func TestPatchGraphDeltas(t *testing.T) {
 
 // TestPatchUnderLoad drives routing traffic while PATCH deltas flap a
 // chord on and off: every response must come from a coherent generation
-// (no 5xx), and the server must end healthy.
+// (no 5xx), its walk valid on the graph of the epoch it names, and the
+// server must end healthy.
 func TestPatchUnderLoad(t *testing.T) {
 	s, err := New(Config{Graph: GraphSpec{Kind: "cycle", Size: 24}, Algorithms: []string{"alg2"}})
 	if err != nil {
@@ -117,6 +118,16 @@ func TestPatchUnderLoad(t *testing.T) {
 	defer s.Drain()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	// Epoch 1 is the cycle; flap e adds the chord when e is odd and
+	// removes it when e is even, so epoch e+1 has the chord iff e is odd.
+	base, _ := GraphSpec{Kind: "cycle", Size: 24}.Build()
+	plus := base.WithEdge(0, 12)
+	topo := func(epoch int64) *graph.Graph {
+		if epoch%2 == 0 {
+			return plus
+		}
+		return base
+	}
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -124,7 +135,7 @@ func TestPatchUnderLoad(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			pair := [2]int64{int64(w), int64(w + 12)}
+			s, d := graph.Vertex(w), graph.Vertex(w+12)
 			for {
 				select {
 				case <-stop:
@@ -132,10 +143,13 @@ func TestPatchUnderLoad(t *testing.T) {
 				default:
 				}
 				var rr RouteReply
-				code := postJSON(t, http.MethodPost, ts.URL+"/route",
-					RouteRequest{S: graph.Vertex(pair[0]), T: graph.Vertex(pair[1])}, &rr)
+				code := postJSON(t, http.MethodPost, ts.URL+"/route", RouteRequest{S: s, T: d}, &rr)
 				if code != http.StatusOK {
 					t.Errorf("route during churn: %d", code)
+					return
+				}
+				if err := verify.CheckWalk(topo(rr.Epoch), s, d, rr.Route, 0); err != nil {
+					t.Errorf("epoch %d: %v", rr.Epoch, err)
 					return
 				}
 			}
@@ -152,6 +166,9 @@ func TestPatchUnderLoad(t *testing.T) {
 			{Op: op, U: 0, V: 12},
 		}}, &dr); code != http.StatusOK {
 			t.Fatalf("PATCH %d (%s): %d", i, op, code)
+		}
+		if dr.Epoch != int64(i+2) {
+			t.Fatalf("PATCH %d: epoch %d, want %d", i, dr.Epoch, i+2)
 		}
 		on = !on
 	}
@@ -219,42 +236,100 @@ func TestReservedLabelRejected(t *testing.T) {
 	}
 }
 
-// TestApplyNSExcludesDrain holds a reference on the old generation for
-// longer than a PATCH takes to apply. The reply must wait for that
-// drain, but its apply_ns must stop at the publish and not include it.
+// TestApplyNSExcludesDrain parks a route mid-walk on the current epoch
+// and PATCHes the graph under it. Nothing drains: the PATCH must reply,
+// apply_ns included, while that route is still in flight, later routes
+// must see the new epoch, and the parked route must finish on the old
+// epoch with a walk valid on the old graph.
 func TestApplyNSExcludesDrain(t *testing.T) {
-	s, err := New(Config{Graph: GraphSpec{Kind: "cycle", Size: 40}, K: 3, Algorithms: []string{"alg2"}})
+	s, err := New(Config{Graph: GraphSpec{Kind: "cycle", Size: 24}, Algorithms: []string{"alg2"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Drain()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	g0, _ := GraphSpec{Kind: "cycle", Size: 24}.Build()
+	park := parkNextDecision(t, s.engines["alg2"])
+	defer park.release()
 
-	const hold = 400 * time.Millisecond
-	old, err := s.current()
+	parked := make(chan RouteReply, 1)
+	go func() {
+		var rr RouteReply
+		if code := postJSON(t, http.MethodPost, ts.URL+"/route", RouteRequest{S: 0, T: 12}, &rr); code != http.StatusOK {
+			t.Errorf("parked route: code %d", code)
+		}
+		parked <- rr
+	}()
+	<-park.entered
+
+	dr := patchWhileParked(t, ts.URL, DeltaSpec{Op: "add-edge", U: 0, V: 12})
+	if dr.Epoch != park.epoch+1 || dr.ApplyNS <= 0 {
+		t.Fatalf("PATCH epoch %d apply_ns %d, want epoch %d and a positive apply time", dr.Epoch, dr.ApplyNS, park.epoch+1)
+	}
+	var rr RouteReply
+	if code := postJSON(t, http.MethodPost, ts.URL+"/route", RouteRequest{S: 0, T: 12}, &rr); code != http.StatusOK {
+		t.Fatalf("route after PATCH: %d", code)
+	}
+	if rr.Epoch != dr.Epoch || rr.Hops != 1 {
+		t.Fatalf("route after PATCH: epoch %d, %d hops; want epoch %d over the new chord", rr.Epoch, rr.Hops, dr.Epoch)
+	}
+
+	park.release()
+	rr = <-parked
+	if rr.Epoch != park.epoch || !rr.Delivered {
+		t.Fatalf("parked route: epoch %d delivered %v, want epoch %d delivered", rr.Epoch, rr.Delivered, park.epoch)
+	}
+	if err := verify.CheckWalk(g0, 0, 12, rr.Route, DilationBound("alg2")); err != nil {
+		t.Fatalf("parked route on epoch %d: %v", rr.Epoch, err)
+	}
+}
+
+// TestBatchRoutesOnOneEpoch parks a /batch at its first decision while
+// a PATCH lands: the reply must name the epoch the batch started on,
+// and every walk in it must be valid on that epoch's graph.
+func TestBatchRoutesOnOneEpoch(t *testing.T) {
+	s, err := New(Config{Graph: GraphSpec{Kind: "cycle", Size: 24}, Algorithms: []string{"alg2"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	released := make(chan struct{})
+	defer s.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	g0, _ := GraphSpec{Kind: "cycle", Size: 24}.Build()
+	park := parkNextDecision(t, s.engines["alg2"])
+	defer park.release()
+
+	pairs := [][2]graph.Vertex{{0, 12}, {12, 0}, {1, 12}, {23, 12}, {0, 11}}
+	batch := make(chan BatchReply, 1)
 	go func() {
-		defer close(released)
-		time.Sleep(hold)
-		old.release()
+		var br BatchReply
+		if code := postJSON(t, http.MethodPost, ts.URL+"/batch", BatchRequest{Pairs: pairs}, &br); code != http.StatusOK {
+			t.Errorf("parked batch: code %d", code)
+		}
+		batch <- br
 	}()
-	start := time.Now()
-	var dr DeltaReply
-	if code := postJSON(t, http.MethodPatch, ts.URL+"/graph", DeltaRequest{Deltas: []DeltaSpec{
-		{Op: "add-edge", U: 0, V: 20},
-	}}, &dr); code != http.StatusOK {
-		t.Fatalf("PATCH: %d", code)
+	<-park.entered
+	dr := patchWhileParked(t, ts.URL, DeltaSpec{Op: "add-edge", U: 0, V: 12})
+	park.release()
+
+	br := <-batch
+	if br.Epoch != park.epoch || br.Rev != park.epoch || len(br.Results) != len(pairs) {
+		t.Fatalf("batch: epoch %d rev %d, %d results; want epoch %d and %d results", br.Epoch, br.Rev, len(br.Results), park.epoch, len(pairs))
 	}
-	wall := time.Since(start)
-	<-released
-	if wall < hold {
-		t.Fatalf("PATCH replied after %v, before the old generation's %v drain", wall, hold)
+	for i, rr := range br.Results {
+		if rr.Epoch != park.epoch || !rr.Delivered {
+			t.Errorf("pair %d: epoch %d delivered %v, want epoch %d delivered", i, rr.Epoch, rr.Delivered, park.epoch)
+		}
+		if err := verify.CheckWalk(g0, pairs[i][0], pairs[i][1], rr.Route, DilationBound("alg2")); err != nil {
+			t.Errorf("pair %d on epoch %d: %v", i, rr.Epoch, err)
+		}
 	}
-	if got := time.Duration(dr.ApplyNS); got >= hold/2 {
-		t.Fatalf("apply_ns = %v with a %v drain pending: it includes the drain", got, hold)
+	// The next batch routes on the PATCH's epoch, over the chord.
+	if code := postJSON(t, http.MethodPost, ts.URL+"/batch", BatchRequest{Pairs: pairs[:1]}, &br); code != http.StatusOK {
+		t.Fatalf("batch after PATCH: %d", code)
+	}
+	if br.Epoch != dr.Epoch || br.Results[0].Hops != 1 {
+		t.Fatalf("batch after PATCH: epoch %d, %d hops; want epoch %d over the new chord", br.Epoch, br.Results[0].Hops, dr.Epoch)
 	}
 }

@@ -1,68 +1,21 @@
 package serve
 
 import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
-
-	"klocal/internal/engine"
-	"klocal/internal/graph"
 )
 
-// TestDeploymentRefcountStateMachine pins the packed-state semantics of
-// acquire/release/drain directly: a drain excludes new acquires, waits
-// for the last release, and a double release is a loud failure rather
-// than a silent refcount corruption.
-func TestDeploymentRefcountStateMachine(t *testing.T) {
-	t.Run("drain waits for last release", func(t *testing.T) {
-		d := &deployment{drained: make(chan struct{})}
-		if !d.acquire() {
-			t.Fatal("fresh deployment refused an acquire")
-		}
-		done := make(chan struct{})
-		go func() {
-			d.drain()
-			close(done)
-		}()
-		// The drainer must not return while the reference is held.
-		select {
-		case <-done:
-			t.Fatal("drain returned with a reference still held")
-		case <-time.After(20 * time.Millisecond):
-		}
-		if d.acquire() {
-			t.Fatal("acquire succeeded on a draining deployment")
-		}
-		d.release()
-		select {
-		case <-done:
-		case <-time.After(2 * time.Second):
-			t.Fatal("drain did not return after the last release")
-		}
-	})
-
-	t.Run("double release panics", func(t *testing.T) {
-		d := &deployment{drained: make(chan struct{})}
-		if !d.acquire() {
-			t.Fatal("fresh deployment refused an acquire")
-		}
-		d.release()
-		defer func() {
-			if recover() == nil {
-				t.Fatal("second release of a single acquire did not panic")
-			}
-		}()
-		d.release()
-	})
-}
-
-// TestRetireSwapRace hammers the drain path from the issue: routing
-// requests holding deployment references while concurrent Swaps retire
-// generation after generation. Under -race this is the memory-safety
-// proof; the counter reconciliation at the end is the no-double-count
-// invariant (every successful request was counted by exactly one
-// generation, none lost to a drain racing a release).
+// TestRetireSwapRace routes, PUTs, PATCHes and scrapes through the
+// daemon's handler at once. Under -race this is the memory-safety proof
+// for the engines' snapshot swaps; afterwards the one engine's counters
+// reconcile exactly with the replies served across every generation,
+// live and after Drain. make race runs it ten times.
 func TestRetireSwapRace(t *testing.T) {
 	srv, err := New(Config{
 		Graph:      GraphSpec{Kind: "cycle", Size: 16},
@@ -72,63 +25,69 @@ func TestRetireSwapRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := srv.Handler()
+	call := func(method, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec
+	}
 
-	var routed atomic.Int64
+	var routed, delivered, swaps atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-
-	// Request hammers: acquire the current deployment, route, release.
+	// Routers: every generation below has the vertices 0..15.
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
+			body := fmt.Sprintf(`{"s":%d,"t":%d}`, w, w+8)
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				d, err := srv.current()
-				if err != nil {
-					return // server drained under us: done
+				rec := call(http.MethodPost, "/route", body)
+				var rr RouteReply
+				if err := json.Unmarshal(rec.Body.Bytes(), &rr); rec.Code != http.StatusOK || err != nil {
+					t.Errorf("route %s: code %d (%v): %s", body, rec.Code, err, rec.Body)
+					return
 				}
-				ae, err := d.engineFor("")
-				if err != nil {
-					d.release()
-					continue
+				routed.Add(1)
+				if rr.Delivered {
+					delivered.Add(1)
 				}
-				n := d.g.N()
-				resp, err := ae.eng.Do(engine.Request{S: 0, T: graph.Vertex(n / 2)}, 0)
-				if err == nil && resp.Result.Outcome.String() == "delivered" {
-					routed.Add(1)
-				}
-				d.release()
 			}
-		}()
+		}(w)
 	}
 
-	// Swap hammer: retire generations as fast as they build.
+	// Swapper: PUT a generation, then PATCH a chord onto it, as fast as
+	// they build. A PATCH the current graph refuses (the wheel's hub
+	// already has the chord) answers 400 and swaps nothing.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		specs := []GraphSpec{
-			{Kind: "cycle", Size: 16},
-			{Kind: "wheel", Size: 16},
-			{Kind: "path", Size: 16},
-		}
+		specs := []string{`{"kind":"cycle","size":16}`, `{"kind":"wheel","size":16}`, `{"kind":"path","size":16}`}
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if _, err := srv.Swap(specs[i%len(specs)]); err != nil {
+			if rec := call(http.MethodPut, "/graph", specs[i%len(specs)]); rec.Code != http.StatusOK {
+				t.Errorf("PUT: code %d: %s", rec.Code, rec.Body)
 				return
 			}
+			rec := call(http.MethodPatch, "/graph", `{"deltas":[{"op":"add-edge","u":0,"v":8}]}`)
+			if rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest {
+				t.Errorf("PATCH: code %d: %s", rec.Code, rec.Body)
+				return
+			}
+			swaps.Add(1)
 		}
 	}()
 
-	// Metrics scraper: reads live shards while generations retire.
+	// Scraper: reads the live shards while the snapshots swap.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -137,28 +96,41 @@ func TestRetireSwapRace(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				srv.snapshotMetrics()
+			}
+			if rec := call(http.MethodGet, "/metrics?format=json", ""); rec.Code != http.StatusOK {
+				t.Errorf("GET /metrics: code %d", rec.Code)
+				return
 			}
 		}
 	}()
 
-	time.Sleep(300 * time.Millisecond)
+	for !t.Failed() && (routed.Load() < 2000 || swaps.Load() < 100) {
+		if rec := call(http.MethodGet, "/graph", ""); rec.Code != http.StatusOK {
+			t.Errorf("GET /graph: code %d", rec.Code)
+		}
+	}
 	close(stop)
 	wg.Wait()
-	srv.Drain()
+	if t.Failed() {
+		t.FailNow()
+	}
 
-	if routed.Load() == 0 {
-		t.Fatal("no request survived the swap storm; the race test exercised nothing")
+	var m MetricsReply
+	if err := json.Unmarshal(call(http.MethodGet, "/metrics?format=json", "").Body.Bytes(), &m); err != nil {
+		t.Fatal(err)
 	}
-	// Reconciliation: the cumulative counters must account for at least
-	// every successful routing call (failed Do calls may or may not have
-	// counted, successful ones must — exactly once).
-	var total int64
-	for _, rep := range srv.FinalReports() {
-		total += rep.Counter("delivered")
+	rep := m.Algorithms["alg2"]
+	if got := rep.Counter("requests"); got != routed.Load() {
+		t.Errorf("metrics requests = %d, routers got %d replies", got, routed.Load())
 	}
-	if total < routed.Load() {
-		t.Fatalf("retired totals lost requests: counters say %d delivered, callers saw %d",
-			total, routed.Load())
+	if got := rep.Counter("delivered"); got != delivered.Load() {
+		t.Errorf("metrics delivered = %d, routers got %d deliveries", got, delivered.Load())
+	}
+	if m.HTTPRequests != routed.Load() {
+		t.Errorf("http_requests = %d, want %d", m.HTTPRequests, routed.Load())
+	}
+	srv.Drain()
+	if got := srv.FinalReports()[0].Counter("requests"); got != routed.Load() {
+		t.Errorf("final requests = %d, routers got %d replies", got, routed.Load())
 	}
 }

@@ -194,15 +194,42 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64,
 	return true
 }
 
+// algorithm resolves the algorithm parameter ("" = the default, i.e.
+// the first configured algorithm) to its name and engine.
+func (s *Server) algorithm(name string) (string, *engine.Engine, error) {
+	if name == "" {
+		name = s.cfg.Algorithms[0]
+	}
+	e, ok := s.engines[name]
+	if !ok {
+		return "", nil, fmt.Errorf("algorithm %q not deployed (have %v)", name, s.cfg.Algorithms)
+	}
+	return name, e, nil
+}
+
+// failRoute answers an engine error: 429 when every lane stayed busy
+// past the admission budget, 400 for a vertex the graph lacks, 503 once
+// the daemon is draining.
+func (s *Server) failRoute(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, engine.ErrSaturated):
+		s.fail(w, http.StatusTooManyRequests, err)
+	case errors.Is(err, engine.ErrNoVertex):
+		s.fail(w, http.StatusBadRequest, err)
+	default:
+		s.fail(w, http.StatusServiceUnavailable, err)
+	}
+}
+
 // reply converts an engine response into the wire form, tracing the walk
-// against the deployment's own graph when asked.
-func (d *deployment) reply(ae *algEngine, resp engine.Response, withTrace bool) RouteReply {
+// against the graph of the snapshot it ran on when asked.
+func reply(name string, resp engine.Response, withTrace bool) RouteReply {
 	res := resp.Result
 	rr := RouteReply{
-		Rev:       d.rev,
-		Epoch:     d.epoch,
-		Algo:      ae.name,
-		K:         ae.snap.K(),
+		Rev:       resp.Epoch,
+		Epoch:     resp.Epoch,
+		Algo:      name,
+		K:         resp.Snapshot.K(),
 		S:         resp.S,
 		T:         resp.T,
 		Outcome:   res.Outcome.String(),
@@ -219,8 +246,8 @@ func (d *deployment) reply(ae *algEngine, resp engine.Response, withTrace bool) 
 	if res.Err != nil {
 		rr.Err = res.Err.Error()
 	}
-	if withTrace && d.g != nil {
-		rr.Trace = trace.RouteHops(d.g, res.Route, resp.T)
+	if g := resp.Snapshot.Graph(); withTrace && g != nil {
+		rr.Trace = trace.RouteHops(g, res.Route, resp.T)
 	}
 	return rr
 }
@@ -231,32 +258,17 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, maxRouteBody, "request body", &req) {
 		return
 	}
-	d, err := s.current()
-	if err != nil {
-		s.fail(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	defer d.release()
-	if !d.st.HasVertex(req.S) || !d.st.HasVertex(req.T) {
-		s.fail(w, http.StatusBadRequest,
-			fmt.Errorf("vertex pair (%d, %d) not in graph rev %d", req.S, req.T, d.rev))
-		return
-	}
-	ae, err := d.engineFor(req.Algo)
+	name, eng, err := s.algorithm(req.Algo)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	resp, err := ae.eng.Do(engine.Request{S: req.S, T: req.T}, s.cfg.AdmissionBudget)
-	switch {
-	case errors.Is(err, engine.ErrSaturated):
-		s.fail(w, http.StatusTooManyRequests, err)
-		return
-	case err != nil:
-		s.fail(w, http.StatusServiceUnavailable, err)
+	resp, err := eng.Do(engine.Request{S: req.S, T: req.T}, s.cfg.AdmissionBudget)
+	if err != nil {
+		s.failRoute(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, d.reply(ae, resp, req.Trace))
+	writeJSON(w, http.StatusOK, reply(name, resp, req.Trace))
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -269,38 +281,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("empty batch"))
 		return
 	}
-	d, err := s.current()
-	if err != nil {
-		s.fail(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	defer d.release()
-	ae, err := d.engineFor(req.Algo)
+	name, eng, err := s.algorithm(req.Algo)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	reqs := make([]engine.Request, len(req.Pairs))
 	for i, p := range req.Pairs {
-		if !d.st.HasVertex(p[0]) || !d.st.HasVertex(p[1]) {
-			s.fail(w, http.StatusBadRequest,
-				fmt.Errorf("pair %d: (%d, %d) not in graph rev %d", i, p[0], p[1], d.rev))
-			return
-		}
 		reqs[i] = engine.Request{S: p[0], T: p[1]}
 	}
-	resps, err := ae.eng.DoBatch(reqs, s.cfg.AdmissionBudget)
-	switch {
-	case errors.Is(err, engine.ErrSaturated):
-		s.fail(w, http.StatusTooManyRequests, err)
-		return
-	case err != nil:
-		s.fail(w, http.StatusServiceUnavailable, err)
+	resps, err := eng.DoBatch(reqs, s.cfg.AdmissionBudget)
+	if err != nil {
+		s.failRoute(w, err)
 		return
 	}
-	br := BatchReply{Rev: d.rev, Epoch: d.epoch, Algo: ae.name, Results: make([]RouteReply, len(resps))}
+	// DoBatch routes the whole batch on one snapshot.
+	br := BatchReply{Rev: resps[0].Epoch, Epoch: resps[0].Epoch, Algo: name, Results: make([]RouteReply, len(resps))}
 	for i, resp := range resps {
-		br.Results[i] = d.reply(ae, resp, false)
+		br.Results[i] = reply(name, resp, false)
 	}
 	writeJSON(w, http.StatusOK, br)
 }
@@ -319,24 +317,23 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
-	d, err := s.current()
-	if err != nil {
-		s.fail(w, http.StatusServiceUnavailable, err)
+	g := s.gen.Load()
+	if g == nil {
+		s.fail(w, http.StatusServiceUnavailable, fmt.Errorf("server stopping"))
 		return
 	}
-	defer d.release()
-	writeJSON(w, http.StatusOK, s.describe(d))
+	writeJSON(w, http.StatusOK, s.describe(g))
 }
 
-func (s *Server) describe(d *deployment) GraphReply {
+func (s *Server) describe(g *generation) GraphReply {
 	return GraphReply{
-		Rev:   d.rev,
-		Epoch: d.epoch,
-		Spec:  d.spec,
-		N:     d.st.N(),
-		M:     d.st.M(),
-		Built: d.built,
-		Algos: d.algs,
+		Rev:   g.epoch,
+		Epoch: g.epoch,
+		Spec:  g.spec,
+		N:     g.n,
+		M:     g.m,
+		Built: g.built,
+		Algos: s.cfg.Algorithms,
 	}
 }
 
@@ -349,14 +346,14 @@ type MetricsReply struct {
 	HTTPRequests int64 `json:"http_requests"`
 	// HTTPRejections counts 429 admission rejections.
 	HTTPRejections int64 `json:"http_rejections"`
-	// Algorithms maps each algorithm to its cumulative report — retired
-	// generations folded with a live snapshot of the current one, so the
-	// counters reconcile exactly with the responses served so far.
+	// Algorithms maps each algorithm to its cumulative report: its
+	// engine's counters over every generation served, so they reconcile
+	// exactly with the responses served so far.
 	Algorithms map[string]*metrics.Report `json:"algorithms"`
 }
 
 // snapshotMetrics assembles the live cumulative view. It never blocks a
-// route in flight: live shards are read via metrics.MergeShardsLive.
+// route in flight: Engine.LiveReport copies the lane shards live.
 func (s *Server) snapshotMetrics() MetricsReply {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -366,59 +363,35 @@ func (s *Server) snapshotMetrics() MetricsReply {
 		HTTPRejections: s.httpRejections.Load(),
 		Algorithms:     make(map[string]*metrics.Report),
 	}
-	if d := s.cur.Load(); d != nil {
-		out.Rev = d.rev
+	g := s.gen.Load()
+	if g != nil {
+		out.Rev = g.epoch
 	}
 	for _, name := range s.cfg.Algorithms {
-		sh := s.retired[name].Clone()
-		var cur *algEngine
-		var curRev int64
-		for _, d := range s.live {
-			ae, ok := d.byAlg[name]
-			if !ok {
-				continue
-			}
-			sh = metrics.MergeShardsLive(sh, ae.eng.LiveShard())
-			if d.rev > curRev {
-				cur, curRev = ae, d.rev
-			}
-		}
-		rep := sh.Snapshot()
+		eng := s.engines[name]
+		rep := eng.LiveReport()
 		rep.Name = fmt.Sprintf("klocald %s", name)
-		if reqs := rep.Counter("requests"); reqs > 0 {
-			rep.Put("delivery_rate", float64(rep.Counter("delivered"))/float64(reqs))
+		if g != nil {
+			rep.Put("rev", float64(g.epoch))
 		}
-		if h, ok := rep.Histograms["stretch_milli"]; ok {
-			rep.Put("stretch_max", float64(h.Max)/1000)
-			rep.Put("stretch_p99", h.P99/1000)
-			rep.Put("stretch_mean", h.Mean/1000)
-		}
-		if cur != nil {
-			rep.Put("rev", float64(curRev))
-			cs := cur.snap.CacheStats()
-			rep.Put("cache_size", float64(cs.Size))
-			if cs.Hits+cs.Misses > 0 {
-				rep.Put("cache_hit_rate", cs.HitRate())
-			}
-			// Interval rate gauges: deltas since the previous scrape of the
-			// same generation (CacheStats.Delta clamps across a swap, where
-			// the fresh cache's counters restart below the old baseline).
-			prev := s.lastScrape[name]
-			if !prev.at.IsZero() {
-				if secs := now.Sub(prev.at).Seconds(); secs > 0 {
-					dc := cs.Delta(prev.cache)
-					rep.Put("interval_s", secs)
-					rep.Put("cache_hits_per_s", float64(dc.Hits)/secs)
-					rep.Put("cache_misses_per_s", float64(dc.Misses)/secs)
-					if dr := rep.Counter("requests") - prev.reqs; dr > 0 {
-						rep.Put("requests_per_s", float64(dr)/secs)
-					}
+		cs := eng.Snapshot().CacheStats()
+		rep.Put("cache_size", float64(cs.Size))
+		// Interval rate gauges: deltas since the previous scrape
+		// (CacheStats.Delta clamps across a swap, where the new snapshot's
+		// cache counters restart below the old baseline).
+		prev := s.lastScrape[name]
+		if !prev.at.IsZero() {
+			if secs := now.Sub(prev.at).Seconds(); secs > 0 {
+				dc := cs.Delta(prev.cache)
+				rep.Put("interval_s", secs)
+				rep.Put("cache_hits_per_s", float64(dc.Hits)/secs)
+				rep.Put("cache_misses_per_s", float64(dc.Misses)/secs)
+				if dr := rep.Counter("requests") - prev.reqs; dr > 0 {
+					rep.Put("requests_per_s", float64(dr)/secs)
 				}
 			}
-			s.lastScrape[name] = scrapePoint{
-				at: now, rev: curRev, cache: cs, reqs: rep.Counter("requests"),
-			}
 		}
+		s.lastScrape[name] = scrapePoint{at: now, cache: cs, reqs: rep.Counter("requests")}
 		out.Algorithms[name] = rep
 	}
 	return out

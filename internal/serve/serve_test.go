@@ -240,10 +240,10 @@ func TestAdmissionControl429(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	d := srv.cur.Load()
-	eng := d.byAlg["alg3"].eng
+	eng := srv.engines["alg3"]
+	orig := eng.Snapshot()
 	entered, open := make(chan struct{}, 1), make(chan struct{})
-	gated, err := engine.NewSnapshotStore(d.st, 1, route.Algorithm{
+	gated, err := engine.NewSnapshotStore(orig.Store(), 1, route.Algorithm{
 		Name: "gated",
 		MinK: func(int) int { return 1 },
 		Over: func(*prep.Preprocessor) route.Func {
@@ -257,7 +257,7 @@ func TestAdmissionControl429(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := eng.SwapSnapshot(gated)
+	eng.SwapSnapshot(gated)
 	held := make(chan error, 1)
 	go func() {
 		_, err := eng.Do(engine.Request{S: 0, T: 1}, 0)
@@ -296,6 +296,14 @@ func TestAdmissionControl429(t *testing.T) {
 	}
 }
 
+// TestNewRejectsRepeatedAlgorithm: an algorithm listed twice would get
+// two engines, and its reports would count every request twice.
+func TestNewRejectsRepeatedAlgorithm(t *testing.T) {
+	if _, err := New(Config{Graph: GraphSpec{Kind: "path", Size: 8}, Algorithms: []string{"alg2", "alg3", "alg2"}}); err == nil {
+		t.Fatal("New accepted alg2 twice")
+	}
+}
+
 // TestFailedNewLeaksNoGoroutine: New builds each algorithm's engine
 // before binding the next, so a later algorithm that fails to bind
 // must not leave the earlier engines running anything.
@@ -312,6 +320,67 @@ func TestFailedNewLeaksNoGoroutine(t *testing.T) {
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("%d goroutines after a failed New, %d before", after, before)
 	}
+}
+
+// parked is a route a test holds mid-walk: the engine's next decision
+// signals entered, then waits for release. Tests defer release after
+// deferring Drain, so a failing test frees the route before Drain waits
+// for it.
+type parked struct {
+	entered, open chan struct{}
+	once          sync.Once
+	// epoch is the engine's number for the snapshot the route runs on.
+	epoch int64
+}
+
+func (p *parked) release() { p.once.Do(func() { close(p.open) }) }
+
+// patchWhileParked PATCHes deltas into the daemon at url while park
+// holds a route on the old epoch. Nothing may wait for that route, so
+// the PATCH must reply within 10 s.
+func patchWhileParked(t *testing.T, url string, deltas ...DeltaSpec) DeltaReply {
+	t.Helper()
+	var dr DeltaReply
+	done := make(chan int, 1)
+	go func() { done <- postJSON(t, http.MethodPatch, url+"/graph", DeltaRequest{Deltas: deltas}, &dr) }()
+	select {
+	case code := <-done:
+		if code != http.StatusOK {
+			t.Fatalf("PATCH: %d", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("PATCH waited for a route parked on the old epoch")
+	}
+	return dr
+}
+
+// parkNextDecision swaps into eng a snapshot of its current topology,
+// locality and algorithm whose first decision waits at a gate and then
+// decides as the algorithm does, so the walk it parks stays valid.
+func parkNextDecision(t *testing.T, eng *engine.Engine) *parked {
+	t.Helper()
+	cur := eng.Snapshot()
+	p := &parked{entered: make(chan struct{}, 1), open: make(chan struct{})}
+	var armed atomic.Bool
+	armed.Store(true)
+	alg := cur.Algorithm()
+	over := alg.Over
+	alg.Over = func(pre *prep.Preprocessor) route.Func {
+		decide := over(pre)
+		return func(s, t, v graph.Vertex, view *prep.View, sc *prep.Scratch) (graph.Vertex, error) {
+			if armed.CompareAndSwap(true, false) {
+				p.entered <- struct{}{}
+				<-p.open
+			}
+			return decide(s, t, v, view, sc)
+		}
+	}
+	snap, err := engine.NewSnapshotStore(cur.Store(), cur.K(), alg, engine.SnapshotOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.epoch = eng.SwapSnapshot(snap)
+	return p
 }
 
 // TestDrainLifecycle checks the shutdown path: readyz flips to 503,

@@ -1,13 +1,17 @@
 package serve
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"klocal/internal/bigraph"
 	"klocal/internal/gen"
 	"klocal/internal/graph"
+	"klocal/internal/verify"
 )
 
 // writeCSR materializes a small generated graph as a .csr file.
@@ -91,6 +95,64 @@ func TestFileDeployment(t *testing.T) {
 	}
 	if swapped.N != g.N() {
 		t.Fatalf("swap back: n=%d, want %d", swapped.N, g.N())
+	}
+}
+
+// TestPutClosesFileAfterRoutes parks a route mid-walk on a file-backed
+// deployment and PUTs a generated graph over it. The PUT must neither
+// return nor unmap the old file while that route is in flight; once the
+// route finishes, its reply is a valid walk and the mapping is closed.
+func TestPutClosesFileAfterRoutes(t *testing.T) {
+	g := gen.Cycle(20)
+	s, err := New(Config{Graph: GraphSpec{Kind: "file", Path: writeCSR(t, g)}, Algorithms: []string{"alg2"}, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	csr := s.gen.Load().st.(*bigraph.CSR)
+	park := parkNextDecision(t, s.engines["alg2"])
+	defer park.release()
+
+	parked := make(chan RouteReply, 1)
+	go func() {
+		var rr RouteReply
+		if code := postJSON(t, http.MethodPost, ts.URL+"/route", RouteRequest{S: 0, T: 10}, &rr); code != http.StatusOK {
+			t.Errorf("parked route: code %d", code)
+		}
+		parked <- rr
+	}()
+	<-park.entered
+	put := make(chan int, 1)
+	go func() { put <- postJSON(t, http.MethodPut, ts.URL+"/graph", GraphSpec{Kind: "cycle", Size: 16}, nil) }()
+	// The PUT publishes its generation, then waits for the parked
+	// route's lane before it closes the file.
+	for s.gen.Load().epoch <= park.epoch {
+		runtime.Gosched()
+	}
+	select {
+	case code := <-put:
+		t.Fatalf("PUT returned (code %d) while a route on the old file was in flight", code)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if !csr.Mapped() {
+		t.Fatal("the old file was unmapped under an in-flight route")
+	}
+
+	park.release()
+	rr := <-parked
+	if rr.Epoch != park.epoch || !rr.Delivered {
+		t.Fatalf("parked route: epoch %d delivered %v (%s), want epoch %d delivered", rr.Epoch, rr.Delivered, rr.Err, park.epoch)
+	}
+	if err := verify.CheckWalk(g, 0, 10, rr.Route, 0); err != nil {
+		t.Fatal(err)
+	}
+	if code := <-put; code != http.StatusOK {
+		t.Fatalf("PUT: code %d", code)
+	}
+	if csr.Mapped() {
+		t.Fatal("the PUT left the old file mapped")
 	}
 }
 
