@@ -103,9 +103,10 @@ go-fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRouting -fuzztime 20s -fuzzminimizetime 20x ./internal/fuzz
 	$(GO) test -run '^$$' -fuzz FuzzApplyAll -fuzztime 20s -fuzzminimizetime 20x ./internal/churn
 
-# The concurrency-heavy code paths: the fault-tolerant discovery
-# protocol and injector, the traffic engine and its metric shards, the
-# lock-free preprocessing cache, the routing daemon's snapshot swaps
+# The concurrency-heavy code paths: netsim's concurrent Sends (each
+# builds the views it needs in a node's lock-free cache, on its own
+# goroutine) and the fault injector, the traffic engine and its metric
+# shards, the lock-free preprocessing cache, the routing daemon's snapshot swaps
 # into its long-lived engines, the cluster membership/LSA/forwarding stack (including the
 # 5-member TCP crash e2e), the graph substrate and neighborhood
 # extraction (shared-Scratch misuse shows up here first), and the shared
@@ -113,8 +114,10 @@ go-fuzz-smoke:
 # gates of bigraph, prep, engine and cluster run here under -race too:
 # no pool sits on their paths, since every walker owns its scratch.
 # serve's handler gate still skips, because its reply buffers are
-# pooled and the race detector drops pooled objects at random. Seven races that
-# need many interleavings to show run ten times over: routing while a
+# pooled and the race detector drops pooled objects at random. Nine races that
+# need many interleavings to show run ten times over: twenty netsim
+# Sends at once, eight netsim Sends while a ninth goroutine crashes and
+# restarts a node on their paths, routing while a
 # cluster member derives new epochs, eight goroutines publishing a
 # view's routing half at once, lookups on the last three epochs of
 # a view cache publishing into the table pages they share while new
@@ -132,8 +135,8 @@ race:
 		./internal/nbhd/... ./internal/graph/...
 	$(GO) test -race -count=1 -run Concurrent ./internal/route/...
 	$(GO) test -race -count=10 \
-		-run '^(TestConcurrentRouteWhileDeriving|TestConcurrentRoutingHalfFirstUse|TestConcurrentAtAcrossEpochs|TestShardConcurrentWriters|TestLanesSwapAndClose|TestQuiesceWaitsForSwappedOutRoutes|TestRetireSwapRace)$$' \
-		./internal/cluster/ ./internal/prep/ ./internal/metrics/ ./internal/engine/ ./internal/serve/
+		-run '^(TestConcurrentSends|TestConcurrentSendsThroughCrashAndRestart|TestConcurrentRouteWhileDeriving|TestConcurrentRoutingHalfFirstUse|TestConcurrentAtAcrossEpochs|TestShardConcurrentWriters|TestLanesSwapAndClose|TestQuiesceWaitsForSwappedOutRoutes|TestRetireSwapRace)$$' \
+		./internal/netsim/ ./internal/cluster/ ./internal/prep/ ./internal/metrics/ ./internal/engine/ ./internal/serve/
 	$(MAKE) go-fuzz-smoke
 
 # Traffic-engine benchmarks (throughput vs workers, cache cold vs warm,

@@ -9,9 +9,10 @@
 //	         [-pairs 1] [-workers 0]
 //
 // With -k 0 the algorithm's own threshold T(n) is used; -t -1 picks the
-// vertex farthest from s. -distributed routes through the concurrent
-// message-passing simulator (with k-hop discovery) instead of the
-// single-threaded walk.
+// vertex farthest from s. -distributed routes through the deterministic
+// message-passing simulator instead of the centralized walk: every node
+// first discovers its k-hop view by flooding link state, then the
+// message walks hop by hop on the views the nodes discovered.
 //
 // -graph also accepts a *.json file holding a serve.GraphSpec — or a
 // full klocalcheck case, whose algorithm, locality and endpoints then
@@ -75,7 +76,7 @@ func run() error {
 		tFlag       = flag.Int("t", -1, "destination vertex label (-1 = farthest from s)")
 		seed        = flag.Int64("seed", 1, "random seed")
 		p           = flag.Float64("p", 0.1, "extra-edge probability for -graph random")
-		distributed = flag.Bool("distributed", false, "route through the concurrent network simulator")
+		distributed = flag.Bool("distributed", false, "route through the message-passing network simulator")
 		loss        = flag.Float64("loss", 0, "per-transmission drop probability (implies -distributed)")
 		crashList   = flag.String("crash", "", "comma-separated vertices to crash before discovery (implies -distributed)")
 		faultSeed   = flag.Uint64("faultseed", 1, "seed for the deterministic fault injector")

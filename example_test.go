@@ -29,8 +29,8 @@ func ExampleAlgorithm1() {
 	// Output: delivered true
 }
 
-// The concurrent network simulator: nodes discover their k-neighbourhoods
-// with a TTL-scoped flood, then route hop by hop over channels.
+// The message-passing network simulator: nodes discover their
+// k-neighbourhoods with a TTL-scoped flood, then route hop by hop.
 func ExampleNewNetwork() {
 	g := klocal.Cycle(10)
 	alg := klocal.Algorithm2()

@@ -1,6 +1,6 @@
-// Ad hoc network scenario: nodes are goroutines exchanging messages over
-// channels; each discovers its k-neighbourhood with a TTL-scoped
-// link-state flood and then routes many concurrent flows with an
+// Ad hoc network scenario: every node of a simulated network discovers
+// its k-neighbourhood with a TTL-scoped link-state flood, then many
+// flows, each sent from its own goroutine, route concurrently with an
 // origin-oblivious k-local algorithm — the setting the paper's
 // introduction motivates.
 //

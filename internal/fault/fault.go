@@ -53,8 +53,8 @@ type Decision struct {
 	Drop bool
 	// Duplicate enqueues a second copy (receivers dedup by sequence).
 	Duplicate bool
-	// Delay holds the message for this many extra dequeue passes at the
-	// receiver, reordering it behind later traffic.
+	// Delay sends the message to the back of the delivery queue this many
+	// more times, reordering it behind later traffic.
 	Delay int
 }
 
@@ -101,8 +101,10 @@ type Plan struct {
 	Loss float64
 	// Dup is the probability a delivered control message is duplicated.
 	Dup float64
-	// MaxDelay bounds fault-injected reordering: a delivered message is
-	// held for a uniform number of dequeue passes in [0, MaxDelay].
+	// MaxDelay bounds fault-injected reordering: a delivered control
+	// message goes back to the tail of the simulator's delivery queue a
+	// uniform number of times in [0, MaxDelay], so later traffic
+	// overtakes it. On the data path a delay shows only as a trace event.
 	MaxDelay int
 	// Blackouts are per-link outage windows.
 	Blackouts []Blackout

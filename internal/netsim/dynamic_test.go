@@ -116,19 +116,30 @@ func TestRediscoveredViewsMatchOracle(t *testing.T) {
 	}
 }
 
-func TestTooManyAddedEdges(t *testing.T) {
+// TestAddEdgeGrowsDegreeWithoutRebuild grows a node's degree sevenfold
+// in one network: links are added in place, and rediscovery yields
+// exact views of the grown graph.
+func TestAddEdgeGrowsDegreeWithoutRebuild(t *testing.T) {
 	g := gen.Path(8)
-	nw := startNetwork(t, g, 3, route.Algorithm3())
-	// Node 0 has degree 1 with headroom 2: two added edges fit, the third
-	// must be refused.
-	if err := nw.AddEdge(0, 2); err != nil {
+	const k = 3
+	nw := startNetwork(t, g, k, route.Algorithm3())
+	grown := g
+	for v := graph.Vertex(2); v < 8; v++ {
+		if err := nw.AddEdge(0, v); err != nil {
+			t.Fatalf("add {0,%d}: %v", v, err)
+		}
+		grown = grown.WithEdge(0, v)
+	}
+	if d := grown.Deg(0); d != 7 {
+		t.Fatalf("node 0 has degree %d, want 7", d)
+	}
+	if err := nw.Rediscover(); err != nil {
 		t.Fatal(err)
 	}
-	if err := nw.AddEdge(0, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.AddEdge(0, 4); err == nil {
-		t.Error("third added edge at node 0 should exceed the reserved headroom")
+	for _, v := range grown.Vertices() {
+		if got, want := nw.View(v), nbhd.Extract(grown, v, k).G; got == nil || !got.Equal(want) {
+			t.Fatalf("view at %d after growth:\n got %v\nwant %v", v, got, want)
+		}
 	}
 }
 

@@ -14,7 +14,21 @@ import (
 	"klocal/internal/route"
 )
 
+// startFaulty discovers g under plan on two fresh networks and requires
+// identical protocol counts from both: discovery is a function of the
+// topology and the plan alone. It returns the first network.
 func startFaulty(t *testing.T, g *graph.Graph, k int, alg route.Algorithm, plan fault.Plan) *Network {
+	t.Helper()
+	nw := discoverFaulty(t, g, k, alg, plan)
+	again := discoverFaulty(t, g, k, alg, plan)
+	again.Stop()
+	if a, b := nw.Stats(), again.Stats(); a != b {
+		t.Fatalf("one plan, two discoveries, different counts:\n%+v\n%+v", a, b)
+	}
+	return nw
+}
+
+func discoverFaulty(t *testing.T, g *graph.Graph, k int, alg route.Algorithm, plan fault.Plan) *Network {
 	t.Helper()
 	nw := NewFaulty(g, k, alg, plan)
 	nw.Start()
@@ -37,10 +51,8 @@ func routeString(r []graph.Vertex) string {
 // TestZeroFaultPlanMatchesGolden pins the zero-fault simulator to the
 // pre-fault-layer behaviour, recorded from the seed implementation on
 // fixed seeds: identical routes everywhere, the identical LSA count on
-// the race-free cycle topology, and zero fault-layer activity. (LSA
-// counts on denser graphs are scheduling-dependent even in the seed
-// simulator — first-arrival TTL races — so those assert flooding bounds
-// instead.)
+// the cycle, and zero fault-layer activity. (The closed-form count on
+// every family is TestZeroPlanDiscoveryCountsAreExact.)
 func TestZeroFaultPlanMatchesGolden(t *testing.T) {
 	// Scenario 1: Cycle(12), Algorithm3, k = T(n) = 6.
 	{
@@ -316,10 +328,53 @@ func TestDroppedLSADoesNotDeadlockDiscovery(t *testing.T) {
 				t.Fatalf("victim %d: view at %d incomplete after single drop", victim, v)
 			}
 		}
-		if nw.Stats().LSARetransmissions == 0 {
-			t.Errorf("victim %d: the dropped LSA was never retransmitted", victim)
+		// The queue delivers in send order, so the victim is the same
+		// announcement on every run, and it is retransmitted exactly once.
+		if got := nw.Stats().LSARetransmissions; got != 1 {
+			t.Errorf("victim %d: %d retransmissions, want exactly 1", victim, got)
 		}
 		nw.Stop()
+	}
+}
+
+// TestFaultPlanStatsAreReproducible runs one discovery five times under
+// each of a loss plan, a duplication-with-delay plan and a crash window,
+// and requires identical protocol counts and exact views every time.
+func TestFaultPlanStatsAreReproducible(t *testing.T) {
+	g := gen.Grid(5, 6)
+	const k = 6
+	alg := route.Algorithm3()
+	plans := map[string]fault.Plan{
+		"loss":      {Seed: 3, Loss: 0.2},
+		"dup+delay": {Seed: 3, Dup: 0.3, MaxDelay: 3},
+		"crash":     {Seed: 3, Crashes: []fault.Crash{{Node: 14, From: 0, To: 6}}},
+	}
+	for _, name := range []string{"loss", "dup+delay", "crash"} {
+		var first Stats
+		for run := 0; run < 5; run++ {
+			nw := NewFaulty(g, k, alg, plans[name])
+			nw.Start()
+			if err := nw.Discover(); err != nil {
+				t.Fatalf("%s run %d: %v", name, run, err)
+			}
+			for _, v := range g.Vertices() {
+				if got, want := nw.View(v), nbhd.Extract(g, v, k).G; got == nil || !got.Equal(want) {
+					t.Fatalf("%s run %d: view at %d differs from G_k", name, run, v)
+				}
+			}
+			st := nw.Stats()
+			nw.Stop()
+			if run == 0 {
+				first = st
+				if st.Dropped+st.Duplicated+st.Delayed == 0 {
+					t.Errorf("%s: the plan injected no fault: %+v", name, st)
+				}
+				continue
+			}
+			if st != first {
+				t.Errorf("%s run %d: counts differ from run 0:\n got %+v\nwant %+v", name, run, st, first)
+			}
+		}
 	}
 }
 

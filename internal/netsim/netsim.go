@@ -1,11 +1,11 @@
-// Package netsim is a concurrent, message-passing network simulator: one
-// goroutine per node, channels as links. It realizes the paper's ad hoc
-// network setting operationally — each node starts knowing only its own
-// adjacency ("every node knows its own label as well as the labels of its
-// neighbours") and *discovers* its k-neighbourhood G_k(u) by running a
-// TTL-scoped link-state flooding protocol. Data messages are then routed
-// hop by hop using a k-local routing algorithm bound to each node's
-// discovered view, never to the global topology.
+// Package netsim is a deterministic message-passing network simulator.
+// It realizes the paper's ad hoc network setting operationally — each
+// node starts knowing only its own adjacency ("every node knows its own
+// label as well as the labels of its neighbours") and *discovers* its
+// k-neighbourhood G_k(u) by running a TTL-scoped link-state flooding
+// protocol. Data messages are then routed hop by hop using a k-local
+// routing algorithm bound to each node's discovered view, never to the
+// global topology.
 //
 // The link layer is unreliable: a fault.Injector may drop, duplicate, or
 // delay any transmission and crash any node. Discovery tolerates this
@@ -15,12 +15,20 @@
 // single message is lost). Neighbours that stop acknowledging are
 // declared dead, their announcements withdrawn via tombstones, so every
 // surviving node's view converges to G_k(u) of the live topology.
+//
+// The simulator starts no goroutine. Discover delivers every
+// transmission on the calling goroutine from one FIFO queue, in send
+// order, and visits nodes, neighbours and origins in label order, so
+// every protocol count is a function of the topology and the fault plan
+// alone. Send walks a message hop by hop on the caller's goroutine; any
+// number of Sends may run at once.
 package netsim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -60,7 +68,8 @@ var (
 // lsa is a link-state announcement: the adjacency of origin at sequence
 // seq, flooded with a hop budget so it reaches exactly the nodes within
 // distance k−1. A tombstone (tomb=true, empty adj) withdraws a crashed
-// origin's announcement.
+// origin's announcement. An announcement is never modified once sent,
+// so the copies in flight and the record a node keeps share it.
 type lsa struct {
 	origin graph.Vertex
 	seq    uint64
@@ -79,54 +88,17 @@ func lsaKey(l *lsa) uint64 {
 	return k
 }
 
-// ackMsg acknowledges link-level receipt of one announcement version.
-type ackMsg struct {
-	origin graph.Vertex
-	seq    uint64
-	tomb   bool
-}
-
-// dataMsg is a routed message. It carries its own trace; the struct is
-// owned by exactly one node at any time.
-type dataMsg struct {
-	id      uint64
-	s, t    graph.Vertex
-	prev    graph.Vertex
-	route   []graph.Vertex
-	budget  int
-	retries int
-	events  []fault.Event
-	done    chan<- deliverResult
-}
-
-type deliverResult struct {
-	route   []graph.Vertex
-	retries int
-	events  []fault.Event
-	err     error
-}
-
-// message is the sum type carried on node inboxes. from is the
-// link-level sender; attempt is the transmission attempt that delivered
-// it (acknowledgments inherit it so every re-ack gets an independent
-// fault roll); delay is the residual fault-injected reorder.
+// message is one discovery transmission in flight on link from→to: an
+// announcement, or (ack set) the acknowledgment of one. attempt is the
+// transmission attempt that delivered it (an ack inherits it, so every
+// re-ack gets an independent fault roll); delay is the residual
+// fault-injected reorder, in trips to the back of the queue.
 type message struct {
-	from    graph.Vertex
-	lsa     *lsa
-	ack     *ackMsg
-	data    *dataMsg
-	attempt int
-	delay   int
-}
-
-// lsaRec is a node's stored copy of an origin's announcement: version,
-// adjacency, the residual ttl it arrived with (kept so the record can be
-// re-offered to a resurrected neighbour), and whether it is a tombstone.
-type lsaRec struct {
-	seq  uint64
-	adj  []graph.Vertex
-	ttl  int
-	tomb bool
+	from, to graph.Vertex
+	l        *lsa
+	ack      bool
+	attempt  int
+	delay    int
 }
 
 // xfer is one reliable transfer awaiting acknowledgment: the forwarded
@@ -138,67 +110,29 @@ type xfer struct {
 	due      int
 }
 
-// node is one network participant.
-type node struct {
-	id    graph.Vertex
-	inbox chan message
+// routing is what discovery publishes at a node: the views over its
+// discovered union and the decision bound to them.
+type routing struct {
+	pre    *prep.Preprocessor
+	decide route.Func
+}
 
-	mu        sync.Mutex
+// node is one network participant. Its protocol state is touched only
+// by Discover and InvalidateDiscovery; Sends read neighbors, down and
+// the published routing.
+type node struct {
+	id        graph.Vertex
 	neighbors []graph.Vertex                          // sorted, known a priori
 	ownSeq    uint64                                  // own announcement version (stable storage)
-	learned   map[graph.Vertex]*lsaRec                // origin -> latest record
+	learned   map[graph.Vertex]*lsa                   // origin -> latest announcement
 	pending   map[graph.Vertex]map[graph.Vertex]*xfer // neighbour -> origin -> unacked transfer
 	deadNbrs  map[graph.Vertex]bool                   // neighbours declared dead
-	router    route.Func                              // built after discovery
-	pre       *prep.Preprocessor                      // views over the discovered union, built after discovery
 
-	// sc is the scratch the node's goroutine fetches its view and
-	// decides on.
-	sc prep.Scratch
+	down    atomic.Bool             // crashed via the Crash API
+	routing atomic.Pointer[routing] // nil until discovery publishes it
 }
 
-// quiescer tracks undelivered messages. Unlike a WaitGroup it tolerates
-// drops (a dropped message is simply never added) and wakes waiters on
-// shutdown.
-type quiescer struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	n      int
-	closed bool
-}
-
-func newQuiescer() *quiescer {
-	q := &quiescer{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *quiescer) add(d int) {
-	q.mu.Lock()
-	q.n += d
-	if q.n <= 0 {
-		q.cond.Broadcast()
-	}
-	q.mu.Unlock()
-}
-
-// wait blocks until no messages are in flight or the network shuts down.
-func (q *quiescer) wait() {
-	q.mu.Lock()
-	for q.n > 0 && !q.closed {
-		q.cond.Wait()
-	}
-	q.mu.Unlock()
-}
-
-func (q *quiescer) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-// Network is a running simulation. Create with New (perfect links) or
+// Network is a simulated network. Create with New (perfect links) or
 // NewFaulty (seeded fault plan), then Start, Discover, Send any number
 // of times, and Stop.
 type Network struct {
@@ -209,20 +143,16 @@ type Network struct {
 	inj  fault.Injector
 
 	nodes map[graph.Vertex]*node
-	order []graph.Vertex // sorted vertices, for deterministic passes
-	stop  chan struct{}
-	wg    sync.WaitGroup
+	order []*node // by label, for deterministic passes
 
-	// pending tracks enqueued-but-unprocessed messages for loss-tolerant
-	// quiescence detection.
-	pending *quiescer
+	// queue holds discovery's undelivered transmissions in send order;
+	// head is the next to deliver. An empty queue is quiescence.
+	queue []message
+	head  int
 	// round is the logical discovery round, advanced by the settling
 	// loop; fault schedules (blackouts, crash windows) key off it.
 	round atomic.Int64
 	msgID atomic.Uint64
-
-	liveMu  sync.RWMutex
-	dynDown map[graph.Vertex]bool // nodes crashed via the Crash API
 
 	lsaTransmissions   atomic.Int64
 	lsaRetransmissions atomic.Int64
@@ -242,7 +172,7 @@ type Network struct {
 }
 
 // New prepares a network over topology g with locality k, the given
-// routing algorithm, and perfect links. Nothing runs until Start.
+// routing algorithm, and perfect links.
 func New(g *graph.Graph, k int, alg route.Algorithm) *Network {
 	return NewFaulty(g, k, alg, fault.Plan{})
 }
@@ -258,67 +188,48 @@ func NewFaulty(g *graph.Graph, k int, alg route.Algorithm, plan fault.Plan) *Net
 // need surgical fault placement (e.g. dropping one specific LSA).
 func NewWithInjector(g *graph.Graph, k int, alg route.Algorithm, plan fault.Plan, inj fault.Injector) *Network {
 	nw := &Network{
-		g:       g,
-		k:       k,
-		alg:     alg,
-		plan:    plan,
-		inj:     inj,
-		nodes:   make(map[graph.Vertex]*node, g.N()),
-		stop:    make(chan struct{}),
-		pending: newQuiescer(),
-		dynDown: make(map[graph.Vertex]bool),
+		g:     g,
+		k:     k,
+		alg:   alg,
+		plan:  plan,
+		inj:   inj,
+		nodes: make(map[graph.Vertex]*node, g.N()),
 	}
-	nw.order = append(nw.order, g.Vertices()...)
-	sort.Slice(nw.order, func(i, j int) bool { return nw.order[i] < nw.order[j] })
-	for _, v := range g.Vertices() {
-		// Inbox capacity: during one discovery round a node receives at
-		// most one copy of each origin's LSA per incident link plus the
-		// matching acknowledgments; duplication at most doubles that.
-		// The bound keeps senders from ever blocking on a busy receiver,
-		// which would deadlock symmetric floods. Headroom is reserved
-		// for AddEdge.
-		capacity := 4*g.N()*(g.Deg(v)+2) + 32
-		nw.nodes[v] = &node{
-			id:        v,
-			neighbors: g.Adj(v),
-			inbox:     make(chan message, capacity),
-			learned:   make(map[graph.Vertex]*lsaRec),
-			pending:   make(map[graph.Vertex]map[graph.Vertex]*xfer),
-			deadNbrs:  make(map[graph.Vertex]bool),
-		}
+	for _, v := range g.Vertices() { // label order
+		nd := &node{id: v, neighbors: g.Adj(v)}
+		nd.reset()
+		nw.nodes[v] = nd
+		nw.order = append(nw.order, nd)
 	}
 	return nw
 }
 
-// Start launches one goroutine per node.
+// reset clears the node's discovered state. ownSeq is stable storage:
+// it survives so re-announcements supersede anything from an earlier
+// discovery.
+func (nd *node) reset() {
+	nd.learned = make(map[graph.Vertex]*lsa)
+	nd.pending = make(map[graph.Vertex]map[graph.Vertex]*xfer)
+	nd.deadNbrs = make(map[graph.Vertex]bool)
+	nd.routing.Store(nil)
+}
+
+// Start readies the network for Discover. It starts nothing: discovery
+// and every Send run on their callers' goroutines.
 func (nw *Network) Start() {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	if nw.started || nw.stopped {
-		return
-	}
-	nw.started = true
-	for _, nd := range nw.nodes {
-		nw.wg.Add(1)
-		go nw.run(nd)
+	if !nw.stopped {
+		nw.started = true
 	}
 }
 
-// Stop shuts every node down and waits for the goroutines to exit.
+// Stop shuts the network down: every later call fails with ErrStopped.
+// A Send already walking finishes its walk.
 func (nw *Network) Stop() {
 	nw.mu.Lock()
-	if nw.stopped {
-		nw.mu.Unlock()
-		return
-	}
+	defer nw.mu.Unlock()
 	nw.stopped = true
-	started := nw.started
-	nw.mu.Unlock()
-	close(nw.stop)
-	nw.pending.close()
-	if started {
-		nw.wg.Wait()
-	}
 }
 
 func (nw *Network) isStopped() bool {
@@ -330,23 +241,20 @@ func (nw *Network) isStopped() bool {
 // isDown reports whether v is crashed at the given round, by plan or by
 // the Crash API.
 func (nw *Network) isDown(v graph.Vertex, round int) bool {
-	nw.liveMu.RLock()
-	dyn := nw.dynDown[v]
-	nw.liveMu.RUnlock()
-	return dyn || nw.inj.Down(v, round)
+	return nw.nodes[v].down.Load() || nw.inj.Down(v, round)
 }
 
-// Crash takes node v down immediately: it stops processing and the link
-// layer drops traffic addressed to it. Discovery state is left as-is, so
-// routing continues on stale views until discovery is invalidated and
-// rerun — exactly the degradation window the fault experiments measure.
+// Crash takes node v down immediately: the link layer drops traffic
+// addressed to it and a message it holds is lost. Discovery state is
+// left as-is, so routing continues on stale views until discovery is
+// invalidated and rerun — exactly the degradation window the fault
+// experiments measure.
 func (nw *Network) Crash(v graph.Vertex) error {
-	if _, ok := nw.nodes[v]; !ok {
+	nd, ok := nw.nodes[v]
+	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownNode, v)
 	}
-	nw.liveMu.Lock()
-	nw.dynDown[v] = true
-	nw.liveMu.Unlock()
+	nd.down.Store(true)
 	return nil
 }
 
@@ -354,112 +262,73 @@ func (nw *Network) Crash(v graph.Vertex) error {
 // (sequence numbers, learned records) is intact; rerun discovery to
 // reintegrate it into routing.
 func (nw *Network) Restart(v graph.Vertex) error {
-	if _, ok := nw.nodes[v]; !ok {
+	nd, ok := nw.nodes[v]
+	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownNode, v)
 	}
-	nw.liveMu.Lock()
-	delete(nw.dynDown, v)
-	nw.liveMu.Unlock()
+	nd.down.Store(false)
 	return nil
 }
 
-// run is the node main loop.
-func (nw *Network) run(nd *node) {
-	defer nw.wg.Done()
-	for {
-		select {
-		case <-nw.stop:
-			return
-		case msg := <-nd.inbox:
-			if msg.delay > 0 {
-				// Fault-injected reorder: put the message back behind
-				// whatever else is queued; if the inbox is momentarily
-				// full, deliver now rather than block on ourselves.
-				msg.delay--
-				select {
-				case nd.inbox <- msg:
-				default:
-					nw.dispatch(nd, msg)
-				}
-				continue
-			}
-			nw.dispatch(nd, msg)
+// drain delivers queued transmissions in send order until the queue is
+// empty. A delayed message goes back to the tail; a crashed receiver
+// eats its traffic.
+func (nw *Network) drain(round int) {
+	for nw.head < len(nw.queue) {
+		m := nw.queue[nw.head]
+		nw.head++
+		if m.delay > 0 {
+			m.delay--
+			nw.queue = append(nw.queue, m)
+			continue
+		}
+		if nw.isDown(m.to, round) {
+			continue
+		}
+		if m.ack {
+			nw.handleAck(nw.nodes[m.to], m)
+		} else {
+			nw.handleLSA(nw.nodes[m.to], m)
 		}
 	}
+	nw.queue, nw.head = nw.queue[:0], 0
 }
 
-// dispatch handles one delivered message and retires it from the
-// quiescence count.
-func (nw *Network) dispatch(nd *node, msg message) {
-	if nw.isDown(nd.id, int(nw.round.Load())) {
-		// A crashed node silently eats its traffic. Data messages must
-		// still resolve their waiting sender.
-		if msg.data != nil {
-			msg.data.done <- deliverResult{
-				route:   msg.data.route,
-				retries: msg.data.retries,
-				events:  msg.data.events,
-				err:     fmt.Errorf("netsim: node %d crashed while holding the message: %w", nd.id, ErrNodeDown),
-			}
-		}
-		nw.pending.add(-1)
+// transmit pushes one protocol message across its link through the
+// fault layer onto the tail of the queue.
+func (nw *Network) transmit(m message, class fault.Class) {
+	round := int(nw.round.Load())
+	if nw.isDown(m.to, round) {
+		nw.dropped.Add(1)
 		return
 	}
-	switch {
-	case msg.lsa != nil:
-		nw.handleLSA(nd, msg.from, msg.lsa, msg.attempt)
-	case msg.ack != nil:
-		nw.handleAck(nd, msg.from, msg.ack)
-	case msg.data != nil:
-		nw.handleData(nd, msg.data)
-	}
-	nw.pending.add(-1)
-}
-
-// enqueue places a message on the target inbox, keeping the quiescence
-// count consistent even when the network is shutting down.
-func (nw *Network) enqueue(to graph.Vertex, msg message) {
-	nw.pending.add(1)
-	select {
-	case nw.nodes[to].inbox <- msg:
-	case <-nw.stop:
-		nw.pending.add(-1)
-	}
-}
-
-// transmit pushes one protocol message across the link from→to through
-// the fault layer. It reports whether any copy was enqueued, and the
-// injector's ruling.
-func (nw *Network) transmit(from, to graph.Vertex, msg message, class fault.Class, key uint64, attempt int) (bool, fault.Decision) {
-	round := int(nw.round.Load())
-	if nw.isDown(to, round) {
-		nw.dropped.Add(1)
-		return false, fault.Decision{Drop: true}
-	}
-	d := nw.inj.Deliver(from, to, class, key, attempt, round)
+	d := nw.inj.Deliver(m.from, m.to, class, lsaKey(m.l), m.attempt, round)
 	if d.Drop {
 		nw.dropped.Add(1)
-		return false, d
+		return
 	}
-	msg.attempt = attempt
 	if d.Delay > 0 {
 		nw.delayed.Add(1)
-		msg.delay = d.Delay
+		m.delay = d.Delay
 	}
-	copies := 1
-	if d.Duplicate && class != fault.ClassData {
-		copies = 2
+	nw.queue = append(nw.queue, m)
+	if d.Duplicate {
 		nw.duplicated.Add(1)
+		nw.queue = append(nw.queue, m)
 	}
-	for i := 0; i < copies; i++ {
-		nw.enqueue(to, msg)
-	}
-	return true, d
 }
 
-// liveNbrsLocked returns the node's neighbours minus the ones it has
-// declared dead. Caller holds nd.mu.
-func liveNbrsLocked(nd *node) []graph.Vertex {
+// originate queues an announcement at its own node: a seed, a
+// re-announcement or a tombstone enters the flood through the same
+// handler as a received copy.
+func (nw *Network) originate(nd *node, l *lsa) {
+	nw.lsaTransmissions.Add(1)
+	nw.queue = append(nw.queue, message{from: nd.id, to: nd.id, l: l})
+}
+
+// liveNeighbors returns the node's neighbours minus the ones it has
+// declared dead, in label order.
+func (nd *node) liveNeighbors() []graph.Vertex {
 	if len(nd.deadNbrs) == 0 {
 		return nd.neighbors
 	}
@@ -472,52 +341,51 @@ func liveNbrsLocked(nd *node) []graph.Vertex {
 	return live
 }
 
+// sortedKeys returns m's keys in label order.
+func sortedKeys[V any](m map[graph.Vertex]V) []graph.Vertex {
+	keys := make([]graph.Vertex, 0, len(m))
+	for v := range m {
+		keys = append(keys, v)
+	}
+	slices.SortFunc(keys, cmp.Compare[graph.Vertex])
+	return keys
+}
+
 // sendLSA registers a reliable transfer of l to neighbour `to` and
 // transmits the first attempt.
 func (nw *Network) sendLSA(nd *node, to graph.Vertex, l *lsa) {
-	nd.mu.Lock()
 	m := nd.pending[to]
 	if m == nil {
 		m = make(map[graph.Vertex]*xfer)
 		nd.pending[to] = m
 	}
 	m[l.origin] = &xfer{l: l, attempts: 1, due: int(nw.round.Load()) + nw.plan.Backoff(1)}
-	nd.mu.Unlock()
 	nw.lsaTransmissions.Add(1)
-	nw.transmit(nd.id, to, message{from: nd.id, lsa: l}, fault.ClassLSA, lsaKey(l), 1)
+	nw.transmit(message{from: nd.id, to: to, l: l, attempt: 1}, fault.ClassLSA)
 }
 
 // handleLSA acknowledges, records, and forwards a link-state
 // announcement. Each version of each origin's announcement is forwarded
 // at most once (flooding suppression by sequence number).
-func (nw *Network) handleLSA(nd *node, from graph.Vertex, l *lsa, attempt int) {
+func (nw *Network) handleLSA(nd *node, m message) {
+	l, from := m.l, m.from
 	if from != nd.id {
 		// Link-level acknowledgment. Acks are not themselves acked: a
 		// lost ack just provokes a retransmission, which is re-acked —
 		// with the retransmission's attempt number, so each re-ack rolls
 		// independent fault dice.
 		nw.ackTransmissions.Add(1)
-		a := &ackMsg{origin: l.origin, seq: l.seq, tomb: l.tomb}
-		nw.transmit(nd.id, from, message{from: nd.id, ack: a}, fault.ClassAck, lsaKey(l), attempt)
+		nw.transmit(message{from: nd.id, to: from, l: l, ack: true, attempt: m.attempt}, fault.ClassAck)
 	}
 	if l.tomb && l.origin == nd.id && from != nd.id {
 		// Our own obituary: someone exhausted its retransmissions to us
 		// (we were down, or a blackout ate the link). Refute it with a
 		// fresh, higher-sequence announcement — but only once per
 		// obituary version, or dueling floods would never settle.
-		nd.mu.Lock()
-		refute := l.seq >= nd.ownSeq
-		nd.mu.Unlock()
-		if refute {
+		if l.seq >= nd.ownSeq {
 			nw.reOriginate(nd, nw.k)
 		}
 		return
-	}
-	resurrect := graph.NoVertex
-	nd.mu.Lock()
-	if from != nd.id && nd.deadNbrs[from] {
-		delete(nd.deadNbrs, from)
-		resurrect = from
 	}
 	rec := nd.learned[l.origin]
 	// A same-version copy with a higher TTL is also an upgrade: under
@@ -527,95 +395,70 @@ func (nw *Network) handleLSA(nd *node, from graph.Vertex, l *lsa, attempt int) {
 	// short of the nodes the origin is entitled to reach. Re-forwarding
 	// on TTL upgrades restores shortest-path reach; TTLs rise
 	// monotonically, so each node forwards each version at most k times.
+	// Without faults the queue delivers every origin's flood in
+	// breadth-first order, so the first copy already has the highest TTL.
 	newer := rec == nil || l.seq > rec.seq ||
 		(l.seq == rec.seq && l.tomb && !rec.tomb) ||
 		(l.seq == rec.seq && l.tomb == rec.tomb && l.ttl > rec.ttl)
-	var fwd *lsa
 	if newer {
-		adj := make([]graph.Vertex, len(l.adj))
-		copy(adj, l.adj)
-		nd.learned[l.origin] = &lsaRec{seq: l.seq, adj: adj, ttl: l.ttl, tomb: l.tomb}
-		if l.ttl > 0 {
-			fwd = &lsa{origin: l.origin, seq: l.seq, adj: l.adj, ttl: l.ttl - 1, tomb: l.tomb}
+		nd.learned[l.origin] = l
+	}
+	nw.repairNeighbor(nd, from)
+	if newer && l.ttl > 0 {
+		fwd := &lsa{origin: l.origin, seq: l.seq, adj: l.adj, ttl: l.ttl - 1, tomb: l.tomb}
+		for _, nb := range nd.liveNeighbors() {
+			nw.sendLSA(nd, nb, fwd)
 		}
-	}
-	var nbrs []graph.Vertex
-	if fwd != nil {
-		nbrs = append(nbrs, liveNbrsLocked(nd)...)
-	}
-	nd.mu.Unlock()
-	if resurrect != graph.NoVertex {
-		nw.repairNeighbor(nd, resurrect)
-	}
-	for _, nb := range nbrs {
-		nw.sendLSA(nd, nb, fwd)
 	}
 }
 
 // handleAck retires the matching reliable transfer.
-func (nw *Network) handleAck(nd *node, from graph.Vertex, a *ackMsg) {
-	resurrect := graph.NoVertex
-	nd.mu.Lock()
-	if nd.deadNbrs[from] {
-		delete(nd.deadNbrs, from)
-		resurrect = from
-	}
-	if m := nd.pending[from]; m != nil {
-		if x := m[a.origin]; x != nil {
-			if a.seq > x.l.seq || (a.seq == x.l.seq && (a.tomb == x.l.tomb || a.tomb)) {
-				delete(m, a.origin)
-			}
+func (nw *Network) handleAck(nd *node, m message) {
+	from, a := m.from, m.l
+	if x := nd.pending[from][a.origin]; x != nil {
+		if a.seq > x.l.seq || (a.seq == x.l.seq && (a.tomb == x.l.tomb || a.tomb)) {
+			delete(nd.pending[from], a.origin)
 		}
 	}
-	nd.mu.Unlock()
-	if resurrect != graph.NoVertex {
-		nw.repairNeighbor(nd, resurrect)
-	}
+	nw.repairNeighbor(nd, from)
 }
 
-// repairNeighbor reintegrates a neighbour that was declared dead but has
-// come back: restore it to our announcement, and re-offer every record
-// we have forwarded so it recovers floods it missed while down.
+// repairNeighbor reintegrates v if nd declared it dead and has now heard
+// from it: any message from a condemned neighbour resurrects it. Restore
+// it to our announcement, and re-offer every record we have forwarded
+// so it recovers floods it missed while down.
 func (nw *Network) repairNeighbor(nd *node, v graph.Vertex) {
+	if !nd.deadNbrs[v] {
+		return
+	}
+	delete(nd.deadNbrs, v)
 	nw.reOriginate(nd, nw.k)
-	nd.mu.Lock()
-	var repairs []*lsa
-	for origin, rec := range nd.learned {
+	for _, origin := range sortedKeys(nd.learned) {
+		rec := nd.learned[origin]
 		if origin == nd.id || origin == v || rec.tomb || rec.ttl <= 0 {
 			continue
 		}
-		repairs = append(repairs, &lsa{origin: origin, seq: rec.seq, adj: rec.adj, ttl: rec.ttl - 1})
-	}
-	nd.mu.Unlock()
-	for _, l := range repairs {
-		nw.sendLSA(nd, v, l)
+		nw.sendLSA(nd, v, &lsa{origin: origin, seq: rec.seq, adj: rec.adj, ttl: rec.ttl - 1})
 	}
 }
 
 // reOriginate floods a fresh announcement of this node's live adjacency
 // with the given TTL. It doubles as the discovery seed (ttl k−1, the
-// paper's flooding radius; routing it through the node's own inbox keeps
-// all protocol logic in one place). Fault-path re-originations use ttl k
+// paper's flooding radius). Fault-path re-originations use ttl k
 // instead: a tombstone flooded by a neighbour of the condemned node with
 // TTL k−1 can reach nodes at distance k from it, so the announcement that
 // refutes or supersedes the obituary must reach at least as far. The
 // extra hop is harmless — view construction trims at distance k anyway.
 func (nw *Network) reOriginate(nd *node, ttl int) {
-	nd.mu.Lock()
 	nd.ownSeq++
-	l := &lsa{origin: nd.id, seq: nd.ownSeq, adj: liveNbrsLocked(nd), ttl: ttl}
-	nd.mu.Unlock()
-	nw.lsaTransmissions.Add(1)
-	nw.enqueue(nd.id, message{from: nd.id, lsa: l})
+	nw.originate(nd, &lsa{origin: nd.id, seq: nd.ownSeq, adj: nd.liveNeighbors(), ttl: ttl})
 }
 
 // declareDead marks a neighbour that exhausted its retransmission budget
 // as crashed: withdraw it from our announcement and flood a tombstone so
 // every node that learned of it forgets it.
 func (nw *Network) declareDead(nd *node, v graph.Vertex) {
-	nd.mu.Lock()
 	if nd.deadNbrs[v] {
-		nd.mu.Unlock()
 		return
 	}
 	nd.deadNbrs[v] = true
@@ -624,11 +467,9 @@ func (nw *Network) declareDead(nd *node, v graph.Vertex) {
 	if rec := nd.learned[v]; rec != nil {
 		tombSeq = rec.seq
 	}
-	nd.mu.Unlock()
 	nw.deadDeclared.Add(1)
 	tomb := &lsa{origin: v, seq: tombSeq, ttl: nw.k - 1, tomb: true}
-	nw.lsaTransmissions.Add(1)
-	nw.enqueue(nd.id, message{from: nd.id, lsa: tomb})
+	nw.originate(nd, tomb)
 	nw.reOriginate(nd, nw.k)
 	// Probe the condemned neighbour with its own obituary. A truly dead
 	// node ignores it (the probe transfer exhausts quietly); a live one
@@ -638,28 +479,20 @@ func (nw *Network) declareDead(nd *node, v graph.Vertex) {
 	nw.sendLSA(nd, v, tomb)
 }
 
-// retransmitPass, run only while the network is quiescent, retries every
+// retransmitPass, run only once the queue is drained, retries every
 // transfer whose backoff expired and declares neighbours dead once their
 // budget is spent. It reports whether it generated any traffic.
 func (nw *Network) retransmitPass(round int) bool {
 	active := false
 	maxAttempts := nw.plan.Attempts()
-	for _, v := range nw.order {
-		nd := nw.nodes[v]
-		if nw.isDown(v, round) {
+	for _, nd := range nw.order {
+		if nw.isDown(nd.id, round) {
 			continue
 		}
-		type retry struct {
-			to      graph.Vertex
-			l       *lsa
-			attempt int
-		}
-		var retries []retry
-		var deaths []graph.Vertex
-		nd.mu.Lock()
-		for to, m := range nd.pending {
-			dead := false
-			for origin, x := range m {
+		for _, to := range sortedKeys(nd.pending) {
+			m := nd.pending[to]
+			for _, origin := range sortedKeys(m) {
+				x := m[origin]
 				if x.due > round {
 					continue
 				}
@@ -671,25 +504,15 @@ func (nw *Network) retransmitPass(round int) bool {
 						delete(m, origin)
 						continue
 					}
-					dead = true
+					nw.declareDead(nd, to)
+					active = true
 					break
 				}
 				x.due = round + nw.plan.Backoff(x.attempts)
-				retries = append(retries, retry{to: to, l: x.l, attempt: x.attempts})
+				nw.lsaRetransmissions.Add(1)
+				nw.transmit(message{from: nd.id, to: to, l: x.l, attempt: x.attempts}, fault.ClassLSA)
+				active = true
 			}
-			if dead {
-				deaths = append(deaths, to)
-			}
-		}
-		nd.mu.Unlock()
-		for _, r := range retries {
-			nw.lsaRetransmissions.Add(1)
-			nw.transmit(nd.id, r.to, message{from: nd.id, lsa: r.l}, fault.ClassLSA, lsaKey(r.l), r.attempt)
-			active = true
-		}
-		for _, to := range deaths {
-			nw.declareDead(nd, to)
-			active = true
 		}
 	}
 	return active
@@ -698,19 +521,14 @@ func (nw *Network) retransmitPass(round int) bool {
 // anyPendingXfers reports whether any live node still awaits an
 // acknowledgment.
 func (nw *Network) anyPendingXfers(round int) bool {
-	for _, v := range nw.order {
-		nd := nw.nodes[v]
-		if nw.isDown(v, round) {
+	for _, nd := range nw.order {
+		if nw.isDown(nd.id, round) {
 			continue
 		}
-		nd.mu.Lock()
-		n := 0
 		for _, m := range nd.pending {
-			n += len(m)
-		}
-		nd.mu.Unlock()
-		if n > 0 {
-			return true
+			if len(m) > 0 {
+				return true
+			}
 		}
 	}
 	return false
@@ -734,26 +552,24 @@ func (nw *Network) applyRestarts(round int) {
 // learns the adjacency of every node within distance k−1 — exactly the
 // edge set of G_k(u) — then builds its local view and routing function.
 //
-// Settling is round-based and loss-tolerant: the coordinator waits for
-// the network to go idle, retries transfers whose acknowledgment never
-// arrived (with exponential backoff), and finishes only when no transfer
-// is outstanding and no fault-schedule transition lies ahead. Discover
-// is idempotent. It blocks until the flood settles.
+// Settling is round-based and loss-tolerant: each round drains the
+// queue, then retries transfers whose acknowledgment never arrived (with
+// exponential backoff), and discovery finishes only when no transfer is
+// outstanding and no fault-schedule transition lies ahead. Discover is
+// idempotent. It runs on the caller's goroutine and returns once the
+// flood settles; it must not run concurrently with Send.
 func (nw *Network) Discover() error {
 	nw.mu.Lock()
-	if !nw.started {
-		nw.mu.Unlock()
-		return errors.New("netsim: network not started")
-	}
-	if nw.stopped {
-		nw.mu.Unlock()
+	started, stopped, discovered := nw.started, nw.stopped, nw.discovered
+	nw.mu.Unlock()
+	switch {
+	case stopped:
 		return ErrStopped
-	}
-	if nw.discovered {
-		nw.mu.Unlock()
+	case !started:
+		return errors.New("netsim: network not started")
+	case discovered:
 		return nil
 	}
-	nw.mu.Unlock()
 
 	// Round budget: the full retry schedule for one transfer, the fault
 	// schedule horizon, and slack for death/tombstone cascades.
@@ -765,16 +581,15 @@ func (nw *Network) Discover() error {
 	maxRounds := 4*(schedule+nw.plan.LastScheduledRound()) + 16
 
 	nw.round.Store(0)
-	for _, v := range nw.order {
-		if nw.isDown(v, 0) {
-			continue
+	for _, nd := range nw.order {
+		if !nw.isDown(nd.id, 0) {
+			nw.reOriginate(nd, nw.k-1)
 		}
-		nw.reOriginate(nw.nodes[v], nw.k-1)
 	}
 
 	round := 0
 	for {
-		nw.pending.wait()
+		nw.drain(round)
 		if nw.isStopped() {
 			return ErrStopped
 		}
@@ -791,16 +606,12 @@ func (nw *Network) Discover() error {
 	}
 	nw.discoveryRounds.Store(int64(round))
 
-	finalRound := round
-	for _, v := range nw.order {
-		nd := nw.nodes[v]
-		if nw.isDown(v, finalRound) {
+	for _, nd := range nw.order {
+		if nw.isDown(nd.id, round) {
 			continue
 		}
-		nd.mu.Lock()
-		nd.pre = prep.NewPreprocessor(union(nd), nw.k, nw.alg.Policy, prep.CacheOptions{})
-		nd.router = nw.alg.Over(nd.pre)
-		nd.mu.Unlock()
+		pre := prep.NewPreprocessor(union(nd), nw.k, nw.alg.Policy, prep.CacheOptions{})
+		nd.routing.Store(&routing{pre: pre, decide: nw.alg.Over(pre)})
 	}
 	nw.mu.Lock()
 	nw.discovered = true
@@ -835,110 +646,11 @@ func (nw *Network) View(v graph.Vertex) *graph.Graph {
 	if !ok {
 		return nil
 	}
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	if nd.pre == nil {
+	rt := nd.routing.Load()
+	if rt == nil {
 		return nil
 	}
-	return nbhd.Extract(nd.pre.Store(), v, nw.k).G
-}
-
-// neighborsSnapshot returns the current link list under the node lock.
-func (nd *node) neighborsSnapshot() []graph.Vertex {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	return nd.neighbors
-}
-
-// handleData makes one forwarding decision and passes the message on.
-func (nw *Network) handleData(nd *node, m *dataMsg) {
-	if nd.id == m.t {
-		m.done <- deliverResult{route: m.route, retries: m.retries, events: m.events}
-		return
-	}
-	if m.budget <= 0 {
-		m.done <- deliverResult{route: m.route, retries: m.retries, events: m.events, err: ErrHopBudget}
-		return
-	}
-	nd.mu.Lock()
-	router, pre := nd.router, nd.pre
-	nd.mu.Unlock()
-	if router == nil {
-		m.done <- deliverResult{route: m.route, retries: m.retries, events: m.events, err: ErrNotDiscovered}
-		return
-	}
-	view := pre.At(nd.id, &nd.sc)
-	if raw := view.C.Raw; raw.Complete && !raw.Contains(m.t) {
-		// The whole component is inside the view and t is not in it: a
-		// topology fault, not a routing failure.
-		m.done <- deliverResult{route: m.route, retries: m.retries, events: m.events,
-			err: fmt.Errorf("netsim: node %d sees its whole component without %d: %w", nd.id, m.t, ErrPartitioned)}
-		return
-	}
-	next, err := router(m.s, m.t, m.prev, view, &nd.sc)
-	if err != nil {
-		m.done <- deliverResult{route: m.route, retries: m.retries, events: m.events, err: fmt.Errorf("at node %d: %w", nd.id, err)}
-		return
-	}
-	legal := false
-	for _, nb := range nd.neighborsSnapshot() {
-		if nb == next {
-			legal = true
-			break
-		}
-	}
-	if !legal {
-		m.done <- deliverResult{route: m.route, retries: m.retries, events: m.events, err: fmt.Errorf("netsim: node %d chose non-neighbour %d", nd.id, next)}
-		return
-	}
-	m.prev = nd.id
-	m.route = append(m.route, next)
-	m.budget--
-	nw.forwardData(nd, next, m)
-}
-
-// forwardData pushes a data message one hop with hop-budgeted
-// retransmission: each retry spends a unit of the hop budget, a crashed
-// next hop surfaces as ErrNodeDown (the link layer's failure detector —
-// no acknowledgment ever comes back), and a link that eats the whole
-// budget surfaces as ErrLinkDown.
-func (nw *Network) forwardData(nd *node, next graph.Vertex, m *dataMsg) {
-	hop := len(m.route) - 2 // index of the forwarding node in the route
-	nw.dataForwards.Add(1)
-	round := int(nw.round.Load())
-	maxAttempts := nw.plan.Attempts()
-	for attempt := 1; ; attempt++ {
-		if nw.isDown(next, round) {
-			m.events = append(m.events, fault.Event{Kind: "node-down", From: nd.id, To: next, Hop: hop, Attempt: attempt})
-			m.done <- deliverResult{route: m.route, retries: m.retries, events: m.events,
-				err: fmt.Errorf("netsim: next hop %d from node %d: %w", next, nd.id, ErrNodeDown)}
-			return
-		}
-		d := nw.inj.Deliver(nd.id, next, fault.ClassData, m.id, attempt, round)
-		if !d.Drop {
-			if d.Delay > 0 {
-				nw.delayed.Add(1)
-				m.events = append(m.events, fault.Event{Kind: "delay", From: nd.id, To: next, Hop: hop, Attempt: attempt})
-			}
-			nw.enqueue(next, message{from: nd.id, data: m, delay: d.Delay})
-			return
-		}
-		nw.dropped.Add(1)
-		m.events = append(m.events, fault.Event{Kind: "drop", From: nd.id, To: next, Hop: hop, Attempt: attempt})
-		m.retries++
-		nw.dataRetries.Add(1)
-		m.budget--
-		if m.budget <= 0 {
-			m.done <- deliverResult{route: m.route, retries: m.retries, events: m.events, err: ErrHopBudget}
-			return
-		}
-		if attempt >= maxAttempts {
-			m.done <- deliverResult{route: m.route, retries: m.retries, events: m.events,
-				err: fmt.Errorf("netsim: link %d->%d: %w", nd.id, next, ErrLinkDown)}
-			return
-		}
-		m.events = append(m.events, fault.Event{Kind: "retransmit", From: nd.id, To: next, Hop: hop, Attempt: attempt + 1})
-	}
+	return nbhd.Extract(rt.pre.Store(), v, nw.k).G
 }
 
 // SendResult is the detailed outcome of one routed message: the
@@ -951,9 +663,9 @@ type SendResult struct {
 	Err     error
 }
 
-// Send routes one message from s to t through the running network and
-// returns the traversed route (s first, t last). The hop budget is
-// 4·n·m — far beyond any legal deterministic walk — so loops surface as
+// Send routes one message from s to t through the network and returns
+// the traversed route (s first, t last). The hop budget is 4·n·m — far
+// beyond any legal deterministic walk — so loops surface as
 // ErrHopBudget, while topology faults surface as ErrPartitioned or
 // ErrNodeDown.
 func (nw *Network) Send(s, t graph.Vertex) ([]graph.Vertex, error) {
@@ -961,18 +673,21 @@ func (nw *Network) Send(s, t graph.Vertex) ([]graph.Vertex, error) {
 	return res.Route, res.Err
 }
 
-// SendDetailed is Send with the full fault-event trace.
+// SendDetailed is Send with the full fault-event trace. The message
+// walks on the caller's goroutine: at each hop the holder decides on its
+// discovered view, then pushes the message across the link under the
+// fault plan. Sends may run concurrently with each other and with Crash,
+// Restart, InvalidateDiscovery, Stats and Stop; each owns its scratch.
 func (nw *Network) SendDetailed(s, t graph.Vertex) SendResult {
 	nw.mu.Lock()
+	stopped, discovered := nw.stopped, nw.discovered
+	nw.mu.Unlock()
 	switch {
-	case nw.stopped:
-		nw.mu.Unlock()
+	case stopped:
 		return SendResult{Err: ErrStopped}
-	case !nw.discovered:
-		nw.mu.Unlock()
+	case !discovered:
 		return SendResult{Err: ErrNotDiscovered}
 	}
-	nw.mu.Unlock()
 	if _, ok := nw.nodes[s]; !ok {
 		return SendResult{Err: fmt.Errorf("%w: %d", ErrUnknownNode, s)}
 	}
@@ -986,22 +701,89 @@ func (nw *Network) SendDetailed(s, t graph.Vertex) SendResult {
 	if nw.isDown(t, round) {
 		return SendResult{Err: fmt.Errorf("netsim: destination %d: %w", t, ErrNodeDown)}
 	}
-	done := make(chan deliverResult, 1)
-	msg := &dataMsg{
-		id:     nw.msgID.Add(1),
-		s:      s,
-		t:      t,
-		prev:   graph.NoVertex,
-		route:  []graph.Vertex{s},
-		budget: 4 * (nw.g.N() + 1) * (nw.g.M() + 1),
-		done:   done,
+
+	res := SendResult{Route: []graph.Vertex{s}}
+	key := nw.msgID.Add(1)
+	budget := 4 * (nw.g.N() + 1) * (nw.g.M() + 1)
+	var sc prep.Scratch
+	prev := graph.NoVertex
+	for u := s; ; {
+		nd := nw.nodes[u]
+		if nw.isDown(u, round) {
+			res.Err = fmt.Errorf("netsim: node %d crashed while holding the message: %w", u, ErrNodeDown)
+			return res
+		}
+		if u == t {
+			return res
+		}
+		if budget <= 0 {
+			res.Err = ErrHopBudget
+			return res
+		}
+		rt := nd.routing.Load()
+		if rt == nil {
+			res.Err = ErrNotDiscovered
+			return res
+		}
+		view := rt.pre.At(u, &sc)
+		if raw := view.C.Raw; raw.Complete && !raw.Contains(t) {
+			// The whole component is inside the view and t is not in it: a
+			// topology fault, not a routing failure.
+			res.Err = fmt.Errorf("netsim: node %d sees its whole component without %d: %w", u, t, ErrPartitioned)
+			return res
+		}
+		next, err := rt.decide(s, t, prev, view, &sc)
+		if err != nil {
+			res.Err = fmt.Errorf("at node %d: %w", u, err)
+			return res
+		}
+		if !slices.Contains(nd.neighbors, next) {
+			res.Err = fmt.Errorf("netsim: node %d chose non-neighbour %d", u, next)
+			return res
+		}
+		res.Route = append(res.Route, next)
+		budget--
+		if res.Err = nw.forward(&res, u, next, key, round, &budget); res.Err != nil {
+			return res
+		}
+		prev, u = u, next
 	}
-	nw.enqueue(s, message{from: s, data: msg})
-	select {
-	case res := <-done:
-		return SendResult{Route: res.route, Retries: res.retries, Events: res.events, Err: res.err}
-	case <-nw.stop:
-		return SendResult{Err: ErrStopped}
+}
+
+// forward pushes a data message one hop with hop-budgeted
+// retransmission: each retry spends a unit of the hop budget, a crashed
+// next hop surfaces as ErrNodeDown (the link layer's failure detector —
+// no acknowledgment ever comes back), and a link that eats the whole
+// budget surfaces as ErrLinkDown.
+func (nw *Network) forward(res *SendResult, from, next graph.Vertex, key uint64, round int, budget *int) error {
+	hop := len(res.Route) - 2 // index of the forwarding node in the route
+	nw.dataForwards.Add(1)
+	maxAttempts := nw.plan.Attempts()
+	for attempt := 1; ; attempt++ {
+		if nw.isDown(next, round) {
+			res.Events = append(res.Events, fault.Event{Kind: "node-down", From: from, To: next, Hop: hop, Attempt: attempt})
+			return fmt.Errorf("netsim: next hop %d from node %d: %w", next, from, ErrNodeDown)
+		}
+		d := nw.inj.Deliver(from, next, fault.ClassData, key, attempt, round)
+		if !d.Drop {
+			if d.Delay > 0 {
+				nw.delayed.Add(1)
+				res.Events = append(res.Events, fault.Event{Kind: "delay", From: from, To: next, Hop: hop, Attempt: attempt})
+			}
+			return nil
+		}
+		nw.dropped.Add(1)
+		res.Events = append(res.Events, fault.Event{Kind: "drop", From: from, To: next, Hop: hop, Attempt: attempt})
+		res.Retries++
+		nw.dataRetries.Add(1)
+		*budget--
+		if *budget <= 0 {
+			return ErrHopBudget
+		}
+		if attempt >= maxAttempts {
+			return fmt.Errorf("netsim: link %d->%d: %w", from, next, ErrLinkDown)
+		}
+		res.Events = append(res.Events, fault.Event{Kind: "retransmit", From: from, To: next, Hop: hop, Attempt: attempt + 1})
 	}
 }
 
@@ -1010,15 +792,18 @@ func (nw *Network) SendDetailed(s, t graph.Vertex) SendResult {
 // density — the trade-off behind the paper's "each node can periodically
 // acquire and update information about its neighbourhood"), the
 // fault-tolerance overhead (acknowledgments and retransmissions), data
-// forwards, and the injector's toll.
+// forwards, and the injector's toll. Every count is a function of the
+// topology, the fault plan and the sequence of calls.
 type Stats struct {
-	// LSATransmissions counts first-attempt announcement sends — with a
-	// zero fault plan this matches the perfect-channel flood exactly.
+	// LSATransmissions counts first-attempt announcement sends. With a
+	// zero fault plan a discovery sends exactly
+	// n + Σ_o Σ_{u : dist(o,u) ≤ k−2} deg(u) of them.
 	LSATransmissions int64
 	// LSARetransmissions counts retry attempts for unacknowledged
 	// transfers.
 	LSARetransmissions int64
-	// AckTransmissions counts discovery acknowledgments.
+	// AckTransmissions counts discovery acknowledgments (with a zero
+	// fault plan, one per received announcement: LSATransmissions − n).
 	AckTransmissions int64
 	// DataForwards counts per-hop forwarding decisions.
 	DataForwards int64

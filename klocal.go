@@ -13,7 +13,7 @@
 //
 // This package exposes the four matching algorithms (Algorithm1,
 // Algorithm1B, Algorithm2, Algorithm3), the graph substrate and
-// generators, a single-message simulator, a concurrent message-passing
+// generators, a single-message simulator, a deterministic message-passing
 // network simulator with k-hop neighbourhood discovery, the lower-bound
 // adversaries, and the experiment harness regenerating every table and
 // quantitative figure of the paper.
@@ -107,8 +107,8 @@ type (
 	// G'_k(u) with the dormant edges removed (Routing) and its
 	// classified components.
 	View = prep.View
-	// Network is the concurrent message-passing simulator with k-hop
-	// neighbourhood discovery.
+	// Network is the deterministic message-passing simulator with k-hop
+	// neighbourhood discovery. Sends may run concurrently.
 	Network = netsim.Network
 	// NetworkStats is the protocol-cost snapshot of a Network.
 	NetworkStats = netsim.Stats
@@ -208,8 +208,9 @@ func Preprocess(g *Graph, u Vertex, k int) *View {
 // edges at locality k (Lemmas 3 and 5: connected, girth > 2k).
 func ConsistentSubgraph(g *Graph, k int) *Graph { return prep.ConsistentSubgraph(g, k) }
 
-// NewNetwork prepares a concurrent message-passing network over g at
+// NewNetwork prepares a simulated message-passing network over g at
 // locality k routing with alg. Call Start, Discover, Send..., Stop.
+// Discovery and every Send run on their callers' goroutines.
 func NewNetwork(g *Graph, k int, alg Algorithm) *Network { return netsim.New(g, k, alg) }
 
 // NewFaultyNetwork is NewNetwork under a fault plan: every link-level
